@@ -336,6 +336,17 @@ func Build(cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	f, rng := drawFleet(cfg)
+	if err := f.place(rng); err != nil {
+		return nil, err
+	}
+	f.collectShapes()
+	return f, nil
+}
+
+// drawFleet draws a validated config's unplaced machines and returns the
+// seeded rng, positioned for placement.
+func drawFleet(cfg Config) (*Fleet, *rand.Rand) {
 	f := &Fleet{cfg: cfg, measured: make(map[MachineShape]*Measurement)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f.machines = make([]Machine, cfg.Machines)
@@ -347,11 +358,7 @@ func Build(cfg Config) (*Fleet, error) {
 		m.HasBackground, m.Background = loadLevel(m.Load)
 		m.Job = -1
 	}
-	if err := f.place(rng); err != nil {
-		return nil, err
-	}
-	f.collectShapes()
-	return f, nil
+	return f, rng
 }
 
 // drawLoad samples a machine's background bandwidth utilization from the

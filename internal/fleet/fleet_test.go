@@ -324,8 +324,9 @@ func TestAllDeadJobContributesZero(t *testing.T) {
 }
 
 // BenchmarkFleetTick pins the fleet composition hot path: per-job
-// lock-step composition plus fault replay over canned measurements
-// (simulation cost is excluded — that is the node model's benchmark).
+// lock-step composition plus fault replay over canned measurements.
+// Placement (Build) and simulation run before the timer starts; placement
+// is BenchmarkFleetBuild, simulation the node model's benchmarks.
 func BenchmarkFleetTick(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Faults = clusterfaults.Spec{Seed: 7, Crash: 0.02, Downtime: 1.5, Hang: 0.1, HangDur: 0.5}
@@ -342,5 +343,26 @@ func BenchmarkFleetTick(b *testing.B) {
 		if _, err := f.Tick(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFleetBuild times placement: the machine draw, job and batch
+// placement, and the saturation pass, one sub-benchmark per policy at the
+// fleet study's 20000-machine config (8x8-worker jobs, 6000 batch tasks)
+// on the mixed fleet every policy row of the study places onto.
+func BenchmarkFleetBuild(b *testing.B) {
+	for _, p := range Policies() {
+		b.Run(string(p), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Machines = 20000
+			cfg.BatchTasks = 6000
+			cfg.KelpFraction = 0.5
+			cfg.Policy = p
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

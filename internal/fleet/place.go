@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,35 +14,86 @@ import (
 // rebalance pass that moves batch work off saturated worker machines. All
 // decisions are serial and draw only from the given seeded rng, so
 // placement is deterministic in (Config, Seed).
+//
+// Batch placement and the rebalance pass select machines through a
+// loadIndex built after job placement, so placing T batch tasks on M
+// machines costs O((M + T) log M). The index lives only for this call.
 func (f *Fleet) place(rng *rand.Rand) error {
-	for j := 0; j < f.cfg.Jobs; j++ {
-		if err := f.placeJob(j, rng); err != nil {
-			return err
-		}
+	if err := f.placeJobs(rng); err != nil {
+		return err
 	}
-	f.placeBatch(rng)
-	f.saturationPass()
+	x := newLoadIndex(f.machines)
+	f.placeBatch(rng, x)
+	f.saturationPass(x)
 	return nil
 }
 
-// workerCandidates returns machines able to host a worker (no worker yet),
-// ordered by the policy's preference.
-func (f *Fleet) workerCandidates(rng *rand.Rand) []*Machine {
-	var cand []*Machine
+// placeJobs assigns every job's workers to the policy's top-ranked free
+// machines and emits one fleet.place event per job. Random placement
+// reshuffles the free machines for each job. The other policies rank the
+// fleet once: no batch task is placed yet, so their sort keys are static,
+// and each key is a total order (ID breaks ties), so job j's top-ranked
+// free machines are exactly the ranking's j-th WorkersPerJob block.
+func (f *Fleet) placeJobs(rng *rand.Rand) error {
+	var ranked []*Machine
+	if f.cfg.Policy != PolicyRandom {
+		ranked = f.rankWorkers()
+	}
+	w := f.cfg.WorkersPerJob
+	for j := 0; j < f.cfg.Jobs; j++ {
+		var cand []*Machine
+		if ranked != nil {
+			cand = ranked[j*w:]
+		} else {
+			cand = f.freeMachines()
+			rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
+		}
+		if len(cand) < w {
+			return fmt.Errorf("fleet: job %d needs %d machines, %d free", j, w, len(cand))
+		}
+		kelpOn := 0
+		for _, m := range cand[:w] {
+			m.Job = j
+			if m.KelpOn {
+				kelpOn++
+			}
+		}
+		if f.cfg.Events.Enabled() {
+			f.cfg.Events.Emit(0, events.FleetPlace, "fleet", map[string]any{
+				"job":     j,
+				"workers": w,
+				"kelp_on": kelpOn,
+				"policy":  string(f.cfg.Policy),
+			})
+		}
+	}
+	return nil
+}
+
+// freeMachines returns the machines able to host a worker (no worker yet),
+// in ID order.
+func (f *Fleet) freeMachines() []*Machine {
+	cand := make([]*Machine, 0, len(f.machines))
 	for i := range f.machines {
 		if f.machines[i].Job < 0 {
 			cand = append(cand, &f.machines[i])
 		}
 	}
+	return cand
+}
+
+// rankWorkers orders the free machines by a ranked policy's worker
+// preference. Every ordering ends in lessLoad's ID tie-break, so sort.Slice
+// needs no stability to be deterministic.
+func (f *Fleet) rankWorkers() []*Machine {
+	cand := f.freeMachines()
 	switch f.cfg.Policy {
-	case PolicyRandom:
-		rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
 	case PolicyBandwidth:
-		sortByLoad(cand)
+		sort.Slice(cand, func(i, j int) bool { return lessLoad(cand[i], cand[j]) })
 	case PolicyDistress:
 		// Below-watermark machines first (each group least-loaded first):
 		// a worker should not land on a machine already near saturation.
-		sort.SliceStable(cand, func(i, j int) bool {
+		sort.Slice(cand, func(i, j int) bool {
 			di := cand[i].estLoad()+workerLoadEst > SaturateMark
 			dj := cand[j].estLoad()+workerLoadEst > SaturateMark
 			if di != dj {
@@ -52,7 +104,7 @@ func (f *Fleet) workerCandidates(rng *rand.Rand) []*Machine {
 	case PolicyKelpAware:
 		// Kelp-on machines first — the protected population is where ML
 		// belongs — then by headroom within each population.
-		sort.SliceStable(cand, func(i, j int) bool {
+		sort.Slice(cand, func(i, j int) bool {
 			if cand[i].KelpOn != cand[j].KelpOn {
 				return cand[i].KelpOn
 			}
@@ -62,45 +114,19 @@ func (f *Fleet) workerCandidates(rng *rand.Rand) []*Machine {
 	return cand
 }
 
-// placeJob assigns job j's workers to the policy's top-ranked free
-// machines and emits one fleet.place event.
-func (f *Fleet) placeJob(j int, rng *rand.Rand) error {
-	cand := f.workerCandidates(rng)
-	if len(cand) < f.cfg.WorkersPerJob {
-		return fmt.Errorf("fleet: job %d needs %d machines, %d free", j, f.cfg.WorkersPerJob, len(cand))
-	}
-	kelpOn := 0
-	for w := 0; w < f.cfg.WorkersPerJob; w++ {
-		cand[w].Job = j
-		if cand[w].KelpOn {
-			kelpOn++
-		}
-	}
-	if f.cfg.Events.Enabled() {
-		f.cfg.Events.Emit(0, events.FleetPlace, "fleet", map[string]any{
-			"job":     j,
-			"workers": f.cfg.WorkersPerJob,
-			"kelp_on": kelpOn,
-			"policy":  string(f.cfg.Policy),
-		})
-	}
-	return nil
-}
-
 // placeBatch assigns every batch task to a machine under the policy and
 // emits one summarizing fleet.place event.
-func (f *Fleet) placeBatch(rng *rand.Rand) {
+func (f *Fleet) placeBatch(rng *rand.Rand, x *loadIndex) {
 	if f.cfg.BatchTasks == 0 {
 		return
 	}
-	for t := 0; t < f.cfg.BatchTasks; t++ {
-		if m := f.pickBatchMachine(rng); m != nil {
-			m.Batch++
-		}
-	}
 	placed := 0
-	for i := range f.machines {
-		placed += f.machines[i].Batch
+	for t := 0; t < f.cfg.BatchTasks; t++ {
+		if m := f.pickBatchMachine(rng, x); m != nil {
+			m.Batch++
+			x.update(m)
+			placed++
+		}
 	}
 	if f.cfg.Events.Enabled() {
 		f.cfg.Events.Emit(0, events.FleetPlace, "fleet", map[string]any{
@@ -112,70 +138,58 @@ func (f *Fleet) placeBatch(rng *rand.Rand) {
 }
 
 // pickBatchMachine selects the machine for one batch task, or nil when the
-// whole fleet is at the per-machine batch cap.
-func (f *Fleet) pickBatchMachine(rng *rand.Rand) *Machine {
+// whole fleet is at the per-machine batch cap. Every candidate set is the
+// top of one load heap or the least of them; a watermark test on that top
+// is exact, because it is monotone in the heap's load key.
+func (f *Fleet) pickBatchMachine(rng *rand.Rand, x *loadIndex) *Machine {
 	switch f.cfg.Policy {
 	case PolicyRandom:
-		// Rejection-sample a machine with batch headroom; bail to a linear
-		// scan when the fleet is nearly full so placement always ends.
+		// Rejection-sample a machine with batch headroom; bail to the
+		// least-loaded machine when the fleet is nearly full so placement
+		// always ends.
 		for try := 0; try < 4*len(f.machines); try++ {
 			m := &f.machines[rng.Intn(len(f.machines))]
 			if m.Batch < MaxBatchPerMach {
 				return m
 			}
 		}
-		return f.minLoadMachine(func(m *Machine) bool { return m.Batch < MaxBatchPerMach })
+		return x.least()
 	case PolicyBandwidth:
-		return f.minLoadMachine(func(m *Machine) bool { return m.Batch < MaxBatchPerMach })
+		return x.least()
 	case PolicyDistress:
 		// Prefer machines that stay below the watermark and host no
 		// worker; then below-watermark worker machines; then any headroom.
-		if m := f.minLoadMachine(func(m *Machine) bool {
-			return m.Batch < MaxBatchPerMach && m.Job < 0 && m.estLoad()+batchLoadEst <= SaturateMark
-		}); m != nil {
+		if m := belowMark(x.top(classFree)); m != nil {
 			return m
 		}
-		if m := f.minLoadMachine(func(m *Machine) bool {
-			return m.Batch < MaxBatchPerMach && m.estLoad()+batchLoadEst <= SaturateMark
-		}); m != nil {
+		if m := belowMark(x.least()); m != nil {
 			return m
 		}
-		return f.minLoadMachine(func(m *Machine) bool { return m.Batch < MaxBatchPerMach })
+		return x.least()
 	case PolicyKelpAware:
 		// Colocate onto Kelp-protected worker machines first, watermark be
 		// damned — node-level QoS keeps the ML side safe, and the
 		// saturation pass afterwards trims overloaded machines back (the
 		// colocate-then-trim loop). Overflow to idle-ish non-worker
 		// machines, then anywhere with headroom.
-		if m := f.minLoadMachine(func(m *Machine) bool {
-			return m.Batch < MaxBatchPerMach && m.Job >= 0 && m.KelpOn
-		}); m != nil {
+		if m := x.top(classKelpWorker); m != nil {
 			return m
 		}
-		if m := f.minLoadMachine(func(m *Machine) bool {
-			return m.Batch < MaxBatchPerMach && m.Job < 0 && m.estLoad()+batchLoadEst <= SaturateMark
-		}); m != nil {
+		if m := belowMark(x.top(classFree)); m != nil {
 			return m
 		}
-		return f.minLoadMachine(func(m *Machine) bool { return m.Batch < MaxBatchPerMach })
+		return x.least()
 	}
 	return nil
 }
 
-// minLoadMachine returns the eligible machine with the lowest estimated
-// load (lowest ID on ties), or nil when none is eligible.
-func (f *Fleet) minLoadMachine(ok func(*Machine) bool) *Machine {
-	var best *Machine
-	for i := range f.machines {
-		m := &f.machines[i]
-		if !ok(m) {
-			continue
-		}
-		if best == nil || m.estLoad() < best.estLoad() {
-			best = m
-		}
+// belowMark returns m if one more batch task keeps it at or below the
+// saturation watermark, else nil.
+func belowMark(m *Machine) *Machine {
+	if m == nil || m.estLoad()+batchLoadEst > SaturateMark {
+		return nil
 	}
-	return best
+	return m
 }
 
 // saturationPass inspects every worker machine's estimated load. Machines
@@ -188,7 +202,7 @@ func (f *Fleet) minLoadMachine(ok func(*Machine) bool) *Machine {
 // Kelp-aware policy this is the trim half of its colocate-then-trim loop;
 // random and plain bin-packing keep their saturating placements, which is
 // exactly the contrast the fleet study measures.
-func (f *Fleet) saturationPass() {
+func (f *Fleet) saturationPass(x *loadIndex) {
 	rebalance := f.cfg.Policy == PolicyDistress || f.cfg.Policy == PolicyKelpAware
 	for i := range f.machines {
 		m := &f.machines[i]
@@ -206,22 +220,17 @@ func (f *Fleet) saturationPass() {
 			continue
 		}
 		for m.Batch > 0 && m.estLoad() > SaturateMark {
-			// Prefer a destination with watermark headroom; settle for any
-			// best-effort-only machine with batch capacity.
-			dst := f.minLoadMachine(func(d *Machine) bool {
-				return d.Job < 0 && d.Batch < MaxBatchPerMach &&
-					d.estLoad()+batchLoadEst <= SaturateMark
-			})
-			if dst == nil {
-				dst = f.minLoadMachine(func(d *Machine) bool {
-					return d.Job < 0 && d.Batch < MaxBatchPerMach
-				})
-			}
+			// The least-loaded best-effort-only machine with batch
+			// capacity: it keeps watermark headroom if any such machine
+			// does.
+			dst := x.top(classFree)
 			if dst == nil {
 				break
 			}
 			m.Batch--
 			dst.Batch++
+			x.update(m)
+			x.update(dst)
 			if f.cfg.Events.Enabled() {
 				f.cfg.Events.Emit(0, events.FleetEvict, "fleet", map[string]any{
 					"machine": m.ID,
@@ -244,7 +253,127 @@ func lessLoad(a, b *Machine) bool {
 	return a.ID < b.ID
 }
 
-// sortByLoad sorts machines least-loaded first, stable by ID.
-func sortByLoad(ms []*Machine) {
-	sort.SliceStable(ms, func(i, j int) bool { return lessLoad(ms[i], ms[j]) })
+// Machine classes of the load index. A machine's class is fixed once jobs
+// are placed: batch placement and the rebalance pass only move Batch.
+const (
+	classFree       = iota // no worker (Job < 0)
+	classKelpWorker        // worker on a Kelp-on machine
+	classOffWorker         // worker on a Kelp-off machine
+	numClasses
+)
+
+// classOf returns the machine's load-index class.
+func classOf(m *Machine) int {
+	switch {
+	case m.Job < 0:
+		return classFree
+	case m.KelpOn:
+		return classKelpWorker
+	default:
+		return classOffWorker
+	}
+}
+
+// loadIndex holds one indexed min-heap per machine class over the machines
+// with batch headroom (Batch < MaxBatchPerMach), keyed by (estLoad, ID) —
+// the order a linear scan for the least-loaded machine would pick in.
+// Callers report every Batch change through update.
+type loadIndex struct {
+	heaps [numClasses]loadHeap
+}
+
+// newLoadIndex indexes the placed machines' batch headroom.
+func newLoadIndex(ms []Machine) *loadIndex {
+	x := &loadIndex{}
+	pos := make([]int, len(ms))
+	for c := range x.heaps {
+		x.heaps[c].pos = pos
+	}
+	for i := range ms {
+		m := &ms[i]
+		pos[m.ID] = -1
+		if m.Batch < MaxBatchPerMach {
+			h := &x.heaps[classOf(m)]
+			pos[m.ID] = len(h.ms)
+			h.ms = append(h.ms, m)
+		}
+	}
+	for c := range x.heaps {
+		heap.Init(&x.heaps[c])
+	}
+	return x
+}
+
+// top returns the least-loaded machine with headroom in class c, or nil.
+func (x *loadIndex) top(c int) *Machine {
+	if len(x.heaps[c].ms) == 0 {
+		return nil
+	}
+	return x.heaps[c].ms[0]
+}
+
+// least returns the least-loaded machine with headroom in any class, or
+// nil when the whole fleet is at the batch cap.
+func (x *loadIndex) least() *Machine {
+	var best *Machine
+	for c := range x.heaps {
+		if m := x.top(c); m != nil && (best == nil || lessEst(m, best)) {
+			best = m
+		}
+	}
+	return best
+}
+
+// update restores the index after m.Batch changed: m is re-sifted, or
+// leaves or rejoins its heap as it crosses the batch cap.
+func (x *loadIndex) update(m *Machine) {
+	h := &x.heaps[classOf(m)]
+	i := h.pos[m.ID]
+	switch {
+	case i < 0 && m.Batch < MaxBatchPerMach:
+		heap.Push(h, m)
+	case i >= 0 && m.Batch >= MaxBatchPerMach:
+		heap.Remove(h, i)
+	case i >= 0:
+		heap.Fix(h, i)
+	}
+}
+
+// loadHeap is a heap.Interface min-heap of machines by (estLoad, ID); pos,
+// shared by a loadIndex's heaps, maps a machine ID to its heap slot (-1
+// when absent).
+type loadHeap struct {
+	ms  []*Machine
+	pos []int
+}
+
+func (h *loadHeap) Len() int           { return len(h.ms) }
+func (h *loadHeap) Less(i, j int) bool { return lessEst(h.ms[i], h.ms[j]) }
+
+func (h *loadHeap) Swap(i, j int) {
+	h.ms[i], h.ms[j] = h.ms[j], h.ms[i]
+	h.pos[h.ms[i].ID] = i
+	h.pos[h.ms[j].ID] = j
+}
+
+func (h *loadHeap) Push(v any) {
+	m := v.(*Machine)
+	h.pos[m.ID] = len(h.ms)
+	h.ms = append(h.ms, m)
+}
+
+func (h *loadHeap) Pop() any {
+	m := h.ms[len(h.ms)-1]
+	h.ms = h.ms[:len(h.ms)-1]
+	h.pos[m.ID] = -1
+	return m
+}
+
+// lessEst orders machines by placement-time load estimate, lowest ID on
+// ties.
+func lessEst(a, b *Machine) bool {
+	if la, lb := a.estLoad(), b.estLoad(); la != lb {
+		return la < lb
+	}
+	return a.ID < b.ID
 }

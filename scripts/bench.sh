@@ -43,10 +43,11 @@ trap 'rm -f "$RAW"' EXIT
 
 # Hot-path microbenchmarks: the allocation-free simulation step, the
 # zero-cost disabled instrumentation path, the fleet composition tick
-# (placement + per-job cluster replay over pre-measured shapes), and the
-# session server's advance round trip and middleware tax.
+# (per-job cluster replay over pre-measured shapes; placement runs before
+# the timer), fleet placement per policy at the study's 20000-machine
+# config, and the session server's advance round trip and middleware tax.
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
-MICRO_BENCH='BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'
+MICRO_BENCH='BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'
 
 case "$MODE" in
 quick)
