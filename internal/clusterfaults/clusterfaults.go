@@ -16,7 +16,7 @@
 // loses fewer steps of work per failure — exactly the fleet-goodput
 // argument for isolation.
 //
-// All randomness comes from private xorshift64* generators seeded from
+// All randomness comes from xorshift64* generators (sim.Xorshift) seeded from
 // Spec.Seed — no math/rand global state, no wall clock — with one
 // independent stream per (fault class, worker) pair, so identical
 // (seed, spec, worker count) triples replay identical fault sequences
@@ -30,6 +30,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"kelp/internal/sim"
 )
 
 // Spec configures the injector. Crash, Hang and Degrade are rates per
@@ -178,24 +180,11 @@ func ParseSpec(str string) (Spec, error) {
 	return s, s.Validate()
 }
 
-// xorshift is an xorshift64* generator — small, fast, and private to the
-// injector so fault draws never perturb (or are perturbed by) the
-// simulation's own RNG streams. Same construction as internal/faults.
-type xorshift struct{ state uint64 }
-
-// splitmix64 expands a seed into a well-mixed nonzero state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // newStream derives an independent generator from the root seed, a stable
 // class name and a worker index, so enabling one fault class never shifts
 // another's draw sequence, and worker i's fate never depends on how many
 // draws worker j consumed.
-func newStream(seed uint64, name string, worker int) *xorshift {
+func newStream(seed uint64, name string, worker int) *sim.Xorshift {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
@@ -203,25 +192,7 @@ func newStream(seed uint64, name string, worker int) *xorshift {
 	}
 	h ^= uint64(worker) + 0x9E37
 	h *= 1099511628211
-	s := splitmix64(seed ^ h)
-	if s == 0 {
-		s = 0x2545F4914F6CDD1D
-	}
-	return &xorshift{state: s}
-}
-
-func (x *xorshift) next() uint64 {
-	s := x.state
-	s ^= s >> 12
-	s ^= s << 25
-	s ^= s >> 27
-	x.state = s
-	return s * 0x2545F4914F6CDD1D
-}
-
-// float64 draws a uniform value in [0, 1).
-func (x *xorshift) float64() float64 {
-	return float64(x.next()>>11) / (1 << 53)
+	return sim.NewXorshift(seed ^ h)
 }
 
 // Injector draws the fate of one cluster run's workers. Construct with
@@ -230,10 +201,10 @@ func (x *xorshift) float64() float64 {
 // from its single-threaded composition loop, so it needs no locking.
 type Injector struct {
 	spec    Spec
-	crash   []*xorshift
-	hang    []*xorshift
-	degrade []*xorshift
-	restart []*xorshift
+	crash   []*sim.Xorshift
+	hang    []*sim.Xorshift
+	degrade []*sim.Xorshift
+	restart []*sim.Xorshift
 	counts  map[string]uint64
 }
 
@@ -285,9 +256,9 @@ func (i *Injector) Spec() Spec {
 // the given per-second rate fired over an exposure of dur seconds. The
 // draw is consumed even at rate 0 so per-stream sequences stay aligned
 // across specs that differ only in rates.
-func rateHit(x *xorshift, rate, dur float64) bool {
+func rateHit(x *sim.Xorshift, rate, dur float64) bool {
 	p := -math.Expm1(-rate * dur) // 1 - exp(-rate*dur), accurate near 0
-	return x.float64() < p
+	return x.Float64() < p
 }
 
 // Crash reports whether worker w's node is lost during a step of the
@@ -335,7 +306,7 @@ func (i *Injector) RestartFails(w int) bool {
 	if i == nil {
 		return false
 	}
-	if i.restart[w].float64() >= i.spec.RestartFail {
+	if i.restart[w].Float64() >= i.spec.RestartFail {
 		return false
 	}
 	i.counts["restart.fail"]++

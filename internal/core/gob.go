@@ -5,9 +5,10 @@ import (
 	"encoding/gob"
 )
 
-// Guard and RuntimeState carry unexported counters that the default gob
-// encoding would drop, so both implement explicit gob hooks for the
-// durability layer's session snapshots.
+// Guard keeps its counters unexported behind accessors (Degraded, Entries,
+// ConsecutiveFaults, CleanStreak) so they only move through Fault and Clean.
+// The default gob encoding would drop them, so Guard implements explicit gob
+// hooks for the durability layer's session snapshots.
 
 type guardWire struct {
 	EnterAfter, ExitAfter int
@@ -35,32 +36,5 @@ func (g *Guard) GobDecode(data []byte) error {
 	}
 	g.EnterAfter, g.ExitAfter = w.EnterAfter, w.ExitAfter
 	g.faulted, g.clean, g.degraded, g.entries = w.Faulted, w.Clean, w.Degraded, w.Entries
-	return nil
-}
-
-type runtimeStateWire struct {
-	BackfillCores, LowCores, LowPrefetchers int
-	Guard                                   Guard
-	History                                 []Decision
-}
-
-// GobEncode implements gob.GobEncoder.
-func (s RuntimeState) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(runtimeStateWire{
-		BackfillCores: s.backfillCores, LowCores: s.lowCores,
-		LowPrefetchers: s.lowPrefetchers, Guard: s.guard, History: s.history,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (s *RuntimeState) GobDecode(data []byte) error {
-	var w runtimeStateWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	s.backfillCores, s.lowCores = w.BackfillCores, w.LowCores
-	s.lowPrefetchers, s.guard, s.history = w.LowPrefetchers, w.Guard, w.History
 	return nil
 }

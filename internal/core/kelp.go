@@ -508,24 +508,25 @@ func (r *Runtime) configLoPriority(a Action) {
 	}
 }
 
-// RuntimeState is an opaque snapshot of the runtime's mutable control
-// state, used by the experiments layer's warm-started sweep cells. Actuator
-// effects (cpusets, prefetch flags) are captured by the node snapshot; this
-// carries only what the runtime itself remembers.
+// RuntimeState is a snapshot of the runtime's mutable control state, used
+// by the experiments layer's warm-started sweep cells and, gob-encoded as
+// is, by the durability layer's session snapshots. Actuator effects
+// (cpusets, prefetch flags) are captured by the node snapshot; this carries
+// only what the runtime itself remembers.
 type RuntimeState struct {
-	backfillCores, lowCores, lowPrefetchers int
-	guard                                   Guard
-	history                                 []Decision
+	BackfillCores, LowCores, LowPrefetchers int
+	Guard                                   Guard
+	History                                 []Decision
 }
 
 // Snapshot captures the runtime's control state.
 func (r *Runtime) Snapshot() RuntimeState {
 	return RuntimeState{
-		backfillCores:  r.backfillCores,
-		lowCores:       r.lowCores,
-		lowPrefetchers: r.lowPrefetchers,
-		guard:          r.guard,
-		history:        append([]Decision(nil), r.history...),
+		BackfillCores:  r.backfillCores,
+		LowCores:       r.lowCores,
+		LowPrefetchers: r.lowPrefetchers,
+		Guard:          r.guard,
+		History:        append([]Decision(nil), r.history...),
 	}
 }
 
@@ -533,11 +534,11 @@ func (r *Runtime) Snapshot() RuntimeState {
 // same configuration. It does not actuate: the node snapshot restores the
 // cgroup state the runtime had enforced.
 func (r *Runtime) Restore(st RuntimeState) {
-	r.backfillCores = st.backfillCores
-	r.lowCores = st.lowCores
-	r.lowPrefetchers = st.lowPrefetchers
-	r.guard = st.guard
-	r.history = append(r.history[:0], st.history...)
+	r.backfillCores = st.BackfillCores
+	r.lowCores = st.LowCores
+	r.lowPrefetchers = st.LowPrefetchers
+	r.guard = st.Guard
+	r.history = append(r.history[:0], st.History...)
 }
 
 // enforce pushes the current actuator values through the cgroup interface

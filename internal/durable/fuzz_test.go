@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -52,39 +53,55 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzSnapshotDecode drives DecodeSnapshot with arbitrary bytes; it must
-// either return a snapshot or a CorruptError, never panic.
+// either return a snapshot or a CorruptError, never panic. The seeds
+// include a full session snapshot (node with every task state type, Kelp
+// runtime, throttler, MBA), so mutations reach every state type's decoding.
 func FuzzSnapshotDecode(f *testing.F) {
 	rec := events.MustNew(4)
 	rec.Emit(1, events.KelpActuate, "kelp", map[string]any{"low_cores": 3})
+	full, _ := fullSessionSnapshot(f)
 	dir := f.TempDir()
-	path := SnapPath(dir, "seed")
-	if err := WriteSnapshot(path, &SessionSnapshot{Seq: 5, SimNow: 2, Recorder: rec.State()}); err != nil {
-		f.Fatal(err)
+	for i, snap := range []*SessionSnapshot{{Seq: 5, SimNow: 2, Recorder: rec.State()}, full} {
+		path := SnapPath(dir, fmt.Sprintf("seed%d", i))
+		if err := WriteSnapshot(path, snap); err != nil {
+			f.Fatal(err)
+		}
+		valid, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)-2])
+		flipped := append([]byte{}, valid...)
+		flipped[len(flipped)/2] ^= 8
+		f.Add(flipped)
 	}
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-2])
-	flipped := append([]byte{}, valid...)
-	flipped[len(flipped)/2] ^= 8
-	f.Add(flipped)
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
-		if err != nil {
-			if _, ok := err.(*CorruptError); !ok {
-				t.Fatalf("non-CorruptError failure: %v", err)
-			}
-			return
-		}
-		if s == nil {
-			t.Fatal("nil snapshot with nil error")
+		decodeSnapshotOrCorrupt(t, data)
+		// The checksum rejects nearly every mutation before gob sees it.
+		// Reframing a mutated payload under a fresh checksum sends the
+		// mutations through the state types' decoding as well.
+		if hdr := len(snapMagic) + headerLen; len(data) > hdr {
+			decodeSnapshotOrCorrupt(t, append([]byte(snapMagic), frame(data[hdr:])...))
 		}
 	})
+}
+
+func decodeSnapshotOrCorrupt(t *testing.T, data []byte) {
+	t.Helper()
+	s, err := DecodeSnapshot(data)
+	if err != nil {
+		if _, ok := err.(*CorruptError); !ok {
+			t.Fatalf("non-CorruptError failure: %v", err)
+		}
+		return
+	}
+	if s == nil {
+		t.Fatal("nil snapshot with nil error")
+	}
 }
 
 func mustJSON(r Record) []byte {

@@ -41,11 +41,7 @@ func WriteSnapshot(path string, s *SessionSnapshot) error {
 	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
 		return err
 	}
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), castagnoli))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
+	buf.Write(frame(payload.Bytes()))
 
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

@@ -19,7 +19,7 @@
 //   - Controller stalls skip whole control periods, modeling a runtime
 //     that missed its deadline.
 //
-// All randomness comes from a private xorshift64* generator seeded from
+// All randomness comes from xorshift64* generators (sim.Xorshift) seeded from
 // Spec.Seed — no math/rand global state, no wall clock — with one
 // independent stream per fault class, so identical (seed, spec) pairs
 // replay identical fault sequences regardless of which classes are
@@ -40,6 +40,7 @@ import (
 	"kelp/internal/cpu"
 	"kelp/internal/events"
 	"kelp/internal/perfmon"
+	"kelp/internal/sim"
 )
 
 // Spec configures the injector: per-period (sensor, stall) and per-write
@@ -194,54 +195,23 @@ func ParseSpec(str string) (Spec, error) {
 	return s, s.Validate()
 }
 
-// xorshift is an xorshift64* generator — small, fast, and private to the
-// injector so fault draws never perturb (or are perturbed by) the
-// simulation's own RNG streams.
-type xorshift struct{ state uint64 }
-
-// splitmix64 expands a seed into a well-mixed nonzero state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // newStream derives an independent generator from the root seed and a
 // stable class name, so enabling one fault class never shifts another's
 // draw sequence.
-func newStream(seed uint64, name string) *xorshift {
+func newStream(seed uint64, name string) *sim.Xorshift {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	s := splitmix64(seed ^ h)
-	if s == 0 {
-		s = 0x2545F4914F6CDD1D
-	}
-	return &xorshift{state: s}
-}
-
-func (x *xorshift) next() uint64 {
-	s := x.state
-	s ^= s >> 12
-	s ^= s << 25
-	s ^= s >> 27
-	x.state = s
-	return s * 0x2545F4914F6CDD1D
-}
-
-// float64 draws a uniform value in [0, 1).
-func (x *xorshift) float64() float64 {
-	return float64(x.next()>>11) / (1 << 53)
+	return sim.NewXorshift(seed ^ h)
 }
 
 // hit draws once and reports whether an event with probability p fired.
 // The draw is consumed even when p is 0 so per-stream sequences stay
 // aligned across specs that differ only in probabilities.
-func (x *xorshift) hit(p float64) bool {
-	return x.float64() < p
+func hit(x *sim.Xorshift, p float64) bool {
+	return x.Float64() < p
 }
 
 // Injector perturbs the sensor and actuator path of one node's
@@ -252,7 +222,7 @@ type Injector struct {
 	spec Spec
 	rec  *events.Recorder
 
-	stall, drop, stale, nan, spike, flap, act *xorshift
+	stall, drop, stale, nan, spike, flap, act *sim.Xorshift
 
 	// last caches the previous clean sample per controller for stale
 	// replay; flapHigh alternates the flap direction; nanMetric cycles
@@ -352,7 +322,7 @@ func (i *Injector) Stall(now float64, ctrl string) bool {
 	if i == nil {
 		return false
 	}
-	if !i.stall.hit(i.spec.Stall) {
+	if !hit(i.stall, i.spec.Stall) {
 		return false
 	}
 	i.count("stall")
@@ -376,7 +346,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 	if i == nil {
 		return s, false
 	}
-	if i.drop.hit(i.spec.Drop) {
+	if hit(i.drop, i.spec.Drop) {
 		i.count("drop")
 		if i.rec.Enabled() {
 			i.rec.Emit(now, events.FaultSensor, "faults", map[string]any{
@@ -385,7 +355,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 		}
 		return perfmon.Sample{}, true
 	}
-	if i.stale.hit(i.spec.Stale) {
+	if hit(i.stale, i.spec.Stale) {
 		if prev, ok := i.last[ctrl]; ok {
 			i.count("stale")
 			if i.rec.Enabled() {
@@ -400,7 +370,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 	// plausible (held) values rather than replayed garbage.
 	i.last[ctrl] = cloneSample(s)
 
-	if i.nan.hit(i.spec.NaN) {
+	if hit(i.nan, i.spec.NaN) {
 		m := sensorMetrics[i.nanMetric[ctrl]%len(sensorMetrics)]
 		i.nanMetric[ctrl]++
 		poisonMetric(&s, m, math.NaN(), false)
@@ -411,7 +381,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 			})
 		}
 	}
-	if i.spike.hit(i.spec.Spike) {
+	if hit(i.spike, i.spec.Spike) {
 		m := sensorMetrics[i.nanMetric[ctrl]%len(sensorMetrics)]
 		i.nanMetric[ctrl]++
 		poisonMetric(&s, m, i.spec.SpikeMag, true)
@@ -422,7 +392,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 			})
 		}
 	}
-	if i.flap.hit(i.spec.Flap) {
+	if hit(i.flap, i.spec.Flap) {
 		hi := !i.flapHigh[ctrl]
 		i.flapHigh[ctrl] = hi
 		v := 0.0
@@ -506,7 +476,7 @@ const ActRetries = 3
 // event when a fault fires. Classes are drawn in fail → stick → partial
 // order from a single stream.
 func (i *Injector) gate(now float64, op string) actMode {
-	r := i.act.float64()
+	r := i.act.Float64()
 	switch {
 	case r < i.spec.ActFail:
 		i.count("act.fail")

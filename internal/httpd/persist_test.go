@@ -246,34 +246,48 @@ func TestRecoveryCorruptLogQuarantined(t *testing.T) {
 	}
 }
 
+// TestRecoveryCorruptSnapshotFallsBackToReplay pins the fallback for a
+// snapshot that cannot be used: a damaged file, or one written in an older
+// format (its magic names a previous version), is quarantined and the
+// session is rebuilt byte-identically by full log replay.
 func TestRecoveryCorruptSnapshotFallsBackToReplay(t *testing.T) {
-	dir := t.TempDir()
-	s1, ts1 := newPersistServer(t, dir, 1)
-	driveLoad(t, ts1.URL, "a")
-	wantEvents, wantMetrics, _ := observe(t, ts1.URL, "a")
-	crash(s1, ts1)
+	for name, damage := range map[string]func([]byte){
+		"bit flip":   func(d []byte) { d[len(d)/2] ^= 0x10 },
+		"old format": func(d []byte) { copy(d, "KELPSNP1") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := newPersistServer(t, dir, 1)
+			driveLoad(t, ts1.URL, "a")
+			wantEvents, wantMetrics, _ := observe(t, ts1.URL, "a")
+			crash(s1, ts1)
 
-	path := durable.SnapPath(dir, "a")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := durable.SnapPath(dir, "a")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, ts2 := newPersistServer(t, dir, 1)
-	resp, info := do(t, "GET", ts2.URL+"/sessions/a", "")
-	if resp.StatusCode != 200 || !strings.Contains(info, `"recovered_mode":"replay"`) {
-		t.Fatalf("info = %d %s, want a replay-mode recovery", resp.StatusCode, info)
-	}
-	gotEvents, gotMetrics, _ := observe(t, ts2.URL, "a")
-	if gotEvents != wantEvents || gotMetrics != wantMetrics {
-		t.Error("replay fallback not byte-identical")
-	}
-	if !hasRecoverEvent(s2, "quarantined") {
-		t.Error("corrupt snapshot not reported as quarantined")
+			s2, ts2 := newPersistServer(t, dir, 1)
+			resp, info := do(t, "GET", ts2.URL+"/sessions/a", "")
+			if resp.StatusCode != 200 || !strings.Contains(info, `"recovered_mode":"replay"`) {
+				t.Fatalf("info = %d %s, want a replay-mode recovery", resp.StatusCode, info)
+			}
+			gotEvents, gotMetrics, _ := observe(t, ts2.URL, "a")
+			if gotEvents != wantEvents || gotMetrics != wantMetrics {
+				t.Error("replay fallback not byte-identical")
+			}
+			if !hasRecoverEvent(s2, "quarantined") {
+				t.Error("corrupt snapshot not reported as quarantined")
+			}
+			if _, err := os.Stat(filepath.Join(dir, durable.QuarantineDirName, "a.snap")); err != nil {
+				t.Errorf("corrupt snapshot not in quarantine: %v", err)
+			}
+		})
 	}
 }
 

@@ -19,15 +19,19 @@ import (
 //
 // Controller-internal state (the Kelp runtime, CoreThrottle, MBA) lives
 // outside the node; the experiments layer snapshots those separately.
+//
+// The durability layer gob-encodes a Snapshot as is. Task states are `any`
+// values whose concrete types register themselves with gob in the workload
+// package.
 type Snapshot struct {
-	engine   sim.EngineState
-	prefetch []bool
-	groups   []cgroup.GroupState
-	monitor  perfmon.State
-	memLast  *memsys.Resolution
-	distress map[int]float64
-	names    []string
-	tasks    []any
+	Engine   sim.EngineState
+	Prefetch []bool
+	Groups   []cgroup.GroupState
+	Monitor  perfmon.State
+	MemLast  *memsys.Resolution
+	Distress map[int]float64
+	Names    []string
+	Tasks    []any
 }
 
 // Snapshot captures the node's state. It returns (nil, false) when any
@@ -37,20 +41,20 @@ type Snapshot struct {
 // falls back to a cold start.
 func (n *Node) Snapshot() (*Snapshot, bool) {
 	s := &Snapshot{
-		engine:   n.engine.State(),
-		prefetch: n.proc.PrefetchState(),
-		groups:   n.cgroups.State(),
-		monitor:  n.mon.State(),
-		names:    make([]string, len(n.tasks)),
-		tasks:    make([]any, len(n.tasks)),
+		Engine:   n.engine.State(),
+		Prefetch: n.proc.PrefetchState(),
+		Groups:   n.cgroups.State(),
+		Monitor:  n.mon.State(),
+		Names:    make([]string, len(n.tasks)),
+		Tasks:    make([]any, len(n.tasks)),
 	}
 	if last := n.mem.Last(); last != nil {
-		s.memLast = last.Clone()
+		s.MemLast = last.Clone()
 	}
 	if n.distressEWMA != nil {
-		s.distress = make(map[int]float64, len(n.distressEWMA))
+		s.Distress = make(map[int]float64, len(n.distressEWMA))
 		for k, v := range n.distressEWMA {
-			s.distress[k] = v
+			s.Distress[k] = v
 		}
 	}
 	for i, bt := range n.tasks {
@@ -62,8 +66,8 @@ func (n *Node) Snapshot() (*Snapshot, bool) {
 		if !ok {
 			return nil, false
 		}
-		s.names[i] = bt.task.Name()
-		s.tasks[i] = st
+		s.Names[i] = bt.task.Name()
+		s.Tasks[i] = st
 	}
 	return s, true
 }
@@ -76,41 +80,45 @@ func (n *Node) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("node: nil snapshot")
 	}
-	if len(s.tasks) != len(n.tasks) {
-		return fmt.Errorf("node: snapshot has %d tasks, node %d", len(s.tasks), len(n.tasks))
+	if len(s.Tasks) != len(n.tasks) || len(s.Names) != len(n.tasks) {
+		return fmt.Errorf("node: snapshot has %d tasks and %d names, node %d tasks",
+			len(s.Tasks), len(s.Names), len(n.tasks))
 	}
 	for i, bt := range n.tasks {
-		if bt.task.Name() != s.names[i] {
+		if bt.task.Name() != s.Names[i] {
 			return fmt.Errorf("node: snapshot task %d is %q, node has %q",
-				i, s.names[i], bt.task.Name())
+				i, s.Names[i], bt.task.Name())
+		}
+		if _, ok := bt.task.(workload.Snapshotter); !ok {
+			return fmt.Errorf("node: task %q cannot restore a snapshot", s.Names[i])
 		}
 	}
-	if err := n.engine.RestoreState(s.engine); err != nil {
+	if err := n.engine.RestoreState(s.Engine); err != nil {
 		return err
 	}
-	if err := n.proc.RestorePrefetchState(s.prefetch); err != nil {
+	if err := n.proc.RestorePrefetchState(s.Prefetch); err != nil {
 		return err
 	}
-	if err := n.cgroups.Restore(s.groups); err != nil {
+	if err := n.cgroups.Restore(s.Groups); err != nil {
 		return err
 	}
-	if err := n.mon.Restore(s.monitor); err != nil {
+	if err := n.mon.Restore(s.Monitor); err != nil {
 		return err
 	}
-	if s.memLast != nil {
-		n.mem.SetLast(s.memLast.Clone())
+	if s.MemLast != nil {
+		n.mem.SetLast(s.MemLast.Clone())
 	} else {
 		n.mem.SetLast(nil)
 	}
 	n.distressEWMA = nil
-	if s.distress != nil {
-		n.distressEWMA = make(map[int]float64, len(s.distress))
-		for k, v := range s.distress {
+	if s.Distress != nil {
+		n.distressEWMA = make(map[int]float64, len(s.Distress))
+		for k, v := range s.Distress {
 			n.distressEWMA[k] = v
 		}
 	}
 	for i, bt := range n.tasks {
-		if err := bt.task.(workload.Snapshotter).TaskRestore(s.tasks[i]); err != nil {
+		if err := bt.task.(workload.Snapshotter).TaskRestore(s.Tasks[i]); err != nil {
 			return err
 		}
 	}

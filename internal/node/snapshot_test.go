@@ -95,6 +95,71 @@ func TestSnapshotRestoreRejectsMismatchedTasks(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsMalformedSnapshot pins that a snapshot whose parts do
+// not fit the node (as a damaged snapshot file can decode to) is refused
+// with an error rather than panicking, so crash recovery can fall back to
+// full log replay.
+func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
+	src := benchNode(t)
+	src.Run(50 * sim.Millisecond)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Snapshot)
+	}{
+		{"fewer names than tasks", func(s *Snapshot) { s.Names = s.Names[:1] }},
+		{"no names", func(s *Snapshot) { s.Names = nil }},
+		{"more names than tasks", func(s *Snapshot) { s.Names = append(s.Names, "extra") }},
+		{"renamed task", func(s *Snapshot) { s.Names[2] = "other" }},
+		{"no tasks", func(s *Snapshot) { s.Tasks = nil }},
+		{"foreign task state", func(s *Snapshot) { s.Tasks[0] = 42 }},
+		{"short monitor table", func(s *Snapshot) { s.Monitor.CtlLat = s.Monitor.CtlLat[:1] }},
+		{"short monitor row", func(s *Snapshot) { s.Monitor.CtlBW[0] = nil }},
+		{"short prefetch flags", func(s *Snapshot) { s.Prefetch = s.Prefetch[:3] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, ok := src.Snapshot()
+			if !ok {
+				t.Fatal("snapshot declined")
+			}
+			tc.mutate(snap)
+			if err := benchNode(t).Restore(snap); err == nil {
+				t.Error("malformed snapshot accepted")
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsNonSnapshotterTask pins that a snapshot whose task
+// names match a node holding a task that cannot restore state (here a
+// pipelined trainer under a loop's name) is refused rather than panicking.
+func TestRestoreRejectsNonSnapshotterTask(t *testing.T) {
+	build := func(task workload.Task) *Node {
+		n := MustNew(DefaultConfig())
+		if _, err := n.Cgroups().Create("g", cgroup.High); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Cgroups().SetCPUs("g", []int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.AddTask(task, "g"); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	loop := workload.MustLoop("p", workload.LoopConfig{Threads: 2, UnitWork: 1e-3})
+	snap, ok := build(loop).Snapshot()
+	if !ok {
+		t.Fatal("snapshot declined")
+	}
+	pipe, err := workload.NewPipelined("p", accel.NewCloudTPU(), 5e-3, 2, workload.MemProfile{}, 1e12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build(pipe).Restore(snap); err == nil {
+		t.Error("restore onto a task without snapshot support accepted")
+	}
+}
+
 // TestSnapshotDeclinesJitteredOpenLoop pins the eligibility rule: an
 // open-loop server with arrival jitter consumes engine randomness whose
 // stream position a snapshot cannot capture, so the node must refuse to

@@ -130,14 +130,15 @@ type Monitor struct {
 	sockets int
 	cps     int
 
-	elapsed acc
-	bw      []acc
-	offered []acc
-	lat     []acc
-	sat     []acc
-	bp      []acc
-	ctlBW   [][]acc
-	ctlLat  [][]acc
+	// Windowed integrals: value × seconds since the previous Window.
+	elapsed float64
+	bw      []float64
+	offered []float64
+	lat     []float64
+	sat     []float64
+	bp      []float64
+	ctlBW   [][]float64
+	ctlLat  [][]float64
 
 	// Cumulative totals (never reset) for end-of-run reporting.
 	totalBytes []float64
@@ -158,8 +159,6 @@ type Monitor struct {
 	rateCtlLat []float64
 }
 
-type acc struct{ sum float64 }
-
 // NewMonitor returns a monitor for a node with the given socket count and
 // controllers per socket.
 func NewMonitor(sockets, controllersPerSocket int) (*Monitor, error) {
@@ -169,12 +168,12 @@ func NewMonitor(sockets, controllersPerSocket int) (*Monitor, error) {
 	m := &Monitor{
 		sockets:    sockets,
 		cps:        controllersPerSocket,
-		bw:         make([]acc, sockets),
-		offered:    make([]acc, sockets),
-		lat:        make([]acc, sockets),
-		sat:        make([]acc, sockets),
-		bp:         make([]acc, sockets),
-		ctlBW:      make([][]acc, sockets),
+		bw:         make([]float64, sockets),
+		offered:    make([]float64, sockets),
+		lat:        make([]float64, sockets),
+		sat:        make([]float64, sockets),
+		bp:         make([]float64, sockets),
+		ctlBW:      make([][]float64, sockets),
 		totalBytes: make([]float64, sockets),
 		rateBW:     make([]float64, sockets),
 		rateOff:    make([]float64, sockets),
@@ -184,10 +183,10 @@ func NewMonitor(sockets, controllersPerSocket int) (*Monitor, error) {
 		rateCtlBW:  make([]float64, sockets*controllersPerSocket),
 		rateCtlLat: make([]float64, sockets*controllersPerSocket),
 	}
-	m.ctlLat = make([][]acc, sockets)
+	m.ctlLat = make([][]float64, sockets)
 	for s := range m.ctlBW {
-		m.ctlBW[s] = make([]acc, controllersPerSocket)
-		m.ctlLat[s] = make([]acc, controllersPerSocket)
+		m.ctlBW[s] = make([]float64, controllersPerSocket)
+		m.ctlLat[s] = make([]float64, controllersPerSocket)
 	}
 	return m, nil
 }
@@ -216,18 +215,18 @@ func (m *Monitor) Record(dt float64, res *memsys.Resolution) {
 		m.cacheRates(res)
 		m.lastRes, m.lastSeq = res, seq
 	}
-	m.elapsed.sum += dt
+	m.elapsed += dt
 	for s := 0; s < m.sockets; s++ {
-		m.bw[s].sum += m.rateBW[s] * dt
-		m.offered[s].sum += m.rateOff[s] * dt
-		m.lat[s].sum += m.rateLat[s] * dt
-		m.sat[s].sum += m.rateSat[s] * dt
-		m.bp[s].sum += m.rateBP[s] * dt
+		m.bw[s] += m.rateBW[s] * dt
+		m.offered[s] += m.rateOff[s] * dt
+		m.lat[s] += m.rateLat[s] * dt
+		m.sat[s] += m.rateSat[s] * dt
+		m.bp[s] += m.rateBP[s] * dt
 		m.totalBytes[s] += m.rateBW[s] * dt
 		base := s * m.cps
 		for c := 0; c < m.cps; c++ {
-			m.ctlBW[s][c].sum += m.rateCtlBW[base+c] * dt
-			m.ctlLat[s][c].sum += m.rateCtlLat[base+c] * dt
+			m.ctlBW[s][c] += m.rateCtlBW[base+c] * dt
+			m.ctlLat[s][c] += m.rateCtlLat[base+c] * dt
 		}
 	}
 }
@@ -272,7 +271,7 @@ func (m *Monitor) Window() Sample {
 }
 
 func (m *Monitor) sample(reset bool) Sample {
-	el := m.elapsed.sum
+	el := m.elapsed
 	out := Sample{
 		Elapsed:            el,
 		SocketBW:           make([]float64, m.sockets),
@@ -287,52 +286,52 @@ func (m *Monitor) sample(reset bool) Sample {
 		out.ControllerBW[s] = make([]float64, m.cps)
 		out.ControllerLatency[s] = make([]float64, m.cps)
 		if el > 0 {
-			out.SocketBW[s] = m.bw[s].sum / el
-			out.SocketOfferedBW[s] = m.offered[s].sum / el
-			out.SocketLatency[s] = m.lat[s].sum / el
-			out.SocketSaturation[s] = m.sat[s].sum / el
-			out.SocketBackpressure[s] = m.bp[s].sum / el
+			out.SocketBW[s] = m.bw[s] / el
+			out.SocketOfferedBW[s] = m.offered[s] / el
+			out.SocketLatency[s] = m.lat[s] / el
+			out.SocketSaturation[s] = m.sat[s] / el
+			out.SocketBackpressure[s] = m.bp[s] / el
 			for c := 0; c < m.cps; c++ {
-				out.ControllerBW[s][c] = m.ctlBW[s][c].sum / el
-				out.ControllerLatency[s][c] = m.ctlLat[s][c].sum / el
+				out.ControllerBW[s][c] = m.ctlBW[s][c] / el
+				out.ControllerLatency[s][c] = m.ctlLat[s][c] / el
 			}
 		}
 		if reset {
-			m.bw[s] = acc{}
-			m.offered[s] = acc{}
-			m.lat[s] = acc{}
-			m.sat[s] = acc{}
-			m.bp[s] = acc{}
+			m.bw[s] = 0
+			m.offered[s] = 0
+			m.lat[s] = 0
+			m.sat[s] = 0
+			m.bp[s] = 0
 			for c := 0; c < m.cps; c++ {
-				m.ctlBW[s][c] = acc{}
-				m.ctlLat[s][c] = acc{}
+				m.ctlBW[s][c] = 0
+				m.ctlLat[s][c] = 0
 			}
 		}
 	}
 	if reset {
-		m.elapsed = acc{}
+		m.elapsed = 0
 	}
 	return out
 }
 
-// State is an opaque snapshot of a monitor's accumulators, used by the
-// node-level warm-start snapshot. It shares no memory with the monitor.
+// State is a snapshot of a monitor's accumulators, used by the node-level
+// warm-start snapshot and gob-encoded as is by the durability layer. It
+// shares no memory with the monitor. gob moves float64 values by bit
+// pattern, so a restored monitor reproduces the exact same averages.
 type State struct {
-	sockets, cps int
-	elapsed      acc
-	bw, offered  []acc
-	lat, sat, bp []acc
-	ctlBW        [][]acc
-	ctlLat       [][]acc
-	totalBytes   []float64
+	Sockets, CPS int
+	Elapsed      float64
+	BW, Offered  []float64
+	Lat, Sat, BP []float64
+	CtlBW        [][]float64
+	CtlLat       [][]float64
+	TotalBytes   []float64
 }
 
-func copyAccs(a []acc) []acc { return append([]acc(nil), a...) }
-
-func copyAccs2(a [][]acc) [][]acc {
-	out := make([][]acc, len(a))
+func cloneRows(a [][]float64) [][]float64 {
+	out := make([][]float64, len(a))
 	for i := range a {
-		out[i] = copyAccs(a[i])
+		out[i] = append([]float64(nil), a[i]...)
 	}
 	return out
 }
@@ -340,40 +339,63 @@ func copyAccs2(a [][]acc) [][]acc {
 // State snapshots the monitor's accumulators.
 func (m *Monitor) State() State {
 	return State{
-		sockets:    m.sockets,
-		cps:        m.cps,
-		elapsed:    m.elapsed,
-		bw:         copyAccs(m.bw),
-		offered:    copyAccs(m.offered),
-		lat:        copyAccs(m.lat),
-		sat:        copyAccs(m.sat),
-		bp:         copyAccs(m.bp),
-		ctlBW:      copyAccs2(m.ctlBW),
-		ctlLat:     copyAccs2(m.ctlLat),
-		totalBytes: append([]float64(nil), m.totalBytes...),
+		Sockets:    m.sockets,
+		CPS:        m.cps,
+		Elapsed:    m.elapsed,
+		BW:         append([]float64(nil), m.bw...),
+		Offered:    append([]float64(nil), m.offered...),
+		Lat:        append([]float64(nil), m.lat...),
+		Sat:        append([]float64(nil), m.sat...),
+		BP:         append([]float64(nil), m.bp...),
+		CtlBW:      cloneRows(m.ctlBW),
+		CtlLat:     cloneRows(m.ctlLat),
+		TotalBytes: append([]float64(nil), m.totalBytes...),
 	}
 }
 
-// Restore installs a snapshot taken by State on a monitor of the same shape.
+// Restore installs a snapshot taken by State on a monitor of the same
+// shape. A snapshot whose slices do not match its declared shape (a
+// damaged or hand-built one) is rejected before anything is installed.
 func (m *Monitor) Restore(st State) error {
-	if st.sockets != m.sockets || st.cps != m.cps {
+	if st.Sockets != m.sockets || st.CPS != m.cps {
 		return fmt.Errorf("perfmon: snapshot shape %dx%d, monitor %dx%d",
-			st.sockets, st.cps, m.sockets, m.cps)
+			st.Sockets, st.CPS, m.sockets, m.cps)
+	}
+	for _, f := range []struct {
+		name string
+		v    []float64
+	}{
+		{"bw", st.BW}, {"offered", st.Offered}, {"lat", st.Lat},
+		{"sat", st.Sat}, {"bp", st.BP}, {"total_bytes", st.TotalBytes},
+	} {
+		if len(f.v) != m.sockets {
+			return fmt.Errorf("perfmon: snapshot %s has %d sockets, want %d", f.name, len(f.v), m.sockets)
+		}
+	}
+	if len(st.CtlBW) != m.sockets || len(st.CtlLat) != m.sockets {
+		return fmt.Errorf("perfmon: snapshot controller tables have %d/%d sockets, want %d",
+			len(st.CtlBW), len(st.CtlLat), m.sockets)
+	}
+	for s := 0; s < m.sockets; s++ {
+		if len(st.CtlBW[s]) != m.cps || len(st.CtlLat[s]) != m.cps {
+			return fmt.Errorf("perfmon: snapshot socket %d has %d/%d controllers, want %d",
+				s, len(st.CtlBW[s]), len(st.CtlLat[s]), m.cps)
+		}
 	}
 	// The rate cache is derived, not state: drop it so the next Record
 	// re-derives from its resolution.
 	m.lastRes, m.lastSeq = nil, 0
-	m.elapsed = st.elapsed
-	copy(m.bw, st.bw)
-	copy(m.offered, st.offered)
-	copy(m.lat, st.lat)
-	copy(m.sat, st.sat)
-	copy(m.bp, st.bp)
+	m.elapsed = st.Elapsed
+	copy(m.bw, st.BW)
+	copy(m.offered, st.Offered)
+	copy(m.lat, st.Lat)
+	copy(m.sat, st.Sat)
+	copy(m.bp, st.BP)
 	for s := range m.ctlBW {
-		copy(m.ctlBW[s], st.ctlBW[s])
-		copy(m.ctlLat[s], st.ctlLat[s])
+		copy(m.ctlBW[s], st.CtlBW[s])
+		copy(m.ctlLat[s], st.CtlLat[s])
 	}
-	copy(m.totalBytes, st.totalBytes)
+	copy(m.totalBytes, st.TotalBytes)
 	return nil
 }
 

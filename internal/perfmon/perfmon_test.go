@@ -203,3 +203,46 @@ func TestEmptyWindowIsZero(t *testing.T) {
 		t.Errorf("empty window = %+v", s)
 	}
 }
+
+// TestRestoreRejectsMalformedState pins that a snapshot whose slices do not
+// match its declared shape (as a damaged snapshot file can decode to) is
+// refused with an error, leaving the monitor untouched, rather than
+// panicking or being copied in partially.
+func TestRestoreRejectsMalformedState(t *testing.T) {
+	cfg := memsys.DefaultConfig()
+	sys := memsys.MustSystem(cfg)
+	fresh := func() *Monitor {
+		m := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
+		m.Record(0.5, resolve(t, sys, []memsys.Flow{{Task: "a", Socket: 0, DemandBW: 10 * memsys.GB}}))
+		return m
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*State)
+	}{
+		{"short ctlBW", func(s *State) { s.CtlBW = s.CtlBW[:1] }},
+		{"short ctlLat", func(s *State) { s.CtlLat = nil }},
+		{"short ctlBW row", func(s *State) { s.CtlBW[1] = s.CtlBW[1][:1] }},
+		{"short ctlLat row", func(s *State) { s.CtlLat[0] = nil }},
+		{"short bw", func(s *State) { s.BW = s.BW[:1] }},
+		{"short offered", func(s *State) { s.Offered = nil }},
+		{"short lat", func(s *State) { s.Lat = s.Lat[:1] }},
+		{"short sat", func(s *State) { s.Sat = nil }},
+		{"short bp", func(s *State) { s.BP = s.BP[:1] }},
+		{"short totalBytes", func(s *State) { s.TotalBytes = nil }},
+		{"wrong shape", func(s *State) { s.CPS++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := fresh().State()
+			tc.mutate(&st)
+			m := fresh()
+			want := m.Peek()
+			if err := m.Restore(st); err == nil {
+				t.Fatal("malformed state accepted")
+			}
+			if got := m.Peek(); !reflect.DeepEqual(got, want) {
+				t.Error("rejected restore modified the monitor")
+			}
+		})
+	}
+}

@@ -10,27 +10,28 @@ import (
 // degradeState bundles the degradation watchdog with its event emission
 // for the baseline controllers (CoreThrottle, MBA, SLO). The Kelp runtime
 // in internal/core carries the same machinery inline; this keeps the three
-// policy controllers from each reimplementing it.
+// policy controllers from each reimplementing it. Its fields are exported
+// because it travels, gob-encoded as is, inside ThrottlerState and MBAState.
 type degradeState struct {
-	name  string
-	guard core.Guard
+	Name  string
+	Guard core.Guard
 }
 
 func newDegradeState(name string, k, j int) degradeState {
-	return degradeState{name: name, guard: core.NewGuard(k, j)}
+	return degradeState{Name: name, Guard: core.NewGuard(k, j)}
 }
 
 // fault scores one faulted period and reports whether the controller just
 // entered fail-safe mode (emitting degrade.enter when it did). The caller
 // applies its own fail-safe configuration on a true return.
 func (d *degradeState) fault(n *node.Node, now float64) (entered bool) {
-	if !d.guard.Fault() {
+	if !d.Guard.Fault() {
 		return false
 	}
 	if rec := n.Events(); rec.Enabled() {
-		rec.Emit(now, events.DegradeEnter, d.name, map[string]any{
-			"controller":         d.name,
-			"consecutive_faults": d.guard.EnterAfter,
+		rec.Emit(now, events.DegradeEnter, d.Name, map[string]any{
+			"controller":         d.Name,
+			"consecutive_faults": d.Guard.EnterAfter,
 		})
 	}
 	return true
@@ -39,13 +40,13 @@ func (d *degradeState) fault(n *node.Node, now float64) (entered bool) {
 // clean scores one clean period, emitting degrade.exit when the controller
 // just recovered.
 func (d *degradeState) clean(n *node.Node, now float64) (exited bool) {
-	if !d.guard.Clean() {
+	if !d.Guard.Clean() {
 		return false
 	}
 	if rec := n.Events(); rec.Enabled() {
-		rec.Emit(now, events.DegradeExit, d.name, map[string]any{
-			"controller":    d.name,
-			"clean_periods": d.guard.ExitAfter,
+		rec.Emit(now, events.DegradeExit, d.Name, map[string]any{
+			"controller":    d.Name,
+			"clean_periods": d.Guard.ExitAfter,
 		})
 	}
 	return true
@@ -54,7 +55,7 @@ func (d *degradeState) clean(n *node.Node, now float64) (exited bool) {
 // reject emits sensor.reject for a sample the sanitizer refused.
 func (d *degradeState) reject(n *node.Node, now float64, err error) {
 	if rec := n.Events(); rec.Enabled() {
-		rec.Emit(now, events.SensorReject, d.name, map[string]any{
+		rec.Emit(now, events.SensorReject, d.Name, map[string]any{
 			"reason": err.Error(),
 		})
 	}
@@ -64,26 +65,27 @@ func (d *degradeState) reject(n *node.Node, now float64, err error) {
 // after read-back verification and retry.
 func (d *degradeState) actuateError(n *node.Node, now float64, err error) {
 	if rec := n.Events(); rec.Enabled() {
-		rec.Emit(now, events.ActuateError, d.name, map[string]any{
+		rec.Emit(now, events.ActuateError, d.Name, map[string]any{
 			"error": err.Error(),
 		})
 	}
 }
 
-// ThrottlerState is an opaque snapshot of a Throttler's control state, used
-// by the experiments layer's warm-started sweep cells.
+// ThrottlerState is a snapshot of a Throttler's control state, used by the
+// experiments layer's warm-started sweep cells and, gob-encoded as is, by
+// the durability layer's session snapshots.
 type ThrottlerState struct {
-	cur     int
-	deg     degradeState
-	history []ThrottlerDecision
+	Cur     int
+	Deg     degradeState
+	History []ThrottlerDecision
 }
 
 // Snapshot captures the throttler's control state.
 func (t *Throttler) Snapshot() ThrottlerState {
 	return ThrottlerState{
-		cur:     t.cur,
-		deg:     t.deg,
-		history: append([]ThrottlerDecision(nil), t.history...),
+		Cur:     t.cur,
+		Deg:     t.deg,
+		History: append([]ThrottlerDecision(nil), t.history...),
 	}
 }
 
@@ -91,33 +93,33 @@ func (t *Throttler) Snapshot() ThrottlerState {
 // the same configuration. It does not actuate: the node snapshot restores
 // the cgroup state the throttler had enforced.
 func (t *Throttler) Restore(st ThrottlerState) {
-	t.cur = st.cur
-	t.deg = st.deg
-	t.history = append(t.history[:0], st.history...)
+	t.cur = st.Cur
+	t.deg = st.Deg
+	t.history = append(t.history[:0], st.History...)
 }
 
-// MBAState is an opaque snapshot of an MBAController's control state.
+// MBAState is a snapshot of an MBAController's control state.
 type MBAState struct {
-	cur     int
-	deg     degradeState
-	history []MBADecision
+	Cur     int
+	Deg     degradeState
+	History []MBADecision
 }
 
 // Snapshot captures the MBA controller's control state.
 func (c *MBAController) Snapshot() MBAState {
 	return MBAState{
-		cur:     c.cur,
-		deg:     c.deg,
-		history: append([]MBADecision(nil), c.history...),
+		Cur:     c.cur,
+		Deg:     c.deg,
+		History: append([]MBADecision(nil), c.history...),
 	}
 }
 
 // Restore installs a snapshot taken by Snapshot on a controller built from
 // the same configuration.
 func (c *MBAController) Restore(st MBAState) {
-	c.cur = st.cur
-	c.deg = st.deg
-	c.history = append(c.history[:0], st.history...)
+	c.cur = st.Cur
+	c.deg = st.Deg
+	c.history = append(c.history[:0], st.History...)
 }
 
 // sanityBounds derives sample plausibility limits from the throttler-style

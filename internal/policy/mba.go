@@ -80,7 +80,7 @@ func NewMBAController(n *node.Node, cfg MBAControllerConfig) (*MBAController, er
 func (c *MBAController) Percent() int { return c.cur }
 
 // Degraded reports whether the controller is in fail-safe mode.
-func (c *MBAController) Degraded() bool { return c.deg.guard.Degraded() }
+func (c *MBAController) Degraded() bool { return c.deg.Guard.Degraded() }
 
 // History returns a copy of the per-period decision trace.
 func (c *MBAController) History() []MBADecision {
@@ -109,10 +109,10 @@ func (c *MBAController) Control(now float64) {
 		c.fault(now)
 		return
 	}
-	if c.deg.guard.Degraded() {
+	if c.deg.Guard.Degraded() {
 		if err := c.enforceFailSafe(now); err != nil {
 			c.deg.actuateError(c.n, now, err)
-			c.deg.guard.Fault()
+			c.deg.Guard.Fault()
 			return
 		}
 		c.deg.clean(c.n, now)

@@ -93,7 +93,7 @@ func NewSLOController(n *node.Node, cfg SLOControllerConfig) (*SLOController, er
 func (c *SLOController) Cores() int { return c.cur }
 
 // Degraded reports whether the controller is in fail-safe mode.
-func (c *SLOController) Degraded() bool { return c.deg.guard.Degraded() }
+func (c *SLOController) Degraded() bool { return c.deg.Guard.Degraded() }
 
 // History returns per-period decisions (do not mutate).
 func (c *SLOController) History() []SLODecision { return c.history }
@@ -117,10 +117,10 @@ func (c *SLOController) Control(now float64) {
 		c.fault(now)
 		return
 	}
-	if c.deg.guard.Degraded() {
+	if c.deg.Guard.Degraded() {
 		if err := c.enforceFailSafe(now); err != nil {
 			c.deg.actuateError(c.n, now, err)
-			c.deg.guard.Fault()
+			c.deg.Guard.Fault()
 			return
 		}
 		c.deg.clean(c.n, now)

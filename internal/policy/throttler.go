@@ -103,7 +103,7 @@ func NewThrottler(n *node.Node, cfg ThrottlerConfig) (*Throttler, error) {
 func (t *Throttler) Cores() int { return t.cur }
 
 // Degraded reports whether the controller is in fail-safe mode.
-func (t *Throttler) Degraded() bool { return t.deg.guard.Degraded() }
+func (t *Throttler) Degraded() bool { return t.deg.Guard.Degraded() }
 
 // History returns a copy of the per-period decision trace.
 func (t *Throttler) History() []ThrottlerDecision {
@@ -133,10 +133,10 @@ func (t *Throttler) Control(now float64) {
 		t.fault(now)
 		return
 	}
-	if t.deg.guard.Degraded() {
+	if t.deg.Guard.Degraded() {
 		if err := t.enforceFailSafe(now); err != nil {
 			t.deg.actuateError(t.n, now, err)
-			t.deg.guard.Fault()
+			t.deg.Guard.Fault()
 			return
 		}
 		t.deg.clean(t.n, now)

@@ -82,12 +82,14 @@ const (
 	reqAccel
 )
 
+// request is one in-flight query. Its fields are exported because
+// inferenceState carries requests, gob-encoded as is, in session snapshots.
 type request struct {
-	arrival   float64
-	iter      int
-	phase     reqPhase
-	remaining float64 // core-seconds (CPU) or seconds (xfer)
-	accelDone float64 // absolute finish time when in reqAccel
+	Arrival   float64
+	Iter      int
+	Phase     reqPhase
+	Remaining float64 // core-seconds (CPU) or seconds (xfer)
+	AccelDone float64 // absolute finish time when in reqAccel
 }
 
 // Inference is a pipelined inference server with an admission queue, an
@@ -161,7 +163,7 @@ func (s *Inference) QueueDepth() int { return len(s.queued) }
 func (s *Inference) Offer(now float64, cores float64) Offer {
 	k := 0
 	for _, r := range s.inflight {
-		if r.phase == reqCPU {
+		if r.Phase == reqCPU {
 			k++
 		}
 	}
@@ -190,9 +192,9 @@ func (s *Inference) Advance(now, dt float64, cores float64, r Rates) {
 		// latency is pure service time.
 		for len(s.inflight) < s.cfg.MaxConcurrency {
 			s.inflight = append(s.inflight, &request{
-				arrival:   now,
-				phase:     reqCPU,
-				remaining: s.cfg.CPUWorkPerIter,
+				Arrival:   now,
+				Phase:     reqCPU,
+				Remaining: s.cfg.CPUWorkPerIter,
 			})
 		}
 	} else {
@@ -213,9 +215,9 @@ func (s *Inference) Advance(now, dt float64, cores float64, r Rates) {
 			arr := s.queued[0]
 			s.queued = s.queued[1:]
 			s.inflight = append(s.inflight, &request{
-				arrival:   arr,
-				phase:     reqCPU,
-				remaining: s.cfg.CPUWorkPerIter,
+				Arrival:   arr,
+				Phase:     reqCPU,
+				Remaining: s.cfg.CPUWorkPerIter,
 			})
 		}
 	}
@@ -225,7 +227,7 @@ func (s *Inference) Advance(now, dt float64, cores float64, r Rates) {
 	// capped at one core's worth.
 	k := 0
 	for _, q := range s.inflight {
-		if q.phase == reqCPU {
+		if q.Phase == reqCPU {
 			k++
 		}
 	}
@@ -240,28 +242,28 @@ func (s *Inference) Advance(now, dt float64, cores float64, r Rates) {
 
 	var done []int
 	for i, q := range s.inflight {
-		switch q.phase {
+		switch q.Phase {
 		case reqCPU:
-			q.remaining -= dt * cpuRate
-			if q.remaining <= 0 {
-				q.phase = reqXfer
-				q.remaining = s.device.Platform.TransferTime(s.cfg.XferBytes)
+			q.Remaining -= dt * cpuRate
+			if q.Remaining <= 0 {
+				q.Phase = reqXfer
+				q.Remaining = s.device.Platform.TransferTime(s.cfg.XferBytes)
 			}
 		case reqXfer:
-			q.remaining -= dt
-			if q.remaining <= 0 {
-				q.phase = reqAccel
-				q.accelDone = s.device.Reserve(end, s.cfg.AccelWorkPerIter)
+			q.Remaining -= dt
+			if q.Remaining <= 0 {
+				q.Phase = reqAccel
+				q.AccelDone = s.device.Reserve(end, s.cfg.AccelWorkPerIter)
 			}
 		case reqAccel:
-			if end >= q.accelDone {
-				q.iter++
-				if q.iter >= s.cfg.IterationsPerRequest {
+			if end >= q.AccelDone {
+				q.Iter++
+				if q.Iter >= s.cfg.IterationsPerRequest {
 					s.finish(end, q)
 					done = append(done, i)
 				} else {
-					q.phase = reqCPU
-					q.remaining = s.cfg.CPUWorkPerIter
+					q.Phase = reqCPU
+					q.Remaining = s.cfg.CPUWorkPerIter
 				}
 			}
 		}
@@ -282,8 +284,8 @@ func (s *Inference) Advance(now, dt float64, cores float64, r Rates) {
 
 func (s *Inference) finish(now float64, q *request) {
 	s.completed.Add(now, 1)
-	s.latency.Observe(now - q.arrival)
-	s.window.Observe(now - q.arrival)
+	s.latency.Observe(now - q.Arrival)
+	s.window.Observe(now - q.Arrival)
 }
 
 // StartMeasurement implements Task.
@@ -327,7 +329,7 @@ func (s *Inference) PhaseName() string {
 	if len(s.inflight) == 0 {
 		return "idle"
 	}
-	switch s.inflight[0].phase {
+	switch s.inflight[0].Phase {
 	case reqCPU:
 		return "cpu"
 	case reqXfer:

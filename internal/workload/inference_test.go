@@ -240,3 +240,24 @@ func TestMaxQueueDefault(t *testing.T) {
 		t.Errorf("explicit maxQueue = %d", got)
 	}
 }
+
+// TestTaskRestoreRejectsMissingHistograms pins that an inference state
+// without its latency histograms (as a damaged snapshot file can decode
+// to) is refused at restore, not left to panic on the next completion.
+func TestTaskRestoreRejectsMissingHistograms(t *testing.T) {
+	s := newRNN1(t)
+	st, ok := s.TaskSnapshot()
+	if !ok {
+		t.Fatal("closed-loop server declined to snapshot")
+	}
+	for _, mutate := range []func(*inferenceState){
+		func(st *inferenceState) { st.Latency = nil },
+		func(st *inferenceState) { st.Window = nil },
+	} {
+		bad := st.(inferenceState)
+		mutate(&bad)
+		if err := newRNN1(t).TaskRestore(bad); err == nil {
+			t.Error("state without histograms accepted")
+		}
+	}
+}

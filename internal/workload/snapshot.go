@@ -1,10 +1,21 @@
 package workload
 
 import (
+	"encoding/gob"
 	"fmt"
 
 	"kelp/internal/metrics"
 )
+
+// Task snapshot states travel, gob-encoded as is, inside `any` slots of the
+// node-level snapshot, so each concrete state type registers under a stable
+// wire name. The names are part of the on-disk snapshot format: do not
+// rename them.
+func init() {
+	gob.RegisterName("kelp/workload.loopState", loopState{})
+	gob.RegisterName("kelp/workload.trainingState", trainingState{})
+	gob.RegisterName("kelp/workload.inferenceState", inferenceState{})
+}
 
 // Snapshotter is implemented by tasks that can capture and restore their
 // full mutable state — the workload half of the experiments layer's
@@ -24,14 +35,14 @@ type Snapshotter interface {
 
 // loopState is the full mutable state of a Loop.
 type loopState struct {
-	partial float64
-	units   metrics.Meter
-	threads int
+	Partial float64
+	Units   metrics.Meter
+	Threads int
 }
 
 // TaskSnapshot implements Snapshotter.
 func (l *Loop) TaskSnapshot() (any, bool) {
-	return loopState{partial: l.partial, units: l.units, threads: l.cfg.Threads}, true
+	return loopState{Partial: l.partial, Units: l.units, Threads: l.cfg.Threads}, true
 }
 
 // TaskRestore implements Snapshotter.
@@ -40,17 +51,17 @@ func (l *Loop) TaskRestore(st any) error {
 	if !ok {
 		return fmt.Errorf("workload: %s: bad snapshot type %T", l.name, st)
 	}
-	l.partial = s.partial
-	l.units = s.units
-	l.cfg.Threads = s.threads
+	l.partial = s.Partial
+	l.units = s.Units
+	l.cfg.Threads = s.Threads
 	return nil
 }
 
 // trainingState is the full mutable state of a Training.
 type trainingState struct {
-	phase     int
-	remaining float64
-	steps     metrics.Meter
+	Phase     int
+	Remaining float64
+	Steps     metrics.Meter
 }
 
 // TaskSnapshot implements Snapshotter. Tasks recording per-step timestamps
@@ -60,7 +71,7 @@ func (t *Training) TaskSnapshot() (any, bool) {
 	if t.recordSteps {
 		return nil, false
 	}
-	return trainingState{phase: t.phase, remaining: t.remaining, steps: t.steps}, true
+	return trainingState{Phase: t.phase, Remaining: t.remaining, Steps: t.steps}, true
 }
 
 // TaskRestore implements Snapshotter.
@@ -69,26 +80,26 @@ func (t *Training) TaskRestore(st any) error {
 	if !ok {
 		return fmt.Errorf("workload: %s: bad snapshot type %T", t.name, st)
 	}
-	if s.phase < 0 || s.phase >= len(t.phases) {
-		return fmt.Errorf("workload: %s: snapshot phase %d of %d", t.name, s.phase, len(t.phases))
+	if s.Phase < 0 || s.Phase >= len(t.phases) {
+		return fmt.Errorf("workload: %s: snapshot phase %d of %d", t.name, s.Phase, len(t.phases))
 	}
-	t.phase = s.phase
-	t.remaining = s.remaining
-	t.steps = s.steps
+	t.phase = s.Phase
+	t.remaining = s.Remaining
+	t.steps = s.Steps
 	return nil
 }
 
 // inferenceState is the full mutable state of an Inference server plus its
 // device's FIFO occupancy (the device is exclusive to the server, §II-A).
 type inferenceState struct {
-	nextArrival float64
-	queued      []float64
-	inflight    []request
-	completed   metrics.Meter
-	latency     *metrics.Histogram
-	window      *metrics.Histogram
-	dropped     uint64
-	deviceBusy  float64
+	NextArrival float64
+	Queued      []float64
+	Inflight    []request
+	Completed   metrics.Meter
+	Latency     *metrics.Histogram
+	Window      *metrics.Histogram
+	Dropped     uint64
+	DeviceBusy  float64
 }
 
 // TaskSnapshot implements Snapshotter. Only deterministic arrival processes
@@ -100,17 +111,17 @@ func (s *Inference) TaskSnapshot() (any, bool) {
 		return nil, false
 	}
 	st := inferenceState{
-		nextArrival: s.nextArrival,
-		queued:      append([]float64(nil), s.queued...),
-		inflight:    make([]request, len(s.inflight)),
-		completed:   s.completed,
-		latency:     s.latency.Clone(),
-		window:      s.window.Clone(),
-		dropped:     s.dropped,
-		deviceBusy:  s.device.BusyUntil(),
+		NextArrival: s.nextArrival,
+		Queued:      append([]float64(nil), s.queued...),
+		Inflight:    make([]request, len(s.inflight)),
+		Completed:   s.completed,
+		Latency:     s.latency.Clone(),
+		Window:      s.window.Clone(),
+		Dropped:     s.dropped,
+		DeviceBusy:  s.device.BusyUntil(),
 	}
 	for i, q := range s.inflight {
-		st.inflight[i] = *q
+		st.Inflight[i] = *q
 	}
 	return st, true
 }
@@ -121,17 +132,20 @@ func (s *Inference) TaskRestore(st any) error {
 	if !ok {
 		return fmt.Errorf("workload: %s: bad snapshot type %T", s.name, st)
 	}
-	s.nextArrival = snap.nextArrival
-	s.queued = append(s.queued[:0], snap.queued...)
+	if snap.Latency == nil || snap.Window == nil {
+		return fmt.Errorf("workload: %s: snapshot has no latency histograms", s.name)
+	}
+	s.nextArrival = snap.NextArrival
+	s.queued = append(s.queued[:0], snap.Queued...)
 	s.inflight = s.inflight[:0]
-	for i := range snap.inflight {
-		q := snap.inflight[i]
+	for i := range snap.Inflight {
+		q := snap.Inflight[i]
 		s.inflight = append(s.inflight, &q)
 	}
-	s.completed = snap.completed
-	s.latency = snap.latency.Clone()
-	s.window = snap.window.Clone()
-	s.dropped = snap.dropped
-	s.device.SetBusyUntil(snap.deviceBusy)
+	s.completed = snap.Completed
+	s.latency = snap.Latency.Clone()
+	s.window = snap.Window.Clone()
+	s.dropped = snap.Dropped
+	s.device.SetBusyUntil(snap.DeviceBusy)
 	return nil
 }

@@ -9,6 +9,8 @@
 #      marker, so `go test` executes them and godoc renders them (the test
 #      job actually runs them; this keeps them from being silently
 #      deleted or demoted to non-verified examples).
+#   4. every cmd/<name> path named in README.md, DESIGN.md and docs/*.md
+#      exists, so a deleted or renamed command leaves no stale reference.
 #
 # Exits non-zero listing every violation (it does not stop at the first).
 set -u
@@ -60,6 +62,17 @@ for pair in $examples; do
         echo "check_docs: $dir/example_test.go has no '// Output:' marker ($name is not a verified example)"
         fail=1
     fi
+done
+
+# --- 4. cmd/<name> references ------------------------------------------------
+cmddocs=$(ls README.md DESIGN.md docs/*.md 2>/dev/null)
+for doc in $cmddocs; do
+    while IFS= read -r cmd; do
+        if [ ! -d "$cmd" ]; then
+            echo "check_docs: $doc names missing command: $cmd"
+            fail=1
+        fi
+    done < <(grep -oE 'cmd/[A-Za-z0-9_-]+' "$doc" | sort -u)
 done
 
 if [ "$fail" -ne 0 ]; then
