@@ -1,6 +1,11 @@
 // Command benchguard compares fresh `go test -bench` output against the
-// committed BENCH_*.json snapshot (scripts/bench.sh) and exits non-zero
+// committed BENCH_*.json snapshots (scripts/bench.sh) and exits non-zero
 // when a guarded benchmark's ns/op regressed beyond the allowed ratio.
+//
+// Snapshots layer: -baseline may be given several times, oldest first, and
+// each benchmark's baseline is its ns/op in the last listed snapshot that
+// records it. A snapshot taken to baseline newly guarded benchmarks can
+// therefore record only those, leaving the older baselines in force.
 //
 // It exists so CI can gate hot-path performance without installing
 // anything: benchstat, when available, gives a nicer statistical report,
@@ -9,6 +14,7 @@
 // noise-robust statistic for "how fast can this go" on shared CI machines.
 //
 //	go run ./cmd/benchguard -baseline BENCH_2026-08-07.json -bench raw.txt
+//	go run ./cmd/benchguard -baseline BENCH_a.json -baseline BENCH_b.json -bench raw.txt
 //	go run ./cmd/benchguard -baseline BENCH_2026-08-07.json -emit-baseline old.txt
 package main
 
@@ -36,16 +42,25 @@ type snapshot struct {
 	} `json:"benchmarks"`
 }
 
-// baselineNsOp extracts ns/op per benchmark name from a snapshot.
-func baselineNsOp(s *snapshot) map[string]float64 {
+// baselineNsOp extracts ns/op per benchmark name from snapshots listed
+// oldest first: a later snapshot's value replaces an earlier one's.
+func baselineNsOp(snaps ...*snapshot) map[string]float64 {
 	out := make(map[string]float64)
-	for _, b := range s.Benchmarks {
-		if v, ok := b.Metrics["ns/op"]; ok {
-			out[b.Name] = v
+	for _, s := range snaps {
+		for _, b := range s.Benchmarks {
+			if v, ok := b.Metrics["ns/op"]; ok {
+				out[b.Name] = v
+			}
 		}
 	}
 	return out
 }
+
+// fileList is a repeatable string flag.
+type fileList []string
+
+func (f *fileList) String() string     { return strings.Join(*f, ",") }
+func (f *fileList) Set(v string) error { *f = append(*f, v); return nil }
 
 // parseBench extracts the minimum ns/op per benchmark name from raw
 // `go test -bench` output. The -N GOMAXPROCS suffix is stripped so names
@@ -117,10 +132,18 @@ func emitBaseline(w io.Writer, base map[string]float64, match *regexp.Regexp) {
 	}
 }
 
+// defaultMatch names the guarded benchmarks: the memory-system fixed
+// point, simulation dispatch and the clean node tick that every experiment
+// cell multiplies by millions of ticks, the fleet study's composition tick
+// and its placement (every policy's sub-benchmark), and the session
+// server's request hot path.
+const defaultMatch = `^(BenchmarkResolveSteady|BenchmarkEngineTick|BenchmarkNodeStepClean|BenchmarkFleetTick|BenchmarkFleetBuild/.+|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead)$`
+
 func main() {
-	baseline := flag.String("baseline", "", "BENCH_*.json snapshot to compare against")
+	var baselines fileList
+	flag.Var(&baselines, "baseline", "BENCH_*.json snapshot to compare against; repeat it, oldest first, to layer snapshots")
 	benchFile := flag.String("bench", "", "raw `go test -bench` output file")
-	match := flag.String("match", "^(BenchmarkResolveSteady|BenchmarkEngineTick|BenchmarkFleetTick|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead)$", "regexp of benchmark names to guard")
+	match := flag.String("match", defaultMatch, "regexp of benchmark names to guard")
 	maxRatio := flag.Float64("max-ratio", 1.25, "fail when fresh ns/op exceeds baseline by this ratio")
 	emit := flag.String("emit-baseline", "", "write the baseline in benchmark text format (for benchstat) and exit")
 	flag.Parse()
@@ -129,18 +152,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *baseline == "" {
+	if len(baselines) == 0 {
 		fail(fmt.Errorf("benchguard: -baseline is required"))
 	}
-	raw, err := os.ReadFile(*baseline)
-	if err != nil {
-		fail(err)
+	snaps := make([]*snapshot, len(baselines))
+	for i, path := range baselines {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			fail(err)
+		}
+		snaps[i] = new(snapshot)
+		if err := json.Unmarshal(raw, snaps[i]); err != nil {
+			fail(fmt.Errorf("benchguard: %s: %v", path, err))
+		}
 	}
-	var snap snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		fail(fmt.Errorf("benchguard: %s: %v", *baseline, err))
-	}
-	base := baselineNsOp(&snap)
+	base := baselineNsOp(snaps...)
 	re, err := regexp.Compile(*match)
 	if err != nil {
 		fail(err)
@@ -176,7 +202,7 @@ func main() {
 		fmt.Println(line)
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed beyond %.2fx of %s:\n", len(failures), *maxRatio, snap.Date)
+		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed beyond %.2fx of %s:\n", len(failures), *maxRatio, baselines.String())
 		for _, line := range failures {
 			fmt.Fprintln(os.Stderr, "  "+line)
 		}

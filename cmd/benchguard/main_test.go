@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"regexp"
 	"strings"
 	"testing"
@@ -29,6 +30,36 @@ func TestParseBenchTakesMinimum(t *testing.T) {
 	}
 	if got["BenchmarkResolve"] != 900 {
 		t.Errorf("Resolve = %v, want 900", got["BenchmarkResolve"])
+	}
+}
+
+func TestBaselineLayersSnapshots(t *testing.T) {
+	parse := func(raw string) *snapshot {
+		var s snapshot
+		if err := json.Unmarshal([]byte(raw), &s); err != nil {
+			t.Fatal(err)
+		}
+		return &s
+	}
+	older := parse(`{"benchmarks": [
+		{"name": "BenchmarkResolveSteady", "metrics": {"ns/op": 807}},
+		{"name": "BenchmarkNodeStepClean", "metrics": {"ns/op": 238}}]}`)
+	newer := parse(`{"benchmarks": [
+		{"name": "BenchmarkNodeStepClean", "metrics": {"ns/op": 230}},
+		{"name": "BenchmarkFleetBuild/kelp", "metrics": {"ns/op": 15000000}}]}`)
+	got := baselineNsOp(older, newer)
+	want := map[string]float64{
+		"BenchmarkResolveSteady":   807,      // only the older snapshot records it
+		"BenchmarkNodeStepClean":   230,      // the newer snapshot wins
+		"BenchmarkFleetBuild/kelp": 15000000, // only the newer snapshot records it
+	}
+	if len(got) != len(want) {
+		t.Errorf("baseline = %v, want %v", got, want)
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s baseline = %v, want %v", name, got[name], v)
+		}
 	}
 }
 
@@ -80,5 +111,23 @@ func TestEmitBaselineFormat(t *testing.T) {
 	want := "BenchmarkEngineTick-1 1 7 ns/op\nBenchmarkResolveSteady-1 1 800 ns/op\n"
 	if sb.String() != want {
 		t.Errorf("emitted:\n%q\nwant:\n%q", sb.String(), want)
+	}
+}
+
+func TestDefaultMatchGuardsHotPaths(t *testing.T) {
+	re := regexp.MustCompile(defaultMatch)
+	for _, name := range []string{
+		"BenchmarkResolveSteady", "BenchmarkEngineTick", "BenchmarkNodeStepClean",
+		"BenchmarkFleetTick", "BenchmarkFleetBuild/random", "BenchmarkFleetBuild/kelp",
+		"BenchmarkSessionAdvance", "BenchmarkMiddlewareOverhead",
+	} {
+		if !re.MatchString(name) {
+			t.Errorf("%s is not guarded", name)
+		}
+	}
+	for _, name := range []string{"BenchmarkNodeStep", "BenchmarkResolve", "BenchmarkFleetBuild"} {
+		if re.MatchString(name) {
+			t.Errorf("%s is guarded but should not be", name)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func TestSimulationMatchesAnalyticTraining(t *testing.T) {
 		now, dt := 0.0, 100e-6
 		cnn1.StartMeasurement(0)
 		for now < 3.0 {
-			cnn1.Advance(now, dt, 8, r)
+			cnn1.Advance(now, dt, 8, &r)
 			now += dt
 		}
 		got := cnn1.Throughput(now)
@@ -90,12 +90,12 @@ func TestInferenceCapacityMatchesSimulation(t *testing.T) {
 	r := workload.Rates{CPUFactor: 1, LatencyStretch: 1, BWFraction: 1, LLCHit: 1, Backpressure: 1, SnoopStretch: 1}
 	now, dt := 0.0, 100e-6
 	for now < 1.0 {
-		base.Advance(now, dt, 2, r)
+		base.Advance(now, dt, 2, &r)
 		now += dt
 	}
 	base.StartMeasurement(now)
 	for now < 4.0 {
-		base.Advance(now, dt, 2, r)
+		base.Advance(now, dt, 2, &r)
 		now += dt
 	}
 	got := base.Throughput(now)

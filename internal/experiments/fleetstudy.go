@@ -26,14 +26,21 @@ import (
 // simulation: each machine shape becomes one scenario cell — CNN3 as the
 // ML worker (Kelp or Baseline policy per the shape), a DRAM antagonist at
 // the shape's background level, and one Stitch instance per batch task
-// (the last marked Backfill, mirroring the evaluation's mixes). Shape
-// cells share the warm-start snapshot cache across policies, and scenarios
+// (the last marked Backfill, mirroring the evaluation's mixes). Scenarios
 // stay event-free — a shape's simulation is shared by many machines, so
 // per-node events would repeat arbitrarily (fleet-level events come from
 // fleet.Build/Tick instead).
+//
+// Measurements are memoized per harness, like Standalone baselines: every
+// measurer the harness returns simulates each shape once, however many
+// study cases or concurrent callers ask for it, and hands every caller the
+// same read-only *fleet.Measurement. The harness's fields must therefore
+// not change after the first measurement.
 func (h *Harness) MachineMeasurer() fleet.Measurer {
 	return func(shape fleet.MachineShape) (*fleet.Measurement, error) {
-		return h.measureMachine(shape)
+		return claim(&h.mu, &h.shapes, shape).do(func() (*fleet.Measurement, error) {
+			return h.measureMachine(shape)
+		})
 	}
 }
 
@@ -150,32 +157,42 @@ type FleetStudyRow struct {
 // composes a fleet of the given size. A non-nil custom fault spec replaces
 // the default churn regime (the kelpbench -cfaults flag). Cases run
 // serially; each case's distinct machine shapes shard over the harness's
-// worker pool, and identical shapes across cases share the warm-start
-// cache, so the study is byte-identical at any parallelism.
+// worker pool, and a shape repeated across cases is served from the
+// harness's measurement memo, so the study is byte-identical at any
+// parallelism.
 func FleetStudy(h *Harness, machines int, custom *clusterfaults.Spec) ([]FleetStudyRow, error) {
 	faults := FleetFaultSpec(7)
 	if custom != nil {
 		faults = *custom
 	}
-	m := h.MachineMeasurer()
 	cases := FleetStudyCases()
 	rows := make([]FleetStudyRow, 0, len(cases))
 	for _, fc := range cases {
-		cfg := fleet.DefaultConfig()
-		cfg.Machines = machines
-		cfg.BatchTasks = machines * 3 / 10
-		cfg.Policy = fc.Policy
-		cfg.KelpFraction = fc.KelpFraction
-		cfg.Faults = faults
-		cfg.Horizon = ClusterFaultHorizon
-		cfg.Events = h.Events
-		res, err := fleet.Run(cfg, m, h.workers())
+		res, err := h.fleetCase(fc, machines, faults)
 		if err != nil {
-			return nil, fmt.Errorf("fleet case %s: %w", fc.Name, err)
+			return nil, err
 		}
 		rows = append(rows, FleetStudyRow{Case: fc.Name, Result: res})
 	}
 	return rows, nil
+}
+
+// fleetCase builds, simulates and composes one study case on the
+// harness's memoized measurer.
+func (h *Harness) fleetCase(fc FleetStudyCase, machines int, faults clusterfaults.Spec) (*fleet.Result, error) {
+	cfg := fleet.DefaultConfig()
+	cfg.Machines = machines
+	cfg.BatchTasks = machines * 3 / 10
+	cfg.Policy = fc.Policy
+	cfg.KelpFraction = fc.KelpFraction
+	cfg.Faults = faults
+	cfg.Horizon = ClusterFaultHorizon
+	cfg.Events = h.Events
+	res, err := fleet.Run(cfg, h.MachineMeasurer(), h.workers())
+	if err != nil {
+		return nil, fmt.Errorf("fleet case %s: %w", fc.Name, err)
+	}
+	return res, nil
 }
 
 // FleetTable renders the fleet study.

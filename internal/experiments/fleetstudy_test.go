@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"kelp/internal/fleet"
+	"kelp/internal/pool"
 	"kelp/internal/sim"
+	"kelp/internal/workload"
 )
 
 // fleetHarness returns a shortened private harness for the fleet study
@@ -61,9 +63,10 @@ func TestFleetStudyWarmStartNeutral(t *testing.T) {
 
 	SetWarmStart(true)
 	ResetWarmCache()
-	h := fleetHarness(4)
-	first := fleetTableString(t, h)
-	second := fleetTableString(t, h)
+	first := fleetTableString(t, fleetHarness(4))
+	// A fresh harness: the same one would serve every shape from its
+	// measurement memo and never restore a snapshot.
+	second := fleetTableString(t, fleetHarness(4))
 
 	if first != cold {
 		t.Fatalf("warm (snapshot publish) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, first)
@@ -105,5 +108,61 @@ func TestFleetStudyKelpWins(t *testing.T) {
 	if mixed.MPGKelpOn <= mixed.MPGKelpOff {
 		t.Errorf("mixed fleet: MPG on %.3f should beat MPG off %.3f",
 			mixed.MPGKelpOn, mixed.MPGKelpOff)
+	}
+}
+
+// TestMachineMeasurerMeasuresShapeOnce pins the harness's measurement
+// memo: concurrent callers asking for the same shape, through measurers
+// obtained separately from one harness, all receive the one
+// *fleet.Measurement its single simulation produced, and distinct shapes
+// are measured separately. Run under -race it also covers the memo's
+// locking.
+func TestMachineMeasurerMeasuresShapeOnce(t *testing.T) {
+	h := fleetHarness(4)
+	shapes := []fleet.MachineShape{
+		fleet.ReferenceShape(),
+		{HasWorker: true, KelpOn: true, HasBackground: true, Background: workload.LevelHigh, Batch: 1},
+		{HasBackground: true, Background: workload.LevelLow, Batch: 2},
+	}
+	const callers = 8
+	got, err := pool.Collect(4, callers*len(shapes), func(i int) (*fleet.Measurement, error) {
+		return h.MachineMeasurer()(shapes[i%len(shapes)])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range got {
+		if m == nil {
+			t.Fatalf("call %d: nil measurement", i)
+		}
+		if first := got[i%len(shapes)]; m != first {
+			t.Errorf("shape %v measured more than once (call %d got a different measurement)", shapes[i%len(shapes)], i)
+		}
+	}
+	for i := range shapes {
+		for j := i + 1; j < len(shapes); j++ {
+			if got[i] == got[j] {
+				t.Errorf("shapes %v and %v share a measurement", shapes[i], shapes[j])
+			}
+		}
+	}
+}
+
+// TestFleetStudyMemoNeutral pins that the measurement memo changes no
+// output: the study on one harness, where later cases reuse earlier cases'
+// shape measurements, renders the same table as every case run on a fresh
+// harness of its own.
+func TestFleetStudyMemoNeutral(t *testing.T) {
+	shared := fleetTableString(t, fleetHarness(4))
+	var rows []FleetStudyRow
+	for _, fc := range FleetStudyCases() {
+		res, err := fleetHarness(4).fleetCase(fc, fleetTestMachines, FleetFaultSpec(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, FleetStudyRow{Case: fc.Name, Result: res})
+	}
+	if fresh := FleetTable(rows, fleetTestMachines).String(); fresh != shared {
+		t.Fatalf("memoized study differs from fresh harness per case:\nshared:\n%s\nfresh:\n%s", shared, fresh)
 	}
 }

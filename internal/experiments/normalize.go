@@ -6,6 +6,7 @@ import (
 
 	"kelp/internal/events"
 	"kelp/internal/faults"
+	"kelp/internal/fleet"
 	"kelp/internal/node"
 	"kelp/internal/policy"
 	"kelp/internal/sim"
@@ -17,7 +18,10 @@ import (
 //
 // A Harness is safe for concurrent use by the parallel sweep engine
 // (runner.go) provided its exported fields are not mutated while sweeps
-// are in flight: configure it first, then run.
+// are in flight: configure it first, then run. Standalone baselines and
+// fleet machine measurements are memoized per harness, so its fields must
+// not change after the first call to Standalone or MachineMeasurer's
+// measurer either: a changed field would be served stale results.
 type Harness struct {
 	// Node is the hardware configuration shared by every run.
 	Node node.Config
@@ -45,27 +49,49 @@ type Harness struct {
 	Faults faults.Spec
 
 	mu         sync.Mutex
-	standalone map[MLKind]*baselineEntry
+	standalone map[MLKind]*flight[*Result]
+	shapes     map[fleet.MachineShape]*flight[*fleet.Measurement]
 }
 
-// baselineEntry is one singleflight slot of the standalone cache: the
-// first goroutine to claim a workload computes its baseline inside once;
-// any concurrent caller blocks on the same once and shares the result.
-type baselineEntry struct {
+// flight is one singleflight slot of a harness memo: the first goroutine
+// to claim a key computes its value inside once; any concurrent caller
+// blocks on the same once and shares the result, error included.
+type flight[T any] struct {
 	once sync.Once
-	res  *Result
+	val  T
 	err  error
+}
+
+// do returns the slot's value, computing it with fn on the first call.
+func (f *flight[T]) do(fn func() (T, error)) (T, error) {
+	f.once.Do(func() { f.val, f.err = fn() })
+	return f.val, f.err
+}
+
+// claim returns memo's slot for key, creating the map and the slot as
+// needed. mu guards memo.
+func claim[K comparable, T any](mu *sync.Mutex, memo *map[K]*flight[T], key K) *flight[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	if *memo == nil {
+		*memo = make(map[K]*flight[T])
+	}
+	f, ok := (*memo)[key]
+	if !ok {
+		f = &flight[T]{}
+		(*memo)[key] = f
+	}
+	return f
 }
 
 // NewHarness returns a harness with the evaluation defaults: 3 s of warmup
 // (enough for every controller to converge) and 2 s measured.
 func NewHarness() *Harness {
 	return &Harness{
-		Node:       node.DefaultConfig(),
-		Opts:       policy.DefaultOptions(),
-		Warmup:     3 * sim.Second,
-		Measure:    2 * sim.Second,
-		standalone: make(map[MLKind]*baselineEntry),
+		Node:    node.DefaultConfig(),
+		Opts:    policy.DefaultOptions(),
+		Warmup:  3 * sim.Second,
+		Measure: 2 * sim.Second,
 	}
 }
 
@@ -82,18 +108,7 @@ func (h *Harness) workers() int {
 // same workload share one computation: exactly one goroutine runs the
 // baseline scenario while the others block until it lands.
 func (h *Harness) Standalone(m MLKind) (*Result, error) {
-	h.mu.Lock()
-	if h.standalone == nil {
-		h.standalone = make(map[MLKind]*baselineEntry)
-	}
-	e, ok := h.standalone[m]
-	if !ok {
-		e = &baselineEntry{}
-		h.standalone[m] = e
-	}
-	h.mu.Unlock()
-
-	e.once.Do(func() {
+	return claim(&h.mu, &h.standalone, m).do(func() (*Result, error) {
 		opts := h.Opts
 		opts.MLCores = m.MLCores()
 		r, err := Run(Scenario{
@@ -105,12 +120,10 @@ func (h *Harness) Standalone(m MLKind) (*Result, error) {
 			Measure: h.Measure,
 		})
 		if err != nil {
-			e.err = fmt.Errorf("standalone %s: %w", m, err)
-			return
+			return nil, fmt.Errorf("standalone %s: %w", m, err)
 		}
-		e.res = r
+		return r, nil
 	})
-	return e.res, e.err
 }
 
 // NormResult is a run normalized against the ML task's standalone run.

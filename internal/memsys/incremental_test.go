@@ -208,3 +208,113 @@ func TestResolveIncrementalEvents(t *testing.T) {
 		t.Fatalf("steady clean step emitted %d new events", n-first)
 	}
 }
+
+// TestReplay pins the clean-tick replay handshake. After a caller receives
+// a resolution from Resolve, Replay with its Seq returns exactly what
+// Resolve of the same flows would: the same pointer and the same Seq. It
+// declines whenever the cached fixed point may no longer be that
+// resolution.
+func TestReplay(t *testing.T) {
+	flows := incrementalFlows()
+	resolve := func(t *testing.T, s *System, fl []Flow) *Resolution {
+		t.Helper()
+		r, err := s.Resolve(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	t.Run("matches Resolve", func(t *testing.T) {
+		s := MustSystem(DefaultConfig())
+		seq := resolve(t, s, flows).Seq()
+		for i := 0; i < 3; i++ {
+			got, ok := s.Replay(seq)
+			if !ok {
+				t.Fatalf("replay %d declined a clean cache", i)
+			}
+			want := resolve(t, s, flows)
+			if got != want || got.Seq() != want.Seq() {
+				t.Fatalf("replay %d = %p seq %d, Resolve = %p seq %d", i, got, got.Seq(), want, want.Seq())
+			}
+		}
+	})
+
+	declines := []struct {
+		name string
+		// prepare brings s into the state under test and returns the Seq
+		// its caller last received.
+		prepare func(t *testing.T, s *System) uint64
+	}{
+		{"before first Resolve", func(t *testing.T, s *System) uint64 { return 0 }},
+		{"incremental off", func(t *testing.T, s *System) uint64 {
+			seq := resolve(t, s, flows).Seq()
+			s.SetIncremental(false)
+			return seq
+		}},
+		{"epoch bump", func(t *testing.T, s *System) uint64 {
+			seq := resolve(t, s, flows).Seq()
+			s.SetSNC(true)
+			return seq
+		}},
+		{"failed Resolve", func(t *testing.T, s *System) uint64 {
+			seq := resolve(t, s, flows).Seq()
+			if _, err := s.Resolve([]Flow{{Task: "bad", Socket: 99}}); err == nil {
+				t.Fatal("invalid flow accepted")
+			}
+			return seq
+		}},
+		{"seq mismatch", func(t *testing.T, s *System) uint64 {
+			seq := resolve(t, s, flows).Seq()
+			resolve(t, s, []Flow{{Task: "x", Socket: 1, DemandBW: 10 * GB}})
+			return seq
+		}},
+	}
+	for _, tc := range declines {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustSystem(DefaultConfig())
+			seq := tc.prepare(t, s)
+			if r, ok := s.Replay(seq); ok || r != nil {
+				t.Fatalf("Replay(%d) = %p, %v; want nil, false", seq, r, ok)
+			}
+		})
+	}
+}
+
+// TestReplayEvents pins that Replay emits transitions exactly as
+// Resolve's short-circuit does: a recorder attached mid-run observes its
+// initial edges on the first replay, and steady replays emit nothing.
+func TestReplayEvents(t *testing.T) {
+	cfg := DefaultConfig()
+	flows := []Flow{{Task: "hog", Socket: 0, DemandBW: 4 * cfg.SocketBW()}}
+	run := func(step func(s *System, seq uint64)) []events.Event {
+		s := MustSystem(cfg)
+		r, err := s.Resolve(flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := events.MustNew(64)
+		now := 0.0
+		s.SetEvents(rec, func() float64 { return now })
+		for ; now < 3; now++ {
+			step(s, r.Seq())
+		}
+		return rec.Since(0)
+	}
+	replayed := run(func(s *System, seq uint64) {
+		if _, ok := s.Replay(seq); !ok {
+			t.Fatal("replay declined a clean cache")
+		}
+	})
+	resolved := run(func(s *System, _ uint64) {
+		if _, err := s.Resolve(flows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(replayed) == 0 {
+		t.Fatal("recorder attached mid-run saw no initial transitions on replay")
+	}
+	if !reflect.DeepEqual(replayed, resolved) {
+		t.Fatalf("replay events differ from the short-circuit's:\nreplay:  %+v\nresolve: %+v", replayed, resolved)
+	}
+}

@@ -258,18 +258,12 @@ func (s *System) remoteTarget(socket int) int {
 // earlier than the second *distinct* resolution after it. Disable with
 // SetIncremental(false).
 func (s *System) Resolve(flows []Flow) (*Resolution, error) {
-	cfg := s.cfg
-	if !s.noIncremental && s.lastValid && s.lastEpoch == s.epoch && flowsEqual(flows, s.lastFlows) {
+	if s.cached() && flowsEqual(flows, s.lastFlows) {
 		// Clean step: identical flows were validated when the cached
-		// fixed-point was computed, so validation is skipped too. The
-		// transition emitter still runs so a recorder attached mid-run
-		// observes its initial edges; on a true steady state it emits
-		// nothing.
-		if s.events != nil {
-			s.emitTransitions(s.last.Controllers)
-		}
-		return s.last, nil
+		// fixed-point was computed, so validation is skipped too.
+		return s.replay(), nil
 	}
+	cfg := s.cfg
 	for i := range flows {
 		if err := flows[i].validate(cfg); err != nil {
 			s.lastValid = false
@@ -568,6 +562,36 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 		s.lastValid = true
 	}
 	return res, nil
+}
+
+// Replay returns the cached fixed point without looking at any flows, for a
+// caller that has already proven its flow set unchanged: seq must be the
+// Seq of the resolution that caller last received from Resolve. It reports
+// false — and the caller must fall back to Resolve — unless that resolution
+// is still the cached one, the configuration epoch is unchanged since it
+// was computed, and incremental resolve is on. A successful Replay is
+// exactly Resolve's short-circuit, transition events included.
+func (s *System) Replay(seq uint64) (*Resolution, bool) {
+	if !s.cached() || s.last.seq != seq {
+		return nil, false
+	}
+	return s.replay(), true
+}
+
+// cached reports whether last holds a reusable fixed point: computed from
+// lastFlows under the current epoch, with incremental resolve on.
+func (s *System) cached() bool {
+	return !s.noIncremental && s.lastValid && s.lastEpoch == s.epoch
+}
+
+// replay returns the cached fixed point. The transition emitter still runs
+// so a recorder attached mid-run observes its initial edges; on a true
+// steady state it emits nothing.
+func (s *System) replay() *Resolution {
+	if s.events != nil {
+		s.emitTransitions(s.last.Controllers)
+	}
+	return s.last
 }
 
 // flowsEqual reports whether two flow sets are element-wise identical.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kelp/internal/cgroup"
+	"kelp/internal/memsys"
 	"kelp/internal/sim"
 	"kelp/internal/workload"
 )
@@ -13,7 +14,8 @@ import (
 // never changes observable behaviour: a node with incremental resolution
 // enabled stays byte-identical to a NoIncremental node through every
 // mutation that must dirty the fingerprint — a prefetcher flip, a cgroup
-// CPU-set change, and a task added mid-run.
+// CPU-set change, a task added mid-run, and a foreign resolve on the
+// node's memory system.
 func TestIncrementalMutationEquivalence(t *testing.T) {
 	run := func(noInc bool) nodeStats {
 		cfg := DefaultConfig()
@@ -49,6 +51,13 @@ func TestIncrementalMutationEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := n.AddTask(l, "late"); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(20 * sim.Millisecond)
+
+		// A foreign resolve on the node's memory system: the next clean
+		// tick's Replay must decline and fall back to Resolve.
+		if _, err := n.Memory().Resolve([]memsys.Flow{{Task: "foreign", Socket: 1, DemandBW: 50 * memsys.GB}}); err != nil {
 			t.Fatal(err)
 		}
 		n.Run(20 * sim.Millisecond)

@@ -159,6 +159,10 @@ type Node struct {
 	prevCgroupGen uint64
 	prevProcGen   uint64
 	prevMemEpoch  uint64
+	// prevSeq is the Seq of the resolution the node last received, the
+	// memory system's proof on a clean tick that its cached fixed point is
+	// still the one computed from this node's flows.
+	prevSeq uint64
 }
 
 // New builds a node.
@@ -443,7 +447,7 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	}
 	for i, bt := range n.tasks {
 		capacity[i] = float64(bt.group.CPUs().Len())
-		offers[i] = bt.task.Offer(now, capacity[i])
+		bt.task.Offer(now, capacity[i], &offers[i])
 		groupDemand[bt.groupIdx] += offers[i].ActiveCores
 	}
 	for i, bt := range n.tasks {
@@ -457,17 +461,19 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	// Clean-tick fast path: when nothing that feeds the flow assembly has
 	// changed since the previous step — same offers, no cgroup or
 	// prefetcher actuation, no memory reconfiguration, same task set — the
-	// previous step's flow set and per-task rates are still exact. Resolve
-	// is called anyway (its own fingerprint makes it a compare), so the
-	// monitor keeps recording true per-step resolutions.
+	// previous step's flow set and per-task rates are still exact, and so
+	// is the memory system's cached fixed point: Replay hands it back
+	// without re-comparing the flows, so the monitor keeps recording true
+	// per-step resolutions. Replay declines when anything else resolved on
+	// this memory system since; Resolve's own fingerprint then decides.
 	if n.stepClean(offers) {
-		res, err := n.mem.Resolve(n.scratchFlows)
-		if err != nil {
-			panic(fmt.Sprintf("node: resolve: %v", err))
+		res, ok := n.mem.Replay(n.prevSeq)
+		if !ok {
+			res = n.resolve(n.scratchFlows)
 		}
 		n.mon.Record(dt, res)
 		for i, bt := range n.tasks {
-			bt.task.Advance(now, dt, effective[i], bt.rates)
+			bt.task.Advance(now, dt, effective[i], &bt.rates)
 		}
 		return
 	}
@@ -475,7 +481,7 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	fl := n.scratchFlows[:0]
 	for i, bt := range n.tasks {
 		bt.hasFlow = false
-		off := offers[i]
+		off := &offers[i]
 		if effective[i] <= 0 {
 			continue
 		}
@@ -524,12 +530,8 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	}
 	n.scratchFlows = fl
 
-	// 2. Resolve the memory system. Flows were validated at construction;
-	// an error here is a programming bug.
-	res, err := n.mem.Resolve(fl)
-	if err != nil {
-		panic(fmt.Sprintf("node: resolve: %v", err))
-	}
+	// 2. Resolve the memory system.
+	res := n.resolve(fl)
 	n.mon.Record(dt, res)
 
 	// 3. Distribute rates and advance every task on its effective cores.
@@ -551,7 +553,7 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 			// Idle on the memory system this step; identity rates.
 			bt.rates = identityRates()
 		}
-		bt.task.Advance(now, dt, effective[i], bt.rates)
+		bt.task.Advance(now, dt, effective[i], &bt.rates)
 	}
 
 	// Record the fast-path fingerprint for the next step.
@@ -560,6 +562,18 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	n.prevProcGen = n.proc.Gen()
 	n.prevMemEpoch = n.mem.Epoch()
 	n.prevValid = true
+}
+
+// resolve resolves the memory system for fl and remembers the resolution's
+// Seq for the next clean tick's Replay. Flows were validated at
+// construction; an error here is a programming bug.
+func (n *Node) resolve(fl []memsys.Flow) *memsys.Resolution {
+	res, err := n.mem.Resolve(fl)
+	if err != nil {
+		panic(fmt.Sprintf("node: resolve: %v", err))
+	}
+	n.prevSeq = res.Seq()
+	return res
 }
 
 // stepClean reports whether this step may take the clean-tick fast path:

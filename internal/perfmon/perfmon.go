@@ -224,9 +224,12 @@ func (m *Monitor) Record(dt float64, res *memsys.Resolution) {
 		m.bp[s] += m.rateBP[s] * dt
 		m.totalBytes[s] += m.rateBW[s] * dt
 		base := s * m.cps
-		for c := 0; c < m.cps; c++ {
-			m.ctlBW[s][c] += m.rateCtlBW[base+c] * dt
-			m.ctlLat[s][c] += m.rateCtlLat[base+c] * dt
+		rateBW := m.rateCtlBW[base : base+m.cps]
+		rateLat := m.rateCtlLat[base : base+m.cps]
+		bw, lat := m.ctlBW[s][:m.cps], m.ctlLat[s][:m.cps]
+		for c, r := range rateBW {
+			bw[c] += r * dt
+			lat[c] += rateLat[c] * dt
 		}
 	}
 }

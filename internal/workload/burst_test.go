@@ -38,17 +38,17 @@ func TestBurstValidation(t *testing.T) {
 func TestBurstModulatesDemand(t *testing.T) {
 	l := burstLoop(t)
 	// In the burst window (first half of the period): full demand.
-	on := l.Offer(0.01, 4)
+	on := offerOf(l, 0.01, 4)
 	if on.Mem.StreamBWPerCore != 4*GB {
 		t.Errorf("burst-phase demand = %v", on.Mem.StreamBWPerCore)
 	}
 	// In the idle window: scaled by BurstIdleFactor.
-	off := l.Offer(0.06, 4)
+	off := offerOf(l, 0.06, 4)
 	if math.Abs(off.Mem.StreamBWPerCore-GB) > 1 {
 		t.Errorf("idle-phase demand = %v, want %v", off.Mem.StreamBWPerCore, 1*GB)
 	}
 	// Next period bursts again.
-	again := l.Offer(0.11, 4)
+	again := offerOf(l, 0.11, 4)
 	if again.Mem.StreamBWPerCore != 4*GB {
 		t.Errorf("second burst demand = %v", again.Mem.StreamBWPerCore)
 	}
@@ -60,8 +60,8 @@ func TestBurstPhaseDesynchronizes(t *testing.T) {
 	// At some instants one instance bursts while the other idles.
 	desync := false
 	for ts := 0.0; ts < 0.3; ts += 0.005 {
-		da := a.Offer(ts, 4).Mem.StreamBWPerCore
-		db := b.Offer(ts, 4).Mem.StreamBWPerCore
+		da := offerOf(a, ts, 4).Mem.StreamBWPerCore
+		db := offerOf(b, ts, 4).Mem.StreamBWPerCore
 		if (da > db*2) || (db > da*2) {
 			desync = true
 			break
@@ -76,7 +76,7 @@ func TestSteadyLoopUnaffected(t *testing.T) {
 	l := MustLoop("steady", LoopConfig{Threads: 2, UnitWork: 1,
 		Mem: MemProfile{StreamBWPerCore: 2 * GB}})
 	for _, ts := range []float64{0, 0.03, 0.5, 7.1} {
-		if got := l.Offer(ts, 2).Mem.StreamBWPerCore; got != 2*GB {
+		if got := offerOf(l, ts, 2).Mem.StreamBWPerCore; got != 2*GB {
 			t.Errorf("steady demand at %v = %v", ts, got)
 		}
 	}
@@ -88,7 +88,7 @@ func TestBurstDefaultsIdleFactor(t *testing.T) {
 		BurstPeriod: 0.1, BurstDuty: 0.5,
 		Mem: MemProfile{StreamBWPerCore: 10 * GB},
 	})
-	off := l.Offer(0.09, 1)
+	off := offerOf(l, 0.09, 1)
 	if math.Abs(off.Mem.StreamBWPerCore-3*GB) > 0.01*GB {
 		t.Errorf("default idle demand = %v, want 0.3x", off.Mem.StreamBWPerCore)
 	}

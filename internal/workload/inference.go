@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"kelp/internal/accel"
@@ -160,7 +159,7 @@ func (s *Inference) InFlight() int { return len(s.inflight) }
 func (s *Inference) QueueDepth() int { return len(s.queued) }
 
 // Offer implements Task: requests currently in their CPU phase occupy cores.
-func (s *Inference) Offer(now float64, cores float64) Offer {
+func (s *Inference) Offer(now float64, cores float64, o *Offer) {
 	k := 0
 	for _, r := range s.inflight {
 		if r.Phase == reqCPU {
@@ -168,10 +167,11 @@ func (s *Inference) Offer(now float64, cores float64) Offer {
 		}
 	}
 	if k == 0 || cores <= 0 {
-		return Offer{}
+		*o = Offer{}
+		return
 	}
-	active := math.Min(float64(k), cores)
-	return Offer{ActiveCores: active, Mem: s.cfg.Mem}
+	o.ActiveCores = min(float64(k), cores)
+	o.Mem = s.cfg.Mem
 }
 
 func (s *Inference) interarrival() float64 {
@@ -184,7 +184,7 @@ func (s *Inference) interarrival() float64 {
 }
 
 // Advance implements Task.
-func (s *Inference) Advance(now, dt float64, cores float64, r Rates) {
+func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) {
 	end := now + dt
 
 	if s.cfg.ClosedLoop {

@@ -41,7 +41,7 @@ func openRNN1(t *testing.T) *Inference {
 	return s
 }
 
-func runInference(s *Inference, cores float64, r Rates, dur float64) float64 {
+func runInference(s *Inference, cores float64, r *Rates, dur float64) float64 {
 	now, dt := 0.0, 100e-6
 	warm := dur * 0.2
 	for now < warm {
@@ -202,7 +202,7 @@ func TestInferenceZeroCoresMakesNoProgress(t *testing.T) {
 
 func TestInferenceOfferTracksCPUPhases(t *testing.T) {
 	s := newRNN1(t)
-	if got := s.Offer(0, 8); got.ActiveCores != 0 {
+	if got := offerOf(s, 0, 8); got.ActiveCores != 0 {
 		t.Errorf("offer before any arrivals = %+v", got)
 	}
 	now, dt := 0.0, 100e-6
@@ -210,7 +210,7 @@ func TestInferenceOfferTracksCPUPhases(t *testing.T) {
 		s.Advance(now, dt, 6, fullRates())
 		now += dt
 	}
-	off := s.Offer(now, 6)
+	off := offerOf(s, now, 6)
 	if off.ActiveCores < 0 || off.ActiveCores > 6 {
 		t.Errorf("offer out of range: %+v", off)
 	}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"kelp/internal/metrics"
 )
@@ -118,22 +117,23 @@ func (l *Loop) SetThreads(n int) error {
 // Offer implements Task: all threads are always runnable, capped by the
 // available cores. Bursting scales the streaming demand with the job's
 // current phase.
-func (l *Loop) Offer(now float64, cores float64) Offer {
-	active := math.Min(float64(l.cfg.Threads), cores)
+func (l *Loop) Offer(now float64, cores float64, o *Offer) {
+	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
-		return Offer{}
+		*o = Offer{}
+		return
 	}
-	mem := l.cfg.Mem
+	o.ActiveCores = active
+	o.Mem = l.cfg.Mem
 	if f := l.cfg.burstDemandFactor(now); f != 1 {
-		mem.StreamBWPerCore *= f
-		mem.LLCRefBWPerCore *= f
+		o.Mem.StreamBWPerCore *= f
+		o.Mem.LLCRefBWPerCore *= f
 	}
-	return Offer{ActiveCores: active, Mem: mem}
 }
 
 // Advance implements Task.
-func (l *Loop) Advance(now, dt float64, cores float64, r Rates) {
-	active := math.Min(float64(l.cfg.Threads), cores)
+func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) {
+	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
 		return
 	}

@@ -24,7 +24,7 @@ func TestLoopValidation(t *testing.T) {
 	}
 }
 
-func runLoop(l *Loop, cores float64, r Rates, dur float64) float64 {
+func runLoop(l *Loop, cores float64, r *Rates, dur float64) float64 {
 	now, dt := 0.0, 1e-3
 	l.StartMeasurement(0)
 	for now < dur {
@@ -66,17 +66,17 @@ func TestLoopZeroCores(t *testing.T) {
 	if l.Throughput(now) != 0 {
 		t.Error("throughput with zero cores should be 0")
 	}
-	if off := l.Offer(0, 0); off.ActiveCores != 0 {
+	if off := offerOf(l, 0, 0); off.ActiveCores != 0 {
 		t.Errorf("offer with zero cores = %+v", off)
 	}
 }
 
 func TestLoopOfferCapped(t *testing.T) {
 	l := MustLoop("l", LoopConfig{Threads: 4, UnitWork: 1})
-	if off := l.Offer(0, 2); off.ActiveCores != 2 {
+	if off := offerOf(l, 0, 2); off.ActiveCores != 2 {
 		t.Errorf("offer = %+v, want 2", off)
 	}
-	if off := l.Offer(0, 16); off.ActiveCores != 4 {
+	if off := offerOf(l, 0, 16); off.ActiveCores != 4 {
 		t.Errorf("offer = %+v, want 4 (thread-limited)", off)
 	}
 }

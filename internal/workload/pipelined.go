@@ -102,19 +102,20 @@ func (p *Pipelined) Name() string { return p.name }
 func (p *Pipelined) Buffered() float64 { return p.buffered }
 
 // Offer implements Task: the producer runs whenever the buffer has room.
-func (p *Pipelined) Offer(now float64, cores float64) Offer {
+func (p *Pipelined) Offer(now float64, cores float64, o *Offer) {
 	if p.buffered >= p.capacity || cores <= 0 {
-		return Offer{}
+		*o = Offer{}
+		return
 	}
-	active := math.Min(float64(p.parallel), cores)
-	return Offer{ActiveCores: active, Mem: p.mem}
+	o.ActiveCores = min(float64(p.parallel), cores)
+	o.Mem = p.mem
 }
 
 // Advance implements Task: producer and consumer progress concurrently.
-func (p *Pipelined) Advance(now, dt float64, cores float64, r Rates) {
+func (p *Pipelined) Advance(now, dt float64, cores float64, r *Rates) {
 	// Producer: prepare items while the buffer has room.
 	if p.buffered < p.capacity && cores > 0 {
-		active := math.Min(float64(p.parallel), cores)
+		active := min(float64(p.parallel), cores)
 		p.partial += dt * active * r.CPUFactor
 		for p.partial >= p.cpuWorkPerItem && p.buffered < p.capacity {
 			p.partial -= p.cpuWorkPerItem

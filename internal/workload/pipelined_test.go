@@ -16,7 +16,7 @@ func newPipelined(t *testing.T) *Pipelined {
 	return p
 }
 
-func runPipelined(p *Pipelined, cores float64, r Rates, dur float64) float64 {
+func runPipelined(p *Pipelined, cores float64, r *Rates, dur float64) float64 {
 	now, dt := 0.0, 100e-6
 	warm := dur * 0.2
 	for now < warm {
@@ -138,7 +138,7 @@ func TestPipelinedOfferPausesWhenBufferFull(t *testing.T) {
 		t.Fatalf("buffer never filled: %v", p.Buffered())
 	}
 	if p.Buffered() >= 2 {
-		if off := p.Offer(now, 8); off.ActiveCores != 0 {
+		if off := offerOf(p, now, 8); off.ActiveCores != 0 {
 			t.Errorf("producer should pause on a full buffer: %+v", off)
 		}
 	}

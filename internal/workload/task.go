@@ -114,12 +114,14 @@ type Rates struct {
 type Task interface {
 	// Name identifies the task instance.
 	Name() string
-	// Offer reports the task's traffic intent given cores' worth of CPU
-	// available to it. Offer must be side-effect free.
-	Offer(now float64, cores float64) Offer
+	// Offer writes the task's traffic intent, given cores' worth of CPU
+	// available to it, into *o. It must overwrite every field of *o (the
+	// node reuses one slot per task across ticks) and be side-effect free.
+	Offer(now float64, cores float64, o *Offer)
 	// Advance progresses the task by dt given cores' worth of CPU (possibly
-	// fractional, under timesharing) and the resolved rates.
-	Advance(now, dt float64, cores float64, r Rates)
+	// fractional, under timesharing) and the resolved rates. *r belongs to
+	// the caller: Advance must not mutate it.
+	Advance(now, dt float64, cores float64, r *Rates)
 	// StartMeasurement begins the measured interval (discards warmup).
 	StartMeasurement(now float64)
 	// Throughput returns measured work rate in the task's natural units

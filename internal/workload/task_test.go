@@ -3,8 +3,11 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"kelp/internal/accel"
 )
 
 func TestMemProfileValidate(t *testing.T) {
@@ -191,5 +194,113 @@ func TestCPUFactorMonotoneInContention(t *testing.T) {
 			t.Errorf("factor increased with contention at sev=%v: %v > %v", sev, got, prev)
 		}
 		prev = got
+	}
+}
+
+// nanOffer returns an Offer with every float64 field, nested ones
+// included, set to NaN, found by reflection so a field added later is
+// covered too.
+func nanOffer() Offer {
+	var o Offer
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Float64:
+			v.SetFloat(math.NaN())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		}
+	}
+	fill(reflect.ValueOf(&o).Elem())
+	return o
+}
+
+// TestOfferOverwritesEveryField pins Task.Offer's contract that it
+// overwrites every field of its out slot: the node reuses one slot per
+// task across ticks, so a branch that leaves a field alone would leak the
+// previous tick's value. Every implementation is called in each of its
+// branches on a NaN-filled slot, and must produce exactly what the same
+// call produces on a zeroed slot (any NaN left behind fails the compare).
+func TestOfferOverwritesEveryField(t *testing.T) {
+	mem := MemProfile{StreamBWPerCore: 2 * GB, LLCFootprint: 8e6, LLCRefBWPerCore: GB,
+		LatencySensitivity: 0.5, BWSensitivity: 0.4, LLCSensitivity: 0.3,
+		PrefetchLoss: 0.2, BackpressureSensitivity: 0.6, RemoteFrac: 0.1}
+	steady := MustLoop("steady", LoopConfig{Threads: 4, UnitWork: 1, Mem: mem})
+	burst := MustLoop("burst", LoopConfig{Threads: 4, UnitWork: 1, Mem: mem,
+		BurstPeriod: 0.1, BurstDuty: 0.5, BurstIdleFactor: 0.25})
+
+	cnn1cpu, err := NewCNN1(accel.NewCloudTPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnn1accel, err := NewCNN1(accel.NewCloudTPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for now := 0.0; ; now += 100e-6 {
+		if _, kind := cnn1accel.CurrentPhase(); kind == AccelPhase {
+			break
+		}
+		if now > 10 {
+			t.Fatal("training never reached its accelerator phase")
+		}
+		cnn1accel.Advance(now, 100e-6, 8, fullRates())
+	}
+
+	idle := newRNN1(t)
+	busy := newRNN1(t)
+	for now := 0.0; busy.InFlight() == 0; now += 100e-6 {
+		if now > 1 {
+			t.Fatal("inference never admitted a request")
+		}
+		busy.Advance(now, 100e-6, 6, fullRates())
+	}
+
+	empty := newPipelined(t)
+	full := newPipelined(t)
+	fast := fullRates()
+	fast.CPUFactor = 50
+	for now := 0.0; full.Buffered() < 2; now += 100e-6 {
+		if now > 1 {
+			t.Fatal("pipelined buffer never filled")
+		}
+		full.Advance(now, 100e-6, 8, fast)
+	}
+
+	cases := []struct {
+		name       string
+		task       Task
+		now, cores float64
+		active     bool // whether the branch offers cores
+	}{
+		{"loop/no cores", steady, 0, 0, false},
+		{"loop/steady", steady, 0, 2, true},
+		{"loop/burst on", burst, 0.01, 2, true},
+		{"loop/burst off", burst, 0.06, 2, true},
+		{"training/cpu phase", cnn1cpu, 0, 8, true},
+		{"training/no cores", cnn1cpu, 0, 0, false},
+		{"training/accel phase", cnn1accel, 0, 8, false},
+		{"inference/no requests", idle, 0, 6, false},
+		{"inference/in flight", busy, 0, 6, true},
+		{"inference/no cores", busy, 0, 0, false},
+		{"pipelined/empty buffer", empty, 0, 8, true},
+		{"pipelined/full buffer", full, 0, 8, false},
+		{"pipelined/no cores", empty, 0, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want Offer
+			tc.task.Offer(tc.now, tc.cores, &want)
+			if got := want.ActiveCores > 0; got != tc.active {
+				t.Fatalf("branch not exercised: offer %+v, want active=%v", want, tc.active)
+			}
+			got := nanOffer()
+			tc.task.Offer(tc.now, tc.cores, &got)
+			if got != want {
+				t.Fatalf("offer on a NaN-filled slot = %+v, on a zeroed slot = %+v", got, want)
+			}
+		})
 	}
 }

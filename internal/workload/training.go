@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"kelp/internal/accel"
 	"kelp/internal/metrics"
@@ -127,23 +126,24 @@ func (t *Training) Platform() accel.Platform { return t.platform }
 func (t *Training) CurrentPhase() (int, PhaseKind) { return t.phase, t.phases[t.phase].Kind }
 
 // Offer implements Task: only CPU phases demand host resources.
-func (t *Training) Offer(now float64, cores float64) Offer {
-	p := t.phases[t.phase]
+func (t *Training) Offer(now float64, cores float64, o *Offer) {
+	p := &t.phases[t.phase]
 	if p.Kind != CPUPhase || cores <= 0 {
-		return Offer{}
+		*o = Offer{}
+		return
 	}
-	active := math.Min(float64(p.Parallel), cores)
-	return Offer{ActiveCores: active, Mem: p.Mem}
+	o.ActiveCores = min(float64(p.Parallel), cores)
+	o.Mem = p.Mem
 }
 
 // Advance implements Task. A step boundary inside dt rolls leftover time
 // into the next phase, so throughput is not quantized by the tick length.
-func (t *Training) Advance(now, dt float64, cores float64, r Rates) {
+func (t *Training) Advance(now, dt float64, cores float64, r *Rates) {
 	for dt > 1e-15 {
-		p := t.phases[t.phase]
+		p := &t.phases[t.phase]
 		switch p.Kind {
 		case CPUPhase:
-			active := math.Min(float64(p.Parallel), cores)
+			active := min(float64(p.Parallel), cores)
 			rate := active * r.CPUFactor // core-seconds of progress per second
 			if rate <= 0 {
 				return // starved of cores: no progress this step

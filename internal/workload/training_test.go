@@ -7,8 +7,15 @@ import (
 	"kelp/internal/accel"
 )
 
-func fullRates() Rates {
-	return Rates{CPUFactor: 1, LatencyStretch: 1, BWFraction: 1, LLCHit: 1, Backpressure: 1}
+func fullRates() *Rates {
+	return &Rates{CPUFactor: 1, LatencyStretch: 1, BWFraction: 1, LLCHit: 1, Backpressure: 1}
+}
+
+// offerOf returns t's offer in a fresh slot.
+func offerOf(t Task, now, cores float64) Offer {
+	var o Offer
+	t.Offer(now, cores, &o)
+	return o
 }
 
 func TestNewTrainingValidation(t *testing.T) {
@@ -144,12 +151,12 @@ func TestTrainingAccelPhaseInsensitiveToCPUFactor(t *testing.T) {
 func TestTrainingOfferOnlyDuringCPUPhase(t *testing.T) {
 	plat := accel.NewCloudTPU()
 	task, _ := NewCNN1(plat)
-	off := task.Offer(0, 8)
+	off := offerOf(task, 0, 8)
 	if off.ActiveCores != 2 {
 		t.Errorf("CPU-phase offer = %+v, want 2 active cores", off)
 	}
 	// Cores cap the offer.
-	if got := task.Offer(0, 1); got.ActiveCores != 1 {
+	if got := offerOf(task, 0, 1); got.ActiveCores != 1 {
 		t.Errorf("capped offer = %+v", got)
 	}
 	// Drive into the accel phase and check the offer disappears.
@@ -164,7 +171,7 @@ func TestTrainingOfferOnlyDuringCPUPhase(t *testing.T) {
 	if _, kind := task.CurrentPhase(); kind != AccelPhase {
 		t.Fatal("never reached accel phase")
 	}
-	if off := task.Offer(now, 8); off.ActiveCores != 0 {
+	if off := offerOf(task, now, 8); off.ActiveCores != 0 {
 		t.Errorf("accel-phase offer = %+v, want idle", off)
 	}
 }

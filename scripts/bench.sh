@@ -5,12 +5,14 @@
 #   scripts/bench.sh              # micro + headline figure benchmarks
 #   scripts/bench.sh -quick       # everything at -benchtime=1x (CI smoke)
 #   scripts/bench.sh -micro       # hot-path microbenchmarks only
+#   BENCH_MATCH=regexp scripts/bench.sh -micro   # only the matching ones
 #   scripts/bench.sh -f           # overwrite an existing same-day snapshot
 #   BENCH_OUT=out.json scripts/bench.sh
 #
 # The snapshot records ns/op, B/op, allocs/op and every custom metric
-# (the BenchmarkFigure* headline numbers) per benchmark, so successive
-# PRs have a perf trajectory to compare against. Reading and updating the
+# (the BenchmarkFigure* headline numbers) per benchmark, plus the host's
+# nproc and the GOMAXPROCS the benchmarks ran with, so successive PRs have
+# a perf trajectory to compare against. Reading and updating the
 # snapshot is documented in docs/PERFORMANCE.md.
 set -eu
 
@@ -47,7 +49,9 @@ trap 'rm -f "$RAW"' EXIT
 # the timer), fleet placement per policy at the study's 20000-machine
 # config, and the session server's advance round trip and middleware tax.
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
-MICRO_BENCH='BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'
+# BENCH_MATCH narrows the suite, e.g. to baseline newly guarded benchmarks
+# without re-recording the others (cmd/benchguard layers snapshots).
+MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
 
 case "$MODE" in
 quick)
@@ -67,8 +71,11 @@ esac
 # Render the raw `go test -bench` output as JSON. Benchmark lines are
 #   Name-N  <iters>  <value> <unit>  <value> <unit> ...
 # and `pkg:` lines scope the names.
-awk -v date="$(date +%F)" -v goversion="$(go version | cut -d' ' -f3)" -v mode="$MODE" '
-BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"mode\": \"%s\",\n  \"benchmarks\": [", date, goversion, mode }
+# GOMAXPROCS defaults to the CPUs the process may use, which nproc reports.
+NPROC=$(nproc)
+awk -v date="$(date +%F)" -v goversion="$(go version | cut -d' ' -f3)" -v mode="$MODE" \
+	-v nproc="$NPROC" -v gomaxprocs="${GOMAXPROCS:-$NPROC}" '
+BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"mode\": \"%s\",\n  \"nproc\": %s,\n  \"gomaxprocs\": %s,\n  \"benchmarks\": [", date, goversion, mode, nproc, gomaxprocs }
 /^pkg: / { pkg = $2 }
 /^Benchmark/ {
 	name = $1

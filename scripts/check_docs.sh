@@ -11,6 +11,9 @@
 #      deleted or demoted to non-verified examples).
 #   4. every cmd/<name> path named in README.md, DESIGN.md and docs/*.md
 #      exists, so a deleted or renamed command leaves no stale reference.
+#   5. every section reference written as a link plus a section number,
+#      `[X.md](X.md) §N`, in the files of check 2 names a section that
+#      exists: the linked file has an `## N.` heading.
 #
 # Exits non-zero listing every violation (it does not stop at the first).
 set -u
@@ -73,6 +76,22 @@ for doc in $cmddocs; do
             fail=1
         fi
     done < <(grep -oE 'cmd/[A-Za-z0-9_-]+' "$doc" | sort -u)
+done
+
+# --- 5. [X.md](X.md) §N section references ----------------------------------
+# The doc is joined into one line first, so a reference wrapped between the
+# link and its section number is still checked.
+for doc in $docs; do
+    while IFS= read -r ref; do
+        target=$(printf '%s' "$ref" | sed 's/.*](\([^)#]*\)).*/\1/')
+        num=${ref##*§}
+        file="$(dirname "$doc")/$target"
+        [ -f "$file" ] || continue # a missing file is check 2's report
+        if ! grep -q "^## $num\. " "$file"; then
+            echo "check_docs: $doc refers to $target §$num, which has no '## $num.' heading"
+            fail=1
+        fi
+    done < <(tr '\n' ' ' <"$doc" | grep -oE '\[[^]]*\]\([^)]*\.md\) §[0-9]+')
 done
 
 if [ "$fail" -ne 0 ]; then
