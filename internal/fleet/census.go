@@ -56,43 +56,78 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]float64, cfg.Machines)
+	// The 99%-ile is the k-th largest sample. Selecting it needs only the k
+	// largest samples seen so far, kept ascending so top[0] is the answer;
+	// sorting all of them is wasted work.
+	k := cfg.SamplesPerMachine - p99Index(cfg.SamplesPerMachine)
+	top := make([]float64, 0, k)
 	for m := range out {
-		// Machine archetypes: the paper's fleet mixes lightly-loaded web
-		// and storage machines with batch/analytics machines that saturate
-		// memory. Mean utilization draws from a three-mode mixture; the
-		// day's samples scatter around it, and the 99%-ile picks the busy
-		// tail of the day.
-		var mean float64
-		switch p := rng.Float64(); {
-		case p < 0.45: // lightly loaded
-			mean = 0.08 + 0.12*rng.Float64()
-		case p < 0.85: // moderate
-			mean = 0.20 + 0.30*rng.Float64()
-		default: // heavy batch
-			mean = 0.55 + 0.35*rng.Float64()
+		mean := censusMean(rng)
+		top = top[:0]
+		for range cfg.SamplesPerMachine {
+			top = keepLargest(top, k, censusSample(rng, mean))
 		}
-		best := 0.0
-		samples := make([]float64, cfg.SamplesPerMachine)
-		for i := range samples {
-			v := mean + 0.18*rng.NormFloat64()*mean + 0.05*rng.Float64()
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			samples[i] = v
-		}
-		sort.Float64s(samples)
-		idx := int(0.99 * float64(len(samples)))
-		if idx >= len(samples) {
-			idx = len(samples) - 1
-		}
-		best = samples[idx]
-		out[m] = best
+		out[m] = top[0]
 	}
 	sort.Float64s(out)
 	return &Census{P99: out}, nil
+}
+
+// censusMean draws a machine's mean utilization. Machine archetypes: the
+// paper's fleet mixes lightly-loaded web and storage machines with
+// batch/analytics machines that saturate memory, so the mean draws from a
+// three-mode mixture; the day's samples scatter around it, and the
+// 99%-ile picks the busy tail of the day.
+func censusMean(rng *rand.Rand) float64 {
+	switch p := rng.Float64(); {
+	case p < 0.45: // lightly loaded
+		return 0.08 + 0.12*rng.Float64()
+	case p < 0.85: // moderate
+		return 0.20 + 0.30*rng.Float64()
+	default: // heavy batch
+		return 0.55 + 0.35*rng.Float64()
+	}
+}
+
+// censusSample draws one of a machine's bandwidth samples, a fraction of
+// peak in [0, 1].
+func censusSample(rng *rand.Rand, mean float64) float64 {
+	v := mean + 0.18*rng.NormFloat64()*mean + 0.05*rng.Float64()
+	if v < 0 {
+		v = 0
+	}
+	if v > 1 {
+		v = 1
+	}
+	return v
+}
+
+// p99Index returns the index of the 99%-ile in n ascending samples.
+func p99Index(n int) int {
+	return min(int(0.99*float64(n)), n-1)
+}
+
+// keepLargest adds v to top, the ascending k largest values seen so far,
+// evicting the smallest once top holds k. It never grows top past k.
+func keepLargest(top []float64, k int, v float64) []float64 {
+	if len(top) < k {
+		i := len(top)
+		top = append(top, v)
+		for ; i > 0 && top[i-1] > v; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = v
+		return top
+	}
+	if v <= top[0] {
+		return top
+	}
+	i := 0
+	for ; i+1 < k && top[i+1] < v; i++ {
+		top[i] = top[i+1]
+	}
+	top[i] = v
+	return top
 }
 
 // FractionAbove returns the fraction of machines whose 99%-ile bandwidth

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -116,5 +119,40 @@ func TestEmptyCensus(t *testing.T) {
 	var c Census
 	if c.FractionAbove(0.5) != 0 {
 		t.Error("empty census should report 0")
+	}
+}
+
+// sortedCensus is RunCensus's sort-based reference: it sorts each
+// machine's samples and reads the 99%-ile by index.
+func sortedCensus(cfg CensusConfig) []float64 {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	out := make([]float64, cfg.Machines)
+	for m := range out {
+		mean := censusMean(rng)
+		samples := make([]float64, cfg.SamplesPerMachine)
+		for i := range samples {
+			samples[i] = censusSample(rng, mean)
+		}
+		sort.Float64s(samples)
+		out[m] = samples[p99Index(len(samples))]
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// TestCensusSelectMatchesSort pins that selecting each machine's 99%-ile
+// from its largest samples reads exactly the value sorting would.
+func TestCensusSelectMatchesSort(t *testing.T) {
+	for _, n := range []int{1, 2, 99, 100, 288, 1000} {
+		for _, seed := range []int64{1, 2, 3, 7, 42} {
+			cfg := CensusConfig{Machines: 300, SamplesPerMachine: n, Seed: seed}
+			c, err := RunCensus(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sortedCensus(cfg); !reflect.DeepEqual(c.P99, want) {
+				t.Errorf("samples=%d seed=%d: selected P99 differs from the sorted reference", n, seed)
+			}
+		}
 	}
 }

@@ -14,6 +14,27 @@ func benchNode(b testing.TB) *Node { return benchNodeWith(b, DefaultConfig()) }
 // benchNodeWith is benchNode on an arbitrary configuration (the incremental
 // equivalence test builds the same colocation with NoIncremental set).
 func benchNodeWith(b testing.TB, cfg Config) *Node {
+	return benchNodeTasks(b, cfg, func(l *workload.Loop) workload.Task { return l })
+}
+
+// reofferLoop is a Loop whose offer horizon is always now: a node running
+// only reofferLoops re-offers on every tick, so a steady colocation takes
+// the offer-compare (clean) tier instead of the horizon tier.
+type reofferLoop struct{ *workload.Loop }
+
+func (r reofferLoop) Offer(now, cores float64, o *workload.Offer) float64 {
+	r.Loop.Offer(now, cores, o)
+	return now
+}
+
+// reofferNode is benchNode with every task wrapped in a reofferLoop.
+func reofferNode(b testing.TB) *Node {
+	return benchNodeTasks(b, DefaultConfig(), func(l *workload.Loop) workload.Task { return reofferLoop{l} })
+}
+
+// benchNodeTasks builds benchNode's colocation on cfg, registering each
+// loop as wrap returns it.
+func benchNodeTasks(b testing.TB, cfg Config, wrap func(*workload.Loop) workload.Task) *Node {
 	b.Helper()
 	n, err := New(cfg)
 	if err != nil {
@@ -40,7 +61,7 @@ func benchNodeWith(b testing.TB, cfg Config) *Node {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := n.AddTask(l, group); err != nil {
+		if err := n.AddTask(wrap(l), group); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,9 +76,10 @@ func benchNodeWith(b testing.TB, cfg Config) *Node {
 // collection, cgroup timesharing, memory-system resolution, rate
 // distribution, task advance — the 100µs inner loop of every experiment.
 // Incremental resolution is disabled so the number keeps measuring the
-// full pipeline across snapshots: with it on, a steady colocation takes
-// the clean-tick fast path (BenchmarkNodeStepClean measures that).
-// Steady state must not allocate on the node/memsys side of the pipeline.
+// full pipeline across snapshots: with it on, a steady colocation takes a
+// fast path (BenchmarkNodeStepClean and BenchmarkNodeStepReoffer measure
+// those). Steady state must not allocate on the node/memsys side of the
+// pipeline.
 func BenchmarkNodeStep(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.NoIncremental = true
@@ -71,10 +93,10 @@ func BenchmarkNodeStep(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeStepClean measures the clean-tick fast path: offers,
-// cgroup/prefetch/memory generations, and the resolved flow set all
-// unchanged since the previous tick — what a steady simulation phase pays
-// per 100µs step.
+// BenchmarkNodeStepClean measures what a steady simulation phase pays per
+// 100µs step: offers, cgroup/prefetch/memory generations, and the resolved
+// flow set all unchanged since the previous tick. Its non-bursting loops
+// never re-offer, so it measures the horizon tier (docs/PERFORMANCE.md §3).
 func BenchmarkNodeStepClean(b *testing.B) {
 	n := benchNode(b)
 	n.Run(10 * n.cfg.Step)
@@ -85,19 +107,36 @@ func BenchmarkNodeStepClean(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeStepReoffer measures the offer-compare tier: the same steady
+// colocation as BenchmarkNodeStepClean, but every task's horizon is now, so
+// each tick re-offers and proves itself clean by comparing offers.
+func BenchmarkNodeStepReoffer(b *testing.B) {
+	n := reofferNode(b)
+	n.Run(10 * n.cfg.Step)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.engine.Tick()
+	}
+}
+
 // TestNodeStepSteadyStateAllocs pins the allocation-free node tick: after
 // warmup, one engine tick (node pipeline + memsys resolve) performs zero
-// heap allocations — on both the full pipeline and the clean-tick fast
-// path.
+// heap allocations — on the full pipeline, the offer-compare (clean) tier
+// and the horizon (steady) tier.
 func TestNodeStepSteadyStateAllocs(t *testing.T) {
+	noInc := DefaultConfig()
+	noInc.NoIncremental = true
 	for _, tc := range []struct {
 		name  string
-		noInc bool
-	}{{"full", true}, {"clean", false}} {
+		build func(testing.TB) *Node
+	}{
+		{"full", func(tb testing.TB) *Node { return benchNodeWith(tb, noInc) }},
+		{"clean", reofferNode},
+		{"steady", benchNode},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.NoIncremental = tc.noInc
-			n := benchNodeWith(t, cfg)
+			n := tc.build(t)
 			n.Run(10 * n.cfg.Step)
 			avg := testing.AllocsPerRun(200, func() {
 				n.engine.Tick()

@@ -7,6 +7,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"kelp/internal/cgroup"
 	"kelp/internal/cpu"
@@ -147,13 +148,21 @@ type Node struct {
 	scratchFlows     []memsys.Flow
 	scratchDemand    []float64
 
-	// Clean-tick fast-path state: a step whose offers match the previous
-	// step's under unchanged cgroup, prefetcher, memory-config and task-set
-	// generations reuses the previous flow set and cached rates, reducing
-	// the tick to an offer compare plus the memory system's fingerprint
-	// check. Invalidated by task add/remove and snapshot restore; disabled
-	// by Config.NoIncremental or the hardware prefetch governor (whose
-	// integral state mutates every tick).
+	// Fast-path state. A tick takes one of three tiers (docs/PERFORMANCE.md
+	// §3). All three need the previous tick's flow set and cached rates to
+	// still describe the node: the last full tick completed (prevValid) and
+	// the cgroup, prefetcher and memory-config generations are unchanged
+	// since. On top of that:
+	//   - horizon tick: no Advance reported reoffer since the last offer
+	//     pass (stale) and now is before every task's offer horizon, so the
+	//     offers cannot have changed; the tick skips the offer pass and
+	//     replays the cached resolution.
+	//   - clean tick: the tasks re-offer and every offer matches prevOffers;
+	//     the tick skips flow assembly and replays the cached resolution.
+	//   - full tick: anything else.
+	// Invalidated by task add/remove and snapshot restore; disabled by
+	// Config.NoIncremental or the hardware prefetch governor (whose
+	// integral state mutates every tick). None of it is snapshotted.
 	prevOffers    []workload.Offer
 	prevValid     bool
 	prevCgroupGen uint64
@@ -163,6 +172,12 @@ type Node struct {
 	// memory system's proof on a clean tick that its cached fixed point is
 	// still the one computed from this node's flows.
 	prevSeq uint64
+	// horizon is the earliest offer horizon the tasks returned at the last
+	// offer pass: before it, every task's offer is still exact.
+	horizon float64
+	// stale records that an Advance since the last offer pass reported
+	// reoffer, voiding horizon.
+	stale bool
 }
 
 // New builds a node.
@@ -426,6 +441,14 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 // offers, timeshare each cgroup's cores among its tasks, resolve the memory
 // system, record counters, distribute rates, advance tasks.
 func (n *Node) Step(now sim.Time, dt sim.Duration) {
+	// Horizon tick: no task's offer can have changed since the last offer
+	// pass, so pass 1 would reproduce the cached offers and effective
+	// cores, and the clean-tick compare below would succeed.
+	if n.withinHorizon(now) {
+		n.replay(now, dt, n.scratchEffective[:len(n.tasks)])
+		return
+	}
+
 	// Pass 1: offers and per-group demand, for timesharing. Two tasks in
 	// one cgroup contend for its cpuset like real cgroup siblings: when the
 	// group is oversubscribed each task gets a proportional core share.
@@ -445,11 +468,15 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	for i := range groupDemand {
 		groupDemand[i] = 0
 	}
+	horizon := math.Inf(1)
 	for i, bt := range n.tasks {
 		capacity[i] = float64(bt.group.CPUs().Len())
-		bt.task.Offer(now, capacity[i], &offers[i])
+		if until := bt.task.Offer(now, capacity[i], &offers[i]); until < horizon {
+			horizon = until
+		}
 		groupDemand[bt.groupIdx] += offers[i].ActiveCores
 	}
+	n.horizon = horizon
 	for i, bt := range n.tasks {
 		eff := offers[i].ActiveCores
 		if total := groupDemand[bt.groupIdx]; total > capacity[i] && total > 0 {
@@ -461,20 +488,9 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	// Clean-tick fast path: when nothing that feeds the flow assembly has
 	// changed since the previous step — same offers, no cgroup or
 	// prefetcher actuation, no memory reconfiguration, same task set — the
-	// previous step's flow set and per-task rates are still exact, and so
-	// is the memory system's cached fixed point: Replay hands it back
-	// without re-comparing the flows, so the monitor keeps recording true
-	// per-step resolutions. Replay declines when anything else resolved on
-	// this memory system since; Resolve's own fingerprint then decides.
+	// previous step's flow set and per-task rates are still exact.
 	if n.stepClean(offers) {
-		res, ok := n.mem.Replay(n.prevSeq)
-		if !ok {
-			res = n.resolve(n.scratchFlows)
-		}
-		n.mon.Record(dt, res)
-		for i, bt := range n.tasks {
-			bt.task.Advance(now, dt, effective[i], &bt.rates)
-		}
+		n.replay(now, dt, effective)
 		return
 	}
 
@@ -535,6 +551,7 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	n.mon.Record(dt, res)
 
 	// 3. Distribute rates and advance every task on its effective cores.
+	stale := false
 	for i, bt := range n.tasks {
 		if bt.hasFlow {
 			fr := res.Flows[bt.flowIdx]
@@ -553,8 +570,11 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 			// Idle on the memory system this step; identity rates.
 			bt.rates = identityRates()
 		}
-		bt.task.Advance(now, dt, effective[i], &bt.rates)
+		if bt.task.Advance(now, dt, effective[i], &bt.rates) {
+			stale = true
+		}
 	}
+	n.stale = stale
 
 	// Record the fast-path fingerprint for the next step.
 	n.prevOffers = append(n.prevOffers[:0], offers...)
@@ -576,18 +596,48 @@ func (n *Node) resolve(fl []memsys.Flow) *memsys.Resolution {
 	return res
 }
 
+// replay finishes a tick whose flow set is the previous tick's. The memory
+// system's cached fixed point is still exact: Replay hands it back without
+// re-comparing the flows, so the monitor keeps recording true per-step
+// resolutions. Replay declines when anything else resolved on this memory
+// system since; Resolve's own fingerprint then decides. Every task then
+// advances on the cached rates.
+func (n *Node) replay(now sim.Time, dt sim.Duration, effective []float64) {
+	res, ok := n.mem.Replay(n.prevSeq)
+	if !ok {
+		res = n.resolve(n.scratchFlows)
+	}
+	n.mon.Record(dt, res)
+	stale := false
+	for i, bt := range n.tasks {
+		if bt.task.Advance(now, dt, effective[i], &bt.rates) {
+			stale = true
+		}
+	}
+	n.stale = stale
+}
+
+// unchanged reports whether the previous step completed the full pipeline
+// and no control surface was actuated since: the precondition of both
+// fast paths.
+func (n *Node) unchanged() bool {
+	return !n.cfg.NoIncremental && !n.cfg.HardwarePrefetchGovernor && n.prevValid &&
+		n.prevCgroupGen == n.cgroups.Gen() && n.prevProcGen == n.proc.Gen() &&
+		n.prevMemEpoch == n.mem.Epoch()
+}
+
+// withinHorizon reports whether this step may skip the offer pass: no
+// control surface was actuated, no task reported reoffer, and now is
+// before every task's offer horizon.
+func (n *Node) withinHorizon(now sim.Time) bool {
+	return !n.stale && now < n.horizon && n.unchanged()
+}
+
 // stepClean reports whether this step may take the clean-tick fast path:
-// the previous step completed the full pipeline, no control surface was
-// actuated since, and every task offers exactly what it offered then.
+// no control surface was actuated since the last full step, and every
+// task offers exactly what it offered then.
 func (n *Node) stepClean(offers []workload.Offer) bool {
-	if n.cfg.NoIncremental || n.cfg.HardwarePrefetchGovernor || !n.prevValid {
-		return false
-	}
-	if n.prevCgroupGen != n.cgroups.Gen() || n.prevProcGen != n.proc.Gen() ||
-		n.prevMemEpoch != n.mem.Epoch() {
-		return false
-	}
-	if len(offers) != len(n.prevOffers) {
+	if !n.unchanged() || len(offers) != len(n.prevOffers) {
 		return false
 	}
 	for i := range offers {

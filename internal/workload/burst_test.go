@@ -93,3 +93,73 @@ func TestBurstDefaultsIdleFactor(t *testing.T) {
 		t.Errorf("default idle demand = %v, want 0.3x", off.Mem.StreamBWPerCore)
 	}
 }
+
+// FuzzLoopOfferHorizon pins a bursting Loop's offer horizon. For any valid
+// burst schedule and any now, the offer at every 100µs tick in [now, until)
+// must equal the offer at now, and until must lie within 1µs before the
+// burst edge, so the horizon is neither unsafe nor vacuous. Each input is
+// folded into range by its fractional part: every finite input is a valid
+// schedule whose burst and idle windows are at least 2µs wide.
+func FuzzLoopOfferHorizon(f *testing.F) {
+	f.Add(0.3, 0.6, 0.555, 0.0, 0.3)   // Stitch-like schedule at the start
+	f.Add(0.4, 0.5, 0.5, 0.3, 0.3)     // CPUML-like schedule, later
+	f.Add(0.3, 0.6, 0.11, 0.0895, 0.0) // negative phase, default idle factor
+	f.Add(0.1, 0.999, 0.75, 12.5, 0.1) // long burst, short idle window
+	f.Add(0.9, 0.0, 0.2, 3.0, 0.5)     // duty 1: never leaves the burst
+	f.Fuzz(func(t *testing.T, period, duty, phase, now, idle float64) {
+		for _, v := range []float64{period, duty, phase, now, idle} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		unit := func(x float64) float64 { x = math.Abs(x); return x - math.Floor(x) }
+		cfg := LoopConfig{
+			Threads:         4,
+			UnitWork:        1e-3,
+			BurstPeriod:     1e-3 + 0.499*unit(period),
+			BurstDuty:       unit(duty),
+			BurstPhase:      2*unit(phase) - 1,
+			BurstIdleFactor: 0.95 * unit(idle),
+			Mem:             MemProfile{StreamBWPerCore: 4 * GB, LLCRefBWPerCore: GB},
+		}
+		if cfg.BurstDuty == 0 {
+			cfg.BurstDuty = 1
+		}
+		if cfg.BurstDuty < 1 && min(cfg.BurstDuty, 1-cfg.BurstDuty)*cfg.BurstPeriod < 2e-6 {
+			t.Skip()
+		}
+		now = 100 * unit(now)
+		l, err := NewLoop("bursty", cfg)
+		if err != nil {
+			t.Fatalf("folded config invalid: %v", err)
+		}
+		var want Offer
+		until := l.Offer(now, 4, &want)
+
+		end := until
+		if math.IsInf(until, 1) {
+			if cfg.BurstDuty < 1 {
+				t.Fatalf("horizon +Inf for duty %v < 1", cfg.BurstDuty)
+			}
+			end = now + 2*cfg.BurstPeriod
+		}
+		for k := 1; ; k++ {
+			tick := now + float64(k)*100e-6
+			if tick >= end {
+				break
+			}
+			if got := offerOf(l, tick, 4); got != want {
+				t.Fatalf("%+v: offer at tick %v = %+v, differs from offer at now=%v before until=%v", cfg, tick, got, now, until)
+			}
+		}
+		if math.IsInf(until, 1) {
+			return
+		}
+		if got := offerOf(l, until, 4); got != want {
+			t.Fatalf("%+v: offer at until=%v differs from offer at now=%v", cfg, until, now)
+		}
+		if got := offerOf(l, until+1e-6, 4); got == want {
+			t.Fatalf("%+v: offer 1µs past until=%v still equals offer at now=%v: horizon ends early", cfg, until, now)
+		}
+	})
+}

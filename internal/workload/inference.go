@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"kelp/internal/accel"
@@ -159,7 +160,9 @@ func (s *Inference) InFlight() int { return len(s.inflight) }
 func (s *Inference) QueueDepth() int { return len(s.queued) }
 
 // Offer implements Task: requests currently in their CPU phase occupy cores.
-func (s *Inference) Offer(now float64, cores float64, o *Offer) {
+// The offer depends only on how many there are, so it holds until Advance
+// changes that count.
+func (s *Inference) Offer(now float64, cores float64, o *Offer) (until float64) {
 	k := 0
 	for _, r := range s.inflight {
 		if r.Phase == reqCPU {
@@ -168,10 +171,11 @@ func (s *Inference) Offer(now float64, cores float64, o *Offer) {
 	}
 	if k == 0 || cores <= 0 {
 		*o = Offer{}
-		return
+		return math.Inf(1)
 	}
 	o.ActiveCores = min(float64(k), cores)
 	o.Mem = s.cfg.Mem
+	return math.Inf(1)
 }
 
 func (s *Inference) interarrival() float64 {
@@ -183,9 +187,11 @@ func (s *Inference) interarrival() float64 {
 	return base * (1 + s.cfg.ArrivalJitter*(2*s.rng.Float64()-1))
 }
 
-// Advance implements Task.
-func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) {
+// Advance implements Task. It reports reoffer when the step changed the
+// number of requests in their CPU phase.
+func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
 	end := now + dt
+	before := len(s.inflight)
 
 	if s.cfg.ClosedLoop {
 		// Pipelined generator: top up to MaxConcurrency immediately;
@@ -239,8 +245,12 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) {
 		share = 0
 	}
 	cpuRate := share * r.CPUFactor
+	// Arrivals and admissions only add CPU-phase requests, so the count the
+	// last Offer saw is k less the requests this step added.
+	offered := k - (len(s.inflight) - before)
 
 	var done []int
+	kEnd := 0
 	for i, q := range s.inflight {
 		switch q.Phase {
 		case reqCPU:
@@ -267,6 +277,9 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) {
 				}
 			}
 		}
+		if q.Phase == reqCPU {
+			kEnd++
+		}
 	}
 	if len(done) > 0 {
 		kept := s.inflight[:0]
@@ -280,6 +293,7 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) {
 		}
 		s.inflight = kept
 	}
+	return kEnd != offered
 }
 
 func (s *Inference) finish(now float64, q *request) {

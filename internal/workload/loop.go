@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"kelp/internal/metrics"
 )
@@ -33,21 +34,34 @@ type LoopConfig struct {
 	BurstPhase float64
 }
 
-// burstDemandFactor returns the demand multiplier at simulated time now.
-func (c LoopConfig) burstDemandFactor(now float64) float64 {
+// burstEdgeMargin is how far before a burst edge a bursting Loop's offer
+// horizon ends. The edge is recomputed in floating point, and the margin
+// absorbs its rounding: a tick that lands inside it simply re-offers.
+const burstEdgeMargin = 1e-9
+
+// burst returns the demand multiplier at simulated time now and the burst
+// edge after now, where the multiplier next changes (+Inf when it never
+// does).
+func (c LoopConfig) burst(now float64) (factor, edge float64) {
 	if c.BurstPeriod <= 0 {
-		return 1
+		return 1, math.Inf(1)
 	}
 	idle := c.BurstIdleFactor
 	if idle <= 0 {
 		idle = 0.3
 	}
 	pos := now + c.BurstPhase
-	frac := pos/c.BurstPeriod - float64(int64(pos/c.BurstPeriod))
-	if frac < c.BurstDuty {
-		return 1
+	q := float64(int64(pos / c.BurstPeriod))
+	frac := pos/c.BurstPeriod - q
+	if frac >= c.BurstDuty {
+		return idle, (q+1)*c.BurstPeriod - c.BurstPhase
 	}
-	return idle
+	if c.BurstDuty >= 1 {
+		return 1, math.Inf(1)
+	}
+	// Before the schedule's origin (pos < 0) frac is never positive, so
+	// the job bursts until the origin period's duty window closes.
+	return 1, (max(q, 0)+c.BurstDuty)*c.BurstPeriod - c.BurstPhase
 }
 
 // Validate reports whether the configuration is usable.
@@ -105,37 +119,32 @@ func (l *Loop) Name() string { return l.name }
 // Config returns the loop configuration.
 func (l *Loop) Config() LoopConfig { return l.cfg }
 
-// SetThreads adjusts the worker count at runtime (the CPUML thread sweep).
-func (l *Loop) SetThreads(n int) error {
-	if n < 1 {
-		return fmt.Errorf("workload: %s: SetThreads(%d)", l.name, n)
-	}
-	l.cfg.Threads = n
-	return nil
-}
-
 // Offer implements Task: all threads are always runnable, capped by the
 // available cores. Bursting scales the streaming demand with the job's
-// current phase.
-func (l *Loop) Offer(now float64, cores float64, o *Offer) {
+// current phase, so a bursting offer holds until the next burst edge.
+func (l *Loop) Offer(now float64, cores float64, o *Offer) (until float64) {
 	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
 		*o = Offer{}
-		return
+		return math.Inf(1)
 	}
 	o.ActiveCores = active
 	o.Mem = l.cfg.Mem
-	if f := l.cfg.burstDemandFactor(now); f != 1 {
+	f, edge := l.cfg.burst(now)
+	if f != 1 {
 		o.Mem.StreamBWPerCore *= f
 		o.Mem.LLCRefBWPerCore *= f
 	}
+	return edge - burstEdgeMargin
 }
 
 // Advance implements Task.
-func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) {
+// A loop's offer depends only on time and cores, so it never reports
+// reoffer.
+func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
 	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
-		return
+		return false
 	}
 	l.partial += dt * active * r.CPUFactor
 	if n := l.partial / l.cfg.UnitWork; n >= 1 {
@@ -143,6 +152,7 @@ func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) {
 		l.units.Add(now+dt, whole)
 		l.partial -= whole * l.cfg.UnitWork
 	}
+	return false
 }
 
 // StartMeasurement implements Task.

@@ -81,19 +81,6 @@ func TestLoopOfferCapped(t *testing.T) {
 	}
 }
 
-func TestLoopSetThreads(t *testing.T) {
-	l := MustLoop("l", LoopConfig{Threads: 2, UnitWork: 1})
-	if err := l.SetThreads(6); err != nil {
-		t.Fatal(err)
-	}
-	if l.Config().Threads != 6 {
-		t.Errorf("Threads = %d", l.Config().Threads)
-	}
-	if err := l.SetThreads(0); err == nil {
-		t.Error("SetThreads(0) accepted")
-	}
-}
-
 func TestLoopStandaloneRate(t *testing.T) {
 	l := MustLoop("l", LoopConfig{
 		Threads:  4,

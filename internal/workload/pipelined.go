@@ -101,18 +101,24 @@ func (p *Pipelined) Name() string { return p.name }
 // Buffered returns the current number of prepared items (fractional).
 func (p *Pipelined) Buffered() float64 { return p.buffered }
 
-// Offer implements Task: the producer runs whenever the buffer has room.
-func (p *Pipelined) Offer(now float64, cores float64, o *Offer) {
-	if p.buffered >= p.capacity || cores <= 0 {
+// Offer implements Task: the producer runs whenever the buffer has room,
+// so the offer holds until Advance fills or drains a full buffer.
+func (p *Pipelined) Offer(now float64, cores float64, o *Offer) (until float64) {
+	if p.full() || cores <= 0 {
 		*o = Offer{}
-		return
+		return math.Inf(1)
 	}
 	o.ActiveCores = min(float64(p.parallel), cores)
 	o.Mem = p.mem
+	return math.Inf(1)
 }
 
-// Advance implements Task: producer and consumer progress concurrently.
-func (p *Pipelined) Advance(now, dt float64, cores float64, r *Rates) {
+func (p *Pipelined) full() bool { return p.buffered >= p.capacity }
+
+// Advance implements Task: producer and consumer progress concurrently. It
+// reports reoffer when the buffer crosses between full and not full.
+func (p *Pipelined) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
+	wasFull := p.full()
 	// Producer: prepare items while the buffer has room.
 	if p.buffered < p.capacity && cores > 0 {
 		active := min(float64(p.parallel), cores)
@@ -150,6 +156,7 @@ func (p *Pipelined) Advance(now, dt float64, cores float64, r *Rates) {
 		p.running = false
 		p.steps.Add(now+dt-remaining, 1)
 	}
+	return p.full() != wasFull
 }
 
 // StartMeasurement implements Task.

@@ -111,17 +111,31 @@ type Rates struct {
 }
 
 // Task is a runnable workload.
+//
+// A task's offer is piecewise constant: it changes only at instants the
+// task can name in advance (a burst edge) or when Advance changes the
+// task's state (a new phase, a request entering or leaving its CPU
+// phase). The contract exposes both, so the node can skip asking while
+// neither can have happened: Offer returns a horizon, and Advance reports
+// reoffer. Advance is the only method that changes offer-relevant state;
+// restoring a snapshot (Snapshotter.TaskRestore) is the one exception, and
+// whoever restores must ask for a fresh offer.
 type Task interface {
 	// Name identifies the task instance.
 	Name() string
 	// Offer writes the task's traffic intent, given cores' worth of CPU
 	// available to it, into *o. It must overwrite every field of *o (the
 	// node reuses one slot per task across ticks) and be side-effect free.
-	Offer(now float64, cores float64, o *Offer)
+	// It returns the offer's horizon: given the same cores, and until
+	// Advance reports reoffer, the offer it wrote stays exact for every
+	// later tick before until. +Inf means only Advance can change it; a
+	// horizon at or before the next tick means ask again.
+	Offer(now float64, cores float64, o *Offer) (until float64)
 	// Advance progresses the task by dt given cores' worth of CPU (possibly
 	// fractional, under timesharing) and the resolved rates. *r belongs to
-	// the caller: Advance must not mutate it.
-	Advance(now, dt float64, cores float64, r *Rates)
+	// the caller: Advance must not mutate it. It reports reoffer when it
+	// changed offer-relevant state, voiding the last Offer's horizon.
+	Advance(now, dt float64, cores float64, r *Rates) (reoffer bool)
 	// StartMeasurement begins the measured interval (discards warmup).
 	StartMeasurement(now float64)
 	// Throughput returns measured work rate in the task's natural units

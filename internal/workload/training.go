@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"kelp/internal/accel"
 	"kelp/internal/metrics"
@@ -125,20 +126,23 @@ func (t *Training) Platform() accel.Platform { return t.platform }
 // CurrentPhase returns the index and kind of the in-progress phase.
 func (t *Training) CurrentPhase() (int, PhaseKind) { return t.phase, t.phases[t.phase].Kind }
 
-// Offer implements Task: only CPU phases demand host resources.
-func (t *Training) Offer(now float64, cores float64, o *Offer) {
+// Offer implements Task: only CPU phases demand host resources. The offer
+// is the current phase's, so it holds until Advance enters a new one.
+func (t *Training) Offer(now float64, cores float64, o *Offer) (until float64) {
 	p := &t.phases[t.phase]
 	if p.Kind != CPUPhase || cores <= 0 {
 		*o = Offer{}
-		return
+		return math.Inf(1)
 	}
 	o.ActiveCores = min(float64(p.Parallel), cores)
 	o.Mem = p.Mem
+	return math.Inf(1)
 }
 
 // Advance implements Task. A step boundary inside dt rolls leftover time
 // into the next phase, so throughput is not quantized by the tick length.
-func (t *Training) Advance(now, dt float64, cores float64, r *Rates) {
+// It reports reoffer whenever it enters a phase.
+func (t *Training) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
 	for dt > 1e-15 {
 		p := &t.phases[t.phase]
 		switch p.Kind {
@@ -146,18 +150,18 @@ func (t *Training) Advance(now, dt float64, cores float64, r *Rates) {
 			active := min(float64(p.Parallel), cores)
 			rate := active * r.CPUFactor // core-seconds of progress per second
 			if rate <= 0 {
-				return // starved of cores: no progress this step
+				return reoffer // starved of cores: no progress this step
 			}
 			need := t.remaining / rate
 			if need > dt {
 				t.remaining -= dt * rate
-				return
+				return reoffer
 			}
 			dt -= need
 		default: // accel and xfer phases advance in wall time
 			if t.remaining > dt {
 				t.remaining -= dt
-				return
+				return reoffer
 			}
 			dt -= t.remaining
 		}
@@ -170,7 +174,9 @@ func (t *Training) Advance(now, dt float64, cores float64, r *Rates) {
 			next = 0
 		}
 		t.enterPhase(next)
+		reoffer = true
 	}
+	return reoffer
 }
 
 // RecordStepTimes enables (or disables) per-step completion timestamps,

@@ -43,7 +43,9 @@ fi
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-# Hot-path microbenchmarks: the allocation-free simulation step, the
+# Hot-path microbenchmarks: the allocation-free simulation step in each of
+# its tiers (full, horizon, and offer-compare; the prefix BenchmarkNodeStep
+# already matches BenchmarkNodeStepReoffer, which is named to pin it), the
 # zero-cost disabled instrumentation path, the fleet composition tick
 # (per-job cluster replay over pre-measured shapes; placement runs before
 # the timer), fleet placement per policy at the study's 20000-machine
@@ -51,7 +53,7 @@ trap 'rm -f "$RAW"' EXIT
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
 # BENCH_MATCH narrows the suite, e.g. to baseline newly guarded benchmarks
 # without re-recording the others (cmd/benchguard layers snapshots).
-MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
+MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkNodeStepReoffer|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
 
 case "$MODE" in
 quick)
