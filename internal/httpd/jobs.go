@@ -244,10 +244,11 @@ func (sess *Session) worker(s *Server) {
 // 100 µs step, well under a millisecond of wall time.
 const cancelCheckTicks = 256
 
-// runJob executes one advance: tick the session's engine to an absolute
-// target time, checking the wall-clock deadline and the cancel flag at
-// chunk boundaries. Ticking to an absolute target is byte-identical to a
-// single engine.Run call, so chunking never perturbs determinism.
+// runJob executes one advance: run the session's engine to an absolute
+// target time in chunks of cancelCheckTicks ticks, checking the wall-clock
+// deadline and the cancel flag between chunks. Running to an absolute
+// target is byte-identical to a single engine.Run call, so chunking never
+// perturbs determinism.
 func (sess *Session) runJob(s *Server, j *Job) {
 	s.jobsQueued.Add(-1)
 	s.jobsRunning.Add(1)
@@ -257,29 +258,30 @@ func (sess *Session) runJob(s *Server, j *Job) {
 
 	sess.mu.Lock()
 	eng := sess.agent.Node().Engine()
-	target := eng.Now() + j.MS*sim.Millisecond
+	start := eng.Now()
+	target := start + j.MS*sim.Millisecond
+	chunk := cancelCheckTicks * eng.Step()
 	var final int32 = jobDone
 	var jobErr error
 	if sess.cancel.Load() {
 		final = jobCanceled
 		jobErr = fmt.Errorf("httpd: session %q shutting down", sess.name)
 	}
-	ticks := 0
 	for final == jobDone && eng.Now() < target-1e-12 {
-		eng.Tick()
-		ticks++
-		if ticks%cancelCheckTicks == 0 {
-			if sess.cancel.Load() {
-				final = jobCanceled
-				jobErr = fmt.Errorf("httpd: session %q shutting down", sess.name)
-			} else if s.cfg.Clock().After(deadline) {
-				final = jobTimeout
-				jobErr = fmt.Errorf("httpd: job exceeded %s", s.cfg.JobTimeout)
-			}
+		eng.RunUntil(min(target, eng.Now()+chunk))
+		switch {
+		case eng.Now() >= target-1e-12:
+			// Reached the target: the job is done whatever the flags say.
+		case sess.cancel.Load():
+			final = jobCanceled
+			jobErr = fmt.Errorf("httpd: session %q shutting down", sess.name)
+		case s.cfg.Clock().After(deadline):
+			final = jobTimeout
+			jobErr = fmt.Errorf("httpd: job exceeded %s", s.cfg.JobTimeout)
 		}
 	}
 	now := eng.Now()
-	if ticks > 0 {
+	if now > start {
 		// Log-after-apply, still under the simulation lock and before
 		// j.finish publishes the result: the job is durable before it is
 		// visible. The record carries the engine clock actually reached —

@@ -524,8 +524,8 @@ func (s *Server) replayAll(req createSessionRequest, name string, recs []durable
 
 // applyRecord replays one logged command. Caller holds sess.mu. Admissions
 // and fs writes go through the same apply functions the live handlers use;
-// an advance ticks to the recorded end time with the same loop shape as
-// runJob, which is byte-identical to the original chunked execution.
+// an advance runs the engine to the recorded end time, which is
+// byte-identical to the original chunked execution.
 func (sess *Session) applyRecord(s *Server, rec durable.Record) error {
 	switch rec.Kind {
 	case durable.KindCreate:
@@ -542,10 +542,10 @@ func (sess *Session) applyRecord(s *Server, rec durable.Record) error {
 		return nil
 	case durable.KindAdvance:
 		end := math.Float64frombits(rec.End)
-		eng := sess.agent.Node().Engine()
-		for eng.Now() < end-1e-12 {
-			eng.Tick()
+		if math.IsNaN(end) || math.IsInf(end, 0) {
+			return fmt.Errorf("httpd: advance record %d: end %v", rec.Seq, end)
 		}
+		sess.agent.Node().Engine().RunUntil(end)
 		return nil
 	}
 	return fmt.Errorf("httpd: record %d: unknown kind %q", rec.Seq, rec.Kind)

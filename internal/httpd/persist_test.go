@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -641,5 +642,28 @@ func TestPersistStatusSurfaces(t *testing.T) {
 	_, ts2 := newServer(t)
 	if _, hz := do(t, "GET", ts2.URL+"/healthz", ""); !strings.Contains(hz, `"enabled":false`) {
 		t.Error("ephemeral healthz claims persistence")
+	}
+}
+
+// TestReplayRejectsNonFiniteAdvance pins that WAL replay refuses an advance
+// record whose end time is not finite, rather than running the engine
+// toward it (an infinite end would never return).
+func TestReplayRejectsNonFiniteAdvance(t *testing.T) {
+	s, ts := newServer(t)
+	mkSession(t, ts.URL, "a")
+	s.mu.RLock()
+	sess := s.sessions["a"]
+	s.mu.RUnlock()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	before := sess.agent.Node().Now()
+	for _, end := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := durable.Record{Seq: 2, Kind: durable.KindAdvance, End: math.Float64bits(end)}
+		if err := sess.applyRecord(s, rec); err == nil {
+			t.Errorf("advance record ending at %v replayed without error", end)
+		}
+	}
+	if now := sess.agent.Node().Now(); now != before {
+		t.Errorf("rejected records advanced the session from %v to %v", before, now)
 	}
 }

@@ -120,29 +120,49 @@ func BenchmarkNodeStepReoffer(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeRunHorizon measures what a steady simulation phase pays per
+// simulated tick when the engine hands the node whole horizon runs: the
+// same colocation as BenchmarkNodeStepClean, advanced through Node.Run.
+// Each op runs 1000 ticks; the ns/tick metric is the per-tick cost.
+func BenchmarkNodeRunHorizon(b *testing.B) {
+	const ticks = 1000
+	n := benchNode(b)
+	n.Run(10 * n.cfg.Step)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Run(ticks * n.cfg.Step)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ticks), "ns/tick")
+}
+
 // TestNodeStepSteadyStateAllocs pins the allocation-free node tick: after
 // warmup, one engine tick (node pipeline + memsys resolve) performs zero
 // heap allocations — on the full pipeline, the offer-compare (clean) tier
-// and the horizon (steady) tier.
+// and the horizon (steady) tier — and so does a Run that advances the
+// steady colocation through horizon runs.
 func TestNodeStepSteadyStateAllocs(t *testing.T) {
 	noInc := DefaultConfig()
 	noInc.NoIncremental = true
+	tick := func(n *Node) { n.engine.Tick() }
 	for _, tc := range []struct {
 		name  string
 		build func(testing.TB) *Node
+		step  func(*Node)
 	}{
-		{"full", func(tb testing.TB) *Node { return benchNodeWith(tb, noInc) }},
-		{"clean", reofferNode},
-		{"steady", benchNode},
+		{"full", func(tb testing.TB) *Node { return benchNodeWith(tb, noInc) }, tick},
+		{"clean", reofferNode, tick},
+		{"steady", benchNode, tick},
+		{"run", benchNode, func(n *Node) { n.Run(100 * n.cfg.Step) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.build(t)
 			n.Run(10 * n.cfg.Step)
 			avg := testing.AllocsPerRun(200, func() {
-				n.engine.Tick()
+				tc.step(n)
 			})
 			if avg != 0 {
-				t.Fatalf("steady-state node tick allocates %v allocs/op, want 0", avg)
+				t.Fatalf("steady-state node %s allocates %v allocs/op, want 0", tc.name, avg)
 			}
 		})
 	}

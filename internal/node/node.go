@@ -156,7 +156,8 @@ type Node struct {
 	//   - horizon tick: no Advance reported reoffer since the last offer
 	//     pass (stale) and now is before every task's offer horizon, so the
 	//     offers cannot have changed; the tick skips the offer pass and
-	//     replays the cached resolution.
+	//     replays the cached resolution, and runs on through the horizon
+	//     ticks after it in one StepN call (replayRun).
 	//   - clean tick: the tasks re-offer and every offer matches prevOffers;
 	//     the tick skips flow assembly and replays the cached resolution.
 	//   - full tick: anything else.
@@ -437,18 +438,28 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 	return float64(on) / float64(cpus.Len())
 }
 
-// Step implements sim.Stepper: one tick of the node pipeline — collect
-// offers, timeshare each cgroup's cores among its tasks, resolve the memory
-// system, record counters, distribute rates, advance tasks.
-func (n *Node) Step(now sim.Time, dt sim.Duration) {
+// Step implements sim.Stepper: one tick of the node pipeline, as a run
+// whose bounds stop it after its first tick.
+func (n *Node) Step(now sim.Time, dt sim.Duration) { n.StepN(now, dt, now, now) }
+
+// StepN implements sim.BatchStepper: the node pipeline — collect offers,
+// timeshare each cgroup's cores among its tasks, resolve the memory system,
+// record counters, distribute rates, advance tasks — for the tick at now,
+// and, when that tick is a horizon tick, for the horizon run it starts
+// (see replayRun). Full and clean ticks advance one tick. It returns the
+// number of ticks advanced.
+func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
 	// Horizon tick: no task's offer can have changed since the last offer
 	// pass, so pass 1 would reproduce the cached offers and effective
-	// cores, and the clean-tick compare below would succeed.
+	// cores, and the clean-tick compare in tick would succeed.
 	if n.withinHorizon(now) {
-		n.replay(now, dt, n.scratchEffective[:len(n.tasks)])
-		return
+		return n.replayRun(now, dt, deadline, due)
 	}
+	return n.tick(now, dt)
+}
 
+// tick runs one full or clean tick.
+func (n *Node) tick(now sim.Time, dt sim.Duration) int {
 	// Pass 1: offers and per-group demand, for timesharing. Two tasks in
 	// one cgroup contend for its cpuset like real cgroup siblings: when the
 	// group is oversubscribed each task gets a proportional core share.
@@ -490,8 +501,7 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	// prefetcher actuation, no memory reconfiguration, same task set — the
 	// previous step's flow set and per-task rates are still exact.
 	if n.stepClean(offers) {
-		n.replay(now, dt, effective)
-		return
+		return n.replayRun(now, dt, now, now)
 	}
 
 	fl := n.scratchFlows[:0]
@@ -582,6 +592,7 @@ func (n *Node) Step(now sim.Time, dt sim.Duration) {
 	n.prevProcGen = n.proc.Gen()
 	n.prevMemEpoch = n.mem.Epoch()
 	n.prevValid = true
+	return 1
 }
 
 // resolve resolves the memory system for fl and remembers the resolution's
@@ -596,25 +607,41 @@ func (n *Node) resolve(fl []memsys.Flow) *memsys.Resolution {
 	return res
 }
 
-// replay finishes a tick whose flow set is the previous tick's. The memory
-// system's cached fixed point is still exact: Replay hands it back without
-// re-comparing the flows, so the monitor keeps recording true per-step
-// resolutions. Replay declines when anything else resolved on this memory
-// system since; Resolve's own fingerprint then decides. Every task then
-// advances on the cached rates.
-func (n *Node) replay(now sim.Time, dt sim.Duration, effective []float64) {
+// replayRun finishes the tick at now, whose flow set is the previous
+// tick's, and runs on through the horizon ticks that follow it, exactly as
+// that many one-tick Steps would. The memory system's cached fixed point
+// is still exact, so it is replayed once for the whole run, and every task
+// advances tick by tick on its cached effective cores and rates. The run
+// stops after the first tick whose Advance reports reoffer, or before the
+// first tick that is past the earliest offer horizon, past the deadline,
+// or due for a controller; a clean tick passes bounds that stop it after
+// one tick. The monitor then integrates the run in one RecordN.
+//
+// Replay declines when anything else resolved on this memory system since
+// the node's last resolution; Resolve's own fingerprint then decides.
+func (n *Node) replayRun(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
 	res, ok := n.mem.Replay(n.prevSeq)
 	if !ok {
 		res = n.resolve(n.scratchFlows)
 	}
-	n.mon.Record(dt, res)
-	stale := false
-	for i, bt := range n.tasks {
-		if bt.task.Advance(now, dt, effective[i], &bt.rates) {
-			stale = true
+	tasks, effective := n.tasks, n.scratchEffective[:len(n.tasks)]
+	ticks, stale := 0, false
+	for !stale {
+		for i, bt := range tasks {
+			if bt.task.Advance(now, dt, effective[i], &bt.rates) {
+				stale = true
+			}
+		}
+		ticks++
+		// Repeated adds, as the engine advances its own clock.
+		now += dt
+		if !(now < n.horizon && now < deadline-1e-12 && now+1e-12 < due) {
+			break
 		}
 	}
 	n.stale = stale
+	n.mon.RecordN(dt, res, ticks)
+	return ticks
 }
 
 // unchanged reports whether the previous step completed the full pipeline

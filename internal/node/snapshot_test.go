@@ -12,11 +12,15 @@ import (
 )
 
 // nodeStats collects everything a measurement reads from a node: the clock,
-// every task's throughput, and the monitor's accumulated window.
+// every task's throughput, and the monitor's accumulated window, plus the
+// raw accumulators and engine scheduling state behind them, so equivalence
+// tests compare bits rather than averages.
 type nodeStats struct {
-	Now   sim.Time
-	Tasks map[string]float64
-	Mon   perfmon.Sample
+	Now    sim.Time
+	Tasks  map[string]float64
+	Mon    perfmon.Sample
+	MonRaw perfmon.State
+	Engine sim.EngineState
 }
 
 func statsOf(n *Node) nodeStats {
@@ -25,6 +29,8 @@ func statsOf(n *Node) nodeStats {
 		st.Tasks[t.Name()] = t.Throughput(n.Now())
 	}
 	st.Mon = n.Monitor().Peek()
+	st.MonRaw = n.Monitor().State()
+	st.Engine = n.Engine().State()
 	return st
 }
 

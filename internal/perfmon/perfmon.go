@@ -211,9 +211,8 @@ func (m *Monitor) Record(dt float64, res *memsys.Resolution) {
 	if res == nil || dt <= 0 {
 		return
 	}
-	if seq := res.Seq(); res != m.lastRes || seq != m.lastSeq || seq == 0 {
+	if !m.cached(res) {
 		m.cacheRates(res)
-		m.lastRes, m.lastSeq = res, seq
 	}
 	m.elapsed += dt
 	for s := 0; s < m.sockets; s++ {
@@ -234,8 +233,66 @@ func (m *Monitor) Record(dt float64, res *memsys.Resolution) {
 	}
 }
 
+// RecordN integrates the same resolution over n consecutive steps of dt
+// seconds, bit for bit as n Record calls would: it adds each cached
+// rate×dt into its accumulator n times and never multiplies by n, since
+// one rounding of rate×dt×n differs from n roundings of the running sum.
+// Each accumulator is held in a local meanwhile, several to a loop, so the
+// independent add chains overlap. A one-step run is a plain Record.
+func (m *Monitor) RecordN(dt float64, res *memsys.Resolution, n int) {
+	if n == 1 {
+		m.Record(dt, res)
+		return
+	}
+	if res == nil || dt <= 0 || n <= 0 {
+		return
+	}
+	if !m.cached(res) {
+		m.cacheRates(res)
+	}
+	elapsed := m.elapsed
+	for range n {
+		elapsed += dt
+	}
+	m.elapsed = elapsed
+	for s := 0; s < m.sockets; s++ {
+		bw, off, lat, sat, bp, total := m.bw[s], m.offered[s], m.lat[s], m.sat[s], m.bp[s], m.totalBytes[s]
+		dBW, dOff, dLat, dSat, dBP := m.rateBW[s]*dt, m.rateOff[s]*dt, m.rateLat[s]*dt, m.rateSat[s]*dt, m.rateBP[s]*dt
+		for range n {
+			bw += dBW
+			off += dOff
+			lat += dLat
+			sat += dSat
+			bp += dBP
+			total += dBW
+		}
+		m.bw[s], m.offered[s], m.lat[s], m.sat[s], m.bp[s], m.totalBytes[s] = bw, off, lat, sat, bp, total
+		base := s * m.cps
+		rateBW := m.rateCtlBW[base : base+m.cps]
+		rateLat := m.rateCtlLat[base : base+m.cps]
+		ctlBW, ctlLat := m.ctlBW[s][:m.cps], m.ctlLat[s][:m.cps]
+		for c, r := range rateBW {
+			bw, lat := ctlBW[c], ctlLat[c]
+			dBW, dLat := r*dt, rateLat[c]*dt
+			for range n {
+				bw += dBW
+				lat += dLat
+			}
+			ctlBW[c], ctlLat[c] = bw, lat
+		}
+	}
+}
+
+// cached reports whether the rate cache was derived from res. A Seq 0
+// resolution never counts as cached.
+func (m *Monitor) cached(res *memsys.Resolution) bool {
+	seq := res.Seq()
+	return res == m.lastRes && seq == m.lastSeq && seq != 0
+}
+
 // cacheRates derives the per-second recording values from a resolution.
 func (m *Monitor) cacheRates(res *memsys.Resolution) {
+	m.lastRes, m.lastSeq = res, res.Seq()
 	for s := 0; s < m.sockets; s++ {
 		m.rateBW[s] = res.SocketGranted(s)
 		m.rateOff[s] = res.SocketOffered(s)

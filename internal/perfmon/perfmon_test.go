@@ -246,3 +246,75 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		})
 	}
 }
+
+// stateBits flattens a monitor's accumulators to their bit patterns, so
+// equal means bit for bit (signed zeros included).
+func stateBits(m *Monitor) []uint64 {
+	st := m.State()
+	var out []uint64
+	add := func(vs ...float64) {
+		for _, v := range vs {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	add(st.Elapsed)
+	add(st.BW...)
+	add(st.Offered...)
+	add(st.Lat...)
+	add(st.Sat...)
+	add(st.BP...)
+	add(st.TotalBytes...)
+	for s := range st.CtlBW {
+		add(st.CtlBW[s]...)
+		add(st.CtlLat[s]...)
+	}
+	return out
+}
+
+// TestRecordNMatchesRecord pins RecordN's contract: integrating a
+// resolution over k steps in one call equals k Record calls bit for bit,
+// for a resolved resolution and for a hand-built one (Seq 0, re-derived on
+// every call), on top of accumulators already holding other values.
+func TestRecordNMatchesRecord(t *testing.T) {
+	cfg := memsys.DefaultConfig()
+	sys := memsys.MustSystem(cfg)
+	prime := resolve(t, sys, []memsys.Flow{{Task: "a", Socket: 1, DemandBW: 7 * memsys.GB}})
+	resolved := resolve(t, sys, []memsys.Flow{
+		{Task: "a", Socket: 0, Subdomain: 1, DemandBW: 33 * memsys.GB, LLCFootprint: 8e6, LLCRefBW: memsys.GB},
+		{Task: "b", Socket: 1, DemandBW: 3 * memsys.GB, RemoteFrac: 0.3},
+	})
+	if resolved.Seq() == 0 {
+		t.Fatal("resolved resolution has Seq 0")
+	}
+	handBuilt := &memsys.Resolution{
+		Controllers: []memsys.ControllerState{
+			{Socket: 0, Index: 0, Offered: 1.1e10, Granted: 1e10, Latency: 9.7e-8, Distress: 0.3},
+			{Socket: 0, Index: 1, Offered: 2.3e9, Granted: 2.3e9, Latency: 8.1e-8},
+			{Socket: 1, Index: 0, Offered: 5e9, Granted: 5e9, Latency: 8.3e-8, Distress: 0.01},
+			{Socket: 1, Index: 1, Offered: 7.7e9, Granted: 7.1e9, Latency: 1.3e-7},
+		},
+		SocketBackpressure: []float64{0.93, 1},
+	}
+	const dt = 100e-6
+	for _, tc := range []struct {
+		name string
+		res  *memsys.Resolution
+	}{{"resolved", resolved}, {"seq0", handBuilt}} {
+		for _, k := range []int{0, 1, 1000} {
+			one, batch := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket), MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
+			for _, m := range []*Monitor{one, batch} {
+				m.Record(3*dt, prime)
+			}
+			for range k {
+				one.Record(dt, tc.res)
+			}
+			batch.RecordN(dt, tc.res, k)
+			if got, want := stateBits(batch), stateBits(one); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: RecordN(dt, res, %d) differs from %d Records:\n got: %+v\nwant: %+v", tc.name, k, k, batch.State(), one.State())
+			}
+			if k > 0 && batch.State().BW[0] == 0 {
+				t.Errorf("%s: k=%d recorded no bandwidth on socket 0", tc.name, k)
+			}
+		}
+	}
+}

@@ -19,6 +19,9 @@ type Engine struct {
 	ctrls    []*scheduledController
 	rng      *RNG
 	steps    uint64
+	// due is the earliest next fire time of any controller (+Inf with
+	// none), so a tick with nothing due skips the controller scan.
+	due Time
 }
 
 type scheduledController struct {
@@ -34,7 +37,7 @@ func NewEngine(dt Duration, seed int64) (*Engine, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return nil, fmt.Errorf("sim: invalid step %v", dt)
 	}
-	return &Engine{dt: dt, rng: NewRNG(seed)}, nil
+	return &Engine{dt: dt, rng: NewRNG(seed), due: math.Inf(1)}, nil
 }
 
 // MustEngine is like NewEngine but panics on invalid arguments. It is meant
@@ -81,12 +84,25 @@ func (e *Engine) AddController(name string, period Duration, c Controller) error
 		return fmt.Errorf("sim: controller %q: invalid period %v", name, period)
 	}
 	e.ctrls = append(e.ctrls, &scheduledController{ctrl: c, period: period, next: period, name: name})
+	e.schedule()
 	return nil
 }
 
 // Tick advances the simulation by exactly one step: due controllers fire,
 // then every stepper advances by dt.
 func (e *Engine) Tick() {
+	if e.now+1e-12 >= e.due {
+		e.fire()
+	}
+	for _, s := range e.steppers {
+		s.Step(e.now, e.dt)
+	}
+	e.now += e.dt
+	e.steps++
+}
+
+// fire runs every controller due at the current tick, then reschedules.
+func (e *Engine) fire() {
 	for _, sc := range e.ctrls {
 		// A controller can be overdue by several periods if its period is
 		// shorter than dt; fire once per tick at most, like a real sampler
@@ -98,11 +114,15 @@ func (e *Engine) Tick() {
 			}
 		}
 	}
-	for _, s := range e.steppers {
-		s.Step(e.now, e.dt)
+	e.schedule()
+}
+
+// schedule recomputes due, the earliest time any controller fires next.
+func (e *Engine) schedule() {
+	e.due = math.Inf(1)
+	for _, sc := range e.ctrls {
+		e.due = min(e.due, sc.next)
 	}
-	e.now += e.dt
-	e.steps++
 }
 
 // EngineState is a snapshot of the engine's mutable scheduling state: the
@@ -138,25 +158,68 @@ func (e *Engine) RestoreState(st EngineState) error {
 	for i, sc := range e.ctrls {
 		sc.next = st.Next[i]
 	}
+	e.schedule()
 	return nil
 }
 
 // Run advances the simulation until at least d seconds of simulated time have
-// elapsed from the current time.
+// elapsed from the current time. It panics on a negative or non-finite d.
 func (e *Engine) Run(d Duration) {
-	if d < 0 || math.IsNaN(d) {
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		panic(fmt.Sprintf("sim: Run(%v)", d))
 	}
-	deadline := e.now + d
+	e.RunUntil(e.now + d)
+}
+
+// RunUntil advances the simulation tick by tick until the clock reaches
+// deadline (within 1e-12 s); a deadline already reached is a no-op. It
+// panics on a non-finite deadline.
+//
+// With a single registered stepper that implements BatchStepper, RunUntil
+// fires the due controllers and then hands the stepper every tick up to
+// the next controller due time or the deadline in one StepN call, which
+// may take as many of them as it can advance exactly. Either way the
+// ticks, and so the results, are those of calling Tick until the deadline.
+func (e *Engine) RunUntil(deadline Time) {
+	if math.IsNaN(deadline) || math.IsInf(deadline, 0) {
+		panic(fmt.Sprintf("sim: RunUntil(%v)", deadline))
+	}
+	var bs BatchStepper
+	if len(e.steppers) == 1 {
+		bs, _ = e.steppers[0].(BatchStepper)
+	}
+	if bs == nil {
+		for e.now < deadline-1e-12 {
+			e.Tick()
+		}
+		return
+	}
 	for e.now < deadline-1e-12 {
-		e.Tick()
+		if e.now+1e-12 >= e.due {
+			e.fire()
+		}
+		ticks := bs.StepN(e.now, e.dt, deadline, e.due)
+		if ticks < 1 {
+			panic(fmt.Sprintf("sim: StepN advanced %d ticks", ticks))
+		}
+		// Repeated adds, not now + ticks*dt: the clock must land exactly
+		// where that many Ticks would put it.
+		for range ticks {
+			e.now += e.dt
+		}
+		e.steps += uint64(ticks)
 	}
 }
 
 // RunWhile advances the simulation while cond returns true, up to a hard cap
 // of maxTime simulated seconds. It returns the elapsed simulated time and
-// whether the condition ended the run (false means the cap was hit).
+// whether the condition ended the run (false means the cap was hit). cond
+// observes every tick, so RunWhile always dispatches one Tick at a time. It
+// panics on a negative or NaN maxTime.
 func (e *Engine) RunWhile(maxTime Duration, cond func() bool) (elapsed Duration, done bool) {
+	if maxTime < 0 || math.IsNaN(maxTime) {
+		panic(fmt.Sprintf("sim: RunWhile(%v)", maxTime))
+	}
 	start := e.now
 	deadline := e.now + maxTime
 	for cond() {

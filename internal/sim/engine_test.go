@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,115 @@ func TestRunWhileHonorsCap(t *testing.T) {
 	}
 	if elapsed < 5*Millisecond-1e-9 {
 		t.Fatalf("elapsed = %v, want >= 5ms", elapsed)
+	}
+}
+
+// TestRunRejectsBadSpans pins the argument checks: Run panics on a
+// negative or non-finite span, RunUntil on a non-finite deadline (a batch
+// stepper with nothing due would otherwise never return), and RunWhile on
+// a negative or NaN cap.
+func TestRunRejectsBadSpans(t *testing.T) {
+	e := MustEngine(1*Millisecond, 1)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mustPanic(fmt.Sprintf("Run(%v)", d), func() { e.Run(d) })
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mustPanic(fmt.Sprintf("RunUntil(%v)", d), func() { e.RunUntil(d) })
+	}
+	for _, d := range []float64{-1, math.NaN()} {
+		mustPanic(fmt.Sprintf("RunWhile(%v)", d), func() { e.RunWhile(d, func() bool { return true }) })
+	}
+	if e.Now() != 0 || e.Steps() != 0 {
+		t.Errorf("rejected runs advanced the engine to %v (%d steps)", e.Now(), e.Steps())
+	}
+	e.Run(3 * Millisecond)
+	e.RunUntil(1 * Millisecond)
+	if e.Steps() != 3 {
+		t.Errorf("RunUntil into the past ran %d steps, want none", e.Steps()-3)
+	}
+}
+
+// traceEntry is one tick or one controller firing, in dispatch order.
+type traceEntry struct {
+	ctrl bool
+	at   Time
+}
+
+// batchTracer is a BatchStepper that logs every tick it advances and takes
+// at most max of them per StepN call.
+type batchTracer struct {
+	trace *[]traceEntry
+	max   int
+	calls int
+}
+
+func (b *batchTracer) Step(now Time, dt Duration) {
+	*b.trace = append(*b.trace, traceEntry{at: now})
+}
+
+func (b *batchTracer) StepN(now Time, dt Duration, deadline, due Time) int {
+	b.calls++
+	ticks := 0
+	for {
+		*b.trace = append(*b.trace, traceEntry{at: now})
+		ticks++
+		now += dt
+		if ticks == b.max || !(now < deadline-1e-12 && now+1e-12 < due) {
+			return ticks
+		}
+	}
+}
+
+// TestRunUntilBatchMatchesTicks pins the engine's side of horizon runs: an
+// engine handing a BatchStepper whole runs dispatches the same ticks at
+// the same times, interleaved with the same controller firings, as an
+// engine ticking a plain Stepper, for runs cut short at any length and for
+// Run spans that end between ticks.
+func TestRunUntilBatchMatchesTicks(t *testing.T) {
+	drive := func(st func(trace *[]traceEntry) Stepper) ([]traceEntry, *Engine) {
+		var trace []traceEntry
+		e := MustEngine(1*Millisecond, 1)
+		e.AddStepper(st(&trace))
+		for _, period := range []Duration{2.5 * Millisecond, 7 * Millisecond} {
+			if err := e.AddController(fmt.Sprint(period), period, ControlFunc(func(now Time) {
+				trace = append(trace, traceEntry{ctrl: true, at: now})
+			})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range []Duration{1 * Millisecond, 10.5 * Millisecond, 0, 33 * Millisecond, 0.2 * Millisecond} {
+			e.Run(d)
+		}
+		e.RunUntil(e.Now() + 61*Millisecond)
+		return trace, e
+	}
+	want, ref := drive(func(trace *[]traceEntry) Stepper {
+		return StepFunc(func(now Time, dt Duration) { *trace = append(*trace, traceEntry{at: now}) })
+	})
+	for _, max := range []int{1, 3, 1000} {
+		var bt *batchTracer
+		got, e := drive(func(trace *[]traceEntry) Stepper {
+			bt = &batchTracer{trace: trace, max: max}
+			return bt
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("max %d: batched dispatch diverged from per-tick dispatch:\n got: %v\nwant: %v", max, got, want)
+		}
+		if e.Now() != ref.Now() || e.Steps() != ref.Steps() {
+			t.Errorf("max %d: engine at %v after %d steps, want %v after %d", max, e.Now(), e.Steps(), ref.Now(), ref.Steps())
+		}
+		if max > 1 && bt.calls >= int(e.Steps()) {
+			t.Errorf("max %d: %d StepN calls for %d ticks, want batching", max, bt.calls, e.Steps())
+		}
 	}
 }
 

@@ -3,7 +3,9 @@
 // The engine advances simulated time in fixed steps and, on every step,
 // invokes each registered Stepper in registration order. Controllers run on
 // their own sampling periods, before the steppers of the tick on which they
-// fire. All randomness flows through named, seeded streams so that a run is
+// fire. A lone stepper that implements BatchStepper is handed every tick up
+// to the next controller firing in one call, with identical results. All
+// randomness flows through named, seeded streams so that a run is
 // reproducible from a single root seed.
 //
 // The engine is intentionally unaware of what is being simulated: the node
@@ -31,6 +33,20 @@ const (
 type Stepper interface {
 	// Step advances the component from time now to now+dt.
 	Step(now Time, dt Duration)
+}
+
+// BatchStepper is a Stepper that can advance a run of ticks in one call.
+// Engine.Run hands it the bounds of the run instead of a tick count.
+type BatchStepper interface {
+	Stepper
+	// StepN advances the component through its tick at now and then,
+	// advancing its clock by repeated now += dt, through every following
+	// tick it can take exactly as that many Step calls would, stopping
+	// before the first tick t where t < deadline-1e-12 && t+1e-12 < due
+	// fails: a tick past the run's end, or one on which a controller
+	// fires. due is the earliest controller fire time (+Inf with none).
+	// It returns the number of ticks advanced, at least 1.
+	StepN(now Time, dt Duration, deadline, due Time) (ticks int)
 }
 
 // StepFunc adapts a function to the Stepper interface.

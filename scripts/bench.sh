@@ -45,7 +45,8 @@ trap 'rm -f "$RAW"' EXIT
 
 # Hot-path microbenchmarks: the allocation-free simulation step in each of
 # its tiers (full, horizon, and offer-compare; the prefix BenchmarkNodeStep
-# already matches BenchmarkNodeStepReoffer, which is named to pin it), the
+# already matches BenchmarkNodeStepReoffer, which is named to pin it), a
+# steady node advanced through horizon runs (ns per simulated tick), the
 # zero-cost disabled instrumentation path, the fleet composition tick
 # (per-job cluster replay over pre-measured shapes; placement runs before
 # the timer), fleet placement per policy at the study's 20000-machine
@@ -53,7 +54,7 @@ trap 'rm -f "$RAW"' EXIT
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
 # BENCH_MATCH narrows the suite, e.g. to baseline newly guarded benchmarks
 # without re-recording the others (cmd/benchguard layers snapshots).
-MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkNodeStepReoffer|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
+MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkNodeStepReoffer|BenchmarkNodeRunHorizon|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
 
 case "$MODE" in
 quick)
