@@ -8,20 +8,25 @@ import (
 
 	"kelp/internal/accel"
 	"kelp/internal/agent"
+	"kelp/internal/faults"
 	"kelp/internal/node"
 	"kelp/internal/policy"
 	"kelp/internal/sim"
 	"kelp/internal/workload"
 )
 
-// sessionAgent builds a node under policy k running an inference server,
-// a training job and a CPU loop, the three snapshotable task kinds, and
-// runs it long enough for every accumulator and controller to move.
+// sessionAgent builds a faulted node under policy k running an inference
+// server, a training job, a pipelined trainer and a CPU loop, the four task
+// kinds, and runs it long enough for every accumulator, controller and
+// fault stream to move.
 func sessionAgent(tb testing.TB, k policy.Kind, run bool) *agent.Agent {
 	tb.Helper()
 	opts := policy.DefaultOptions()
 	opts.SamplePeriod = 0.02
-	a, err := agent.New(agent.Config{Node: node.DefaultConfig(), Policy: k, Options: opts})
+	a, err := agent.New(agent.Config{
+		Node: node.DefaultConfig(), Policy: k, Options: opts,
+		Faults: faults.Spec{Seed: 3, Drop: 0.2, Stale: 0.2, NaN: 0.1, Flap: 0.1, ActStick: 0.1},
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -37,6 +42,10 @@ func sessionAgent(tb testing.TB, k policy.Kind, run bool) *agent.Agent {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	pipe, err := workload.PipelinedCNN1(accel.NewCloudTPU())
+	if err != nil {
+		tb.Fatal(err)
+	}
 	stream, err := workload.NewStream(4)
 	if err != nil {
 		tb.Fatal(err)
@@ -44,7 +53,7 @@ func sessionAgent(tb testing.TB, k policy.Kind, run bool) *agent.Agent {
 	if err := a.AdmitML(rnn, 4); err != nil {
 		tb.Fatal(err)
 	}
-	for _, task := range []workload.Task{cnn, stream} {
+	for _, task := range []workload.Task{cnn, pipe, stream} {
 		if err := a.AdmitBatch(task); err != nil {
 			tb.Fatal(err)
 		}
@@ -56,18 +65,16 @@ func sessionAgent(tb testing.TB, k policy.Kind, run bool) *agent.Agent {
 }
 
 // fullSessionSnapshot returns a snapshot with every part populated: a node
-// carrying all three task state types, a Kelp runtime, a CoreThrottle
-// throttler and an MBA controller. A live session applies only one
-// controller, so the three controller states come from three nodes; the
-// result exercises the format, not a restorable session. It also returns
-// the Kelp agent the node and runtime states were taken from.
+// carrying all four task state types and a fault injector's state, a Kelp
+// runtime, a CoreThrottle throttler and an MBA controller. A live session
+// applies only one controller, so the three controller states come from
+// three nodes; the result exercises the format, not a restorable session.
+// It also returns the Kelp agent the node and runtime states were taken
+// from.
 func fullSessionSnapshot(tb testing.TB) (*SessionSnapshot, *agent.Agent) {
 	tb.Helper()
 	kp := sessionAgent(tb, policy.Kelp, true)
-	ns, ok := kp.Node().Snapshot()
-	if !ok {
-		tb.Fatal("node declined to snapshot")
-	}
+	ns := kp.Node().Snapshot()
 	rt := kp.Applied().Runtime.Snapshot()
 	th := sessionAgent(tb, policy.CoreThrottle, true).Applied().Throttler.Snapshot()
 	mba := sessionAgent(tb, policy.MBAThrottle, true).Applied().MBA.Snapshot()
@@ -89,8 +96,11 @@ func TestSnapshotTypesExported(t *testing.T) {
 		taskTypes[reflect.TypeOf(st)] = true
 		roots = append(roots, reflect.TypeOf(st))
 	}
-	if len(taskTypes) != 3 {
-		t.Fatalf("snapshot holds %d task state types, want loop, training and inference", len(taskTypes))
+	if len(taskTypes) != 4 {
+		t.Fatalf("snapshot holds %d task state types, want loop, training, pipelined and inference", len(taskTypes))
+	}
+	if snap.Node.Faults == nil {
+		t.Fatal("snapshot holds no fault injector state")
 	}
 
 	encoder := reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
@@ -152,11 +162,13 @@ func TestFullSnapshotRestores(t *testing.T) {
 		Throughput map[string]float64
 		Window     any
 		History    any
+		Faults     map[string]uint64
 	}
 	observe := func(a *agent.Agent) observed {
 		a.Run(100 * sim.Millisecond)
 		n := a.Node()
-		o := observed{Throughput: map[string]float64{}, Window: n.Monitor().Peek(), History: a.Applied().Runtime.History()}
+		o := observed{Throughput: map[string]float64{}, Window: n.Monitor().Peek(),
+			History: a.Applied().Runtime.History(), Faults: n.Faults().Counts()}
 		for _, task := range n.Tasks() {
 			o.Throughput[task.Name()] = task.Throughput(n.Now())
 		}

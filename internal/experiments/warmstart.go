@@ -20,11 +20,10 @@ import (
 // warmup. Equivalence tests pin that restored runs are byte-identical to
 // cold-started ones.
 //
-// A cell is eligible only when nothing observable escapes or perturbs the
-// warmup: no flight recorder attached, no fault injection, and every task
-// snapshotable (see workload.Snapshotter — open-loop servers with arrival
-// jitter decline because the engine RNG stream position cannot be
-// captured). Ineligible cells fall back to a cold start.
+// Every cell snapshots: tasks, arrival-jitter streams and fault injectors
+// all capture their state (the fault spec is part of the cache key). The
+// one exception is a cell with a flight recorder attached, whose warmup
+// events must reach the recorder; it always simulates its warmup.
 //
 // The cache is process-global (the bench harness builds a fresh Harness per
 // iteration) and capped; it holds only immutable snapshots, shared across
@@ -45,8 +44,7 @@ type cellSnapshot struct {
 type warmEntry struct {
 	once sync.Once
 	// snap is written once inside once and read only after once returns,
-	// so it needs no further synchronization. It stays nil when the warmed
-	// cell was not snapshotable.
+	// so it needs no further synchronization.
 	snap *cellSnapshot
 }
 
@@ -106,24 +104,19 @@ func warmKey(cfg node.Config, s Scenario) string {
 		wm = *opts.Watermarks
 	}
 	opts.Watermarks = nil
-	return fmt.Sprintf("%#v|%d|%t|%#v|%d|%#v|%t|%#v|%v",
-		cfg, s.ML, s.NoML, s.CPU, s.Policy, opts, hasWM, wm, s.Warmup)
+	return fmt.Sprintf("%#v|%d|%t|%#v|%d|%#v|%t|%#v|%v|%#v",
+		cfg, s.ML, s.NoML, s.CPU, s.Policy, opts, hasWM, wm, s.Warmup, s.Faults)
 }
 
 // warmEligible reports whether a scenario's warmup may be served from (or
 // stored into) the cache.
 func warmEligible(s Scenario) bool {
-	return s.Events == nil && !s.Faults.Enabled()
+	return s.Events == nil
 }
 
-// snapshot captures the cell's full post-warmup state, or nil when a task
-// declines.
+// snapshot captures the cell's full post-warmup state.
 func (c *cell) snapshot() *cellSnapshot {
-	ns, ok := c.n.Snapshot()
-	if !ok {
-		return nil
-	}
-	cs := &cellSnapshot{node: ns}
+	cs := &cellSnapshot{node: c.n.Snapshot()}
 	if rt := c.applied.Runtime; rt != nil {
 		st := rt.Snapshot()
 		cs.runtime = &st
@@ -184,15 +177,10 @@ func (c *cell) warm(s Scenario, cfg node.Config) {
 	if warmed {
 		return
 	}
-	if e.snap != nil {
-		if err := c.restore(e.snap); err == nil {
-			return
-		}
-		// A failed restore leaves partial state; this cannot happen for a
-		// same-key rebuild (shape checks all derive from the key), but fall
-		// back safely: rebuild-from-scratch is not possible here, so panic
-		// loudly rather than measure a corrupted cell.
-		panic("experiments: warm restore failed on identically-built cell")
+	if err := c.restore(e.snap); err != nil {
+		// A failed restore leaves partial state. It cannot happen for a
+		// same-key rebuild (shape checks all derive from the key), and a
+		// half-restored cell cannot be measured, so fail loudly.
+		panic("experiments: warm restore failed on identically-built cell: " + err.Error())
 	}
-	c.n.Run(s.Warmup)
 }

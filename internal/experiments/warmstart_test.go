@@ -47,23 +47,29 @@ func cacheSize() int {
 // warm-started, incrementally-resolved run is byte-identical to a fully
 // cold one — across both SNC modes (KP/KP-SD partition the socket, BL/CT
 // leave it interleaved) and for both the training and the inference
-// snapshot paths. Three runs per cell: the cold reference (warm-start off,
-// incremental resolution off), the first warm run (simulates warmup and
-// publishes the snapshot), and the second (restores the snapshot).
+// snapshot paths, with and without fault injection. Three runs per cell:
+// the cold reference (warm-start off, incremental resolution off), the
+// first warm run (simulates warmup and publishes the snapshot), and the
+// second (restores the snapshot).
 func TestWarmStartColdEquivalence(t *testing.T) {
 	defer SetWarmStart(true)
+	faulted := faults.Spec{Seed: 3, Drop: 0.2, Stale: 0.1, Flap: 0.1, ActStick: 0.1, Stall: 0.05}
 	cases := []struct {
-		ml MLKind
-		k  policy.Kind
+		ml     MLKind
+		k      policy.Kind
+		faults faults.Spec
 	}{
-		{CNN1, policy.Baseline},
-		{CNN1, policy.CoreThrottle},
-		{CNN1, policy.KelpSubdomain},
-		{CNN1, policy.Kelp},
-		{RNN1, policy.Kelp}, // inference: queues, histograms, device state
+		{CNN1, policy.Baseline, faults.Spec{}},
+		{CNN1, policy.CoreThrottle, faults.Spec{}},
+		{CNN1, policy.KelpSubdomain, faults.Spec{}},
+		{CNN1, policy.Kelp, faults.Spec{}},
+		{RNN1, policy.Kelp, faults.Spec{}}, // inference: queues, histograms, device state
+		{CNN1, policy.Kelp, faulted},       // injector streams, counts and per-controller memory
+		{RNN1, policy.CoreThrottle, faulted},
 	}
 	for _, tc := range cases {
 		s := warmScenario(tc.ml, tc.k)
+		s.Faults = tc.faults
 
 		SetWarmStart(false)
 		cold := s
@@ -89,6 +95,13 @@ func TestWarmStartColdEquivalence(t *testing.T) {
 				t.Errorf("%s/%s: %s run diverged from cold run:\n got: %+v\nwant: %+v",
 					tc.ml, tc.k, name, resultStats(r), resultStats(want))
 			}
+			if !reflect.DeepEqual(r.Faults.Counts(), want.Faults.Counts()) {
+				t.Errorf("%s/%s: %s run injected %v, cold run %v",
+					tc.ml, tc.k, name, r.Faults.Counts(), want.Faults.Counts())
+			}
+		}
+		if tc.faults.Enabled() && want.Faults.Total() == 0 {
+			t.Errorf("%s/%s: faulted cell injected no faults", tc.ml, tc.k)
 		}
 		// The actuator traces must match too, not just the scored numbers.
 		if want.Applied.Runtime != nil {
@@ -121,7 +134,7 @@ func TestWarmStartPublishesAndShares(t *testing.T) {
 	warmCache.Lock()
 	for _, e := range warmCache.entries {
 		if e.snap == nil {
-			t.Error("first run did not publish a snapshot (a task declined?)")
+			t.Error("first run did not publish a snapshot")
 		}
 	}
 	warmCache.Unlock()
@@ -143,8 +156,8 @@ func TestWarmStartPublishesAndShares(t *testing.T) {
 }
 
 // TestWarmStartIneligibleScenariosBypassCache pins the eligibility gate:
-// runs with a flight recorder attached or fault injection enabled never
-// store or consume snapshots.
+// a run with a flight recorder attached never stores or consumes a
+// snapshot, while a faulted run does, keyed by its fault spec.
 func TestWarmStartIneligibleScenariosBypassCache(t *testing.T) {
 	defer SetWarmStart(true)
 	SetWarmStart(true)
@@ -155,15 +168,22 @@ func TestWarmStartIneligibleScenariosBypassCache(t *testing.T) {
 	if _, err := Run(rec); err != nil {
 		t.Fatal(err)
 	}
-
-	flt := warmScenario(CNN1, policy.Baseline)
-	flt.Faults = faults.Spec{Seed: 1, Drop: 0.5}
-	if _, err := Run(flt); err != nil {
-		t.Fatal(err)
+	if n := cacheSize(); n != 0 {
+		t.Fatalf("a recorded run created %d cache entries", n)
 	}
 
-	if n := cacheSize(); n != 0 {
-		t.Fatalf("ineligible scenarios created %d cache entries", n)
+	flt := warmScenario(CNN1, policy.Baseline)
+	for i, step := range []struct {
+		seed    uint64
+		entries int
+	}{{1, 1}, {1, 1}, {2, 2}} {
+		flt.Faults = faults.Spec{Seed: step.seed, Drop: 0.5}
+		if _, err := Run(flt); err != nil {
+			t.Fatal(err)
+		}
+		if n := cacheSize(); n != step.entries {
+			t.Fatalf("after faulted run %d (seed %d): %d cache entries, want %d", i, step.seed, n, step.entries)
+		}
 	}
 }
 

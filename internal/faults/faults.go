@@ -293,11 +293,7 @@ func (i *Injector) Counts() map[string]uint64 {
 	if i == nil {
 		return nil
 	}
-	out := make(map[string]uint64, len(i.counts))
-	for k, v := range i.counts {
-		out[k] = v
-	}
-	return out
+	return copyMap(i.counts)
 }
 
 // Total returns the total number of injected faults across all classes.
@@ -314,6 +310,69 @@ func (i *Injector) Total() uint64 {
 
 func (i *Injector) count(class string) {
 	i.counts[class]++
+}
+
+// InjectorState is a snapshot of an injector's mutable state: the position
+// of each fault class's stream and the per-controller memory that stale,
+// NaN, spike and flap faults keep. Node snapshots carry it, gob-encoded as
+// is in session snapshots.
+type InjectorState struct {
+	// Streams holds the stall, drop, stale, nan, spike, flap and act
+	// streams' states, in that order.
+	Streams [7]uint64
+
+	Last      map[string]perfmon.Sample
+	FlapHigh  map[string]bool
+	NaNMetric map[string]int
+	Counts    map[string]uint64
+}
+
+// streams lists the injector's streams in InjectorState.Streams order.
+func (i *Injector) streams() [7]*sim.Xorshift {
+	return [7]*sim.Xorshift{i.stall, i.drop, i.stale, i.nan, i.spike, i.flap, i.act}
+}
+
+// State captures the injector's state. It shares no memory with the
+// injector.
+func (i *Injector) State() InjectorState {
+	st := InjectorState{
+		Last:      make(map[string]perfmon.Sample, len(i.last)),
+		FlapHigh:  copyMap(i.flapHigh),
+		NaNMetric: copyMap(i.nanMetric),
+		Counts:    copyMap(i.counts),
+	}
+	for k, x := range i.streams() {
+		st.Streams[k] = x.State()
+	}
+	for k, v := range i.last {
+		st.Last[k] = cloneSample(v)
+	}
+	return st
+}
+
+// Restore installs a state captured by State on an injector built from
+// the same spec. The state stays unshared, so it can be restored again.
+func (i *Injector) Restore(st InjectorState) error {
+	for k, x := range i.streams() {
+		if err := x.SetState(st.Streams[k]); err != nil {
+			return fmt.Errorf("faults: restore: %w", err)
+		}
+	}
+	i.last = make(map[string]perfmon.Sample, len(st.Last))
+	for k, v := range st.Last {
+		i.last[k] = cloneSample(v)
+	}
+	i.flapHigh, i.nanMetric, i.counts = copyMap(st.FlapHigh), copyMap(st.NaNMetric), copyMap(st.Counts)
+	return nil
+}
+
+// copyMap returns a new, non-nil copy of m.
+func copyMap[V any](m map[string]V) map[string]V {
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // Stall reports whether the named controller's whole period should be

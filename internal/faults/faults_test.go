@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -382,5 +384,74 @@ func TestSpikeMagDefault(t *testing.T) {
 	inj := MustInjector(Spec{Spike: 0.1})
 	if inj.Spec().SpikeMag != DefaultSpikeMag {
 		t.Errorf("SpikeMag = %v, want default %v", inj.Spec().SpikeMag, DefaultSpikeMag)
+	}
+}
+
+// TestInjectorStateRoundTrip pins that State captures the injector's whole
+// position: an injector restored from a mid-run state and the original make
+// identical decisions and keep identical counts over the following draws,
+// and the state survives being restored twice.
+func TestInjectorStateRoundTrip(t *testing.T) {
+	spec := Spec{Seed: 5, Drop: 0.15, Stale: 0.2, NaN: 0.1, Spike: 0.1, Flap: 0.2,
+		ActFail: 0.1, ActStick: 0.1, ActPartial: 0.1, Stall: 0.1}
+	proc := cpu.MustProcessor(cpu.DefaultTopology())
+	// drive runs periods control periods of three controllers, each with
+	// a cpuset write, and renders every decision. Each period's sample is
+	// distinct, so a stale replay shows which sample it held.
+	drive := func(inj *Injector, from, periods int) []string {
+		var out []string
+		for p := from; p < from+periods; p++ {
+			now := float64(p)
+			for _, ctrl := range []string{"kelp", "throttler", "mba"} {
+				in := sample()
+				in.SocketBW[0] += now
+				s, dropped := inj.PerturbSample(now, ctrl, in)
+				cg := cgroup.NewManager(proc)
+				if _, err := cg.Create("g", cgroup.Low); err != nil {
+					t.Fatal(err)
+				}
+				err := inj.SetCPUs(now, cg, "g", cpu.Set{0, 1, 2})
+				out = append(out, fmt.Sprint(inj.Stall(now, ctrl), dropped, s, err))
+			}
+		}
+		return out
+	}
+	orig := MustInjector(spec)
+	drive(orig, 0, 100)
+	st := orig.State()
+	if len(st.Last) != 3 || len(st.FlapHigh) != 3 || len(st.NaNMetric) != 3 {
+		t.Fatalf("state holds stale, flap and poison memory for %d, %d and %d controllers, want 3 each",
+			len(st.Last), len(st.FlapHigh), len(st.NaNMetric))
+	}
+	want := drive(orig, 100, 200)
+
+	for attempt := range 2 {
+		restored := MustInjector(spec)
+		if err := restored.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(restored.State(), st) {
+			t.Fatalf("restore %d: state %+v, want %+v", attempt, restored.State(), st)
+		}
+		got := drive(restored, 100, 200)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("restore %d: decision %d = %s, want %s", attempt, i, got[i], want[i])
+			}
+		}
+		if !reflect.DeepEqual(restored.Counts(), orig.Counts()) {
+			t.Errorf("restore %d: counts %v, want %v", attempt, restored.Counts(), orig.Counts())
+		}
+	}
+	for _, class := range []string{"drop", "stale", "nan", "spike", "flap", "stall", "act.fail", "act.stick", "act.partial"} {
+		if orig.Counts()[class] == 0 {
+			t.Errorf("fault class %s never fired; the test does not exercise it", class)
+		}
+	}
+
+	bad := orig.State()
+	bad.Streams[3] = 0
+	if err := MustInjector(spec).Restore(bad); err == nil {
+		t.Error("state with a zero stream accepted")
 	}
 }

@@ -148,6 +148,14 @@ func tryDo(method, url, body string) (status int, respBody string, ok bool) {
 	return resp.StatusCode, sb.String(), true
 }
 
+// crashSessions are the sessions the crash harness drives: one plain and
+// one with fault injection, so recovery from a faulted snapshot is killed
+// and checked too.
+var crashSessions = []struct{ name, create string }{
+	{"a", `{"name":"a","seed":11}`},
+	{"f", `{"name":"f","seed":13,"faults":"seed=5,drop=0.2,stale=0.1,actstick=0.1"}`},
+}
+
 func testCrashInjection(t *testing.T, snapEvery int, rounds int, seed int64) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -155,29 +163,49 @@ func testCrashInjection(t *testing.T, snapEvery int, rounds int, seed int64) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
 
-	// Structural setup against the first child: these commands are
-	// acknowledged, so they must survive every crash below.
+	// Structural setup against the first child, then one advance per
+	// session: these commands are acknowledged, so they must survive every
+	// crash below.
 	c := startChild(t, dir, snapEvery)
-	base := c.url + "/sessions/a"
-	for _, step := range []struct{ method, url, body string }{
-		{"POST", c.url + "/sessions", `{"name":"a","seed":11}`},
-		{"POST", base + "/tasks", `{"ml":"CNN1","cores":2}`},
-		{"POST", base + "/tasks", `{"kind":"Stitch"}`},
-		{"POST", base + "/fs/cgroup/batch", ""},
-		{"PUT", base + "/fs/cgroup/batch/cpuset.cpus", "0-3"},
-	} {
-		status, body, ok := tryDo(step.method, step.url, step.body)
-		if !ok || status >= 400 {
-			t.Fatalf("%s %s = %d %s (ok=%v)", step.method, step.url, status, body, ok)
+	for _, cs := range crashSessions {
+		base := c.url + "/sessions/" + cs.name
+		for _, step := range []struct{ method, url, body string }{
+			{"POST", c.url + "/sessions", cs.create},
+			{"POST", base + "/tasks", `{"ml":"CNN1","cores":2}`},
+			{"POST", base + "/tasks", `{"kind":"Stitch"}`},
+			{"POST", base + "/fs/cgroup/batch", ""},
+			{"PUT", base + "/fs/cgroup/batch/cpuset.cpus", "0-3"},
+			{"POST", base + "/advance", `{"ms":80,"wait":true}`},
+		} {
+			status, body, ok := tryDo(step.method, step.url, step.body)
+			if !ok || status >= 400 {
+				t.Fatalf("%s %s = %d %s (ok=%v)", step.method, step.url, status, body, ok)
+			}
 		}
 	}
-	const structuralRecords = 5 // create + 2 admits + mkdir + put
+	const setupRecords = 6 // create + 2 admits + mkdir + put + advance
+	// With snapshots on, the advance's snapshot is written after its ack;
+	// wait for it, so every recovery below starts from a snapshot.
+	wantMode := "replay"
+	if snapEvery > 0 {
+		wantMode = "snapshot"
+		for _, cs := range crashSessions {
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if _, info, ok := tryDo("GET", c.url+"/sessions/"+cs.name, ""); ok && strings.Contains(info, `"snapshot_seq"`) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: no snapshot after the setup advance", cs.name)
+				}
+			}
+		}
+	}
 
-	ackedAdvances := 0
+	ackedAdvances := map[string]int{}
 	for round := 0; round < rounds; round++ {
-		// Drive advances until the randomized SIGKILL lands. The killer
-		// fires from another goroutine so death hits at an arbitrary point
-		// in the request/advance/log cycle.
+		// Drive advances, alternating sessions, until the randomized
+		// SIGKILL lands. The killer fires from another goroutine so death
+		// hits at an arbitrary point in the request/advance/log cycle.
 		delay := time.Duration(2+rng.Intn(60)) * time.Millisecond
 		killed := make(chan struct{})
 		go func() {
@@ -185,61 +213,69 @@ func testCrashInjection(t *testing.T, snapEvery int, rounds int, seed int64) {
 			c.cmd.Process.Kill()
 			close(killed)
 		}()
-		for {
-			status, body, ok := tryDo("POST", base+"/advance", `{"ms":80,"wait":true}`)
+		for i := 0; ; i++ {
+			name := crashSessions[i%len(crashSessions)].name
+			status, body, ok := tryDo("POST", c.url+"/sessions/"+name+"/advance", `{"ms":80,"wait":true}`)
 			if !ok {
 				break // child died mid-request
 			}
 			if status == 200 && strings.Contains(body, `"state":"done"`) {
-				ackedAdvances++
+				ackedAdvances[name]++
 			}
 		}
 		<-killed
 		c.cmd.Wait()
 
-		// The surviving log must decode cleanly (a torn tail is legal) and
-		// must contain every acknowledged command.
-		data, err := os.ReadFile(durable.WALPath(dir, "a"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, err := durable.DecodeWAL(data)
-		if err != nil {
-			t.Fatalf("round %d: surviving WAL is corrupt: %v", round, err)
-		}
-		advances := 0
-		for _, rec := range rd.Records {
-			if rec.Kind == durable.KindAdvance {
-				advances++
+		// Each surviving log must decode cleanly (a torn tail is legal) and
+		// must contain every acknowledged command. The reference is an
+		// in-process, non-persisted session rebuilt from it: the state an
+		// uninterrupted run would hold after exactly these commands.
+		want := map[string][2]string{}
+		for _, cs := range crashSessions {
+			data, err := os.ReadFile(durable.WALPath(dir, cs.name))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(rd.Records) < structuralRecords || advances < ackedAdvances {
-			t.Fatalf("round %d: durability violated: %d records (%d advances) for %d acked advances",
-				round, len(rd.Records), advances, ackedAdvances)
+			rd, err := durable.DecodeWAL(data)
+			if err != nil {
+				t.Fatalf("round %d: %s: surviving WAL is corrupt: %v", round, cs.name, err)
+			}
+			advances := 0
+			for _, rec := range rd.Records {
+				if rec.Kind == durable.KindAdvance {
+					advances++
+				}
+			}
+			if len(rd.Records) < setupRecords || advances < 1+ackedAdvances[cs.name] {
+				t.Fatalf("round %d: %s: durability violated: %d records (%d advances) for %d acked advances",
+					round, cs.name, len(rd.Records), advances, 1+ackedAdvances[cs.name])
+			}
+			events, metrics := referenceFromWAL(t, rd.Records)
+			want[cs.name] = [2]string{events, metrics}
 		}
 
-		// Reference: an in-process, non-persisted session rebuilt from the
-		// surviving log — the state an uninterrupted run would hold after
-		// exactly these commands.
-		wantEvents, wantMetrics := referenceFromWAL(t, rd.Records)
-
-		// Restart on the same directory and compare the recovered session.
+		// Restart on the same directory and compare the recovered sessions.
 		c = startChild(t, dir, snapEvery)
-		base = c.url + "/sessions/a"
-		status, gotEvents, ok := tryDo("GET", base+"/events", "")
-		if !ok || status != 200 {
-			t.Fatalf("round %d: recovered /events = %d (ok=%v)", round, status, ok)
-		}
-		status, gotMetrics, ok := tryDo("GET", base+"/metrics", "")
-		if !ok || status != 200 {
-			t.Fatalf("round %d: recovered /metrics = %d (ok=%v)", round, status, ok)
-		}
-		if gotEvents != wantEvents {
-			t.Fatalf("round %d: recovered /events not byte-identical\n got %s\nwant %s",
-				round, gotEvents, wantEvents)
-		}
-		if gotMetrics != wantMetrics {
-			t.Fatalf("round %d: recovered /metrics not byte-identical", round)
+		for _, cs := range crashSessions {
+			base := c.url + "/sessions/" + cs.name
+			if _, info, ok := tryDo("GET", base, ""); !ok || !strings.Contains(info, `"recovered_mode":"`+wantMode+`"`) {
+				t.Fatalf("round %d: %s: info = %s (ok=%v), want recovered_mode %q", round, cs.name, info, ok, wantMode)
+			}
+			status, gotEvents, ok := tryDo("GET", base+"/events", "")
+			if !ok || status != 200 {
+				t.Fatalf("round %d: %s: recovered /events = %d (ok=%v)", round, cs.name, status, ok)
+			}
+			status, gotMetrics, ok := tryDo("GET", base+"/metrics", "")
+			if !ok || status != 200 {
+				t.Fatalf("round %d: %s: recovered /metrics = %d (ok=%v)", round, cs.name, status, ok)
+			}
+			if gotEvents != want[cs.name][0] {
+				t.Fatalf("round %d: %s: recovered /events not byte-identical\n got %s\nwant %s",
+					round, cs.name, gotEvents, want[cs.name][0])
+			}
+			if gotMetrics != want[cs.name][1] {
+				t.Fatalf("round %d: %s: recovered /metrics not byte-identical", round, cs.name)
+			}
 		}
 	}
 }

@@ -122,8 +122,8 @@ type Config struct {
 	// SnapshotEvery is the number of WAL records between snapshot attempts
 	// for persisted sessions. 0 selects 16; negative disables snapshots
 	// entirely (recovery replays the full command log, which is exact but
-	// slower). Sessions whose workload or fault spec declines snapshotting
-	// fall back to full replay regardless.
+	// slower). Every session snapshots, faulted ones included; full replay
+	// otherwise runs only when a snapshot is damaged.
 	SnapshotEvery int
 	// StreamHeartbeat is the idle-keepalive period of the SSE stream
 	// endpoints: a comment line is written whenever this long passes with

@@ -164,19 +164,14 @@ func (sess *Session) logAdvance(s *Server, end float64) {
 }
 
 // captureLocked builds a snapshot of the session at the current WAL
-// sequence. Caller holds sess.mu. Returns false when the workload declines
-// (see workload.Snapshotter); recovery then falls back to full replay.
-func (sess *Session) captureLocked() (*durable.SessionSnapshot, bool) {
+// sequence. Caller holds sess.mu.
+func (sess *Session) captureLocked() *durable.SessionSnapshot {
 	n := sess.agent.Node()
-	ns, ok := n.Snapshot()
-	if !ok {
-		return nil, false
-	}
 	snap := &durable.SessionSnapshot{
 		Seq:      sess.wal.Seq(),
 		SimNow:   n.Now(),
 		Recorder: sess.agent.Events().State(),
-		Node:     ns,
+		Node:     n.Snapshot(),
 	}
 	if ap := sess.agent.Applied(); ap != nil {
 		if ap.Runtime != nil {
@@ -192,7 +187,7 @@ func (sess *Session) captureLocked() (*durable.SessionSnapshot, bool) {
 			snap.MBA = &st
 		}
 	}
-	return snap, true
+	return snap
 }
 
 // snapshotNow writes a snapshot if one is due: SnapshotEvery records have
@@ -200,7 +195,7 @@ func (sess *Session) captureLocked() (*durable.SessionSnapshot, bool) {
 // capture runs under sess.mu; the encode/write/fsync/rename runs with the
 // lock released, so queued jobs only ever wait for the capture.
 func (sess *Session) snapshotNow(s *Server, force bool) {
-	if !sess.snapEligible || s.cfg.SnapshotEvery < 0 || sess.persistFailed.Load() {
+	if s.cfg.SnapshotEvery < 0 || sess.persistFailed.Load() {
 		return
 	}
 	sess.mu.Lock()
@@ -208,12 +203,9 @@ func (sess *Session) snapshotNow(s *Server, force bool) {
 		sess.mu.Unlock()
 		return
 	}
-	snap, ok := sess.captureLocked()
+	snap := sess.captureLocked()
 	pending := sess.sinceSnap
 	sess.mu.Unlock()
-	if !ok {
-		return
-	}
 	// persistMu excludes retirePersist: without it a destroy/evict could
 	// remove the files between capture and rename, and the rename would
 	// then resurrect a .snap for a name that may already be reused.

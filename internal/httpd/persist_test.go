@@ -292,42 +292,88 @@ func TestRecoveryCorruptSnapshotFallsBackToReplay(t *testing.T) {
 	}
 }
 
-func TestFaultedSessionIsReplayOnly(t *testing.T) {
+// faultCounts renders a session's injected-fault counts (fmt sorts the
+// map's keys).
+func faultCounts(t *testing.T, s *Server, name string) string {
+	t.Helper()
+	s.mu.RLock()
+	sess := s.sessions[name]
+	s.mu.RUnlock()
+	if sess == nil {
+		t.Fatalf("no session %q", name)
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return fmt.Sprint(sess.agent.Node().Faults().Counts())
+}
+
+// TestFaultedSessionRecoversFromSnapshot pins recovered ≡ uninterrupted for
+// a session with fault injection: it snapshots like any other session, and
+// recovery from the snapshot plus the log tail reproduces /events, /metrics
+// and the injector's fault counts byte for byte, across a second crash
+// with post-recovery commands too.
+func TestFaultedSessionRecoversFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newPersistServer(t, dir, 1)
 	base := ts1.URL + "/sessions/a"
 	for _, step := range []struct{ method, url, body string }{
-		{"POST", ts1.URL + "/sessions", `{"name":"a","seed":7,"faults":"seed=3,drop=0.2,actstick=0.1"}`},
+		{"POST", ts1.URL + "/sessions", `{"name":"a","seed":7,"faults":"seed=3,drop=0.2,stale=0.1,flap=0.1,actstick=0.1"}`},
 		{"POST", base + "/tasks", `{"ml":"CNN1","cores":2}`},
 		{"POST", base + "/tasks", `{"kind":"Stitch"}`},
 		{"POST", base + "/advance", `{"ms":500,"wait":true}`},
+		{"POST", base + "/tasks", `{"kind":"Stream","threads":2}`},
 		{"POST", base + "/advance", `{"ms":500,"wait":true}`},
+		{"POST", base + "/tasks", `{"kind":"Stitch"}`}, // the log tail past the last snapshot
 	} {
 		if resp, body := do(t, step.method, step.url, step.body); resp.StatusCode >= 400 {
 			t.Fatalf("%s %s = %d %s", step.method, step.url, resp.StatusCode, body)
 		}
 	}
 	wantEvents, wantMetrics, _ := observe(t, ts1.URL, "a")
-	crash(s1, ts1)
-
-	// Fault-injector RNG position can't be captured, so no snapshot may
-	// exist even at snapshot-every=1 — recovery must be exact full replay.
-	if _, err := os.Stat(durable.SnapPath(dir, "a")); !os.IsNotExist(err) {
-		t.Fatalf("faulted session wrote a snapshot (err=%v)", err)
+	wantFaults := faultCounts(t, s1, "a")
+	if wantFaults == "map[]" {
+		t.Fatal("the faulted session injected no faults")
 	}
+	crash(s1, ts1)
+	if _, err := os.Stat(durable.SnapPath(dir, "a")); err != nil {
+		t.Fatalf("faulted session wrote no snapshot: %v", err)
+	}
+
 	s2, ts2 := newPersistServer(t, dir, 1)
 	resp, info := do(t, "GET", ts2.URL+"/sessions/a", "")
-	if resp.StatusCode != 200 || !strings.Contains(info, `"recovered_mode":"replay"`) {
-		t.Fatalf("info = %d %s, want replay mode", resp.StatusCode, info)
+	if resp.StatusCode != 200 || !strings.Contains(info, `"recovered_mode":"snapshot"`) {
+		t.Fatalf("info = %d %s, want snapshot mode", resp.StatusCode, info)
 	}
 	gotEvents, gotMetrics, _ := observe(t, ts2.URL, "a")
 	if gotEvents != wantEvents {
-		t.Error("faulted session /events not byte-identical after replay")
+		t.Errorf("recovered /events differs:\n got %s\nwant %s", gotEvents, wantEvents)
 	}
 	if gotMetrics != wantMetrics {
-		t.Error("faulted session /metrics not byte-identical after replay")
+		t.Errorf("recovered /metrics differs:\n got %s\nwant %s", gotMetrics, wantMetrics)
 	}
-	_ = s2
+	if got := faultCounts(t, s2, "a"); got != wantFaults {
+		t.Errorf("recovered fault counts %s, want %s", got, wantFaults)
+	}
+
+	if resp, body := do(t, "POST", ts2.URL+"/sessions/a/advance", `{"ms":400,"wait":true}`); resp.StatusCode != 200 {
+		t.Fatalf("post-recovery advance = %d %s", resp.StatusCode, body)
+	}
+	wantEvents2, wantMetrics2, _ := observe(t, ts2.URL, "a")
+	wantFaults2 := faultCounts(t, s2, "a")
+	crash(s2, ts2)
+
+	s3, ts3 := newPersistServer(t, dir, 1)
+	resp, info = do(t, "GET", ts3.URL+"/sessions/a", "")
+	if resp.StatusCode != 200 || !strings.Contains(info, `"recovered_mode":"snapshot"`) {
+		t.Fatalf("second recovery info = %d %s, want snapshot mode", resp.StatusCode, info)
+	}
+	gotEvents2, gotMetrics2, _ := observe(t, ts3.URL, "a")
+	if gotEvents2 != wantEvents2 || gotMetrics2 != wantMetrics2 {
+		t.Error("second recovery (with post-recovery commands) not byte-identical")
+	}
+	if got := faultCounts(t, s3, "a"); got != wantFaults2 {
+		t.Errorf("second recovery fault counts %s, want %s", got, wantFaults2)
+	}
 }
 
 func TestDestroyRemovesPersistedFiles(t *testing.T) {

@@ -68,7 +68,6 @@ type Session struct {
 	wal           *durable.WAL
 	sinceSnap     int         // records appended since the last snapshot
 	persistOn     bool        // a WAL was attached (set before pool insert, immutable)
-	snapEligible  bool        // faults disabled at create; workload may still decline
 	persistFailed atomic.Bool // an append failed: session continues ephemeral
 	// persistMu serializes snapshot disk writes against persist-file
 	// retirement (destroy/eviction/poisoning). It is only ever taken after
@@ -258,15 +257,7 @@ func (s *Server) buildSession(req createSessionRequest, name string) (*Session, 
 	if err != nil {
 		return nil, err
 	}
-	sess, err := newSession(s, name, pol, a)
-	if err != nil {
-		return nil, err
-	}
-	// Fault injection draws from RNG streams whose position cannot be
-	// captured, so faulted sessions are recovered by full command replay
-	// (exact: the injector is seeded) rather than from snapshots.
-	sess.snapEligible = !spec.Enabled()
-	return sess, nil
+	return newSession(s, name, pol, a)
 }
 
 func newSession(s *Server, name string, pol policy.Kind, a *agent.Agent) (*Session, error) {

@@ -4,18 +4,19 @@ import (
 	"fmt"
 
 	"kelp/internal/cgroup"
+	"kelp/internal/faults"
 	"kelp/internal/memsys"
 	"kelp/internal/perfmon"
 	"kelp/internal/sim"
-	"kelp/internal/workload"
 )
 
 // Snapshot is a point-in-time capture of a node's full mutable simulation
 // state: engine clock and controller schedule, per-core prefetch flags,
 // cgroup knobs, monitor accumulators, the last memory resolution (feeding
-// the hardware prefetch governor), governor smoothing state, and every
-// task's own state. It shares no memory with the node and may be restored
-// any number of times onto nodes rebuilt from the same configuration.
+// the hardware prefetch governor), governor smoothing state, the fault
+// injector's state when one is attached, and every task's own state. It
+// shares no memory with the node and may be restored any number of times
+// onto nodes rebuilt from the same configuration.
 //
 // Controller-internal state (the Kelp runtime, CoreThrottle, MBA) lives
 // outside the node; the experiments layer snapshots those separately.
@@ -30,16 +31,13 @@ type Snapshot struct {
 	Monitor  perfmon.State
 	MemLast  *memsys.Resolution
 	Distress map[int]float64
+	Faults   *faults.InjectorState
 	Names    []string
 	Tasks    []any
 }
 
-// Snapshot captures the node's state. It returns (nil, false) when any
-// registered task cannot snapshot itself — tasks that do not implement
-// workload.Snapshotter, or whose current configuration declines (open-loop
-// arrival jitter, unbounded step recording) — in which case the caller
-// falls back to a cold start.
-func (n *Node) Snapshot() (*Snapshot, bool) {
+// Snapshot captures the node's state.
+func (n *Node) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Engine:   n.engine.State(),
 		Prefetch: n.proc.PrefetchState(),
@@ -57,24 +55,21 @@ func (n *Node) Snapshot() (*Snapshot, bool) {
 			s.Distress[k] = v
 		}
 	}
-	for i, bt := range n.tasks {
-		sn, ok := bt.task.(workload.Snapshotter)
-		if !ok {
-			return nil, false
-		}
-		st, ok := sn.TaskSnapshot()
-		if !ok {
-			return nil, false
-		}
-		s.Names[i] = bt.task.Name()
-		s.Tasks[i] = st
+	if n.faults != nil {
+		st := n.faults.State()
+		s.Faults = &st
 	}
-	return s, true
+	for i, bt := range n.tasks {
+		s.Names[i] = bt.task.Name()
+		s.Tasks[i] = bt.task.TaskSnapshot()
+	}
+	return s
 }
 
 // Restore installs a snapshot onto a node rebuilt from the same
 // configuration: same topology, same groups created, same tasks registered
-// in the same order, same engine controllers. The clean-tick fingerprint is
+// in the same order, same engine controllers, and a fault injector exactly
+// when the snapshotted node had one. The clean-tick fingerprint is
 // invalidated so the first step after a restore runs the full pipeline.
 func (n *Node) Restore(s *Snapshot) error {
 	if s == nil {
@@ -89,9 +84,9 @@ func (n *Node) Restore(s *Snapshot) error {
 			return fmt.Errorf("node: snapshot task %d is %q, node has %q",
 				i, s.Names[i], bt.task.Name())
 		}
-		if _, ok := bt.task.(workload.Snapshotter); !ok {
-			return fmt.Errorf("node: task %q cannot restore a snapshot", s.Names[i])
-		}
+	}
+	if (s.Faults != nil) != (n.faults != nil) {
+		return fmt.Errorf("node: snapshot fault injector present %t, node %t", s.Faults != nil, n.faults != nil)
 	}
 	if err := n.engine.RestoreState(s.Engine); err != nil {
 		return err
@@ -104,6 +99,11 @@ func (n *Node) Restore(s *Snapshot) error {
 	}
 	if err := n.mon.Restore(s.Monitor); err != nil {
 		return err
+	}
+	if s.Faults != nil {
+		if err := n.faults.Restore(*s.Faults); err != nil {
+			return err
+		}
 	}
 	if s.MemLast != nil {
 		n.mem.SetLast(s.MemLast.Clone())
@@ -118,7 +118,7 @@ func (n *Node) Restore(s *Snapshot) error {
 		}
 	}
 	for i, bt := range n.tasks {
-		if err := bt.task.(workload.Snapshotter).TaskRestore(s.Tasks[i]); err != nil {
+		if err := bt.task.TaskRestore(s.Tasks[i]); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"kelp/internal/accel"
 	"kelp/internal/cgroup"
+	"kelp/internal/faults"
 	"kelp/internal/perfmon"
 	"kelp/internal/sim"
 	"kelp/internal/workload"
@@ -43,10 +44,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	ref := benchNode(t)
 	ref.Run(warm)
-	snap, ok := ref.Snapshot()
-	if !ok {
-		t.Fatal("benchNode's tasks should all be snapshotable")
-	}
+	snap := ref.Snapshot()
 	ref.StartMeasurement()
 	ref.Run(measure)
 	want := statsOf(ref)
@@ -68,10 +66,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotIsImmutable(t *testing.T) {
 	src := benchNode(t)
 	src.Run(100 * sim.Millisecond)
-	snap, ok := src.Snapshot()
-	if !ok {
-		t.Fatal("snapshot declined")
-	}
+	snap := src.Snapshot()
 
 	measure := func() nodeStats {
 		n := benchNode(t)
@@ -92,10 +87,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 // snapshot only installs onto a node carrying the same tasks.
 func TestSnapshotRestoreRejectsMismatchedTasks(t *testing.T) {
 	src := benchNode(t)
-	snap, ok := src.Snapshot()
-	if !ok {
-		t.Fatal("snapshot declined")
-	}
+	snap := src.Snapshot()
 	if err := MustNew(DefaultConfig()).Restore(snap); err == nil {
 		t.Error("restore onto a task-less node accepted")
 	}
@@ -123,10 +115,7 @@ func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
 		{"short prefetch flags", func(s *Snapshot) { s.Prefetch = s.Prefetch[:3] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			snap, ok := src.Snapshot()
-			if !ok {
-				t.Fatal("snapshot declined")
-			}
+			snap := src.Snapshot()
 			tc.mutate(snap)
 			if err := benchNode(t).Restore(snap); err == nil {
 				t.Error("malformed snapshot accepted")
@@ -135,71 +124,102 @@ func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsNonSnapshotterTask pins that a snapshot whose task
-// names match a node holding a task that cannot restore state (here a
-// pipelined trainer under a loop's name) is refused rather than panicking.
-func TestRestoreRejectsNonSnapshotterTask(t *testing.T) {
+// TestRestoreRejectsMismatchedTaskState pins that a snapshot whose task
+// names match but whose task state belongs to another kind of task (here a
+// loop's state under a pipelined trainer of the same name) is refused
+// rather than panicking.
+func TestRestoreRejectsMismatchedTaskState(t *testing.T) {
 	build := func(task workload.Task) *Node {
 		n := MustNew(DefaultConfig())
-		if _, err := n.Cgroups().Create("g", cgroup.High); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Cgroups().SetCPUs("g", []int{0, 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.AddTask(task, "g"); err != nil {
-			t.Fatal(err)
-		}
+		addTask(t, n, task, "g", cgroup.High, []int{0, 1})
 		return n
 	}
-	loop := workload.MustLoop("p", workload.LoopConfig{Threads: 2, UnitWork: 1e-3})
-	snap, ok := build(loop).Snapshot()
-	if !ok {
-		t.Fatal("snapshot declined")
-	}
-	pipe, err := workload.NewPipelined("p", accel.NewCloudTPU(), 5e-3, 2, workload.MemProfile{}, 1e12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := build(workload.MustLoop("p", workload.LoopConfig{Threads: 2, UnitWork: 1e-3})).Snapshot()
+	pipe := must(workload.NewPipelined("p", accel.NewCloudTPU(), 5e-3, 2, workload.MemProfile{}, 1e12, 2))
 	if err := build(pipe).Restore(snap); err == nil {
-		t.Error("restore onto a task without snapshot support accepted")
+		t.Error("restore of a loop's state onto a pipelined trainer accepted")
 	}
 }
 
-// TestSnapshotDeclinesJitteredOpenLoop pins the eligibility rule: an
-// open-loop server with arrival jitter consumes engine randomness whose
-// stream position a snapshot cannot capture, so the node must refuse to
-// snapshot rather than restore into a diverging run.
-func TestSnapshotDeclinesJitteredOpenLoop(t *testing.T) {
-	n := MustNew(DefaultConfig())
-	if _, err := n.Cgroups().Create("g", cgroup.High); err != nil {
-		t.Fatal(err)
+// TestRestoreRejectsFaultInjectorMismatch pins that a snapshot restores
+// only onto a node whose fault injector presence matches the snapshotted
+// node's.
+func TestRestoreRejectsFaultInjectorMismatch(t *testing.T) {
+	faulted := func() *Node {
+		n := benchNode(t)
+		n.SetFaults(faults.MustInjector(faults.Spec{Seed: 3, Drop: 0.2}))
+		return n
 	}
-	if err := n.Cgroups().SetCPUs("g", []int{0, 1}); err != nil {
-		t.Fatal(err)
+	if err := faulted().Restore(benchNode(t).Snapshot()); err == nil {
+		t.Error("snapshot without an injector restored onto a faulted node")
 	}
-	dev, err := accel.NewDevice(accel.NewTPU())
-	if err != nil {
-		t.Fatal(err)
+	if err := benchNode(t).Restore(faulted().Snapshot()); err == nil {
+		t.Error("snapshot with an injector restored onto an unfaulted node")
 	}
-	cfg := workload.InferenceConfig{
-		TargetQPS:            100,
-		MaxConcurrency:       4,
-		IterationsPerRequest: 1,
-		CPUWorkPerIter:       1e-3,
-		XferBytes:            64 << 10,
-		AccelWorkPerIter:     1e9,
-		ArrivalJitter:        0.3,
-		Mem:                  workload.MemProfile{StreamBWPerCore: workload.GB},
+	if err := faulted().Restore(faulted().Snapshot()); err != nil {
+		t.Errorf("faulted snapshot onto a faulted node: %v", err)
 	}
-	inf, err := workload.NewInference("jitter", dev, cfg, n.Engine().RNG().Stream("jitter"))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// taskObservations reads what statsOf does not: each task's own record
+// beyond its throughput (tail latency and queues, step timestamps, buffer
+// level).
+func taskObservations(n *Node) map[string]any {
+	out := make(map[string]any)
+	for _, task := range n.Tasks() {
+		switch x := task.(type) {
+		case *workload.Inference:
+			out[x.Name()] = []float64{x.TailLatency(0.95), float64(x.QueueDepth()), float64(x.InFlight())}
+		case *workload.Training:
+			out[x.Name()] = x.StepTimes()
+		case *workload.Pipelined:
+			out[x.Name()] = x.Buffered()
+		}
 	}
-	if err := n.AddTask(inf, "g"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.Snapshot(); ok {
-		t.Error("node with a jittered open-loop server must decline to snapshot")
+	return out
+}
+
+// TestSnapshotRestoresEveryTaskKind pins restored ≡ uninterrupted for
+// every kind of task, including the state beyond counters: a jittered
+// open-loop server's arrival stream position, a pipelined trainer's
+// buffer, and a trainer's recorded step times. A node is snapshotted after
+// warmup, runs on and is measured; a fresh node restored from the
+// snapshot must measure byte-identically.
+func TestSnapshotRestoresEveryTaskKind(t *testing.T) {
+	cases := append(tierCases(), tierCase{
+		name: "training with step times",
+		build: func(t *testing.T, n *Node) {
+			cnn := must(workload.NewCNN1(accel.NewCloudTPU()))
+			cnn.RecordStepTimes(true)
+			addTask(t, n, cnn, "cnn1", cgroup.High, []int{0, 1, 2, 3, 4, 5, 6, 7})
+			addTask(t, n, must(workload.NewStitch(0)), "stitch", cgroup.Low, []int{12, 13, 14, 15})
+		},
+	})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Node {
+				n := MustNew(DefaultConfig())
+				tc.build(t, n)
+				return n
+			}
+			ref := build()
+			ref.Run(150 * sim.Millisecond)
+			snap := ref.Snapshot()
+			ref.StartMeasurement()
+			ref.Run(250 * sim.Millisecond)
+
+			restored := build()
+			if err := restored.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			restored.StartMeasurement()
+			restored.Run(250 * sim.Millisecond)
+			if got, want := statsOf(restored), statsOf(ref); !reflect.DeepEqual(got, want) {
+				t.Errorf("restored node diverged:\n got: %+v\nwant: %+v", got, want)
+			}
+			if got, want := taskObservations(restored), taskObservations(ref); !reflect.DeepEqual(got, want) {
+				t.Errorf("restored tasks diverged:\n got: %v\nwant: %v", got, want)
+			}
+		})
 	}
 }

@@ -240,10 +240,7 @@ func TestTickTierRestoreMidHorizon(t *testing.T) {
 		ref.engine.Tick()
 		inc.engine.Tick()
 	}
-	snap, ok := inc.Snapshot()
-	if !ok {
-		t.Fatal("snapshot declined")
-	}
+	snap := inc.Snapshot()
 	// Run past burst edges and phase changes, then rewind.
 	inc.Run(70 * sim.Millisecond)
 	if err := inc.Restore(snap); err != nil {

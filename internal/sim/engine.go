@@ -59,8 +59,8 @@ func (e *Engine) Step() Duration { return e.dt }
 // Steps returns the number of ticks executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// RNG returns the engine's root random source. Derive per-component streams
-// with RNG.Stream to keep runs reproducible under reordering.
+// RNG returns the engine's random stream source. Derive per-component
+// streams with RNG.Stream to keep runs reproducible under reordering.
 func (e *Engine) RNG() *RNG { return e.rng }
 
 // AddStepper registers a component to advance on every tick, in registration
@@ -127,10 +127,9 @@ func (e *Engine) schedule() {
 
 // EngineState is a snapshot of the engine's mutable scheduling state: the
 // clock, the tick count, and each registered controller's next fire time in
-// registration order. It deliberately omits RNG state (streams are not
-// serializable); callers gate snapshot eligibility to runs that never draw
-// from the engine's randomness, so rebuilding with the same seed restores
-// identical streams.
+// registration order. It holds no random state: the engine's RNG only
+// derives streams, and each stream's owner captures that stream's position
+// in its own snapshot (Stream.Pos).
 type EngineState struct {
 	Now   Time
 	Steps uint64

@@ -254,6 +254,35 @@ func TestRNGStreamsAreReproducibleAndIndependent(t *testing.T) {
 	}
 }
 
+// TestStreamSeekResumes pins that a stream's position is its draw count:
+// a fresh stream of the same (seed, name) sought to Pos continues the
+// original's sequence exactly, and seeking backwards rewinds it.
+func TestStreamSeekResumes(t *testing.T) {
+	a := NewRNG(7).Stream("alpha")
+	for i := 0; i < 37; i++ {
+		a.Float64()
+	}
+	pos := a.Pos()
+	if pos != 37 {
+		t.Fatalf("Pos = %d after 37 Float64 draws", pos)
+	}
+	want := make([]float64, 50)
+	for i := range want {
+		want[i] = a.Float64()
+	}
+	b := NewRNG(7).Stream("alpha")
+	b.Seek(pos)
+	for i, w := range want {
+		if got := b.Float64(); got != w {
+			t.Fatalf("draw %d after Seek = %v, want %v", i, got, w)
+		}
+	}
+	a.Seek(pos)
+	if got := a.Float64(); got != want[0] {
+		t.Errorf("draw after rewinding Seek = %v, want %v", got, want[0])
+	}
+}
+
 func TestRNGSeedChangesStream(t *testing.T) {
 	s1 := NewRNG(1).Stream("x")
 	s2 := NewRNG(2).Stream("x")

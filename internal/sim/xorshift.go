@@ -1,5 +1,7 @@
 package sim
 
+import "errors"
+
 // Xorshift is an xorshift64* generator: small, fast, and separate from the
 // simulation's math/rand streams, so the fault injectors that draw from it
 // never perturb (or are perturbed by) the simulation's own randomness.
@@ -39,4 +41,17 @@ func (x *Xorshift) Next() uint64 {
 // Float64 draws a uniform value in [0, 1).
 func (x *Xorshift) Float64() float64 {
 	return float64(x.Next()>>11) / (1 << 53)
+}
+
+// State returns the generator's whole state, for snapshots.
+func (x *Xorshift) State() uint64 { return x.state }
+
+// SetState resumes the generator at a state State returned. Zero is
+// xorshift's fixed point, which no generator reaches, so it is rejected.
+func (x *Xorshift) SetState(s uint64) error {
+	if s == 0 {
+		return errors.New("sim: xorshift state 0")
+	}
+	x.state = s
+	return nil
 }

@@ -25,3 +25,24 @@ func TestXorshiftFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// TestXorshiftStateResumes pins that State is the generator's whole
+// position: a generator set to it continues the original's sequence.
+func TestXorshiftStateResumes(t *testing.T) {
+	x := NewXorshift(9)
+	for i := 0; i < 5; i++ {
+		x.Next()
+	}
+	y := NewXorshift(1)
+	if err := y.SetState(x.State()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := x.Next(), y.Next(); a != b {
+			t.Fatalf("draw %d: resumed %#x, original %#x", i, b, a)
+		}
+	}
+	if err := y.SetState(0); err == nil {
+		t.Error("state 0 (the fixed point) accepted")
+	}
+}

@@ -2,9 +2,9 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"kelp/internal/accel"
+	"kelp/internal/sim"
 )
 
 // GB is 2^30 bytes, for bandwidth constants.
@@ -47,7 +47,7 @@ func Levels() []Level { return []Level{LevelLow, LevelMedium, LevelHigh} }
 // NewRNN1 returns the RNN inference server (TPU platform, beam-search host
 // phase, medium CPU intensity, low host memory intensity). The offered load
 // sits at the knee of the throughput/latency curve.
-func NewRNN1(device *accel.Device, rng *rand.Rand) (*Inference, error) {
+func NewRNN1(device *accel.Device, rng *sim.Stream) (*Inference, error) {
 	if device == nil {
 		return nil, fmt.Errorf("workload: RNN1 needs a device")
 	}

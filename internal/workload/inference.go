@@ -3,10 +3,10 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"kelp/internal/accel"
 	"kelp/internal/metrics"
+	"kelp/internal/sim"
 )
 
 // InferenceConfig parameterizes a pipelined inference server (the paper's
@@ -98,7 +98,7 @@ type Inference struct {
 	name   string
 	cfg    InferenceConfig
 	device *accel.Device
-	rng    *rand.Rand
+	rng    *sim.Stream
 
 	nextArrival float64
 	queued      []float64 // arrival times of requests awaiting admission
@@ -115,7 +115,7 @@ type Inference struct {
 
 // NewInference builds an inference server on the given device. rng drives
 // arrival jitter and may be nil when ArrivalJitter is 0.
-func NewInference(name string, device *accel.Device, cfg InferenceConfig, rng *rand.Rand) (*Inference, error) {
+func NewInference(name string, device *accel.Device, cfg InferenceConfig, rng *sim.Stream) (*Inference, error) {
 	if name == "" {
 		return nil, fmt.Errorf("workload: empty task name")
 	}
@@ -139,7 +139,7 @@ func NewInference(name string, device *accel.Device, cfg InferenceConfig, rng *r
 }
 
 // MustInference is NewInference that panics on invalid arguments.
-func MustInference(name string, device *accel.Device, cfg InferenceConfig, rng *rand.Rand) *Inference {
+func MustInference(name string, device *accel.Device, cfg InferenceConfig, rng *sim.Stream) *Inference {
 	s, err := NewInference(name, device, cfg, rng)
 	if err != nil {
 		panic(err)

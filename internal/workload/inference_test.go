@@ -1,10 +1,10 @@
 package workload
 
 import (
-	"math/rand"
 	"testing"
 
 	"kelp/internal/accel"
+	"kelp/internal/sim"
 )
 
 func newRNN1(t *testing.T) *Inference {
@@ -13,7 +13,7 @@ func newRNN1(t *testing.T) *Inference {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewRNN1(dev, rand.New(rand.NewSource(1)))
+	s, err := NewRNN1(dev, sim.NewRNG(1).Stream("rnn1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func openRNN1(t *testing.T) *Inference {
 	}
 	cfg := base.Config()
 	cfg.ClosedLoop = false
-	s, err := NewInference("RNN1-open", dev, cfg, rand.New(rand.NewSource(1)))
+	s, err := NewInference("RNN1-open", dev, cfg, sim.NewRNG(1).Stream("rnn1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestInferenceOfferTracksCPUPhases(t *testing.T) {
 func TestInferenceDeterministicWithSeed(t *testing.T) {
 	run := func() (float64, float64) {
 		dev, _ := accel.NewDevice(accel.NewTPU())
-		s, _ := NewRNN1(dev, rand.New(rand.NewSource(42)))
+		s, _ := NewRNN1(dev, sim.NewRNG(42).Stream("rnn1"))
 		now := runInference(s, 6, fullRates(), 4.0)
 		return s.Throughput(now), s.TailLatency(0.95)
 	}
@@ -246,10 +246,7 @@ func TestMaxQueueDefault(t *testing.T) {
 // to) is refused at restore, not left to panic on the next completion.
 func TestTaskRestoreRejectsMissingHistograms(t *testing.T) {
 	s := newRNN1(t)
-	st, ok := s.TaskSnapshot()
-	if !ok {
-		t.Fatal("closed-loop server declined to snapshot")
-	}
+	st := s.TaskSnapshot()
 	for _, mutate := range []func(*inferenceState){
 		func(st *inferenceState) { st.Latency = nil },
 		func(st *inferenceState) { st.Window = nil },

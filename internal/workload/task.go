@@ -118,8 +118,12 @@ type Rates struct {
 // phase). The contract exposes both, so the node can skip asking while
 // neither can have happened: Offer returns a horizon, and Advance reports
 // reoffer. Advance is the only method that changes offer-relevant state;
-// restoring a snapshot (Snapshotter.TaskRestore) is the one exception, and
-// whoever restores must ask for a fresh offer.
+// restoring a snapshot (TaskRestore) is the one exception, and whoever
+// restores must ask for a fresh offer.
+//
+// Every task can capture and restore its full mutable state: the node
+// snapshots behind warm-started sweep cells (docs/PERFORMANCE.md) and
+// kelpd's session snapshots are built from these.
 type Task interface {
 	// Name identifies the task instance.
 	Name() string
@@ -141,6 +145,12 @@ type Task interface {
 	// Throughput returns measured work rate in the task's natural units
 	// per second (steps/s, queries/s, bytes/s, ...) as of now.
 	Throughput(now float64) float64
+	// TaskSnapshot captures the task's mutable state. The returned value
+	// is opaque to callers, immutable, and shareable across restores.
+	TaskSnapshot() any
+	// TaskRestore installs a state captured by TaskSnapshot on a task
+	// built from the same configuration.
+	TaskRestore(st any) error
 }
 
 // CPUFactor combines the resolved memory outcomes into one execution-rate
