@@ -130,11 +130,6 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 			cfg := DefaultConfig()
 			tc.mut(&cfg)
 			s := MustSystem(cfg)
-			// Disable the incremental short-circuit: the pin is on the
-			// full recompute path (the short-circuit is trivially
-			// allocation-free; the dirty-step case below covers the
-			// fingerprint-recording variant).
-			s.SetIncremental(false)
 			flows := []Flow{
 				{Task: "ml", Socket: 0, Subdomain: 0, DemandBW: 3 * GB, LLCFootprint: 8e6, LLCRefBW: 4 * GB, LLCWayMask: 0xf, HighPriority: true},
 				{Task: "lo", Socket: 0, Subdomain: 1, DemandBW: 30 * GB, LLCFootprint: 64e6},
@@ -154,9 +149,8 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 		})
 	}
 
-	// Dirty steps with incremental mode on: every call misses the
-	// fingerprint, recomputes, and re-records the fingerprint — that
-	// recording must also be allocation-free once lastFlows has capacity.
+	// Dirty steps: flows that change on every call must not allocate
+	// either.
 	t.Run("incremental-dirty", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SNCEnabled = true
@@ -169,7 +163,7 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(200, func() {
-			flows[1].DemandBW += GB // force a fingerprint miss
+			flows[1].DemandBW += GB
 			if _, err := s.Resolve(flows); err != nil {
 				t.Fatal(err)
 			}

@@ -4,13 +4,11 @@ import "testing"
 
 // BenchmarkResolve measures the per-step cost of the memory-system
 // resolution with a realistic flow count — the inner loop of every
-// experiment in this repository. Incremental short-circuiting is disabled
-// so the benchmark keeps measuring the full fixed-point recompute.
+// experiment in this repository.
 func BenchmarkResolve(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.SNCEnabled = true
 	s := MustSystem(cfg)
-	s.SetIncremental(false)
 	flows := []Flow{
 		{Task: "ml", Socket: 0, Subdomain: 0, DemandBW: 3 * GB, LLCFootprint: 8e6, LLCRefBW: 4 * GB, LLCWayMask: 0xf, HighPriority: true},
 		{Task: "bf", Socket: 0, Subdomain: 0, DemandBW: 10 * GB, LLCFootprint: 6e6, LLCRefBW: 2 * GB},
@@ -32,7 +30,6 @@ func BenchmarkResolveFineGrained(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.FineGrainedQoS = true
 	s := MustSystem(cfg)
-	s.SetIncremental(false)
 	flows := []Flow{
 		{Task: "ml", Socket: 0, DemandBW: 5 * GB, HighPriority: true},
 		{Task: "lo", Socket: 0, DemandBW: 100 * GB},
@@ -66,16 +63,12 @@ func BenchmarkResolveLLCOnly(b *testing.B) {
 
 // BenchmarkResolveSteady measures the steady-state cost of a full Resolve
 // recompute — the innermost loop of every experiment cell — after the
-// scratch arena has grown to the flow-set shape. Incremental mode is
-// disabled so the number stays comparable across snapshots: with it on,
-// identical flows short-circuit (BenchmarkResolveShortCircuit measures
-// that path). The acceptance bar is 0 allocs/op (also pinned hard by
-// TestResolveSteadyStateAllocs).
+// scratch arena has grown to the flow-set shape. The acceptance bar is 0
+// allocs/op (also pinned hard by TestResolveSteadyStateAllocs).
 func BenchmarkResolveSteady(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.SNCEnabled = true
 	s := MustSystem(cfg)
-	s.SetIncremental(false)
 	flows := []Flow{
 		{Task: "ml", Socket: 0, Subdomain: 0, DemandBW: 3 * GB, LLCFootprint: 8e6, LLCRefBW: 4 * GB, LLCWayMask: 0xf, HighPriority: true},
 		{Task: "bf", Socket: 0, Subdomain: 0, DemandBW: 10 * GB, LLCFootprint: 6e6, LLCRefBW: 2 * GB},
@@ -84,32 +77,6 @@ func BenchmarkResolveSteady(b *testing.B) {
 		{Task: "rem", Socket: 1, Subdomain: 0, DemandBW: 15 * GB, RemoteFrac: 0.5},
 	}
 	// Warm the arena so the timed region is pure steady state.
-	if _, err := s.Resolve(flows); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Resolve(flows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkResolveShortCircuit measures the incremental fast path: an
-// unchanged flow set under an unchanged configuration costs one fingerprint
-// compare. This is what a steady simulation phase pays per step.
-func BenchmarkResolveShortCircuit(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.SNCEnabled = true
-	s := MustSystem(cfg)
-	flows := []Flow{
-		{Task: "ml", Socket: 0, Subdomain: 0, DemandBW: 3 * GB, LLCFootprint: 8e6, LLCRefBW: 4 * GB, LLCWayMask: 0xf, HighPriority: true},
-		{Task: "bf", Socket: 0, Subdomain: 0, DemandBW: 10 * GB, LLCFootprint: 6e6, LLCRefBW: 2 * GB},
-		{Task: "lo1", Socket: 0, Subdomain: 1, DemandBW: 30 * GB, LLCFootprint: 64e6},
-		{Task: "lo2", Socket: 0, Subdomain: 1, DemandBW: 20 * GB, LLCFootprint: 16e6, LLCRefBW: 3 * GB},
-		{Task: "rem", Socket: 1, Subdomain: 0, DemandBW: 15 * GB, RemoteFrac: 0.5},
-	}
 	if _, err := s.Resolve(flows); err != nil {
 		b.Fatal(err)
 	}

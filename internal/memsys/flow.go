@@ -133,10 +133,10 @@ type Resolution struct {
 	cps int
 
 	// seq identifies the fixed-point computation that produced this
-	// resolution: the owning system stamps a fresh value on every full
-	// recompute and leaves it unchanged when the incremental short-circuit
-	// returns the previous result. Pointer identity alone cannot tell the
-	// two apart (the double-buffer arena reuses addresses), so consumers
+	// resolution: the owning system stamps a fresh value on every
+	// Resolve, and Replay returns the cached resolution with its stamp
+	// unchanged. Pointer identity alone cannot tell a replay from a
+	// recompute (the double-buffer arena reuses addresses), so consumers
 	// that cache derived values (perfmon) key on (pointer, seq).
 	seq uint64
 }

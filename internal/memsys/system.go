@@ -22,20 +22,18 @@ type System struct {
 	// the hot path must not allocate in steady state; see docs/PERFORMANCE.md.
 	arena arena
 
-	// Incremental-resolve state: lastFlows retains a copy of the flow set
-	// the cached fixed-point in last was computed from, and lastEpoch the
-	// config epoch at that time. When the next Resolve sees an identical
-	// flow set under the same epoch it returns last unchanged (see Resolve).
-	// epoch counts configuration mutations (SetSNC, SetFineGrainedQoS) so a
-	// config flip can never be confused with a steady state.
-	noIncremental bool
-	epoch         uint64
-	lastFlows     []Flow
-	lastEpoch     uint64
-	lastValid     bool
-	// resolveSeq counts full fixed-point computations; each stamps its
-	// Resolution so downstream caches (perfmon) can tell a short-circuited
-	// repeat from a recompute that landed on a reused arena buffer.
+	// Replay state: lastValid marks that last was computed by Resolve
+	// (not installed by SetLast, and no Resolve failed since), and
+	// lastEpoch is the config epoch at that time. epoch counts
+	// configuration mutations (SetSNC, SetFineGrainedQoS) so a config flip
+	// can never be confused with a steady state.
+	epoch     uint64
+	lastEpoch uint64
+	lastValid bool
+	// resolveSeq counts fixed-point computations; each stamps its
+	// Resolution so a caller can prove to Replay which one it holds, and
+	// downstream caches (perfmon) can tell a replayed repeat from a
+	// recompute that landed on a reused arena buffer.
 	resolveSeq uint64
 
 	// events, when non-nil, receives distress assert/deassert and
@@ -124,27 +122,17 @@ func (s *System) SetFineGrainedQoS(on bool) {
 	s.epoch++
 }
 
-// SetIncremental toggles the incremental short-circuit in Resolve (on by
-// default). Disabling it forces every call to recompute the fixed-point —
-// used by equivalence tests and by benchmarks that measure the full
-// recompute cost.
-func (s *System) SetIncremental(on bool) {
-	s.noIncremental = !on
-	s.lastValid = false
-}
-
 // Epoch returns the configuration epoch, incremented by every mutation of
 // the system configuration (SetSNC, SetFineGrainedQoS). Callers that cache
-// state derived from a Resolution — the node's clean-tick fast path — compare
-// epochs to detect that cached results are stale.
+// state derived from a Resolution — the node's skippable pipeline stages —
+// compare epochs to detect that cached results are stale.
 func (s *System) Epoch() uint64 { return s.epoch }
 
 // SetLast installs a resolution as the cached last fixed-point — the
 // warm-start restore hook, used when a node snapshot is restored and the
 // controllers' next sample must read the pre-snapshot state via Last().
-// The incremental fingerprint is invalidated, so the following Resolve
-// recomputes from scratch. The resolution should be detached from any
-// arena (Clone it first).
+// Replay declines until the next Resolve. The resolution should be
+// detached from any arena (Clone it first).
 func (s *System) SetLast(r *Resolution) {
 	s.last = r
 	s.lastValid = false
@@ -249,20 +237,10 @@ func (s *System) remoteTarget(socket int) int {
 // has grown to the flow-set shape (pinned by BenchmarkResolveSteady and
 // TestResolveSteadyStateAllocs).
 //
-// Resolve is incremental: the system fingerprints the last resolved flow
-// set (an element-wise copy plus the config epoch) and, when the submitted
-// flows are identical under the same configuration, returns the prior
-// fixed-point without recomputing — or re-validating — anything. The
-// short-circuit does not flip the double buffer, so it only extends the
-// ownership window: a resolution handed out at step k is overwritten no
-// earlier than the second *distinct* resolution after it. Disable with
-// SetIncremental(false).
+// Resolve always recomputes. A caller that has proven its flow set
+// unchanged since its last Resolve reuses the fixed point through Replay
+// instead.
 func (s *System) Resolve(flows []Flow) (*Resolution, error) {
-	if s.cached() && flowsEqual(flows, s.lastFlows) {
-		// Clean step: identical flows were validated when the cached
-		// fixed-point was computed, so validation is skipped too.
-		return s.replay(), nil
-	}
 	cfg := s.cfg
 	for i := range flows {
 		if err := flows[i].validate(cfg); err != nil {
@@ -552,15 +530,8 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 		s.emitTransitions(res.Controllers)
 	}
 	s.last = res
-	// Record the fingerprint for the next call's short-circuit check. The
-	// copy reuses lastFlows' capacity, so this is allocation-free in steady
-	// state (Flow is a value type; its only pointerish field is a string,
-	// which copies without allocating).
-	if !s.noIncremental {
-		s.lastFlows = append(s.lastFlows[:0], flows...)
-		s.lastEpoch = s.epoch
-		s.lastValid = true
-	}
+	s.lastEpoch = s.epoch
+	s.lastValid = true
 	return res, nil
 }
 
@@ -568,43 +539,18 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 // caller that has already proven its flow set unchanged: seq must be the
 // Seq of the resolution that caller last received from Resolve. It reports
 // false — and the caller must fall back to Resolve — unless that resolution
-// is still the cached one, the configuration epoch is unchanged since it
-// was computed, and incremental resolve is on. A successful Replay is
-// exactly Resolve's short-circuit, transition events included.
+// is still the cached one, no Resolve failed since, and the configuration
+// epoch is unchanged since it was computed. A successful Replay returns
+// what Resolve of the same flows would compute, without flipping the double
+// buffer or stamping a new Seq. The transition emitter still runs, so a
+// recorder attached mid-run observes its initial edges; on a true steady
+// state it emits nothing.
 func (s *System) Replay(seq uint64) (*Resolution, bool) {
-	if !s.cached() || s.last.seq != seq {
+	if !s.lastValid || s.lastEpoch != s.epoch || s.last.seq != seq {
 		return nil, false
 	}
-	return s.replay(), true
-}
-
-// cached reports whether last holds a reusable fixed point: computed from
-// lastFlows under the current epoch, with incremental resolve on.
-func (s *System) cached() bool {
-	return !s.noIncremental && s.lastValid && s.lastEpoch == s.epoch
-}
-
-// replay returns the cached fixed point. The transition emitter still runs
-// so a recorder attached mid-run observes its initial edges; on a true
-// steady state it emits nothing.
-func (s *System) replay() *Resolution {
 	if s.events != nil {
 		s.emitTransitions(s.last.Controllers)
 	}
-	return s.last
-}
-
-// flowsEqual reports whether two flow sets are element-wise identical.
-// Flow is comparable (fixed-size value fields plus a string), so == compares
-// full semantic content.
-func flowsEqual(a, b []Flow) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return s.last, true
 }

@@ -75,11 +75,10 @@ func benchNodeTasks(b testing.TB, cfg Config, wrap func(*workload.Loop) workload
 // BenchmarkNodeStep measures one full node pipeline tick — offer
 // collection, cgroup timesharing, memory-system resolution, rate
 // distribution, task advance — the 100µs inner loop of every experiment.
-// Incremental resolution is disabled so the number keeps measuring the
-// full pipeline across snapshots: with it on, a steady colocation takes a
-// fast path (BenchmarkNodeStepClean and BenchmarkNodeStepReoffer measure
-// those). Steady state must not allocate on the node/memsys side of the
-// pipeline.
+// NoIncremental is set so the number keeps measuring the whole pipeline
+// across snapshots: without it, a steady colocation skips pipeline stages
+// (BenchmarkNodeStepClean and BenchmarkNodeStepReoffer measure those).
+// Steady state must not allocate on the node/memsys side of the pipeline.
 func BenchmarkNodeStep(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.NoIncremental = true
@@ -96,7 +95,8 @@ func BenchmarkNodeStep(b *testing.B) {
 // BenchmarkNodeStepClean measures what a steady simulation phase pays per
 // 100µs step: offers, cgroup/prefetch/memory generations, and the resolved
 // flow set all unchanged since the previous tick. Its non-bursting loops
-// never re-offer, so it measures the horizon tier (docs/PERFORMANCE.md §3).
+// never re-offer, so every one-tick call is within the horizon and skips
+// both the offer pass and Resolve (docs/PERFORMANCE.md §3).
 func BenchmarkNodeStepClean(b *testing.B) {
 	n := benchNode(b)
 	n.Run(10 * n.cfg.Step)
@@ -107,9 +107,10 @@ func BenchmarkNodeStepClean(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeStepReoffer measures the offer-compare tier: the same steady
+// BenchmarkNodeStepReoffer measures the offer compare: the same steady
 // colocation as BenchmarkNodeStepClean, but every task's horizon is now, so
-// each tick re-offers and proves itself clean by comparing offers.
+// each tick makes the offer pass and skips only flow assembly and Resolve,
+// by proving every offer unchanged.
 func BenchmarkNodeStepReoffer(b *testing.B) {
 	n := reofferNode(b)
 	n.Run(10 * n.cfg.Step)
@@ -121,7 +122,7 @@ func BenchmarkNodeStepReoffer(b *testing.B) {
 }
 
 // BenchmarkNodeRunHorizon measures what a steady simulation phase pays per
-// simulated tick when the engine hands the node whole horizon runs: the
+// simulated tick when the engine hands the node whole runs: the
 // same colocation as BenchmarkNodeStepClean, advanced through Node.Run.
 // Each op runs 1000 ticks; the ns/tick metric is the per-tick cost.
 func BenchmarkNodeRunHorizon(b *testing.B) {
@@ -138,9 +139,9 @@ func BenchmarkNodeRunHorizon(b *testing.B) {
 
 // TestNodeStepSteadyStateAllocs pins the allocation-free node tick: after
 // warmup, one engine tick (node pipeline + memsys resolve) performs zero
-// heap allocations — on the full pipeline, the offer-compare (clean) tier
-// and the horizon (steady) tier — and so does a Run that advances the
-// steady colocation through horizon runs.
+// heap allocations — on the whole pipeline, with the offer compare (clean)
+// and within the horizon (steady) — and so does a Run that advances the
+// steady colocation through runs of ticks.
 func TestNodeStepSteadyStateAllocs(t *testing.T) {
 	noInc := DefaultConfig()
 	noInc.NoIncremental = true

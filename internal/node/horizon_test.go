@@ -1,45 +1,70 @@
 package node
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"kelp/internal/cpu"
 	"kelp/internal/sim"
+	"kelp/internal/workload"
 )
 
-// runCounter stands between a node and its engine and counts the ticks the
-// engine hands over in StepN calls, and how many of those ran in multi-tick
-// runs.
+// runCounter stands between a node and its engine. It counts the StepN
+// calls the engine makes and the ticks it hands over in them, how many of
+// those ticks ran in multi-tick runs, the offer passes the node made, and
+// the calls that made more than one.
 type runCounter struct {
 	*Node
-	ticks, batched int
+	calls, ticks, batched int
+	offers, multiOffer    int
 }
 
 func (c *runCounter) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
+	before := c.offers
 	k := c.Node.StepN(now, dt, deadline, due)
+	c.calls++
 	c.ticks += k
 	if k > 1 {
 		c.batched += k
 	}
+	if c.offers-before > 1 {
+		c.multiOffer++
+	}
 	return k
 }
 
-// horizonNode builds tier case tc behind a runCounter, with a controller
-// firing every period that cycles through tc's actuations: shrink the
-// group, turn a prefetcher off, restore the group, turn it back on. inside
-// counts the firings that landed while the node was inside a horizon.
+// offerCounter wraps a task and counts its Offer calls. The node asks every
+// task once per offer pass, so on a node's first task it counts offer
+// passes.
+type offerCounter struct {
+	workload.Task
+	n *int
+}
+
+func (o offerCounter) Offer(now, cores float64, off *workload.Offer) float64 {
+	*o.n++
+	return o.Task.Offer(now, cores, off)
+}
+
+// horizonNode builds tier case tc behind a runCounter. With a nonzero
+// period, a controller fires every period and cycles through tc's
+// actuations: shrink the group, turn a prefetcher off, restore the group,
+// turn it back on. inside counts the firings that landed while the node
+// was inside a horizon.
 func horizonNode(t *testing.T, tc tierCase, noInc bool, period sim.Duration) (n *Node, rc *runCounter, inside *int) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NoIncremental = noInc
 	n = MustNew(cfg)
-	// Re-register the node on a fresh engine behind the counter. The seed
-	// is the same, so every RNG stream the tasks draw is too.
 	rc = &runCounter{Node: n}
-	n.engine = sim.MustEngine(cfg.Step, cfg.Seed)
-	n.engine.AddStepper(rc)
+	n.engine.SetStepper(rc)
 	tc.build(t, n)
+	n.tasks[0].task = offerCounter{Task: n.tasks[0].task, n: &rc.offers}
+	inside = new(int)
+	if period == 0 {
+		return n, rc, inside
+	}
 	g, err := n.Cgroups().Group(tc.shrink)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +76,6 @@ func horizonNode(t *testing.T, tc tierCase, noInc bool, period sim.Duration) (n 
 		func() error { return n.Cgroups().SetCPUs(tc.shrink, full) },
 		func() error { return n.Processor().SetPrefetch(tc.to[0], true) },
 	}
-	inside = new(int)
 	fired := 0
 	if err := n.engine.AddController("actuate", period, sim.ControlFunc(func(now sim.Time) {
 		if n.withinHorizon(now) {
@@ -117,6 +141,34 @@ func TestTickTierHorizonRun(t *testing.T) {
 				t.Error("no actuation landed inside a horizon")
 			}
 		})
+	}
+}
+
+// TestOfferPassStartsRun pins that an offer pass starts a run. With no
+// controller and no deadline in range, each StepN call makes exactly one
+// offer pass: a call ends only where the offers may have changed, and a
+// full or offer-compare tick runs on into the horizon ticks after it
+// instead of returning. A NoIncremental node makes one offer pass per tick.
+func TestOfferPassStartsRun(t *testing.T) {
+	for _, tc := range tierCases() {
+		for _, noInc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s noinc=%v", tc.name, noInc), func(t *testing.T) {
+				n, rc, _ := horizonNode(t, tc, noInc, 0)
+				n.Run(500 * sim.Millisecond)
+				if rc.multiOffer != 0 {
+					t.Errorf("%d of %d StepN calls made more than one offer pass", rc.multiOffer, rc.calls)
+				}
+				if rc.calls != rc.offers {
+					t.Errorf("%d StepN calls made %d offer passes, want one each", rc.calls, rc.offers)
+				}
+				if noInc && rc.calls != rc.ticks {
+					t.Errorf("NoIncremental node took %d ticks in %d calls, want one each", rc.ticks, rc.calls)
+				}
+				if !noInc && rc.batched*2 <= rc.ticks {
+					t.Errorf("%d of %d ticks ran inside multi-tick runs, want most", rc.batched, rc.ticks)
+				}
+			})
+		}
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"kelp/internal/workload"
 )
 
-// TestIncrementalMutationEquivalence pins that the clean-tick fast path
-// never changes observable behaviour: a node with incremental resolution
-// enabled stays byte-identical to a NoIncremental node through every
-// mutation that must dirty the fingerprint — a prefetcher flip, a cgroup
-// CPU-set change, a task added mid-run, and a foreign resolve on the
-// node's memory system.
+// TestIncrementalMutationEquivalence pins that skipping pipeline stages
+// never changes observable behaviour: a node that skips them stays
+// byte-identical to a NoIncremental node through every mutation that must
+// void the cached offers, flows or fixed point — a prefetcher flip, a
+// cgroup CPU-set change, a task added mid-run, and a foreign resolve on
+// the node's memory system.
 func TestIncrementalMutationEquivalence(t *testing.T) {
 	run := func(noInc bool) nodeStats {
 		cfg := DefaultConfig()
@@ -55,8 +55,8 @@ func TestIncrementalMutationEquivalence(t *testing.T) {
 		}
 		n.Run(20 * sim.Millisecond)
 
-		// A foreign resolve on the node's memory system: the next clean
-		// tick's Replay must decline and fall back to Resolve.
+		// A foreign resolve on the node's memory system: the node's next
+		// Replay must decline and fall back to Resolve.
 		if _, err := n.Memory().Resolve([]memsys.Flow{{Task: "foreign", Socket: 1, DemandBW: 50 * memsys.GB}}); err != nil {
 			t.Fatal(err)
 		}

@@ -39,11 +39,11 @@ type Config struct {
 	// making Kelp's software toggling unnecessary. Off by default, as on
 	// the paper's hardware.
 	HardwarePrefetchGovernor bool
-	// NoIncremental disables the clean-tick fast path (and the memory
-	// system's incremental short-circuit): every step rebuilds flows and
-	// recomputes the fixed-point. The fast path produces byte-identical
-	// results (pinned by the equivalence tests), so this exists for
-	// verification and benchmarking, not correctness.
+	// NoIncremental turns off both skippable stages of StepN: every call
+	// makes the offer pass, rebuilds flows, recomputes the fixed point and
+	// advances one tick. The skips produce byte-identical results (pinned
+	// by the equivalence tests), so this is the reference path for
+	// verification and benchmarking, not a correctness switch.
 	NoIncremental bool
 	// Step is the simulation time step.
 	Step sim.Duration
@@ -148,29 +148,24 @@ type Node struct {
 	scratchFlows     []memsys.Flow
 	scratchDemand    []float64
 
-	// Fast-path state. A tick takes one of three tiers (docs/PERFORMANCE.md
-	// §3). All three need the previous tick's flow set and cached rates to
-	// still describe the node: the last full tick completed (prevValid) and
-	// the cgroup, prefetcher and memory-config generations are unchanged
-	// since. On top of that:
-	//   - horizon tick: no Advance reported reoffer since the last offer
-	//     pass (stale) and now is before every task's offer horizon, so the
-	//     offers cannot have changed; the tick skips the offer pass and
-	//     replays the cached resolution, and runs on through the horizon
-	//     ticks after it in one StepN call (replayRun).
-	//   - clean tick: the tasks re-offer and every offer matches prevOffers;
-	//     the tick skips flow assembly and replays the cached resolution.
-	//   - full tick: anything else.
-	// Invalidated by task add/remove and snapshot restore; disabled by
-	// Config.NoIncremental or the hardware prefetch governor (whose
-	// integral state mutates every tick). None of it is snapshotted.
+	// Skip state for StepN's two skippable stages (docs/PERFORMANCE.md §3).
+	// Both need the last flow assembly's flow set and rates to still
+	// describe the node: it completed (prevValid) and the cgroup,
+	// prefetcher and memory-config generations are unchanged since. On top
+	// of that, the offer pass is skipped when no Advance reported reoffer
+	// since the last pass (stale) and now is before every task's offer
+	// horizon; flow assembly and Resolve are skipped when every offer
+	// matches prevOffers. Invalidated by task add/remove and snapshot
+	// restore; disabled by Config.NoIncremental or the hardware prefetch
+	// governor (whose integral state mutates every tick). None of it is
+	// snapshotted.
 	prevOffers    []workload.Offer
 	prevValid     bool
 	prevCgroupGen uint64
 	prevProcGen   uint64
 	prevMemEpoch  uint64
 	// prevSeq is the Seq of the resolution the node last received, the
-	// memory system's proof on a clean tick that its cached fixed point is
+	// node's proof to Replay that the memory system's cached fixed point is
 	// still the one computed from this node's flows.
 	prevSeq uint64
 	// horizon is the earliest offer horizon the tasks returned at the last
@@ -194,9 +189,6 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NoIncremental {
-		mem.SetIncremental(false)
-	}
 	mon, err := perfmon.NewMonitor(cfg.Memory.Sockets, cfg.Memory.ControllersPerSocket)
 	if err != nil {
 		return nil, err
@@ -214,7 +206,7 @@ func New(cfg Config) (*Node, error) {
 		engine:  engine,
 		byName:  make(map[string]*boundTask),
 	}
-	engine.AddStepper(n)
+	engine.SetStepper(n)
 	return n, nil
 }
 
@@ -438,32 +430,77 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 	return float64(on) / float64(cpus.Len())
 }
 
-// Step implements sim.Stepper: one tick of the node pipeline, as a run
-// whose bounds stop it after its first tick.
-func (n *Node) Step(now sim.Time, dt sim.Duration) { n.StepN(now, dt, now, now) }
-
-// StepN implements sim.BatchStepper: the node pipeline — collect offers,
-// timeshare each cgroup's cores among its tasks, resolve the memory system,
-// record counters, distribute rates, advance tasks — for the tick at now,
-// and, when that tick is a horizon tick, for the horizon run it starts
-// (see replayRun). Full and clean ticks advance one tick. It returns the
-// number of ticks advanced.
+// StepN implements sim.Stepper: the node pipeline for the tick at now and
+// the run of ticks that follows it. The pipeline has two stages that a tick
+// skips when nothing they read can have changed, then one run loop:
+//   - the offer pass collects every task's offer and timeshares each
+//     cgroup's cores among its tasks. It is skipped within the horizon
+//     (withinHorizon): no task's offer can have changed since the last
+//     pass, so its offers and effective cores are still the cached ones.
+//   - flow assembly and Resolve build the memory system's flows, resolve
+//     them and distribute each task's rates. They are skipped when every
+//     offer matches the cached one (offersUnchanged): the flow set, the
+//     rates and the memory system's fixed point are then still exact, and
+//     the fixed point is replayed.
+//   - the run advances every task tick by tick on its effective cores and
+//     rates, and ends after the first tick whose Advance reports reoffer,
+//     or before the first tick that is past the earliest offer horizon,
+//     past the deadline, or due for a controller. The monitor then
+//     integrates the run in one RecordN.
+//
+// A node with Config.NoIncremental or the hardware prefetch governor takes
+// the whole pipeline and one tick on every call. It returns the number of
+// ticks advanced.
 func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
-	// Horizon tick: no task's offer can have changed since the last offer
-	// pass, so pass 1 would reproduce the cached offers and effective
-	// cores, and the clean-tick compare in tick would succeed.
-	if n.withinHorizon(now) {
-		return n.replayRun(now, dt, deadline, due)
+	reuse := n.withinHorizon(now)
+	if !reuse {
+		n.offer(now)
+		reuse = n.offersUnchanged()
 	}
-	return n.tick(now, dt)
+	var res *memsys.Resolution
+	if reuse {
+		var ok bool
+		// Replay declines when anything else resolved on this memory
+		// system since the node's last resolution; the node's own flows,
+		// still in scratchFlows, then resolve again.
+		if res, ok = n.mem.Replay(n.prevSeq); !ok {
+			res = n.resolve(n.scratchFlows)
+		}
+	} else {
+		res = n.resolveOffers()
+	}
+
+	end := n.horizon
+	if !n.incremental() {
+		end = now
+	}
+	tasks, effective := n.tasks, n.scratchEffective[:len(n.tasks)]
+	ticks, stale := 0, false
+	for !stale {
+		for i, bt := range tasks {
+			if bt.task.Advance(now, dt, effective[i], &bt.rates) {
+				stale = true
+			}
+		}
+		ticks++
+		// Repeated adds, as the engine advances its own clock.
+		now += dt
+		if !(now < end && now < deadline-1e-12 && now+1e-12 < due) {
+			break
+		}
+	}
+	n.stale = stale
+	n.mon.RecordN(dt, res, ticks)
+	return ticks
 }
 
-// tick runs one full or clean tick.
-func (n *Node) tick(now sim.Time, dt sim.Duration) int {
-	// Pass 1: offers and per-group demand, for timesharing. Two tasks in
-	// one cgroup contend for its cpuset like real cgroup siblings: when the
-	// group is oversubscribed each task gets a proportional core share.
-	// All pass-local buffers live on the node and are reused every tick.
+// offer runs the offer pass for the tick at now: every task's offer, and
+// its effective cores after timesharing. Two tasks in one cgroup contend
+// for its cpuset like real cgroup siblings: when the group is
+// oversubscribed each task gets a proportional core share. It records the
+// earliest offer horizon. All pass-local buffers live on the node and are
+// reused every tick.
+func (n *Node) offer(now sim.Time) {
 	if cap(n.scratchOffers) < len(n.tasks) {
 		n.scratchOffers = make([]workload.Offer, len(n.tasks))
 		n.scratchEffective = make([]float64, len(n.tasks))
@@ -495,15 +532,14 @@ func (n *Node) tick(now sim.Time, dt sim.Duration) int {
 		}
 		effective[i] = eff
 	}
+}
 
-	// Clean-tick fast path: when nothing that feeds the flow assembly has
-	// changed since the previous step — same offers, no cgroup or
-	// prefetcher actuation, no memory reconfiguration, same task set — the
-	// previous step's flow set and per-task rates are still exact.
-	if n.stepClean(offers) {
-		return n.replayRun(now, dt, now, now)
-	}
-
+// resolveOffers assembles the memory system's flows from the offer pass,
+// resolves them and distributes each task's rates, then records the
+// fingerprint the next tick's offer compare checks against.
+func (n *Node) resolveOffers() *memsys.Resolution {
+	offers := n.scratchOffers[:len(n.tasks)]
+	effective := n.scratchEffective[:len(n.tasks)]
 	fl := n.scratchFlows[:0]
 	for i, bt := range n.tasks {
 		bt.hasFlow = false
@@ -556,48 +592,38 @@ func (n *Node) tick(now sim.Time, dt sim.Duration) int {
 	}
 	n.scratchFlows = fl
 
-	// 2. Resolve the memory system.
 	res := n.resolve(fl)
-	n.mon.Record(dt, res)
-
-	// 3. Distribute rates and advance every task on its effective cores.
-	stale := false
 	for i, bt := range n.tasks {
-		if bt.hasFlow {
-			fr := res.Flows[bt.flowIdx]
-			r := workload.Rates{
-				Latency:        fr.Latency,
-				LatencyStretch: fr.LatencyStretch,
-				BWFraction:     fr.BWFraction,
-				LLCHit:         fr.LLCHit,
-				Backpressure:   fr.Backpressure,
-				SnoopStretch:   fr.SnoopStretch,
-			}
-			r.CPUFactor = workload.CPUFactor(offers[i].Mem, r, bt.effectivePrefetch) *
-				workload.MBAPenalty(offers[i].Mem, float64(bt.group.MBAPercent())/100)
-			bt.rates = r
-		} else {
+		if !bt.hasFlow {
 			// Idle on the memory system this step; identity rates.
 			bt.rates = identityRates()
+			continue
 		}
-		if bt.task.Advance(now, dt, effective[i], &bt.rates) {
-			stale = true
+		fr := res.Flows[bt.flowIdx]
+		r := workload.Rates{
+			Latency:        fr.Latency,
+			LatencyStretch: fr.LatencyStretch,
+			BWFraction:     fr.BWFraction,
+			LLCHit:         fr.LLCHit,
+			Backpressure:   fr.Backpressure,
+			SnoopStretch:   fr.SnoopStretch,
 		}
+		r.CPUFactor = workload.CPUFactor(offers[i].Mem, r, bt.effectivePrefetch) *
+			workload.MBAPenalty(offers[i].Mem, float64(bt.group.MBAPercent())/100)
+		bt.rates = r
 	}
-	n.stale = stale
 
-	// Record the fast-path fingerprint for the next step.
 	n.prevOffers = append(n.prevOffers[:0], offers...)
 	n.prevCgroupGen = n.cgroups.Gen()
 	n.prevProcGen = n.proc.Gen()
 	n.prevMemEpoch = n.mem.Epoch()
 	n.prevValid = true
-	return 1
+	return res
 }
 
 // resolve resolves the memory system for fl and remembers the resolution's
-// Seq for the next clean tick's Replay. Flows were validated at
-// construction; an error here is a programming bug.
+// Seq for the next Replay. Flows were validated at construction; an error
+// here is a programming bug.
 func (n *Node) resolve(fl []memsys.Flow) *memsys.Resolution {
 	res, err := n.mem.Resolve(fl)
 	if err != nil {
@@ -607,48 +633,19 @@ func (n *Node) resolve(fl []memsys.Flow) *memsys.Resolution {
 	return res
 }
 
-// replayRun finishes the tick at now, whose flow set is the previous
-// tick's, and runs on through the horizon ticks that follow it, exactly as
-// that many one-tick Steps would. The memory system's cached fixed point
-// is still exact, so it is replayed once for the whole run, and every task
-// advances tick by tick on its cached effective cores and rates. The run
-// stops after the first tick whose Advance reports reoffer, or before the
-// first tick that is past the earliest offer horizon, past the deadline,
-// or due for a controller; a clean tick passes bounds that stop it after
-// one tick. The monitor then integrates the run in one RecordN.
-//
-// Replay declines when anything else resolved on this memory system since
-// the node's last resolution; Resolve's own fingerprint then decides.
-func (n *Node) replayRun(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
-	res, ok := n.mem.Replay(n.prevSeq)
-	if !ok {
-		res = n.resolve(n.scratchFlows)
-	}
-	tasks, effective := n.tasks, n.scratchEffective[:len(n.tasks)]
-	ticks, stale := 0, false
-	for !stale {
-		for i, bt := range tasks {
-			if bt.task.Advance(now, dt, effective[i], &bt.rates) {
-				stale = true
-			}
-		}
-		ticks++
-		// Repeated adds, as the engine advances its own clock.
-		now += dt
-		if !(now < n.horizon && now < deadline-1e-12 && now+1e-12 < due) {
-			break
-		}
-	}
-	n.stale = stale
-	n.mon.RecordN(dt, res, ticks)
-	return ticks
+// incremental reports whether the node may reuse work across ticks at all:
+// Config.NoIncremental turns it off, and so does the hardware prefetch
+// governor, whose integral state mutates every tick.
+func (n *Node) incremental() bool {
+	return !n.cfg.NoIncremental && !n.cfg.HardwarePrefetchGovernor
 }
 
-// unchanged reports whether the previous step completed the full pipeline
-// and no control surface was actuated since: the precondition of both
-// fast paths.
+// unchanged reports whether the previous offer pass's flow set and rates
+// still describe the node: it assembled them completely and no control
+// surface was actuated since. It is the precondition of both skippable
+// stages.
 func (n *Node) unchanged() bool {
-	return !n.cfg.NoIncremental && !n.cfg.HardwarePrefetchGovernor && n.prevValid &&
+	return n.incremental() && n.prevValid &&
 		n.prevCgroupGen == n.cgroups.Gen() && n.prevProcGen == n.proc.Gen() &&
 		n.prevMemEpoch == n.mem.Epoch()
 }
@@ -660,10 +657,11 @@ func (n *Node) withinHorizon(now sim.Time) bool {
 	return !n.stale && now < n.horizon && n.unchanged()
 }
 
-// stepClean reports whether this step may take the clean-tick fast path:
-// no control surface was actuated since the last full step, and every
-// task offers exactly what it offered then.
-func (n *Node) stepClean(offers []workload.Offer) bool {
+// offersUnchanged reports whether this step may skip flow assembly and
+// Resolve: no control surface was actuated since the last flow assembly,
+// and every task offers exactly what it offered then.
+func (n *Node) offersUnchanged() bool {
+	offers := n.scratchOffers[:len(n.tasks)]
 	if !n.unchanged() || len(offers) != len(n.prevOffers) {
 		return false
 	}

@@ -69,8 +69,8 @@ func (n *Node) Snapshot() *Snapshot {
 // Restore installs a snapshot onto a node rebuilt from the same
 // configuration: same topology, same groups created, same tasks registered
 // in the same order, same engine controllers, and a fault injector exactly
-// when the snapshotted node had one. The clean-tick fingerprint is
-// invalidated so the first step after a restore runs the full pipeline.
+// when the snapshotted node had one. The cached offers and flows are
+// invalidated so the first step after a restore runs the whole pipeline.
 func (n *Node) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("node: nil snapshot")

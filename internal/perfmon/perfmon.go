@@ -145,7 +145,7 @@ type Monitor struct {
 
 	// Rate cache: the per-second values derived from the last distinct
 	// resolution, so steady-state recording (the same resolution integrated
-	// tick after tick under incremental resolve) reduces to multiply-adds.
+	// tick after tick while the node replays it) reduces to multiply-adds.
 	// Keyed on (pointer, seq) — pointer identity alone is ambiguous because
 	// the memory system's double-buffer arena reuses addresses.
 	lastRes    *memsys.Resolution
@@ -203,7 +203,7 @@ func MustMonitor(sockets, controllersPerSocket int) *Monitor {
 // Record integrates one step's resolution over dt seconds. Deriving the
 // per-second values from the resolution is the expensive part (per-socket
 // aggregations over flows and controllers); they are cached and reused
-// while the same resolution repeats, which under incremental resolve is
+// while the same resolution repeats, which while the node replays it is
 // every steady-state tick. Seq 0 marks a hand-constructed resolution with
 // no computation stamp — those are re-derived every call, since the caller
 // may mutate them in place between Records.

@@ -5,7 +5,10 @@ import "testing"
 // countStepper is a minimal stepper for isolating engine dispatch cost.
 type countStepper struct{ n uint64 }
 
-func (c *countStepper) Step(now Time, dt Duration) { c.n++ }
+func (c *countStepper) StepN(now Time, dt Duration, deadline, due Time) int {
+	c.n++
+	return 1
+}
 
 type countController struct{ n uint64 }
 
@@ -18,7 +21,7 @@ func (c *countController) Control(now float64) { c.n++ }
 func BenchmarkEngineTick(b *testing.B) {
 	e := MustEngine(DefaultStep, 1)
 	st := &countStepper{}
-	e.AddStepper(st)
+	e.SetStepper(st)
 	for _, name := range []string{"kelp", "ct", "mba"} {
 		if err := e.AddController(name, 25*Millisecond, &countController{}); err != nil {
 			b.Fatal(err)
@@ -37,7 +40,7 @@ func BenchmarkEngineTick(b *testing.B) {
 // TestEngineTickAllocs pins that engine dispatch itself is allocation-free.
 func TestEngineTickAllocs(t *testing.T) {
 	e := MustEngine(DefaultStep, 1)
-	e.AddStepper(&countStepper{})
+	e.SetStepper(&countStepper{})
 	if err := e.AddController("c", 25*Millisecond, &countController{}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,12 @@ const DefaultStep Duration = 100 * Microsecond
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now      Time
-	dt       Duration
-	steppers []Stepper
-	ctrls    []*scheduledController
-	rng      *RNG
-	steps    uint64
+	now     Time
+	dt      Duration
+	stepper Stepper
+	ctrls   []*scheduledController
+	rng     *RNG
+	steps   uint64
 	// due is the earliest next fire time of any controller (+Inf with
 	// none), so a tick with nothing due skips the controller scan.
 	due Time
@@ -63,15 +63,10 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // streams with RNG.Stream to keep runs reproducible under reordering.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// AddStepper registers a component to advance on every tick, in registration
-// order. Order matters: the node pipeline registers demand resolution before
-// task progress.
-func (e *Engine) AddStepper(s Stepper) {
-	if s == nil {
-		panic("sim: AddStepper(nil)")
-	}
-	e.steppers = append(e.steppers, s)
-}
+// SetStepper installs the component the engine advances, replacing any
+// previous one. With none (or nil), ticks only advance the clock and fire
+// controllers.
+func (e *Engine) SetStepper(s Stepper) { e.stepper = s }
 
 // AddController registers a periodic controller with the given sampling
 // period. The controller first fires at time period (not at zero), matching a
@@ -89,16 +84,30 @@ func (e *Engine) AddController(name string, period Duration, c Controller) error
 }
 
 // Tick advances the simulation by exactly one step: due controllers fire,
-// then every stepper advances by dt.
-func (e *Engine) Tick() {
+// then the stepper advances by dt.
+func (e *Engine) Tick() { e.advance(e.now) }
+
+// advance fires the controllers due now, then hands the stepper the run of
+// ticks from now up to deadline or the next controller due time, and moves
+// the clock past the ticks it took. A deadline of now bounds the run to one
+// tick.
+func (e *Engine) advance(deadline Time) {
 	if e.now+1e-12 >= e.due {
 		e.fire()
 	}
-	for _, s := range e.steppers {
-		s.Step(e.now, e.dt)
+	ticks := 1
+	if e.stepper != nil {
+		ticks = e.stepper.StepN(e.now, e.dt, deadline, e.due)
+		if ticks < 1 {
+			panic(fmt.Sprintf("sim: StepN advanced %d ticks", ticks))
+		}
 	}
-	e.now += e.dt
-	e.steps++
+	// Repeated adds, not now + ticks*dt: the clock must land exactly where
+	// that many Ticks would put it.
+	for range ticks {
+		e.now += e.dt
+	}
+	e.steps += uint64(ticks)
 }
 
 // fire runs every controller due at the current tick, then reschedules.
@@ -170,51 +179,29 @@ func (e *Engine) Run(d Duration) {
 	e.RunUntil(e.now + d)
 }
 
-// RunUntil advances the simulation tick by tick until the clock reaches
-// deadline (within 1e-12 s); a deadline already reached is a no-op. It
-// panics on a non-finite deadline.
+// RunUntil advances the simulation until the clock reaches deadline
+// (within 1e-12 s); a deadline already reached is a no-op. It panics on a
+// non-finite deadline.
 //
-// With a single registered stepper that implements BatchStepper, RunUntil
-// fires the due controllers and then hands the stepper every tick up to
-// the next controller due time or the deadline in one StepN call, which
-// may take as many of them as it can advance exactly. Either way the
-// ticks, and so the results, are those of calling Tick until the deadline.
+// Each call to the stepper covers every tick up to the next controller due
+// time or the deadline, of which the stepper takes as many as it can
+// advance exactly; the ticks, and so the results, are those of calling
+// Tick until the deadline.
 func (e *Engine) RunUntil(deadline Time) {
 	if math.IsNaN(deadline) || math.IsInf(deadline, 0) {
 		panic(fmt.Sprintf("sim: RunUntil(%v)", deadline))
 	}
-	var bs BatchStepper
-	if len(e.steppers) == 1 {
-		bs, _ = e.steppers[0].(BatchStepper)
-	}
-	if bs == nil {
-		for e.now < deadline-1e-12 {
-			e.Tick()
-		}
-		return
-	}
 	for e.now < deadline-1e-12 {
-		if e.now+1e-12 >= e.due {
-			e.fire()
-		}
-		ticks := bs.StepN(e.now, e.dt, deadline, e.due)
-		if ticks < 1 {
-			panic(fmt.Sprintf("sim: StepN advanced %d ticks", ticks))
-		}
-		// Repeated adds, not now + ticks*dt: the clock must land exactly
-		// where that many Ticks would put it.
-		for range ticks {
-			e.now += e.dt
-		}
-		e.steps += uint64(ticks)
+		e.advance(deadline)
 	}
 }
 
 // RunWhile advances the simulation while cond returns true, up to a hard cap
-// of maxTime simulated seconds. It returns the elapsed simulated time and
-// whether the condition ended the run (false means the cap was hit). cond
-// observes every tick, so RunWhile always dispatches one Tick at a time. It
-// panics on a negative or NaN maxTime.
+// of maxTime simulated seconds, which it reaches after the ticks
+// RunUntil(now+maxTime) would take. It returns the elapsed simulated time
+// and whether the condition ended the run (false means the cap was hit).
+// cond observes every tick, so RunWhile always dispatches one Tick at a
+// time. It panics on a negative or NaN maxTime.
 func (e *Engine) RunWhile(maxTime Duration, cond func() bool) (elapsed Duration, done bool) {
 	if maxTime < 0 || math.IsNaN(maxTime) {
 		panic(fmt.Sprintf("sim: RunWhile(%v)", maxTime))
@@ -222,7 +209,7 @@ func (e *Engine) RunWhile(maxTime Duration, cond func() bool) (elapsed Duration,
 	start := e.now
 	deadline := e.now + maxTime
 	for cond() {
-		if e.now >= deadline {
+		if e.now >= deadline-1e-12 {
 			return e.now - start, false
 		}
 		e.Tick()

@@ -27,21 +27,13 @@ func TestEngineAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestSteppersRunInOrderEveryTick(t *testing.T) {
-	e := MustEngine(1*Millisecond, 1)
-	var order []int
-	e.AddStepper(StepFunc(func(now, dt float64) { order = append(order, 1) }))
-	e.AddStepper(StepFunc(func(now, dt float64) { order = append(order, 2) }))
-	e.Run(3 * Millisecond)
-	want := []int{1, 2, 1, 2, 1, 2}
-	if len(order) != len(want) {
-		t.Fatalf("got %d calls, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("call order %v, want %v", order, want)
-		}
-	}
+// tickFunc is a Stepper that takes one tick per StepN call and calls f for
+// it.
+type tickFunc func(now Time)
+
+func (f tickFunc) StepN(now Time, dt Duration, deadline, due Time) int {
+	f(now)
+	return 1
 }
 
 func TestControllerFiresAtPeriod(t *testing.T) {
@@ -77,7 +69,7 @@ func TestControllerRejectsBadArgs(t *testing.T) {
 func TestControllerFiresBeforeSteppersOnItsTick(t *testing.T) {
 	e := MustEngine(1*Millisecond, 1)
 	var log []string
-	e.AddStepper(StepFunc(func(now, dt float64) { log = append(log, "step") }))
+	e.SetStepper(tickFunc(func(Time) { log = append(log, "step") }))
 	if err := e.AddController("c", 2*Millisecond, ControlFunc(func(now float64) {
 		log = append(log, "ctrl")
 	})); err != nil {
@@ -99,7 +91,7 @@ func TestControllerFiresBeforeSteppersOnItsTick(t *testing.T) {
 func TestRunWhileStopsOnCondition(t *testing.T) {
 	e := MustEngine(1*Millisecond, 1)
 	n := 0
-	e.AddStepper(StepFunc(func(now, dt float64) { n++ }))
+	e.SetStepper(tickFunc(func(Time) { n++ }))
 	elapsed, done := e.RunWhile(1*Second, func() bool { return n < 7 })
 	if !done {
 		t.Fatal("RunWhile hit cap, want condition exit")
@@ -123,8 +115,40 @@ func TestRunWhileHonorsCap(t *testing.T) {
 	}
 }
 
+// TestRunWhileCapMatchesRunUntil pins that a RunWhile stopped by its cap
+// takes exactly the ticks RunUntil(now+cap) takes, from a start at zero and
+// from one in mid-run, including caps the repeated-add clock lands just
+// short of.
+func TestRunWhileCapMatchesRunUntil(t *testing.T) {
+	for _, tc := range []struct {
+		dt, cap, start Duration
+	}{
+		{100 * Microsecond, 10 * Millisecond, 0},
+		{100 * Microsecond, 300 * Millisecond, 0},
+		{100 * Microsecond, 1 * Second, 0},
+		{DefaultStep, 7 * Millisecond, 3 * Millisecond},
+		{1 * Millisecond, 5 * Millisecond, 0},
+		{0.3 * Millisecond, 2.1 * Millisecond, 0.9 * Millisecond},
+		{10 * Microsecond, 1 * Millisecond, 0},
+		{1 * Millisecond, 2.5 * Millisecond, 0},
+	} {
+		ref := MustEngine(tc.dt, 1)
+		ref.Run(tc.start)
+		ref.RunUntil(ref.Now() + tc.cap)
+		e := MustEngine(tc.dt, 1)
+		e.Run(tc.start)
+		if _, done := e.RunWhile(tc.cap, func() bool { return true }); done {
+			t.Fatalf("dt %v cap %v: RunWhile reported done, want cap hit", tc.dt, tc.cap)
+		}
+		if e.Steps() != ref.Steps() || e.Now() != ref.Now() {
+			t.Errorf("dt %v cap %v from %v: RunWhile took %d ticks to %v, RunUntil %d to %v",
+				tc.dt, tc.cap, tc.start, e.Steps(), e.Now(), ref.Steps(), ref.Now())
+		}
+	}
+}
+
 // TestRunRejectsBadSpans pins the argument checks: Run panics on a
-// negative or non-finite span, RunUntil on a non-finite deadline (a batch
+// negative or non-finite span, RunUntil on a non-finite deadline (a
 // stepper with nothing due would otherwise never return), and RunWhile on
 // a negative or NaN cap.
 func TestRunRejectsBadSpans(t *testing.T) {
@@ -163,16 +187,12 @@ type traceEntry struct {
 	at   Time
 }
 
-// batchTracer is a BatchStepper that logs every tick it advances and takes
-// at most max of them per StepN call.
+// batchTracer is a Stepper that logs every tick it advances and takes at
+// most max of them per StepN call.
 type batchTracer struct {
 	trace *[]traceEntry
 	max   int
 	calls int
-}
-
-func (b *batchTracer) Step(now Time, dt Duration) {
-	*b.trace = append(*b.trace, traceEntry{at: now})
 }
 
 func (b *batchTracer) StepN(now Time, dt Duration, deadline, due Time) int {
@@ -189,15 +209,17 @@ func (b *batchTracer) StepN(now Time, dt Duration, deadline, due Time) int {
 }
 
 // TestRunUntilBatchMatchesTicks pins the engine's side of horizon runs: an
-// engine handing a BatchStepper whole runs dispatches the same ticks at
-// the same times, interleaved with the same controller firings, as an
-// engine ticking a plain Stepper, for runs cut short at any length and for
-// Run spans that end between ticks.
+// engine handing a stepper whole runs dispatches the same ticks at the same
+// times, interleaved with the same controller firings, as an engine
+// advanced one Tick at a time, for runs cut short at any length and for Run
+// spans that end between ticks.
 func TestRunUntilBatchMatchesTicks(t *testing.T) {
-	drive := func(st func(trace *[]traceEntry) Stepper) ([]traceEntry, *Engine) {
+	spans := []Duration{1 * Millisecond, 10.5 * Millisecond, 0, 33 * Millisecond, 0.2 * Millisecond}
+	drive := func(max int, runUntil func(e *Engine, deadline Time)) ([]traceEntry, *Engine, *batchTracer) {
 		var trace []traceEntry
 		e := MustEngine(1*Millisecond, 1)
-		e.AddStepper(st(&trace))
+		bt := &batchTracer{trace: &trace, max: max}
+		e.SetStepper(bt)
 		for _, period := range []Duration{2.5 * Millisecond, 7 * Millisecond} {
 			if err := e.AddController(fmt.Sprint(period), period, ControlFunc(func(now Time) {
 				trace = append(trace, traceEntry{ctrl: true, at: now})
@@ -205,21 +227,19 @@ func TestRunUntilBatchMatchesTicks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, d := range []Duration{1 * Millisecond, 10.5 * Millisecond, 0, 33 * Millisecond, 0.2 * Millisecond} {
-			e.Run(d)
+		for _, d := range spans {
+			runUntil(e, e.Now()+d)
 		}
-		e.RunUntil(e.Now() + 61*Millisecond)
-		return trace, e
+		runUntil(e, e.Now()+61*Millisecond)
+		return trace, e, bt
 	}
-	want, ref := drive(func(trace *[]traceEntry) Stepper {
-		return StepFunc(func(now Time, dt Duration) { *trace = append(*trace, traceEntry{at: now}) })
+	want, ref, _ := drive(1000, func(e *Engine, deadline Time) {
+		for e.Now() < deadline-1e-12 {
+			e.Tick()
+		}
 	})
 	for _, max := range []int{1, 3, 1000} {
-		var bt *batchTracer
-		got, e := drive(func(trace *[]traceEntry) Stepper {
-			bt = &batchTracer{trace: trace, max: max}
-			return bt
-		})
+		got, e, bt := drive(max, (*Engine).RunUntil)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("max %d: batched dispatch diverged from per-tick dispatch:\n got: %v\nwant: %v", max, got, want)
 		}
@@ -377,7 +397,7 @@ func TestDeterminism(t *testing.T) {
 		e := MustEngine(1*Millisecond, 99)
 		rng := e.RNG().Stream("load")
 		var out []float64
-		e.AddStepper(StepFunc(func(now, dt float64) {
+		e.SetStepper(tickFunc(func(Time) {
 			out = append(out, rng.Float64())
 		}))
 		e.Run(10 * Millisecond)

@@ -1,17 +1,17 @@
 // Package sim provides a deterministic fixed-timestep simulation engine.
 //
-// The engine advances simulated time in fixed steps and, on every step,
-// invokes each registered Stepper in registration order. Controllers run on
-// their own sampling periods, before the steppers of the tick on which they
-// fire. A lone stepper that implements BatchStepper is handed every tick up
-// to the next controller firing in one call, with identical results. All
+// The engine advances simulated time in fixed steps and drives one Stepper.
+// Run and RunUntil hand it every tick up to the next controller firing or
+// the end of the run in one call, and the stepper takes as many of them as
+// it can advance exactly; Tick hands it one. Controllers run on their own
+// sampling periods, before the stepper's tick on which they fire. All
 // randomness flows through named, seeded streams so that a run is
 // reproducible from a single root seed.
 //
 // The engine is intentionally unaware of what is being simulated: the node
-// package wires memory-system resolution and task progress into a single
-// Stepper pipeline, and runtime policies (Kelp, CoreThrottle, ...) register
-// as controllers.
+// package wires memory-system resolution and task progress into its
+// Stepper, and runtime policies (Kelp, CoreThrottle, ...) register as
+// controllers.
 package sim
 
 import "fmt"
@@ -29,35 +29,23 @@ const (
 	Second      Duration = 1.0
 )
 
-// Stepper advances a simulated component by one time step.
+// Stepper advances a simulated component through a run of ticks. The
+// engine hands it the bounds of the run instead of a tick count.
 type Stepper interface {
-	// Step advances the component from time now to now+dt.
-	Step(now Time, dt Duration)
-}
-
-// BatchStepper is a Stepper that can advance a run of ticks in one call.
-// Engine.Run hands it the bounds of the run instead of a tick count.
-type BatchStepper interface {
-	Stepper
 	// StepN advances the component through its tick at now and then,
-	// advancing its clock by repeated now += dt, through every following
-	// tick it can take exactly as that many Step calls would, stopping
-	// before the first tick t where t < deadline-1e-12 && t+1e-12 < due
-	// fails: a tick past the run's end, or one on which a controller
-	// fires. due is the earliest controller fire time (+Inf with none).
-	// It returns the number of ticks advanced, at least 1.
+	// advancing its clock by repeated now += dt, through the following
+	// ticks it chooses to take, stopping at the latest before the first
+	// tick t where t < deadline-1e-12 && t+1e-12 < due fails: a tick past
+	// the run's end, or one on which a controller fires. due is the
+	// earliest controller fire time (+Inf with none). The results must be
+	// those of advancing the same ticks one StepN call each. It returns the
+	// number of ticks advanced, at least 1.
 	StepN(now Time, dt Duration, deadline, due Time) (ticks int)
 }
 
-// StepFunc adapts a function to the Stepper interface.
-type StepFunc func(now Time, dt Duration)
-
-// Step calls f(now, dt).
-func (f StepFunc) Step(now Time, dt Duration) { f(now, dt) }
-
 // Controller is a periodic decision maker (for example a QoS runtime). It is
-// invoked at its configured period, before the steppers of the tick on which
-// it fires.
+// invoked at its configured period, before the stepper's tick on which it
+// fires.
 type Controller interface {
 	// Control observes the system and applies actuations. now is the
 	// simulated time at which the controller fires.

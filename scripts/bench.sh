@@ -43,10 +43,12 @@ fi
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-# Hot-path microbenchmarks: the allocation-free simulation step in each of
-# its tiers (full, horizon, and offer-compare; the prefix BenchmarkNodeStep
-# already matches BenchmarkNodeStepReoffer, which is named to pin it), a
-# steady node advanced through horizon runs (ns per simulated tick), the
+# Hot-path microbenchmarks: the allocation-free one-tick node step taking
+# the whole pipeline (NoIncremental), skipping both stages within the
+# horizon, and making the offer pass to skip only flow assembly and
+# Resolve (the prefix BenchmarkNodeStep already matches
+# BenchmarkNodeStepReoffer, which is named to pin it), a steady node
+# advanced through runs under Run (ns per simulated tick), the
 # zero-cost disabled instrumentation path, the fleet composition tick
 # (per-job cluster replay over pre-measured shapes; placement runs before
 # the timer), fleet placement per policy at the study's 20000-machine
