@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"kelp/internal/clusterfaults"
 	"kelp/internal/events"
@@ -106,8 +107,8 @@ func (c Config) Validate() error {
 	if err := c.Recovery.Validate(); err != nil {
 		return err
 	}
-	if c.Horizon < 0 {
-		return fmt.Errorf("cluster: horizon = %v, want >= 0", c.Horizon)
+	if err := validHorizon(c.Horizon); err != nil {
+		return err
 	}
 	return c.Node.Validate()
 }
@@ -217,8 +218,15 @@ func (c SeriesConfig) Validate() error {
 	if err := c.Recovery.Validate(); err != nil {
 		return err
 	}
-	if c.Horizon < 0 {
-		return fmt.Errorf("cluster: horizon = %v, want >= 0", c.Horizon)
+	return validHorizon(c.Horizon)
+}
+
+// validHorizon rejects a negative or non-finite replay horizon: a NaN one
+// would turn every rate in the report into NaN, and an infinite one would
+// run the replay out of its iteration budget.
+func validHorizon(h sim.Duration) error {
+	if math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
+		return fmt.Errorf("cluster: horizon = %v, want a finite duration >= 0", h)
 	}
 	return nil
 }
@@ -242,6 +250,16 @@ func RunSeries(cfg SeriesConfig, members []MemberSeries) (*Result, error) {
 			}
 		}
 	}
+	sims, err := memberSims(cfg, members)
+	if err != nil {
+		return nil, err
+	}
+	return runSims(cfg, sims)
+}
+
+// memberSims derives each member's step-duration series, the form the
+// composition and the fault replay consume.
+func memberSims(cfg SeriesConfig, members []MemberSeries) ([]*workerSim, error) {
 	sims := make([]*workerSim, len(members))
 	for i, m := range members {
 		ws := &workerSim{WorkerResult: WorkerResult{
@@ -261,7 +279,7 @@ func RunSeries(cfg SeriesConfig, members []MemberSeries) (*Result, error) {
 		}
 		sims[i] = ws
 	}
-	return runSims(cfg, sims)
+	return sims, nil
 }
 
 // runSims composes per-member simulations into the lock-step result and
@@ -276,7 +294,11 @@ func runSims(cfg SeriesConfig, sims []*workerSim) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Faults.Enabled() {
-		rep, err := replay(cfg, sims)
+		inj, err := clusterfaults.NewInjector(cfg.Faults, len(sims))
+		if err != nil {
+			return nil, err
+		}
+		rep, err := replay(cfg, sims, inj)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +322,7 @@ func compose(workers []WorkerResult) (*Result, error) {
 	if minSteps < 2 {
 		return nil, fmt.Errorf("cluster: too few steps measured (%d)", minSteps)
 	}
-	var durations []float64
+	durations := make([]float64, 0, minSteps-1)
 	prev := 0.0
 	for k := 0; k < minSteps; k++ {
 		barrier := 0.0
@@ -319,7 +341,7 @@ func compose(workers []WorkerResult) (*Result, error) {
 	if res.MeanStepTime > 0 {
 		res.StepsPerSec = 1 / res.MeanStepTime
 	}
-	var rates []float64
+	rates := make([]float64, 0, len(workers))
 	for _, w := range workers {
 		rates = append(rates, w.StepsPerSec)
 	}
@@ -381,6 +403,9 @@ func escalate(spec WorkerSpec) WorkerSpec {
 // entry than StepTimes).
 func stepDurations(stepTimes []float64) ([]float64, error) {
 	var durs []float64
+	if len(stepTimes) > 1 {
+		durs = make([]float64, 0, len(stepTimes)-1)
+	}
 	for k := 1; k < len(stepTimes); k++ {
 		if d := stepTimes[k] - stepTimes[k-1]; d > 0 {
 			durs = append(durs, d)

@@ -214,45 +214,64 @@ type FaultReport struct {
 
 // workerState is one worker's position in the fault-tolerant replay.
 type workerState struct {
-	durs     []float64 // primary step-duration series, cycled
-	degDurs  []float64 // escalated-interference series (nil = none)
-	idx      int       // executed-step pointer into the active series
-	degraded bool      // interference escalated (one-shot)
-	resync   bool      // dropped straggler waiting for the next checkpoint
-	down     bool      // crashed, waiting on restart
-	dead     bool      // declared dead; the cluster shrank around it
-	downAt   float64   // when the current outage began
-	upAt     float64   // when the next restart attempt happens
-	attempts int       // failed restart attempts this outage
+	steps    []seriesStep // primary step series, cycled
+	degSteps []seriesStep // escalated-interference series (empty = none)
+	idx      int          // executed-step pointer into the active series
+	degraded bool         // interference escalated (one-shot)
+	resync   bool         // dropped straggler waiting for the next checkpoint
+	down     bool         // crashed, waiting on restart
+	dead     bool         // declared dead; the cluster shrank around it
+	downAt   float64      // when the current outage began
+	upAt     float64      // when the next restart attempt happens
+	attempts int          // failed restart attempts this outage
 }
 
-// stepDur returns the worker's next step duration (degraded series once
+// seriesStep is one entry of a measured step-duration series and each
+// fault class's probability over it. The replay cycles a short series for
+// thousands of steps, so the probabilities are computed once per entry
+// when it starts instead of once per worker-step.
+type seriesStep struct {
+	dur float64
+	p   clusterfaults.Probs
+}
+
+// stepTable pairs each duration of a series with its fault probabilities.
+func stepTable(spec clusterfaults.Spec, durs []float64) []seriesStep {
+	tab := make([]seriesStep, len(durs))
+	for i, d := range durs {
+		tab[i] = seriesStep{dur: d, p: spec.StepProbs(d)}
+	}
+	return tab
+}
+
+// step returns the worker's next series entry (degraded series once
 // escalation fired) and advances nothing.
-func (ws *workerState) stepDur() float64 {
-	durs := ws.durs
-	if ws.degraded && len(ws.degDurs) > 0 {
-		durs = ws.degDurs
+func (ws *workerState) step() seriesStep {
+	steps := ws.steps
+	if ws.degraded && len(ws.degSteps) > 0 {
+		steps = ws.degSteps
 	}
-	return durs[ws.idx%len(durs)]
+	return steps[ws.idx%len(steps)]
 }
 
-// replay runs the fault-tolerant lock-step schedule to the horizon.
-func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
+// replay runs the fault-tolerant lock-step schedule to the horizon,
+// drawing every fault from inj. Its cost per worker-step is a table read
+// and up to three stream draws; a committed step adds one sorted insert
+// and delete to the median window. It allocates nothing per step unless a
+// recorder is attached.
+func replay(cfg SeriesConfig, sims []*workerSim, inj *clusterfaults.Injector) (*FaultReport, error) {
 	rc := cfg.Recovery.withDefaults()
-	inj, err := clusterfaults.NewInjector(cfg.Faults, len(sims))
-	if err != nil {
-		return nil, err
-	}
 	spec := inj.Spec() // normalized: Downtime/HangDur defaults resolved
 	horizon := float64(cfg.Horizon)
 	if horizon == 0 {
 		horizon = DefaultHorizon
 	}
 
-	states := make([]*workerState, len(sims))
+	workers := len(sims)
+	states := make([]workerState, workers)
 	minDur := math.Inf(1)
 	for i, s := range sims {
-		states[i] = &workerState{durs: s.durs, degDurs: s.degDurs}
+		states[i] = workerState{steps: stepTable(spec, s.durs), degSteps: stepTable(spec, s.degDurs)}
 		for _, d := range s.durs {
 			if d < minDur {
 				minDur = d
@@ -262,10 +281,24 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 
 	rep := &FaultReport{Duration: horizon}
 	var (
-		t         float64   // cluster clock
-		committed int       // global steps currently committed
-		ckptStep  int       // committed step of the last checkpoint
-		history   []float64 // committed barrier durations (straggler median)
+		t           float64 // cluster clock
+		committed   int     // global steps currently committed
+		ckptStep    int     // committed step of the last checkpoint
+		recoverySum float64 // completed recovery times, summed in close order
+		recoveries  int
+	)
+	// window holds the last MedianWindow committed barrier durations, the
+	// straggler threshold's median.
+	window := metrics.NewWindow(rc.MedianWindow)
+	// Per-attempt scratch, reused by every iteration. durs parallels
+	// stepping; dropped is indexed by worker and cleared after each drop.
+	var (
+		stepping     = make([]int, 0, workers)
+		durs         = make([]float64, 0, workers)
+		crashed      = make([]int, 0, workers)
+		stragglers   = make([]int, 0, workers)
+		participants = make([]int, 0, workers)
+		dropped      = make([]bool, workers)
 	)
 	// recording gates field-map construction at every emit site: with no
 	// recorder attached the fault path must not build throwaway maps.
@@ -280,7 +313,6 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		target int
 	}
 	var recovering []episode
-	var recoveryTimes []float64
 
 	// Strictly-positive step durations, downtimes and backoffs guarantee
 	// progress; the budget is a defensive backstop, generous enough for
@@ -300,13 +332,13 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		// Phase 1: if any worker is down, the cluster idles until the
 		// earliest restart attempt resolves.
 		downW := -1
-		for w, ws := range states {
-			if ws.down && (downW < 0 || ws.upAt < states[downW].upAt) {
+		for w := range states {
+			if states[w].down && (downW < 0 || states[w].upAt < states[downW].upAt) {
 				downW = w
 			}
 		}
 		if downW >= 0 {
-			ws := states[downW]
+			ws := &states[downW]
 			if ws.upAt >= horizon {
 				rep.Downtime += horizon - t
 				t = horizon
@@ -355,9 +387,9 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		}
 
 		// Phase 2: the stepping set — alive workers not resyncing.
-		var stepping []int
-		for w, ws := range states {
-			if !ws.dead && !ws.resync {
+		stepping = stepping[:0]
+		for w := range states {
+			if !states[w].dead && !states[w].resync {
 				stepping = append(stepping, w)
 			}
 		}
@@ -372,26 +404,30 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 
 		// Phase 3: draw this attempt's fates (hang stretches the step,
 		// crash aborts it, degrade escalates the series from next step).
-		durs := make([]float64, len(stepping))
-		var crashed []int
-		for k, w := range stepping {
-			ws := states[w]
-			d := ws.stepDur()
-			if inj.Hang(w, d) {
+		// A hung step's duration is off the series, so its crash and
+		// degrade probabilities are computed on the spot.
+		durs = durs[:0]
+		crashed = crashed[:0]
+		for _, w := range stepping {
+			ws := &states[w]
+			st := ws.step()
+			d, p := st.dur, st.p
+			if inj.Hang(w, p.Hang) {
 				d += spec.HangDur
+				p = spec.StepProbs(d)
 				rep.Hangs++
 			}
-			if inj.Crash(w, d) {
+			if inj.Crash(w, p.Crash) {
 				crashed = append(crashed, w)
 			}
-			if !ws.degraded && inj.Degrade(w, d) {
+			if !ws.degraded && inj.Degrade(w, p.Degrade) {
 				ws.degraded = true
 				rep.Degrades++
 				if recording {
 					emit(events.WorkerDegrade, map[string]any{"worker": w})
 				}
 			}
-			durs[k] = d
+			durs = append(durs, d)
 		}
 		barrier := 0.0
 		for _, d := range durs {
@@ -410,10 +446,16 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 			lost := committed - ckptStep
 			rep.WastedSteps += lost + 1
 			rep.Crashes += len(crashed)
+			if recovering == nil {
+				// Episodes nest only while a crash lands before the cluster
+				// re-reaches an earlier crash's lost step; room for a few
+				// keeps a longer horizon from reallocating.
+				recovering = make([]episode, 0, 4)
+			}
 			recovering = append(recovering, episode{start: t, target: committed})
 			committed = ckptStep
 			for _, w := range crashed {
-				ws := states[w]
+				ws := &states[w]
 				ws.down = true
 				ws.attempts = 0
 				ws.downAt = t
@@ -430,10 +472,10 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 
 		// Phase 5: barrier timeout and the straggler policy.
 		var thresh float64
-		if len(history) >= rc.MedianWindow {
-			thresh = rc.StragglerFactor * metrics.TrailingMedian(history, rc.MedianWindow)
+		if window.Len() >= rc.MedianWindow {
+			thresh = rc.StragglerFactor * window.Percentile(50)
 		}
-		var stragglers []int
+		stragglers = stragglers[:0]
 		if thresh > 0 {
 			for k, w := range stepping {
 				if durs[k] > thresh {
@@ -485,19 +527,19 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 			}
 			continue
 		}
-		participants := stepping
+		committers := stepping
 		if action == "drop" {
-			participants = participants[:0:0]
-			dropped := make(map[int]bool, len(stragglers))
 			for _, w := range stragglers {
 				dropped[w] = true
 				states[w].resync = true
 				rep.WastedSteps++
 				rep.StragglerDrops++
 			}
+			participants = participants[:0]
 			barrier = 0
 			for k, w := range stepping {
 				if dropped[w] {
+					dropped[w] = false
 					continue
 				}
 				participants = append(participants, w)
@@ -505,6 +547,7 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 					barrier = durs[k]
 				}
 			}
+			committers = participants
 		}
 
 		// Phase 6: commit the global step.
@@ -514,8 +557,8 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		}
 		t += barrier
 		committed++
-		history = append(history, barrier)
-		for _, w := range participants {
+		window.Push(barrier)
+		for _, w := range committers {
 			states[w].idx++
 		}
 
@@ -527,9 +570,9 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 			if recording {
 				emit(events.CheckpointSave, map[string]any{"step": committed})
 			}
-			for w, ws := range states {
-				if ws.resync {
-					ws.resync = false
+			for w := range states {
+				if states[w].resync {
+					states[w].resync = false
 					rep.Restores++
 					if recording {
 						emit(events.CheckpointRestore, map[string]any{
@@ -544,7 +587,8 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		kept := recovering[:0]
 		for _, ep := range recovering {
 			if committed >= ep.target {
-				recoveryTimes = append(recoveryTimes, t-ep.start)
+				recoverySum += t - ep.start
+				recoveries++
 			} else {
 				kept = append(kept, ep)
 			}
@@ -558,8 +602,11 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 	}
 	rep.Goodput = float64(rep.UsefulSteps) / horizon
 	rep.Availability = 1 - rep.Downtime/horizon
-	rep.MeanRecoveryTime = metrics.Mean(recoveryTimes)
-	rep.Recoveries = len(recoveryTimes)
+	if recoveries > 0 {
+		// metrics.Mean's sum, accumulated as the episodes closed.
+		rep.MeanRecoveryTime = recoverySum / float64(recoveries)
+	}
+	rep.Recoveries = recoveries
 	// A cluster whose every worker ended the horizon dead did not survive:
 	// nobody remains to serve the model, so interim progress is moot. The
 	// report says so plainly — Goodput 0, Availability 0 — instead of the

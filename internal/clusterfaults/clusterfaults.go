@@ -252,49 +252,62 @@ func (i *Injector) Spec() Spec {
 	return i.spec
 }
 
-// rateHit draws once from x and reports whether an exponential hazard of
-// the given per-second rate fired over an exposure of dur seconds. The
-// draw is consumed even at rate 0 so per-stream sequences stay aligned
-// across specs that differ only in rates.
-func rateHit(x *sim.Xorshift, rate, dur float64) bool {
-	p := -math.Expm1(-rate * dur) // 1 - exp(-rate*dur), accurate near 0
-	return x.Float64() < p
+// Probs holds the probability that each rate class fires over one step.
+type Probs struct {
+	Crash, Hang, Degrade float64
 }
 
-// Crash reports whether worker w's node is lost during a step of the
-// given duration.
-func (i *Injector) Crash(w int, dur float64) bool {
+// StepProbs returns each rate class's probability over a step of dur
+// seconds: an exponential hazard fires with probability 1 - exp(-rate*dur),
+// computed as -expm1(-rate*dur), which stays accurate near 0. A replay
+// that cycles a measured series can compute these once per series entry
+// and pass them to Crash, Hang and Degrade.
+func (s Spec) StepProbs(dur float64) Probs {
+	return Probs{Crash: prob(s.Crash, dur), Hang: prob(s.Hang, dur), Degrade: prob(s.Degrade, dur)}
+}
+
+func prob(rate, dur float64) float64 { return -math.Expm1(-rate * dur) }
+
+// hit draws once from x and reports whether an event of probability p
+// fired. The draw is consumed even when p is 0, so per-stream sequences
+// stay aligned across specs that differ only in rates.
+func hit(x *sim.Xorshift, p float64) bool { return x.Float64() < p }
+
+// Crash reports whether worker w's node is lost during a step whose crash
+// probability is p (StepProbs(dur).Crash for a step of dur seconds).
+func (i *Injector) Crash(w int, p float64) bool {
 	if i == nil {
 		return false
 	}
-	if !rateHit(i.crash[w], i.spec.Crash, dur) {
+	if !hit(i.crash[w], p) {
 		return false
 	}
 	i.counts["crash"]++
 	return true
 }
 
-// Hang reports whether worker w stalls at the barrier during a step of
-// the given duration.
-func (i *Injector) Hang(w int, dur float64) bool {
+// Hang reports whether worker w stalls at the barrier during a step whose
+// hang probability is p.
+func (i *Injector) Hang(w int, p float64) bool {
 	if i == nil {
 		return false
 	}
-	if !rateHit(i.hang[w], i.spec.Hang, dur) {
+	if !hit(i.hang[w], p) {
 		return false
 	}
 	i.counts["hang"]++
 	return true
 }
 
-// Degrade reports whether worker w's aggressor escalates during a step of
-// the given duration. The caller is responsible for making escalation
-// one-shot; the stream keeps drawing either way so sequences stay aligned.
-func (i *Injector) Degrade(w int, dur float64) bool {
+// Degrade reports whether worker w's aggressor escalates during a step
+// whose degrade probability is p. The caller is responsible for making
+// escalation one-shot; the stream keeps drawing either way so sequences
+// stay aligned.
+func (i *Injector) Degrade(w int, p float64) bool {
 	if i == nil {
 		return false
 	}
-	if !rateHit(i.degrade[w], i.spec.Degrade, dur) {
+	if !hit(i.degrade[w], p) {
 		return false
 	}
 	i.counts["degrade"]++

@@ -1,6 +1,7 @@
 package clusterfaults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,11 +96,12 @@ func TestInjectorValidation(t *testing.T) {
 // drawAll replays a fixed consultation pattern and returns every outcome.
 func drawAll(inj *Injector, workers, steps int) []bool {
 	var out []bool
+	p := inj.Spec().StepProbs(0.05)
 	for s := 0; s < steps; s++ {
 		for w := 0; w < workers; w++ {
-			out = append(out, inj.Hang(w, 0.05))
-			out = append(out, inj.Crash(w, 0.05))
-			out = append(out, inj.Degrade(w, 0.05))
+			out = append(out, inj.Hang(w, p.Hang))
+			out = append(out, inj.Crash(w, p.Crash))
+			out = append(out, inj.Degrade(w, p.Degrade))
 		}
 	}
 	for w := 0; w < workers; w++ {
@@ -128,11 +130,12 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 func TestClassStreamsAreIndependent(t *testing.T) {
 	crashOnly := MustInjector(Spec{Seed: 5, Crash: 2}, 2)
 	crashAndHang := MustInjector(Spec{Seed: 5, Crash: 2, Hang: 5}, 2)
+	p := crashAndHang.Spec().StepProbs(0.05)
 	for s := 0; s < 500; s++ {
 		for w := 0; w < 2; w++ {
-			crashAndHang.Hang(w, 0.05) // extra draws on the hang streams
-			a := crashOnly.Crash(w, 0.05)
-			b := crashAndHang.Crash(w, 0.05)
+			crashAndHang.Hang(w, p.Hang) // extra draws on the hang streams
+			a := crashOnly.Crash(w, p.Crash)
+			b := crashAndHang.Crash(w, p.Crash)
 			if a != b {
 				t.Fatalf("crash stream shifted at step %d worker %d", s, w)
 			}
@@ -146,10 +149,11 @@ func TestWorkerStreamsAreIndependent(t *testing.T) {
 	spec := Spec{Seed: 11, Crash: 2}
 	two := MustInjector(spec, 2)
 	three := MustInjector(spec, 3)
+	p := spec.StepProbs(0.05).Crash
 	for s := 0; s < 500; s++ {
-		three.Crash(2, 0.05) // worker 2 consumes its own stream only
+		three.Crash(2, p) // worker 2 consumes its own stream only
 		for w := 0; w < 2; w++ {
-			if two.Crash(w, 0.05) != three.Crash(w, 0.05) {
+			if two.Crash(w, p) != three.Crash(w, p) {
 				t.Fatalf("worker %d fate changed with cluster size at step %d", w, s)
 			}
 		}
@@ -159,7 +163,7 @@ func TestWorkerStreamsAreIndependent(t *testing.T) {
 func TestRateSemantics(t *testing.T) {
 	inj := MustInjector(Spec{Seed: 1, Hang: 1}, 1) // crash rate 0
 	for s := 0; s < 1000; s++ {
-		if inj.Crash(0, 10) {
+		if inj.Crash(0, inj.Spec().StepProbs(10).Crash) {
 			t.Fatal("zero-rate class fired")
 		}
 	}
@@ -167,7 +171,7 @@ func TestRateSemantics(t *testing.T) {
 	hot := MustInjector(Spec{Seed: 1, Crash: 1000}, 1)
 	fired := 0
 	for s := 0; s < 100; s++ {
-		if hot.Crash(0, 1) {
+		if hot.Crash(0, hot.Spec().StepProbs(1).Crash) {
 			fired++
 		}
 	}
@@ -176,6 +180,22 @@ func TestRateSemantics(t *testing.T) {
 	}
 	if hot.Total() != uint64(fired) || hot.Counts()["crash"] != uint64(fired) {
 		t.Errorf("counts = %v, total = %d, want %d crashes", hot.Counts(), hot.Total(), fired)
+	}
+}
+
+// StepProbs is the exponential hazard 1 - exp(-rate*dur) per class, from
+// the expression the replay's per-series tables are built with.
+func TestStepProbs(t *testing.T) {
+	s := Spec{Crash: 0.3, Hang: 2, Degrade: 0}
+	for _, d := range []float64{0, 1e-9, 0.05, 1, 40} {
+		p := s.StepProbs(d)
+		want := Probs{Crash: -math.Expm1(-0.3 * d), Hang: -math.Expm1(-2 * d)}
+		if p != want {
+			t.Errorf("StepProbs(%v) = %+v, want %+v", d, p, want)
+		}
+		if math.Abs(p.Hang-(1-math.Exp(-2*d))) > 1e-12 {
+			t.Errorf("StepProbs(%v).Hang = %v, want 1-exp(-2d)", d, p.Hang)
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"kelp/internal/cluster"
@@ -166,8 +167,8 @@ func (c Config) Validate() error {
 	if err := c.Recovery.Validate(); err != nil {
 		return err
 	}
-	if c.Horizon < 0 {
-		return fmt.Errorf("fleet: horizon = %v, want >= 0", c.Horizon)
+	if math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) || c.Horizon < 0 {
+		return fmt.Errorf("fleet: horizon = %v, want a finite duration >= 0", c.Horizon)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -66,6 +67,8 @@ func TestFleetConfigValidate(t *testing.T) {
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, BatchTasks: -1},
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, SeedVariants: -1},
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: -1},
+		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: math.NaN()},
+		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -35,11 +35,11 @@ func (f *Fleet) place(rng *rand.Rand) error {
 // and each key is a total order (ID breaks ties), so job j's top-ranked
 // free machines are exactly the ranking's j-th WorkersPerJob block.
 func (f *Fleet) placeJobs(rng *rand.Rand) error {
+	w := f.cfg.WorkersPerJob
 	var ranked []*Machine
 	if f.cfg.Policy != PolicyRandom {
-		ranked = f.rankWorkers()
+		ranked = f.rankWorkers(f.cfg.Jobs * w)
 	}
-	w := f.cfg.WorkersPerJob
 	for j := 0; j < f.cfg.Jobs; j++ {
 		var cand []*Machine
 		if ranked != nil {
@@ -82,36 +82,77 @@ func (f *Fleet) freeMachines() []*Machine {
 	return cand
 }
 
-// rankWorkers orders the free machines by a ranked policy's worker
-// preference. Every ordering ends in lessLoad's ID tie-break, so sort.Slice
-// needs no stability to be deterministic.
-func (f *Fleet) rankWorkers() []*Machine {
-	cand := f.freeMachines()
+// rankWorkers returns the first k free machines in a ranked policy's worker
+// preference order (all of them, ranked, when fewer than k are free), so a
+// job that cannot be placed still sees the exact free count.
+func (f *Fleet) rankWorkers(k int) []*Machine {
+	var less func(a, b *Machine) bool
 	switch f.cfg.Policy {
 	case PolicyBandwidth:
-		sort.Slice(cand, func(i, j int) bool { return lessLoad(cand[i], cand[j]) })
+		less = lessLoad
 	case PolicyDistress:
 		// Below-watermark machines first (each group least-loaded first):
 		// a worker should not land on a machine already near saturation.
-		sort.Slice(cand, func(i, j int) bool {
-			di := cand[i].estLoad()+workerLoadEst > SaturateMark
-			dj := cand[j].estLoad()+workerLoadEst > SaturateMark
-			if di != dj {
-				return !di
+		less = func(a, b *Machine) bool {
+			da := a.estLoad()+workerLoadEst > SaturateMark
+			db := b.estLoad()+workerLoadEst > SaturateMark
+			if da != db {
+				return !da
 			}
-			return lessLoad(cand[i], cand[j])
-		})
+			return lessLoad(a, b)
+		}
 	case PolicyKelpAware:
 		// Kelp-on machines first — the protected population is where ML
 		// belongs — then by headroom within each population.
-		sort.Slice(cand, func(i, j int) bool {
-			if cand[i].KelpOn != cand[j].KelpOn {
-				return cand[i].KelpOn
+		less = func(a, b *Machine) bool {
+			if a.KelpOn != b.KelpOn {
+				return a.KelpOn
 			}
-			return lessLoad(cand[i], cand[j])
-		})
+			return lessLoad(a, b)
+		}
 	}
-	return cand
+	return leastK(f.freeMachines(), k, less)
+}
+
+// leastK returns the k least machines of ms under less, in order, reusing
+// ms's storage. less must be a total order (every ordering here ends in
+// lessLoad's ID tie-break), so the result is the first k of a full sort of
+// ms, but it costs O(n log k) rather than O(n log n): a bounded max-heap of
+// the k least seen so far, sorted at the end.
+func leastK(ms []*Machine, k int, less func(a, b *Machine) bool) []*Machine {
+	if k > len(ms) {
+		k = len(ms)
+	}
+	h := ms[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i, less)
+	}
+	for _, m := range ms[k:] {
+		if k > 0 && less(m, h[0]) {
+			h[0] = m
+			siftDown(h, 0, less)
+		}
+	}
+	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
+	return h
+}
+
+// siftDown restores the max-heap order (under less) of h below slot i.
+func siftDown(h []*Machine, i int, less func(a, b *Machine) bool) {
+	for {
+		big := i
+		if l := 2*i + 1; l < len(h) && less(h[big], h[l]) {
+			big = l
+		}
+		if r := 2*i + 2; r < len(h) && less(h[big], h[r]) {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 // placeBatch assigns every batch task to a machine under the policy and

@@ -353,3 +353,36 @@ func FuzzPlacement(f *testing.F) {
 		}
 	})
 }
+
+// leastK must return exactly the first k machines of a full sort, for
+// every k (none, some, all, more than all), under heavily tied keys.
+func TestLeastKMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ms := make([]Machine, 300)
+	for i := range ms {
+		ms[i] = Machine{ID: i, Load: float64(rng.Intn(5)) / 10, KelpOn: rng.Intn(2) == 0, Job: -1}
+	}
+	less := func(a, b *Machine) bool {
+		if a.KelpOn != b.KelpOn {
+			return a.KelpOn
+		}
+		return lessLoad(a, b)
+	}
+	ptrs := func() []*Machine {
+		out := make([]*Machine, len(ms))
+		for i := range ms {
+			out[i] = &ms[i]
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	full := ptrs()
+	sort.Slice(full, func(i, j int) bool { return less(full[i], full[j]) })
+	for _, k := range []int{0, 1, 2, 7, 64, 299, 300, 301} {
+		got := leastK(ptrs(), k, less)
+		want := full[:min(k, len(full))]
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d: leastK differs from the sorted prefix", k)
+		}
+	}
+}

@@ -169,11 +169,17 @@ func (h *Histogram) Reset() {
 // linear interpolation on a sorted copy. It is exact (unlike Histogram) and
 // intended for small result sets such as per-run summary values.
 func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), values...)
 	sort.Float64s(s)
+	return PercentileSorted(s, p)
+}
+
+// PercentileSorted is Percentile over values already sorted ascending; it
+// neither copies nor sorts.
+func PercentileSorted(s []float64, p float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return s[0]
 	}

@@ -271,3 +271,53 @@ func TestGeoMean(t *testing.T) {
 		t.Error("GeoMean with negative should be 0")
 	}
 }
+
+// A Window's percentiles equal Percentile over the last n values pushed,
+// bit for bit, across fills, wraps and runs of tied values.
+func TestWindowMatchesPercentile(t *testing.T) {
+	x := uint64(88172645463325252)
+	next := func() float64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// Few distinct values, so the window is full of ties.
+		return float64(x%7) * 0.125
+	}
+	for _, n := range []int{1, 2, 5, 16} {
+		w := NewWindow(n)
+		var all []float64
+		for i := 0; i < 200; i++ {
+			v := next()
+			if i%11 == 0 {
+				v = 0.1 + float64(i)*1e-3 // a distinct, unrepeated value
+			}
+			w.Push(v)
+			all = append(all, v)
+			last := all[max(0, len(all)-n):]
+			if w.Len() != len(last) {
+				t.Fatalf("n=%d push %d: Len = %d, want %d", n, i, w.Len(), len(last))
+			}
+			for _, p := range []float64{0, 25, 50, 90, 100} {
+				if got, want := w.Percentile(p), Percentile(last, p); got != want {
+					t.Fatalf("n=%d push %d: Percentile(%v) = %v, want %v over %v", n, i, p, got, want, last)
+				}
+			}
+		}
+	}
+	if got := NewWindow(4).Percentile(50); got != 0 {
+		t.Errorf("empty window percentile = %v, want 0", got)
+	}
+}
+
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	vals := []float64{0.5, 3, 3, 1, 2, 2, 9}
+	sorted := []float64{0.5, 1, 2, 2, 3, 3, 9}
+	for _, p := range []float64{-1, 0, 10, 33, 50, 75, 99, 100, 101} {
+		if got, want := PercentileSorted(sorted, p), Percentile(vals, p); got != want {
+			t.Errorf("PercentileSorted(%v) = %v, want %v", p, got, want)
+		}
+	}
+	if got := PercentileSorted(nil, 50); got != 0 {
+		t.Errorf("PercentileSorted(nil) = %v", got)
+	}
+}
