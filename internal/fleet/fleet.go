@@ -21,8 +21,9 @@
 // shapes are simulated — sharded over internal/pool, shared-nothing, with
 // input-ordered collection so results are byte-identical at any
 // parallelism — and every machine of a shape shares the measurement.
-// Placement and composition are serial and seeded, so a (Config, Measurer)
-// pair fully determines the Result.
+// Placement is serial and seeded; composition replays jobs concurrently
+// but aggregates them in job order, so a (Config, Measurer) pair fully
+// determines the Result.
 //
 // The package also retains the Fig. 2 bandwidth census itself (census.go:
 // CensusConfig, RunCensus), which both motivates the fleet model and
@@ -147,8 +148,13 @@ func (c Config) Validate() error {
 	if c.Jobs < 1 || c.WorkersPerJob < 1 {
 		return fmt.Errorf("fleet: Jobs = %d x WorkersPerJob = %d, want >= 1 each", c.Jobs, c.WorkersPerJob)
 	}
-	if c.Jobs*c.WorkersPerJob > c.Machines {
-		return fmt.Errorf("fleet: %d workers exceed %d machines", c.Jobs*c.WorkersPerJob, c.Machines)
+	if c.Machines > math.MaxInt32 {
+		// The load index keys machines by int32 ID.
+		return fmt.Errorf("fleet: Machines = %d, want <= %d", c.Machines, math.MaxInt32)
+	}
+	// Jobs x WorkersPerJob > Machines, without overflowing the product.
+	if c.Jobs > c.Machines/c.WorkersPerJob {
+		return fmt.Errorf("fleet: %d jobs x %d workers exceed %d machines", c.Jobs, c.WorkersPerJob, c.Machines)
 	}
 	if c.BatchTasks < 0 {
 		return fmt.Errorf("fleet: BatchTasks = %d", c.BatchTasks)
@@ -288,10 +294,17 @@ type Fleet struct {
 	cfg      Config
 	machines []Machine
 	// shapes are the distinct non-idle machine shapes in first-seen
-	// machine order; measured maps each (plus escalated worker shapes and
-	// the reference) to its measurement after Simulate.
-	shapes   []MachineShape
-	measured map[MachineShape]*Measurement
+	// machine order.
+	shapes []MachineShape
+	// After Simulate, measured holds the measurement of every simulated
+	// shape (each of shapes, escalated worker shapes and the reference),
+	// and slot maps a shape's code (shapeCode) to its index in measured,
+	// -1 for a shape not simulated. Both are nil before.
+	measured []*Measurement
+	slot     []int32
+	// parallel is the worker count Simulate was given; Tick replays jobs
+	// with it.
+	parallel int
 }
 
 // Config returns the fleet's configuration.
@@ -311,6 +324,51 @@ func (c Config) variants() int {
 		return c.SeedVariants
 	}
 	return DefaultSeedVariants
+}
+
+// codeVariants is the seed-variant span of shape codes. A worker's variant
+// is its machine ID modulo the configured count, so it is also below the
+// fleet size, which bounds the code table however many variants are
+// configured.
+func (c Config) codeVariants() int { return min(c.variants(), c.Machines) }
+
+// loadCodes counts a shape's background states (none, low, medium, high)
+// times its batch counts (0 through MaxBatchPerMach).
+const loadCodes = 4 * (MaxBatchPerMach + 1)
+
+// numShapeCodes is the size of the dense shape-code space: loadCodes
+// shapes without a worker, and for each worker policy loadCodes times
+// codeVariants worker shapes.
+func (c Config) numShapeCodes() int { return loadCodes + 2*loadCodes*c.codeVariants() }
+
+// shapeCode packs a shape into a dense code below numShapeCodes. Every
+// shape the fleet meets — a machine's, an escalated worker shape, the
+// reference — holds at most MaxBatchPerMach batch tasks, and only a worker
+// shape carries KelpOn or a Variant, so the code is unique among them.
+func (c Config) shapeCode(s MachineShape) int {
+	code := s.Batch
+	if s.HasBackground {
+		code += (1 + int(s.Background)) * (MaxBatchPerMach + 1)
+	}
+	if !s.HasWorker {
+		return code
+	}
+	if s.KelpOn {
+		code += loadCodes
+	}
+	return loadCodes + code*c.codeVariants() + s.Variant
+}
+
+// measurement returns the shape's measurement, or nil when Simulate has
+// not measured it.
+func (f *Fleet) measurement(s MachineShape) *Measurement {
+	if f.slot == nil {
+		return nil
+	}
+	if i := f.slot[f.cfg.shapeCode(s)]; i >= 0 {
+		return f.measured[i]
+	}
+	return nil
 }
 
 // shapeOf returns the machine's simulation archetype.
@@ -348,7 +406,7 @@ func Build(cfg Config) (*Fleet, error) {
 // drawFleet draws a validated config's unplaced machines and returns the
 // seeded rng, positioned for placement.
 func drawFleet(cfg Config) (*Fleet, *rand.Rand) {
-	f := &Fleet{cfg: cfg, measured: make(map[MachineShape]*Measurement)}
+	f := &Fleet{cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f.machines = make([]Machine, cfg.Machines)
 	for i := range f.machines {
@@ -393,15 +451,14 @@ func loadLevel(load float64) (bool, workload.Level) {
 
 // collectShapes records the distinct non-idle shapes in first-seen order.
 func (f *Fleet) collectShapes() {
-	seen := make(map[MachineShape]bool)
+	seen := make([]bool, f.cfg.numShapeCodes())
 	f.shapes = f.shapes[:0]
 	for i := range f.machines {
 		s := f.shapeOf(&f.machines[i])
-		if s.Idle() || seen[s] {
-			continue
+		if c := f.cfg.shapeCode(s); !s.Idle() && !seen[c] {
+			seen[c] = true
+			f.shapes = append(f.shapes, s)
 		}
-		seen[s] = true
-		f.shapes = append(f.shapes, s)
 	}
 }
 
@@ -409,16 +466,20 @@ func (f *Fleet) collectShapes() {
 // faults are configured, each worker shape's escalated counterpart, and
 // always the uncontended reference), sharding over internal/pool with
 // input-ordered collection. parallel bounds concurrency (0 = one worker
-// per CPU, 1 = serial); results are identical at any setting.
+// per CPU, 1 = serial), here and in Tick; results are identical at any
+// setting.
 func (f *Fleet) Simulate(m Measurer, parallel int) error {
 	if m == nil {
 		return fmt.Errorf("fleet: nil measurer")
 	}
 	want := make([]MachineShape, 0, 2*len(f.shapes)+1)
-	seen := make(map[MachineShape]bool)
+	slot := make([]int32, f.cfg.numShapeCodes())
+	for i := range slot {
+		slot[i] = -1
+	}
 	add := func(s MachineShape) {
-		if !seen[s] {
-			seen[s] = true
+		if c := f.cfg.shapeCode(s); slot[c] < 0 {
+			slot[c] = int32(len(want))
 			want = append(want, s)
 		}
 	}
@@ -439,9 +500,7 @@ func (f *Fleet) Simulate(m Measurer, parallel int) error {
 	if err != nil {
 		return err
 	}
-	for i, s := range want {
-		f.measured[s] = res[i]
-	}
+	f.measured, f.slot, f.parallel = res, slot, parallel
 	return nil
 }
 

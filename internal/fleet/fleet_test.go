@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -69,6 +70,9 @@ func TestFleetConfigValidate(t *testing.T) {
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: -1},
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: math.NaN()},
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: math.Inf(1)},
+		// Jobs x WorkersPerJob = 2⁶⁴ wraps to 0 in int arithmetic.
+		{Machines: 2000, Jobs: 1 << 33, WorkersPerJob: 1 << 31, Policy: PolicyRandom},
+		{Machines: math.MaxInt32 + 1, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -198,18 +202,90 @@ func TestEscalate(t *testing.T) {
 
 // Fleet results must be byte-identical at any simulation parallelism.
 func TestSimulateParallelIdentical(t *testing.T) {
-	run := func(parallel int) *Result {
-		cfg := testConfig()
-		cfg.Faults = clusterfaults.Spec{Seed: 7, Crash: 0.02, Downtime: 1.5, Hang: 0.1, HangDur: 0.5}
-		cfg.Horizon = 60 * sim.Second
-		res, err := Run(cfg, synthMeasure, parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	specs := map[string]clusterfaults.Spec{
+		"crash+hang": {Seed: 7, Crash: 0.02, Downtime: 1.5, Hang: 0.1, HangDur: 0.5},
+		// Degrade faults replay escalated shapes' series.
+		"degrade": {Seed: 3, Crash: 0.01, Downtime: 1, Degrade: 0.05},
 	}
-	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
-		t.Errorf("parallel 1 vs 8 diverged:\n%+v\n%+v", a, b)
+	for name, spec := range specs {
+		for _, recorded := range []bool{false, true} {
+			run := func(parallel int) (*Result, []byte) {
+				cfg := testConfig()
+				cfg.Faults = spec
+				cfg.Horizon = 60 * sim.Second
+				if recorded {
+					cfg.Events = events.MustNew(1 << 16)
+				}
+				res, err := Run(cfg, synthMeasure, parallel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.Events.Dropped() != 0 {
+					t.Fatalf("%s: event ring overflowed", name)
+				}
+				var buf bytes.Buffer
+				if err := events.WriteJSONL(&buf, cfg.Events.Events()); err != nil {
+					t.Fatal(err)
+				}
+				return res, buf.Bytes()
+			}
+			a, aev := run(1)
+			b, bev := run(8)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s (recorder %v): parallel 1 vs 8 diverged:\n%+v\n%+v", name, recorded, a, b)
+			}
+			if !bytes.Equal(aev, bev) {
+				t.Errorf("%s: parallel 1 vs 8 event streams differ", name)
+			}
+			if recorded && len(aev) == 0 {
+				t.Errorf("%s: recorder saw no events", name)
+			}
+		}
+	}
+}
+
+// Every slot of the load index's heaps caches its machine's (estLoad, ID)
+// key: after placement under every policy, a key that update failed to
+// refresh would differ from the machine's current estimate. Each heap must
+// also hold the heap order, and pos must point at each machine's slot.
+func TestLoadIndexKeysFresh(t *testing.T) {
+	for _, p := range Policies() {
+		// Sparse, dense enough to rebalance, and overfull.
+		for _, batch := range []int{90, 900, 1207} {
+			cfg := testConfig()
+			cfg.Policy, cfg.BatchTasks = p, batch
+			f, rng := drawFleet(cfg)
+			if err := f.placeJobs(rng); err != nil {
+				t.Fatal(err)
+			}
+			x := newLoadIndex(f.machines)
+			f.placeBatch(rng, x)
+			f.saturationPass(x)
+			indexed := 0
+			for c, h := range x.heaps {
+				for i, sl := range h {
+					m := &f.machines[sl.id]
+					if sl.load != m.estLoad() {
+						t.Fatalf("%s/B=%d: machine %d keyed %v, estLoad %v", p, batch, m.ID, sl.load, m.estLoad())
+					}
+					if classOf(m) != c || m.Batch >= MaxBatchPerMach || int(x.pos[m.ID]) != i {
+						t.Fatalf("%s/B=%d: machine %d misfiled (class %d, slot %d, pos %d)", p, batch, m.ID, c, i, x.pos[m.ID])
+					}
+					if i > 0 && sl.less(h[(i-1)/2]) {
+						t.Fatalf("%s/B=%d: heap order broken at slot %d", p, batch, i)
+					}
+				}
+				indexed += len(h)
+			}
+			for i := range f.machines {
+				if m := &f.machines[i]; m.Batch < MaxBatchPerMach && x.pos[m.ID] < 0 {
+					t.Fatalf("%s/B=%d: machine %d has headroom but is not indexed", p, batch, m.ID)
+				}
+			}
+			if indexed == 0 && batch < MaxBatchPerMach*cfg.Machines {
+				t.Fatalf("%s/B=%d: empty index", p, batch)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -30,22 +29,26 @@ func (f *Fleet) place(rng *rand.Rand) error {
 
 // placeJobs assigns every job's workers to the policy's top-ranked free
 // machines and emits one fleet.place event per job. Random placement
-// reshuffles the free machines for each job. The other policies rank the
+// reshuffles the free machines for each job, refilling one buffer in ID
+// order before every shuffle. The other policies rank the
 // fleet once: no batch task is placed yet, so their sort keys are static,
 // and each key is a total order (ID breaks ties), so job j's top-ranked
 // free machines are exactly the ranking's j-th WorkersPerJob block.
 func (f *Fleet) placeJobs(rng *rand.Rand) error {
 	w := f.cfg.WorkersPerJob
-	var ranked []*Machine
+	var ranked, free []*Machine
 	if f.cfg.Policy != PolicyRandom {
 		ranked = f.rankWorkers(f.cfg.Jobs * w)
+	} else {
+		free = make([]*Machine, 0, len(f.machines))
 	}
 	for j := 0; j < f.cfg.Jobs; j++ {
 		var cand []*Machine
 		if ranked != nil {
 			cand = ranked[j*w:]
 		} else {
-			cand = f.freeMachines()
+			free = f.freeMachines(free[:0])
+			cand = free
 			rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
 		}
 		if len(cand) < w {
@@ -70,10 +73,9 @@ func (f *Fleet) placeJobs(rng *rand.Rand) error {
 	return nil
 }
 
-// freeMachines returns the machines able to host a worker (no worker yet),
-// in ID order.
-func (f *Fleet) freeMachines() []*Machine {
-	cand := make([]*Machine, 0, len(f.machines))
+// freeMachines appends the machines able to host a worker (no worker yet)
+// to cand, in ID order.
+func (f *Fleet) freeMachines(cand []*Machine) []*Machine {
 	for i := range f.machines {
 		if f.machines[i].Job < 0 {
 			cand = append(cand, &f.machines[i])
@@ -111,7 +113,7 @@ func (f *Fleet) rankWorkers(k int) []*Machine {
 			return lessLoad(a, b)
 		}
 	}
-	return leastK(f.freeMachines(), k, less)
+	return leastK(f.freeMachines(make([]*Machine, 0, len(f.machines))), k, less)
 }
 
 // leastK returns the k least machines of ms under less, in order, reusing
@@ -317,104 +319,157 @@ func classOf(m *Machine) int {
 
 // loadIndex holds one indexed min-heap per machine class over the machines
 // with batch headroom (Batch < MaxBatchPerMach), keyed by (estLoad, ID) —
-// the order a linear scan for the least-loaded machine would pick in.
-// Callers report every Batch change through update.
+// the order a linear scan for the least-loaded machine would pick in. Each
+// heap slot carries its machine's key, so ordering reads no Machine.
+// Callers report every Batch change through update, which refreshes the
+// key.
 type loadIndex struct {
-	heaps [numClasses]loadHeap
+	// ms is the fleet's machines, indexed by ID.
+	ms    []Machine
+	heaps [numClasses][]loadSlot
+	// pos maps a machine ID to its slot in its class's heap, -1 when
+	// absent.
+	pos []int32
+}
+
+// loadSlot is a heap slot: a machine ID and its (estLoad, ID) key.
+type loadSlot struct {
+	load float64
+	id   int32
+}
+
+// less orders slots by placement-time load estimate, lowest ID on ties.
+func (a loadSlot) less(b loadSlot) bool {
+	if a.load != b.load {
+		return a.load < b.load
+	}
+	return a.id < b.id
 }
 
 // newLoadIndex indexes the placed machines' batch headroom.
 func newLoadIndex(ms []Machine) *loadIndex {
-	x := &loadIndex{}
-	pos := make([]int, len(ms))
+	x := &loadIndex{ms: ms, pos: make([]int32, len(ms))}
+	var n [numClasses]int
+	for i := range ms {
+		n[classOf(&ms[i])]++
+	}
 	for c := range x.heaps {
-		x.heaps[c].pos = pos
+		x.heaps[c] = make([]loadSlot, 0, n[c])
 	}
 	for i := range ms {
 		m := &ms[i]
-		pos[m.ID] = -1
+		x.pos[i] = -1
 		if m.Batch < MaxBatchPerMach {
-			h := &x.heaps[classOf(m)]
-			pos[m.ID] = len(h.ms)
-			h.ms = append(h.ms, m)
+			c := classOf(m)
+			x.pos[i] = int32(len(x.heaps[c]))
+			x.heaps[c] = append(x.heaps[c], loadSlot{m.estLoad(), int32(i)})
 		}
 	}
 	for c := range x.heaps {
-		heap.Init(&x.heaps[c])
+		for i := len(x.heaps[c])/2 - 1; i >= 0; i-- {
+			x.down(c, i)
+		}
 	}
 	return x
 }
 
 // top returns the least-loaded machine with headroom in class c, or nil.
 func (x *loadIndex) top(c int) *Machine {
-	if len(x.heaps[c].ms) == 0 {
+	if len(x.heaps[c]) == 0 {
 		return nil
 	}
-	return x.heaps[c].ms[0]
+	return &x.ms[x.heaps[c][0].id]
 }
 
 // least returns the least-loaded machine with headroom in any class, or
 // nil when the whole fleet is at the batch cap.
 func (x *loadIndex) least() *Machine {
-	var best *Machine
-	for c := range x.heaps {
-		if m := x.top(c); m != nil && (best == nil || lessEst(m, best)) {
-			best = m
+	best := -1
+	for c, h := range x.heaps {
+		if len(h) > 0 && (best < 0 || h[0].less(x.heaps[best][0])) {
+			best = c
 		}
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	return x.top(best)
 }
 
-// update restores the index after m.Batch changed: m is re-sifted, or
-// leaves or rejoins its heap as it crosses the batch cap.
+// update restores the index after m.Batch changed: m's key is refreshed
+// and re-sifted, or m leaves or rejoins its heap as it crosses the batch
+// cap.
 func (x *loadIndex) update(m *Machine) {
-	h := &x.heaps[classOf(m)]
-	i := h.pos[m.ID]
+	c := classOf(m)
+	h := x.heaps[c]
+	i := int(x.pos[m.ID])
 	switch {
 	case i < 0 && m.Batch < MaxBatchPerMach:
-		heap.Push(h, m)
+		i = len(h)
+		x.heaps[c] = append(h, loadSlot{m.estLoad(), int32(m.ID)})
+		x.pos[m.ID] = int32(i)
+		x.up(c, i)
 	case i >= 0 && m.Batch >= MaxBatchPerMach:
-		heap.Remove(h, i)
+		last := len(h) - 1
+		x.swap(c, i, last)
+		x.heaps[c] = h[:last]
+		x.pos[m.ID] = -1
+		if i < last {
+			x.fix(c, i)
+		}
 	case i >= 0:
-		heap.Fix(h, i)
+		h[i].load = m.estLoad()
+		x.fix(c, i)
 	}
 }
 
-// loadHeap is a heap.Interface min-heap of machines by (estLoad, ID); pos,
-// shared by a loadIndex's heaps, maps a machine ID to its heap slot (-1
-// when absent).
-type loadHeap struct {
-	ms  []*Machine
-	pos []int
-}
-
-func (h *loadHeap) Len() int           { return len(h.ms) }
-func (h *loadHeap) Less(i, j int) bool { return lessEst(h.ms[i], h.ms[j]) }
-
-func (h *loadHeap) Swap(i, j int) {
-	h.ms[i], h.ms[j] = h.ms[j], h.ms[i]
-	h.pos[h.ms[i].ID] = i
-	h.pos[h.ms[j].ID] = j
-}
-
-func (h *loadHeap) Push(v any) {
-	m := v.(*Machine)
-	h.pos[m.ID] = len(h.ms)
-	h.ms = append(h.ms, m)
-}
-
-func (h *loadHeap) Pop() any {
-	m := h.ms[len(h.ms)-1]
-	h.ms = h.ms[:len(h.ms)-1]
-	h.pos[m.ID] = -1
-	return m
-}
-
-// lessEst orders machines by placement-time load estimate, lowest ID on
-// ties.
-func lessEst(a, b *Machine) bool {
-	if la, lb := a.estLoad(), b.estLoad(); la != lb {
-		return la < lb
+// fix re-sifts slot i of class c's heap after its key changed.
+func (x *loadIndex) fix(c, i int) {
+	if !x.down(c, i) {
+		x.up(c, i)
 	}
-	return a.ID < b.ID
+}
+
+// up sifts slot i of class c's heap toward the root.
+func (x *loadIndex) up(c, i int) {
+	h := x.heaps[c]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			return
+		}
+		x.swap(c, i, p)
+		i = p
+	}
+}
+
+// down sifts slot i of class c's heap toward the leaves and reports
+// whether it moved.
+func (x *loadIndex) down(c, i int) bool {
+	h := x.heaps[c]
+	start := i
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		least := l
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
+			least = r
+		}
+		if !h[least].less(h[i]) {
+			break
+		}
+		x.swap(c, i, least)
+		i = least
+	}
+	return i > start
+}
+
+// swap exchanges slots i and j of class c's heap.
+func (x *loadIndex) swap(c, i, j int) {
+	h := x.heaps[c]
+	h[i], h[j] = h[j], h[i]
+	x.pos[h[i].id] = int32(i)
+	x.pos[h[j].id] = int32(j)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kelp/internal/cluster"
+	"kelp/internal/pool"
 )
 
 // JobResult is one lock-step job's composed outcome.
@@ -66,10 +67,12 @@ type Result struct {
 // configured), and the per-job reports aggregate into fleet-wide ML
 // Productivity Goodput, its diagnostic components, and the batch
 // throughput sum. Tick is pure composition — Simulate must have run — and
-// is deterministic; jobs compose serially in index order, so an attached
-// recorder sees a deterministic event stream.
+// is deterministic. Jobs replay concurrently on the worker count Simulate
+// was given, and serially in index order when a recorder is attached, so
+// the recorder sees a deterministic event stream. Reports aggregate in job
+// order at any worker count, so every sum keeps one order.
 func (f *Fleet) Tick() (*Result, error) {
-	ref := f.measured[ReferenceShape()]
+	ref := f.measurement(ReferenceShape())
 	if ref == nil {
 		return nil, fmt.Errorf("fleet: not simulated (no reference measurement)")
 	}
@@ -90,13 +93,25 @@ func (f *Fleet) Tick() (*Result, error) {
 		if m.Job >= 0 {
 			jobMachines[m.Job] = append(jobMachines[m.Job], m)
 		}
-		if shape := f.shapeOf(m); shape.Batch > 0 {
-			meas := f.measured[shape]
+		if m.Batch > 0 {
+			shape := f.shapeOf(m)
+			meas := f.measurement(shape)
 			if meas == nil {
 				return nil, fmt.Errorf("fleet: shape %v not simulated", shape)
 			}
 			res.BatchItemsPerSec += meas.BatchItemsPerSec
 		}
+	}
+
+	workers := f.parallel
+	if f.cfg.Events.Enabled() {
+		workers = 1
+	}
+	reports, err := pool.Collect(workers, len(jobMachines), func(j int) (*cluster.Result, error) {
+		return f.replayJob(j, jobMachines[j])
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var (
@@ -105,41 +120,7 @@ func (f *Fleet) Tick() (*Result, error) {
 		sumOn, sumOff                      float64
 	)
 	for j, machines := range jobMachines {
-		members := make([]cluster.MemberSeries, len(machines))
-		for w, m := range machines {
-			shape := f.shapeOf(m)
-			meas := f.measured[shape]
-			if meas == nil {
-				return nil, fmt.Errorf("fleet: shape %v not simulated", shape)
-			}
-			members[w] = cluster.MemberSeries{
-				StepsPerSec: meas.StepsPerSec,
-				StepTimes:   meas.StepTimes,
-			}
-			if f.cfg.Faults.Degrade > 0 {
-				deg := f.measured[shape.Escalate()]
-				if deg == nil {
-					return nil, fmt.Errorf("fleet: escalated shape %v not simulated", shape.Escalate())
-				}
-				members[w].DegradedStepTimes = deg.StepTimes
-			}
-		}
-		scfg := cluster.SeriesConfig{
-			Faults:   f.cfg.Faults,
-			Recovery: f.cfg.Recovery,
-			Horizon:  f.cfg.Horizon,
-			Events:   f.cfg.Events,
-		}
-		if scfg.Faults.Enabled() {
-			// Each job replays its own fault stream; the derived seed keeps
-			// jobs decorrelated while the whole fleet stays reproducible.
-			scfg.Faults.Seed += uint64(j) * 7919
-		}
-		cr, err := cluster.RunSeries(scfg, members)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: job %d: %w", j, err)
-		}
-
+		cr := reports[j]
 		jr := JobResult{
 			Job:          j,
 			Workers:      len(machines),
@@ -171,8 +152,7 @@ func (f *Fleet) Tick() (*Result, error) {
 		// and program goodput it is subject to.
 		jobScale := jr.Availability * (1 - jr.WastedStepFraction)
 		for _, m := range machines {
-			meas := f.measured[f.shapeOf(m)]
-			wg := meas.StepsPerSec / ref.StepsPerSec
+			wg := f.measurement(f.shapeOf(m)).StepsPerSec / ref.StepsPerSec
 			if wg > 1 {
 				wg = 1
 			}
@@ -202,4 +182,45 @@ func (f *Fleet) Tick() (*Result, error) {
 		res.MPGKelpOff = sumOff / float64(res.WorkersOff)
 	}
 	return res, nil
+}
+
+// replayJob composes job j's workers, in placement order, through
+// cluster.RunSeries. It reads the fleet and writes nothing, so jobs replay
+// concurrently.
+func (f *Fleet) replayJob(j int, machines []*Machine) (*cluster.Result, error) {
+	members := make([]cluster.MemberSeries, len(machines))
+	for w, m := range machines {
+		shape := f.shapeOf(m)
+		meas := f.measurement(shape)
+		if meas == nil {
+			return nil, fmt.Errorf("fleet: shape %v not simulated", shape)
+		}
+		members[w] = cluster.MemberSeries{
+			StepsPerSec: meas.StepsPerSec,
+			StepTimes:   meas.StepTimes,
+		}
+		if f.cfg.Faults.Degrade > 0 {
+			deg := f.measurement(shape.Escalate())
+			if deg == nil {
+				return nil, fmt.Errorf("fleet: escalated shape %v not simulated", shape.Escalate())
+			}
+			members[w].DegradedStepTimes = deg.StepTimes
+		}
+	}
+	scfg := cluster.SeriesConfig{
+		Faults:   f.cfg.Faults,
+		Recovery: f.cfg.Recovery,
+		Horizon:  f.cfg.Horizon,
+		Events:   f.cfg.Events,
+	}
+	if scfg.Faults.Enabled() {
+		// Each job replays its own fault stream; the derived seed keeps
+		// jobs decorrelated while the whole fleet stays reproducible.
+		scfg.Faults.Seed += uint64(j) * 7919
+	}
+	cr, err := cluster.RunSeries(scfg, members)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: job %d: %w", j, err)
+	}
+	return cr, nil
 }

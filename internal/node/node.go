@@ -96,6 +96,9 @@ func (c Config) Validate() error {
 type boundTask struct {
 	task  workload.Task
 	group *cgroup.Group
+	// loop is the task as a Loop, which never reports reoffer and advances
+	// a whole run in one AdvanceN; nil for every other task.
+	loop *workload.Loop
 	// groupIdx indexes the node's groupsList for allocation-free per-group
 	// demand accumulation in the step pipeline.
 	groupIdx int
@@ -119,6 +122,9 @@ type Node struct {
 
 	tasks  []*boundTask
 	byName map[string]*boundTask
+	// ticked indexes the tasks StepN's run loop advances tick by tick:
+	// every task but the loops, which advance once per run.
+	ticked []int
 
 	// groupsList holds the distinct cgroups of registered tasks, indexed by
 	// boundTask.groupIdx. Entries are never removed (indices must stay
@@ -297,10 +303,22 @@ func (n *Node) AddTask(t workload.Task, groupName string) error {
 		n.groupsList = append(n.groupsList, g)
 	}
 	bt := &boundTask{task: t, group: g, groupIdx: gi, rates: identityRates()}
+	bt.loop, _ = t.(*workload.Loop)
 	n.tasks = append(n.tasks, bt)
 	n.byName[t.Name()] = bt
+	n.indexTicked()
 	n.prevValid = false
 	return nil
+}
+
+// indexTicked rebuilds ticked after the task set changed.
+func (n *Node) indexTicked() {
+	n.ticked = n.ticked[:0]
+	for i, bt := range n.tasks {
+		if bt.loop == nil {
+			n.ticked = append(n.ticked, i)
+		}
+	}
 }
 
 // RemoveTask unregisters a task (its cgroup remains).
@@ -322,6 +340,7 @@ func (n *Node) RemoveTask(name string) error {
 			break
 		}
 	}
+	n.indexTicked()
 	n.prevValid = false
 	return nil
 }
@@ -442,11 +461,13 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 //     offer matches the cached one (offersUnchanged): the flow set, the
 //     rates and the memory system's fixed point are then still exact, and
 //     the fixed point is replayed.
-//   - the run advances every task tick by tick on its effective cores and
-//     rates, and ends after the first tick whose Advance reports reoffer,
-//     or before the first tick that is past the earliest offer horizon,
-//     past the deadline, or due for a controller. The monitor then
-//     integrates the run in one RecordN.
+//   - the run advances the tasks that can report reoffer tick by tick on
+//     their effective cores and rates, and ends after the first tick whose
+//     Advance reports reoffer, or before the first tick that is past the
+//     earliest offer horizon, past the deadline, or due for a controller.
+//     Each workload.Loop, which never reports reoffer, then advances the
+//     run's ticks in one AdvanceN, and the monitor integrates the run in
+//     one RecordN.
 //
 // A node with Config.NoIncremental or the hardware prefetch governor takes
 // the whole pipeline and one tick on every call. It returns the number of
@@ -475,9 +496,10 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 		end = now
 	}
 	tasks, effective := n.tasks, n.scratchEffective[:len(n.tasks)]
-	ticks, stale := 0, false
+	start, ticks, stale := now, 0, false
 	for !stale {
-		for i, bt := range tasks {
+		for _, i := range n.ticked {
+			bt := tasks[i]
 			if bt.task.Advance(now, dt, effective[i], &bt.rates) {
 				stale = true
 			}
@@ -487,6 +509,13 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 		now += dt
 		if !(now < end && now < deadline-1e-12 && now+1e-12 < due) {
 			break
+		}
+	}
+	// A task's Advance reads only its own state, cores and rates, so
+	// advancing the loops after the others changes nothing.
+	for i, bt := range tasks {
+		if bt.loop != nil {
+			bt.loop.AdvanceN(start, dt, ticks, effective[i], &bt.rates)
 		}
 	}
 	n.stale = stale

@@ -138,21 +138,33 @@ func (l *Loop) Offer(now float64, cores float64, o *Offer) (until float64) {
 	return edge - burstEdgeMargin
 }
 
-// Advance implements Task.
+// Advance implements Task: AdvanceN for one tick.
 // A loop's offer depends only on time and cores, so it never reports
 // reoffer.
 func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
+	l.AdvanceN(now, dt, 1, cores, r)
+	return false
+}
+
+// AdvanceN progresses the loop by k ticks of dt from now, on constant cores
+// and rates. It is exactly k Advance calls, the i-th at now advanced by i
+// repeated adds of dt: every tick makes the same float operations in the
+// same order, so the node can hand a loop a whole run in one call.
+func (l *Loop) AdvanceN(now, dt float64, k int, cores float64, r *Rates) {
 	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
-		return false
+		return
 	}
-	l.partial += dt * active * r.CPUFactor
-	if n := l.partial / l.cfg.UnitWork; n >= 1 {
-		whole := float64(int64(n))
-		l.units.Add(now+dt, whole)
-		l.partial -= whole * l.cfg.UnitWork
+	work := dt * active * r.CPUFactor
+	for ; k > 0; k-- {
+		l.partial += work
+		if n := l.partial / l.cfg.UnitWork; n >= 1 {
+			whole := float64(int64(n))
+			l.units.Add(now+dt, whole)
+			l.partial -= whole * l.cfg.UnitWork
+		}
+		now += dt
 	}
-	return false
 }
 
 // StartMeasurement implements Task.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -168,4 +169,107 @@ func TestAggressorProfilesMatchTheirRoles(t *testing.T) {
 	if llc.Config().Mem.LLCRefBWPerCore <= dram.Config().Mem.LLCRefBWPerCore {
 		t.Error("LLC aggressor should have the cache reuse traffic")
 	}
+}
+
+// advanceRef is one tick of the loop as a per-tick reference: the float
+// operations AdvanceN must repeat, tick by tick, in this order.
+func advanceRef(l *Loop, now, dt, cores float64, r *Rates) {
+	active := min(float64(l.cfg.Threads), cores)
+	if active <= 0 {
+		return
+	}
+	l.partial += dt * active * r.CPUFactor
+	if n := l.partial / l.cfg.UnitWork; n >= 1 {
+		whole := float64(int64(n))
+		l.units.Add(now+dt, whole)
+		l.partial -= whole * l.cfg.UnitWork
+	}
+}
+
+// sameLoopState reports whether two loops hold bit-identical state: the
+// partial unit and every meter field, lastTime included (gob encodes
+// floats by bit pattern).
+func sameLoopState(t *testing.T, a, b *Loop) bool {
+	t.Helper()
+	ga, err := a.units.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := b.units.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return math.Float64bits(a.partial) == math.Float64bits(b.partial) && bytes.Equal(ga, gb)
+}
+
+// checkAdvanceN runs one AdvanceN(k), k Advance calls and k reference
+// ticks from the same state, with now advanced by repeated adds, and fails
+// unless all three end bit-identical.
+func checkAdvanceN(t *testing.T, cfg LoopConfig, partial, now, dt float64, k int, cores float64, r *Rates, measured bool) {
+	t.Helper()
+	mk := func() *Loop {
+		l := MustLoop("l", cfg)
+		l.partial = partial
+		if measured {
+			l.StartMeasurement(now)
+		}
+		return l
+	}
+	batch, single, ref := mk(), mk(), mk()
+	batch.AdvanceN(now, dt, k, cores, r)
+	at := now
+	for range k {
+		if single.Advance(at, dt, cores, r) {
+			t.Fatal("Loop.Advance reported reoffer")
+		}
+		advanceRef(ref, at, dt, cores, r)
+		at += dt
+	}
+	if !sameLoopState(t, single, ref) {
+		t.Fatalf("%+v k=%d cores=%v cpu=%v: Advance diverged from the reference", cfg, k, cores, r.CPUFactor)
+	}
+	if !sameLoopState(t, batch, ref) {
+		t.Fatalf("%+v k=%d cores=%v cpu=%v: AdvanceN partial %v meter %+v, reference %v %+v",
+			cfg, k, cores, r.CPUFactor, batch.partial, batch.units, ref.partial, ref.units)
+	}
+}
+
+// One AdvanceN(k) must equal k Advance calls bit for bit, over run lengths
+// up to 2000 ticks, fractional and non-positive cores, and execution
+// factors from vanishing to extreme.
+func TestLoopAdvanceNMatchesAdvance(t *testing.T) {
+	cfgs := []LoopConfig{
+		{Threads: 8, UnitWork: 1e-3},
+		{Threads: 3, UnitWork: 0.37},
+		{Threads: 16, UnitWork: 2.5e-6},
+	}
+	for _, cfg := range cfgs {
+		for _, k := range []int{0, 1, 2, 17, 999, 2000} {
+			for _, cores := range []float64{-1, 0, 0.25, 1.7, 3, 64} {
+				for _, cpu := range []float64{0, 1e-300, 0.013, 0.5, 1, 1.45, 1e6, 1e300} {
+					r := fullRates()
+					r.CPUFactor = cpu
+					checkAdvanceN(t, cfg, 0.3*cfg.UnitWork, 1.25, 1e-4, k, cores, r, k%2 == 0)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLoopAdvanceN compares one AdvanceN(k) against k Advance calls and the
+// per-tick reference from arbitrary states.
+func FuzzLoopAdvanceN(f *testing.F) {
+	f.Add(uint8(8), 1e-3, 0.0, 0.0, 1e-4, uint16(1000), 8.0, 1.0, true)
+	f.Add(uint8(3), 0.37, 0.1, 2.5, 1e-4, uint16(2000), 1.7, 0.013, false)
+	f.Add(uint8(1), 1e-9, 0.0, 1e9, 1e-3, uint16(77), 0.5, 1e300, true)
+	f.Add(uint8(4), 1.0, 0.5, 0.0, 1e-4, uint16(5), -2.0, 1.0, false)
+	f.Fuzz(func(t *testing.T, threads uint8, unit, partial, now, dt float64, k uint16, cores, cpu float64, measured bool) {
+		cfg := LoopConfig{Threads: 1 + int(threads)%64, UnitWork: unit}
+		if cfg.Validate() != nil {
+			t.Skip()
+		}
+		r := fullRates()
+		r.CPUFactor = cpu
+		checkAdvanceN(t, cfg, partial, now, dt, int(k)%2001, cores, r, measured)
+	})
 }
