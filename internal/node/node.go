@@ -505,7 +505,9 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 			}
 		}
 		ticks++
-		// Repeated adds, as the engine advances its own clock.
+		// One add per tick, landing where the engine's AddN lands: the
+		// ticked tasks see now at every tick, and the run's bounds are
+		// checked against it.
 		now += dt
 		if !(now < end && now < deadline-1e-12 && now+1e-12 < due) {
 			break

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"kelp/internal/memsys"
+	"kelp/internal/sim"
 )
 
 // Sample is one windowed counter read.
@@ -233,12 +234,17 @@ func (m *Monitor) Record(dt float64, res *memsys.Resolution) {
 	}
 }
 
+// recordFoldMin is the run length from which RecordN folds each
+// accumulator with sim.AddN. Below it, the plain adds of all accumulators
+// interleaved in one loop, so that the independent add chains overlap,
+// beat one fold per accumulator.
+const recordFoldMin = 24
+
 // RecordN integrates the same resolution over n consecutive steps of dt
-// seconds, bit for bit as n Record calls would: it adds each cached
-// rate×dt into its accumulator n times and never multiplies by n, since
-// one rounding of rate×dt×n differs from n roundings of the running sum.
-// Each accumulator is held in a local meanwhile, several to a loop, so the
-// independent add chains overlap. A one-step run is a plain Record.
+// seconds, bit for bit as n Record calls would: each accumulator takes its
+// cached rate×dt n times, folded exactly by sim.AddN on a long run. It
+// never multiplies by n, since one rounding of rate×dt×n differs from n
+// roundings of the running sum. A one-step run is a plain Record.
 func (m *Monitor) RecordN(dt float64, res *memsys.Resolution, n int) {
 	if n == 1 {
 		m.Record(dt, res)
@@ -250,6 +256,33 @@ func (m *Monitor) RecordN(dt float64, res *memsys.Resolution, n int) {
 	if !m.cached(res) {
 		m.cacheRates(res)
 	}
+	if n < recordFoldMin {
+		m.recordLoop(dt, n)
+		return
+	}
+	m.elapsed = sim.AddN(m.elapsed, dt, n)
+	for s := 0; s < m.sockets; s++ {
+		dBW := m.rateBW[s] * dt
+		m.bw[s] = sim.AddN(m.bw[s], dBW, n)
+		m.offered[s] = sim.AddN(m.offered[s], m.rateOff[s]*dt, n)
+		m.lat[s] = sim.AddN(m.lat[s], m.rateLat[s]*dt, n)
+		m.sat[s] = sim.AddN(m.sat[s], m.rateSat[s]*dt, n)
+		m.bp[s] = sim.AddN(m.bp[s], m.rateBP[s]*dt, n)
+		m.totalBytes[s] = sim.AddN(m.totalBytes[s], dBW, n)
+		base := s * m.cps
+		rateBW := m.rateCtlBW[base : base+m.cps]
+		rateLat := m.rateCtlLat[base : base+m.cps]
+		ctlBW, ctlLat := m.ctlBW[s][:m.cps], m.ctlLat[s][:m.cps]
+		for c, r := range rateBW {
+			ctlBW[c] = sim.AddN(ctlBW[c], r*dt, n)
+			ctlLat[c] = sim.AddN(ctlLat[c], rateLat[c]*dt, n)
+		}
+	}
+}
+
+// recordLoop is RecordN's short run: n plain adds into each accumulator,
+// each held in a local meanwhile, several to a loop.
+func (m *Monitor) recordLoop(dt float64, n int) {
 	elapsed := m.elapsed
 	for range n {
 		elapsed += dt

@@ -20,7 +20,7 @@ func TestNewMonitorValidates(t *testing.T) {
 	}
 }
 
-func resolve(t *testing.T, sys *memsys.System, flows []memsys.Flow) *memsys.Resolution {
+func resolve(t testing.TB, sys *memsys.System, flows []memsys.Flow) *memsys.Resolution {
 	t.Helper()
 	res, err := sys.Resolve(flows)
 	if err != nil {
@@ -274,7 +274,11 @@ func stateBits(m *Monitor) []uint64 {
 // TestRecordNMatchesRecord pins RecordN's contract: integrating a
 // resolution over k steps in one call equals k Record calls bit for bit,
 // for a resolved resolution and for a hand-built one (Seq 0, re-derived on
-// every call), on top of accumulators already holding other values.
+// every call), on top of accumulators already holding other values. Runs
+// of 17 steps take the plain adds, and runs of 1000 the folds, which cross
+// binades on their way from the primed values. The tie case adds 1.5 grid
+// steps of [2, 4) to latency accumulators primed to 3, so every add ties,
+// and its zero rates leave the bandwidth accumulators where they were.
 func TestRecordNMatchesRecord(t *testing.T) {
 	cfg := memsys.DefaultConfig()
 	sys := memsys.MustSystem(cfg)
@@ -295,26 +299,67 @@ func TestRecordNMatchesRecord(t *testing.T) {
 		},
 		SocketBackpressure: []float64{0.93, 1},
 	}
+	// Primed over 1.5 s, primeThree puts 3 into socket 0's latency
+	// accumulators; tie then adds 3·2^-52 every 0.5 s step.
+	primeThree := &memsys.Resolution{Controllers: []memsys.ControllerState{{Socket: 0, Index: 0, Latency: 2}}}
+	tie := &memsys.Resolution{
+		Controllers:        []memsys.ControllerState{{Socket: 0, Index: 0, Latency: 3 * 0x1p-51}},
+		SocketBackpressure: []float64{0, 0},
+	}
 	const dt = 100e-6
 	for _, tc := range []struct {
-		name string
-		res  *memsys.Resolution
-	}{{"resolved", resolved}, {"seq0", handBuilt}} {
-		for _, k := range []int{0, 1, 1000} {
+		name       string
+		dt         float64
+		prime, res *memsys.Resolution
+	}{
+		{"resolved", dt, prime, resolved},
+		{"seq0", dt, prime, handBuilt},
+		{"tie", 0.5, primeThree, tie},
+	} {
+		for _, k := range []int{0, 1, 17, 1000} {
 			one, batch := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket), MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
 			for _, m := range []*Monitor{one, batch} {
-				m.Record(3*dt, prime)
+				m.Record(3*tc.dt, tc.prime)
 			}
+			before := batch.State()
 			for range k {
-				one.Record(dt, tc.res)
+				one.Record(tc.dt, tc.res)
 			}
-			batch.RecordN(dt, tc.res, k)
+			batch.RecordN(tc.dt, tc.res, k)
 			if got, want := stateBits(batch), stateBits(one); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: RecordN(dt, res, %d) differs from %d Records:\n got: %+v\nwant: %+v", tc.name, k, k, batch.State(), one.State())
 			}
-			if k > 0 && batch.State().BW[0] == 0 {
+			after := batch.State()
+			if tc.res == tie {
+				if before.CtlLat[0][0] != 3 || k > 0 && after.CtlLat[0][0] == before.CtlLat[0][0] {
+					t.Errorf("tie: k=%d left the tied accumulator at %v", k, after.CtlLat[0][0])
+				}
+				if after.BW[0] != before.BW[0] || after.CtlBW[1][1] != before.CtlBW[1][1] {
+					t.Errorf("tie: k=%d moved a zero-rate accumulator", k)
+				}
+				continue
+			}
+			if k > 0 && after.BW[0] == 0 {
 				t.Errorf("%s: k=%d recorded no bandwidth on socket 0", tc.name, k)
 			}
 		}
+	}
+}
+
+// BenchmarkRecordN measures one 1000-step RecordN of a replayed
+// resolution: the monitor's share of a 1000-tick horizon run.
+func BenchmarkRecordN(b *testing.B) {
+	cfg := memsys.DefaultConfig()
+	sys := memsys.MustSystem(cfg)
+	res := resolve(b, sys, []memsys.Flow{
+		{Task: "a", Socket: 0, Subdomain: 1, DemandBW: 33 * memsys.GB, LLCFootprint: 8e6, LLCRefBW: memsys.GB},
+		{Task: "b", Socket: 1, DemandBW: 3 * memsys.GB, RemoteFrac: 0.3},
+	})
+	m := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
+	m.Record(100e-6, res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RecordN(100e-6, res, 1000)
 	}
 }

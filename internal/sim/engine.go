@@ -102,12 +102,10 @@ func (e *Engine) advance(deadline Time) {
 			panic(fmt.Sprintf("sim: StepN advanced %d ticks", ticks))
 		}
 	}
-	// Repeated adds, not now + ticks*dt: the clock must land exactly where
-	// that many Ticks would put it.
-	for range ticks {
-		e.now += e.dt
-	}
 	e.steps += uint64(ticks)
+	// AddN, not now + ticks*dt: the clock must land exactly where that
+	// many Ticks would put it.
+	e.now = AddN(e.now, e.dt, ticks)
 }
 
 // fire runs every controller due at the current tick, then reschedules.

@@ -102,7 +102,9 @@ type Inference struct {
 
 	nextArrival float64
 	queued      []float64 // arrival times of requests awaiting admission
-	inflight    []*request
+	// inflight holds the admitted requests by value, so admitting one
+	// reuses the slice's room and never allocates.
+	inflight []request
 
 	completed metrics.Meter
 	latency   *metrics.Histogram
@@ -164,8 +166,8 @@ func (s *Inference) QueueDepth() int { return len(s.queued) }
 // changes that count.
 func (s *Inference) Offer(now float64, cores float64, o *Offer) (until float64) {
 	k := 0
-	for _, r := range s.inflight {
-		if r.Phase == reqCPU {
+	for i := range s.inflight {
+		if s.inflight[i].Phase == reqCPU {
 			k++
 		}
 	}
@@ -197,7 +199,7 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 		// Pipelined generator: top up to MaxConcurrency immediately;
 		// latency is pure service time.
 		for len(s.inflight) < s.cfg.MaxConcurrency {
-			s.inflight = append(s.inflight, &request{
+			s.inflight = append(s.inflight, request{
 				Arrival:   now,
 				Phase:     reqCPU,
 				Remaining: s.cfg.CPUWorkPerIter,
@@ -217,14 +219,17 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 		// 2. Admission. Latency is measured from true arrival, so queueing
 		// delay under overload shows up in the tail, producing the knee the
 		// paper tunes RNN1's offered load to.
-		for len(s.queued) > 0 && len(s.inflight) < s.cfg.MaxConcurrency {
-			arr := s.queued[0]
-			s.queued = s.queued[1:]
-			s.inflight = append(s.inflight, &request{
+		// The queue shifts down in place, so it too reuses its room.
+		admit := max(0, min(len(s.queued), s.cfg.MaxConcurrency-len(s.inflight)))
+		for _, arr := range s.queued[:admit] {
+			s.inflight = append(s.inflight, request{
 				Arrival:   arr,
 				Phase:     reqCPU,
 				Remaining: s.cfg.CPUWorkPerIter,
 			})
+		}
+		if admit > 0 {
+			s.queued = s.queued[:copy(s.queued, s.queued[admit:])]
 		}
 	}
 
@@ -232,8 +237,8 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 	// request's beam search is single-threaded, so per-request speed is
 	// capped at one core's worth.
 	k := 0
-	for _, q := range s.inflight {
-		if q.Phase == reqCPU {
+	for i := range s.inflight {
+		if s.inflight[i].Phase == reqCPU {
 			k++
 		}
 	}
@@ -249,9 +254,11 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 	// last Offer saw is k less the requests this step added.
 	offered := k - (len(s.inflight) - before)
 
-	var done []int
-	kEnd := 0
-	for i, q := range s.inflight {
+	// Finished requests leave in the same pass: the survivors shift down
+	// in place, in order.
+	kEnd, kept := 0, 0
+	for i := range s.inflight {
+		q := &s.inflight[i]
 		switch q.Phase {
 		case reqCPU:
 			q.Remaining -= dt * cpuRate
@@ -270,29 +277,19 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 				q.Iter++
 				if q.Iter >= s.cfg.IterationsPerRequest {
 					s.finish(end, q)
-					done = append(done, i)
-				} else {
-					q.Phase = reqCPU
-					q.Remaining = s.cfg.CPUWorkPerIter
+					continue
 				}
+				q.Phase = reqCPU
+				q.Remaining = s.cfg.CPUWorkPerIter
 			}
 		}
 		if q.Phase == reqCPU {
 			kEnd++
 		}
+		s.inflight[kept] = *q
+		kept++
 	}
-	if len(done) > 0 {
-		kept := s.inflight[:0]
-		di := 0
-		for i, q := range s.inflight {
-			if di < len(done) && done[di] == i {
-				di++
-				continue
-			}
-			kept = append(kept, q)
-		}
-		s.inflight = kept
-	}
+	s.inflight = s.inflight[:kept]
 	return kEnd != offered
 }
 

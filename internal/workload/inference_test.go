@@ -258,3 +258,48 @@ func TestTaskRestoreRejectsMissingHistograms(t *testing.T) {
 		}
 	}
 }
+
+// TestInferenceAdvanceAllocs pins the allocation-free inference tick: once
+// its slices have grown to their steady size, Advance allocates nothing,
+// on ticks that admit, finish and drop requests alike. The measured ticks
+// must finish requests, or the test would miss the finishing path.
+func TestInferenceAdvanceAllocs(t *testing.T) {
+	starved := fullRates()
+	starved.CPUFactor = 0.05
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *Inference
+		cores float64
+		r     *Rates
+	}{
+		{"closed loop", newRNN1, 4, fullRates()},
+		{"open loop", openRNN1, 4, fullRates()},
+		{"overloaded", openRNN1, 2, starved},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t)
+			now, dt := 0.0, 100e-6
+			tick := func() {
+				s.Advance(now, dt, tc.cores, tc.r)
+				now += dt
+			}
+			for range 30000 {
+				tick()
+			}
+			s.StartMeasurement(now)
+			// AllocsPerRun rounds its average down, so each run is a
+			// 1000-tick batch: one allocation in it shows.
+			batch := func() {
+				for range 1000 {
+					tick()
+				}
+			}
+			if avg := testing.AllocsPerRun(20, batch); avg != 0 {
+				t.Errorf("steady Advance allocates %v times per 1000 ticks, want 0", avg)
+			}
+			if s.Completed() == 0 {
+				t.Error("no request finished during the measured ticks")
+			}
+		})
+	}
+}

@@ -69,7 +69,7 @@ func (c LoopConfig) Validate() error {
 	if c.Threads < 1 {
 		return fmt.Errorf("workload: Threads = %d", c.Threads)
 	}
-	if c.UnitWork <= 0 {
+	if !(c.UnitWork > 0) || math.IsInf(c.UnitWork, 1) {
 		return fmt.Errorf("workload: UnitWork = %v", c.UnitWork)
 	}
 	if c.BurstPeriod < 0 {
@@ -148,23 +148,29 @@ func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) 
 
 // AdvanceN progresses the loop by k ticks of dt from now, on constant cores
 // and rates. It is exactly k Advance calls, the i-th at now advanced by i
-// repeated adds of dt: every tick makes the same float operations in the
-// same order, so the node can hand a loop a whole run in one call.
+// repeated adds of dt: every tick adds the same work to the partial unit
+// in the same order, so the node can hand a loop a whole run in one call.
+// A unit completes when the partial unit reaches UnitWork; for a positive
+// UnitWork u that is p/u >= 1 exactly when p >= u, since rounding is
+// monotone and the largest float below u, divided by u, rounds below 1.
+// So only a tick that completes a unit divides.
 func (l *Loop) AdvanceN(now, dt float64, k int, cores float64, r *Rates) {
 	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
 		return
 	}
 	work := dt * active * r.CPUFactor
+	p, u := l.partial, l.cfg.UnitWork
 	for ; k > 0; k-- {
-		l.partial += work
-		if n := l.partial / l.cfg.UnitWork; n >= 1 {
-			whole := float64(int64(n))
+		p += work
+		if p >= u {
+			whole := float64(int64(p / u))
 			l.units.Add(now+dt, whole)
-			l.partial -= whole * l.cfg.UnitWork
+			p -= whole * u
 		}
 		now += dt
 	}
+	l.partial = p
 }
 
 // StartMeasurement implements Task.

@@ -145,15 +145,12 @@ func (s *Inference) TaskSnapshot() any {
 	st := inferenceState{
 		NextArrival: s.nextArrival,
 		Queued:      append([]float64(nil), s.queued...),
-		Inflight:    make([]request, len(s.inflight)),
+		Inflight:    append([]request(nil), s.inflight...),
 		Completed:   s.completed,
 		Latency:     s.latency.Clone(),
 		Window:      s.window.Clone(),
 		Dropped:     s.dropped,
 		DeviceBusy:  s.device.BusyUntil(),
-	}
-	for i, q := range s.inflight {
-		st.Inflight[i] = *q
 	}
 	if s.rng != nil {
 		st.RNGPos = s.rng.Pos()
@@ -175,11 +172,7 @@ func (s *Inference) TaskRestore(st any) error {
 	}
 	s.nextArrival = snap.NextArrival
 	s.queued = append(s.queued[:0], snap.Queued...)
-	s.inflight = s.inflight[:0]
-	for i := range snap.Inflight {
-		q := snap.Inflight[i]
-		s.inflight = append(s.inflight, &q)
-	}
+	s.inflight = append(s.inflight[:0], snap.Inflight...)
 	s.completed = snap.Completed
 	s.latency = snap.Latency.Clone()
 	s.window = snap.Window.Clone()
