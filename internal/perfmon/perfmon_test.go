@@ -1,6 +1,7 @@
 package perfmon
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -361,5 +362,33 @@ func BenchmarkRecordN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.RecordN(100e-6, res, 1000)
+	}
+}
+
+// BenchmarkRecordNPaths times RecordN's two paths, the interleaved add
+// loop and one fold per accumulator, on the same run lengths around
+// recordFoldMin, so that the cutoff can be set where they cross.
+func BenchmarkRecordNPaths(b *testing.B) {
+	cfg := memsys.DefaultConfig()
+	sys := memsys.MustSystem(cfg)
+	res := resolve(b, sys, []memsys.Flow{
+		{Task: "a", Socket: 0, Subdomain: 1, DemandBW: 33 * memsys.GB, LLCFootprint: 8e6, LLCRefBW: memsys.GB},
+		{Task: "b", Socket: 1, DemandBW: 3 * memsys.GB, RemoteFrac: 0.3},
+	})
+	paths := []struct {
+		name string
+		run  func(m *Monitor, dt float64, n int)
+	}{{"loop", (*Monitor).recordLoop}, {"fold", (*Monitor).recordFold}}
+	for _, n := range []int{8, 16, 20, 24, 28, 32, 48} {
+		for _, p := range paths {
+			b.Run(fmt.Sprintf("n=%d/%s", n, p.name), func(b *testing.B) {
+				m := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
+				m.Record(100e-6, res)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.run(m, 100e-6, n)
+				}
+			})
+		}
 	}
 }

@@ -13,6 +13,8 @@ func TestLoopValidation(t *testing.T) {
 	bad := []LoopConfig{
 		{Threads: 0, UnitWork: 1},
 		{Threads: 1, UnitWork: 0},
+		{Threads: 1, UnitWork: math.Inf(1)},
+		{Threads: 1, UnitWork: math.NaN()},
 		{Threads: 1, UnitWork: 1, Mem: MemProfile{RemoteFrac: 2}},
 	}
 	for i, c := range bad {

@@ -5,33 +5,40 @@
 #
 # Absolute numbers recorded on another host say little about a change; a
 # pair of runs on the same host, one right after the other, does. For
-# every workload and seed, the script runs `perfbench/run.sh --trace 0`
-# once in a copy of PARENT and once in this checkout, alternating which
-# goes first, then prints per end-to-end metric:
+# every workload (sweep, fleet, serve) and seed (1 to 10), the script runs
+# `perfbench/run.sh --trace 0` at perfbench's default run length once in a
+# copy of PARENT and once in this checkout, alternating which goes first,
+# then prints per end-to-end metric:
 #
-#   - the median of each side over the seeds;
+#   - the median of each side over the ten seeds;
 #   - the change of the median;
 #   - how many pairs improved, in the metric's direction from
 #     BENCHMARK.json;
 #   - the parent's interquartile range (IQR) over the seeds;
-#   - a verdict: "gain" when at least 9 of 10 pairs improved and the
-#     medians differ by more than the parent's IQR, "loss" for the same
-#     in the other direction, and "-" otherwise.
+#   - a verdict, the first of these that holds:
+#       regress     the head median is worse than the parent median by
+#                   more than the metric's bound in BENCHMARK.json (a
+#                   share of the parent median);
+#       unresolved  either side's IQR is wider than the bound, so the
+#                   runs spread too widely to tell, unless every head run
+#                   is better than every parent run (setup_s is exempt,
+#                   as in perfbench/README.md);
+#       gain        at least 9 of 10 pairs improved and the medians
+#                   differ by more than the parent's IQR;
+#       loss        the same in the other direction, within the bound;
+#       neutral     none of these.
 #
 # The copy of PARENT is `git archive` output under
 # .bench_build/pair/<commit>/, so it leaves no state in the repository's
 # git directory, and its build cache survives for the next comparison
 # against the same commit. perfbench itself is run as is. Every run must
-# report "correct": true, or the script stops.
+# report "correct": true, or the script stops and keeps the JSON lines of
+# the runs so far in the directory it names.
 #
 # Usage (from anywhere in the repository):
 #   scripts/bench_pair.sh PARENT
-#   SEEDS="1 3 5 7 9 11" WORKLOADS=fleet RUN_SECONDS=10 scripts/bench_pair.sh HEAD~1
 #
-# PARENT is any commit name git accepts. SEEDS defaults to "1 3 5 7 9 11",
-# WORKLOADS to "sweep fleet serve" and RUN_SECONDS (perfbench --seconds)
-# to 10. RESULTS names a directory to keep each run's JSON line in; by
-# default they go to a temporary directory that is removed on exit.
+# PARENT is any commit name git accepts.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,9 +49,7 @@ if [ $# -ne 1 ]; then
 	exit 2
 fi
 commit=$(git rev-parse --verify "$1^{commit}")
-seeds=${SEEDS:-1 3 5 7 9 11}
-workloads=${WORKLOADS:-sweep fleet serve}
-secs=${RUN_SECONDS:-10}
+seeds="1 2 3 4 5 6 7 8 9 10"
 
 parent_dir="$root/.bench_build/pair/$commit"
 if [ ! -f "$parent_dir/perfbench/run.sh" ]; then
@@ -53,33 +58,27 @@ if [ ! -f "$parent_dir/perfbench/run.sh" ]; then
 	git archive "$commit" | tar -x -C "$parent_dir"
 fi
 
-if [ -n "${RESULTS:-}" ]; then
-	res=$RESULTS
-	mkdir -p "$res"
-else
-	res=$(mktemp -d)
-	trap 'rm -rf "$res"' EXIT
-fi
+res=$(mktemp -d)
 
 # run DIR WORKLOAD SEED prints the run's final JSON line.
 run() {
 	local line
-	if ! line=$(cd "$1" && bash perfbench/run.sh --workload "$2" --seed "$3" --seconds "$secs" --trace 0 | tail -n 1); then
-		echo "bench_pair.sh: $2 seed $3 failed in $1" >&2
+	if ! line=$(cd "$1" && bash perfbench/run.sh --workload "$2" --seed "$3" --trace 0 | tail -n 1); then
+		echo "bench_pair.sh: $2 seed $3 failed in $1; results so far in $res" >&2
 		exit 1
 	fi
 	case $line in
 	*'"correct":true'*) printf '%s\n' "$line" ;;
 	*)
-		echo "bench_pair.sh: $2 seed $3 in $1 did not report correct: $line" >&2
+		echo "bench_pair.sh: $2 seed $3 in $1 did not report correct: $line; results so far in $res" >&2
 		exit 1
 		;;
 	esac
 }
 
 echo "parent $commit, head: this checkout ($(git rev-parse --short HEAD) plus any uncommitted changes)"
-echo "host: $(nproc) CPUs; seeds: $seeds; $secs s per run"
-for w in $workloads; do
+echo "host: $(nproc) CPUs; seeds: $seeds"
+for w in sweep fleet serve; do
 	: >"$res/$w.parent"
 	: >"$res/$w.head"
 	i=0
@@ -96,7 +95,8 @@ for w in $workloads; do
 	echo
 	echo "== $w"
 	awk -f - "$root/BENCHMARK.json" "$res/$w.parent" "$res/$w.head" <<'EOF'
-# Metric directions come from BENCHMARK.json, one metric per line.
+# Metric directions and bounds come from BENCHMARK.json, one metric per
+# line.
 FNR == 1 { file++ }
 file == 1 {
 	if (match($0, /"name": *"[^"]*"/)) {
@@ -104,6 +104,11 @@ file == 1 {
 		sub(/^"name": *"/, "", name)
 		sub(/"$/, "", name)
 		better[name] = ($0 ~ /"better": *"higher"/) ? "higher" : "lower"
+		if (match($0, /"bound": *[0-9.eE+-]+/)) {
+			b = substr($0, RSTART, RLENGTH)
+			sub(/^"bound": */, "", b)
+			bound[name] = b + 0
+		}
 	}
 	next
 }
@@ -157,16 +162,25 @@ END {
 		}
 		sorted("p", name, k)
 		pm = quantile(k, 0.5)
+		plo = s[1]; phi = s[k]
 		iqr = quantile(k, 0.75) - quantile(k, 0.25)
 		sorted("h", name, k)
 		hm = quantile(k, 0.5)
+		hlo = s[1]; hhi = s[k]
+		hiqr = quantile(k, 0.75) - quantile(k, 0.25)
 		change = (pm != 0) ? sprintf("%+.1f%%", 100 * (hm - pm) / pm) : "-"
 		gap = (hm > pm) ? hm - pm : pm - hm
-		verdict = "-"
-		if (gap > iqr && 10 * up >= 9 * k) verdict = "gain"
-		if (gap > iqr && 10 * down >= 9 * k) verdict = "loss"
+		worse = (dir == "lower") ? hm - pm : pm - hm
+		spread = (iqr > hiqr) ? iqr : hiqr
+		apart = (dir == "lower") ? hhi < plo : hlo > phi
+		verdict = "neutral"
+		if (name in bound && worse > bound[name] * pm) verdict = "regress"
+		else if (name in bound && name != "setup_s" && spread > bound[name] * pm && !apart) verdict = "unresolved"
+		else if (k >= 10 && gap > iqr && 10 * up >= 9 * k) verdict = "gain"
+		else if (k >= 10 && gap > iqr && 10 * down >= 9 * k) verdict = "loss"
 		printf "%-40s %12.5g %12.5g %8s %5d/%-2d %12.5g  %s\n", name " (" dir ")", pm, hm, change, up, k, iqr, verdict
 	}
 }
 EOF
 done
+rm -rf "$res"
