@@ -28,9 +28,8 @@ package clusterfaults
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
+	"kelp/internal/kvspec"
 	"kelp/internal/sim"
 )
 
@@ -107,29 +106,18 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// fields is the spec's key table, in String's key order (seed first).
+func (s *Spec) fields() []kvspec.Field {
+	return []kvspec.Field{
+		{Key: "crash", V: &s.Crash}, {Key: "downtime", V: &s.Downtime},
+		{Key: "restartfail", V: &s.RestartFail}, {Key: "hang", V: &s.Hang},
+		{Key: "hangdur", V: &s.HangDur}, {Key: "degrade", V: &s.Degrade},
+	}
+}
+
 // String renders the spec in ParseSpec's key=value format, omitting zero
 // fields, with keys in a fixed order.
-func (s Spec) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-	}
-	add("crash", s.Crash)
-	add("downtime", s.Downtime)
-	add("restartfail", s.RestartFail)
-	add("hang", s.Hang)
-	add("hangdur", s.HangDur)
-	add("degrade", s.Degrade)
-	if len(parts) == 0 {
-		return "off"
-	}
-	return strings.Join(parts, ",")
-}
+func (s Spec) String() string { return kvspec.Format(s.Seed, s.fields()) }
 
 // ParseSpec parses the -cfaults flag format: a comma-separated list of
 // key=value pairs, e.g. "seed=7,crash=0.05,downtime=2,restartfail=0.3".
@@ -137,62 +125,17 @@ func (s Spec) String() string {
 // empty string (and "off") yields the disabled zero Spec.
 func ParseSpec(str string) (Spec, error) {
 	var s Spec
-	str = strings.TrimSpace(str)
-	if str == "" || str == "off" {
-		return s, nil
-	}
-	for _, kv := range strings.Split(str, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("clusterfaults: %q is not key=value", kv)
-		}
-		k = strings.ToLower(strings.TrimSpace(k))
-		v = strings.TrimSpace(v)
-		if k == "seed" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("clusterfaults: seed: %w", err)
-			}
-			s.Seed = n
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("clusterfaults: %s: %w", k, err)
-		}
-		switch k {
-		case "crash":
-			s.Crash = f
-		case "downtime":
-			s.Downtime = f
-		case "restartfail":
-			s.RestartFail = f
-		case "hang":
-			s.Hang = f
-		case "hangdur":
-			s.HangDur = f
-		case "degrade":
-			s.Degrade = f
-		default:
-			return Spec{}, fmt.Errorf("clusterfaults: unknown key %q", k)
-		}
+	if err := kvspec.Parse("clusterfaults", str, &s.Seed, s.fields()); err != nil {
+		return Spec{}, err
 	}
 	return s, s.Validate()
 }
 
-// newStream derives an independent generator from the root seed, a stable
-// class name and a worker index, so enabling one fault class never shifts
-// another's draw sequence, and worker i's fate never depends on how many
-// draws worker j consumed.
+// newStream derives worker w's generator for one fault class, so enabling
+// one class never shifts another's draw sequence, and worker i's fate never
+// depends on how many draws worker j consumed.
 func newStream(seed uint64, name string, worker int) *sim.Xorshift {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(worker) + 0x9E37
-	h *= 1099511628211
-	return sim.NewXorshift(seed ^ h)
+	return kvspec.Stream(seed, name, uint64(worker)+0x9E37)
 }
 
 // Injector draws the fate of one cluster run's workers. Construct with

@@ -148,11 +148,11 @@ func TestConfigValidateRejectsNaNPeriodAndNegativeGuards(t *testing.T) {
 	}
 }
 
-// SanityBounds must sit far above any value the simulated memory system
+// SampleBounds must sit far above any value the simulated memory system
 // can produce, so legitimate readings are never rejected.
 func TestSanityBoundsAboveOperatingRange(t *testing.T) {
 	w := DefaultWatermarks(38.4e9, 80e-9)
-	b := w.SanityBounds()
+	b := SampleBounds(w.SocketBWHigh, w.LatencyHigh)
 	if b.MaxBW <= w.SocketBWHigh*2 {
 		t.Errorf("MaxBW %v too close to the high watermark %v", b.MaxBW, w.SocketBWHigh)
 	}

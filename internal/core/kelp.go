@@ -187,13 +187,14 @@ func (c Config) Validate(n *node.Node) error {
 	return c.Watermarks.Validate()
 }
 
-// SanityBounds derives plausibility limits for incoming samples from the
-// profile's watermarks: any reading an order of magnitude beyond the
-// highest actionable threshold is a glitched counter, not a workload.
-func (w Watermarks) SanityBounds() perfmon.Bounds {
+// SampleBounds derives plausibility limits for incoming samples from a
+// controller's socket-bandwidth and latency high watermarks: any reading
+// an order of magnitude beyond the highest actionable threshold is a
+// glitched counter, not a workload.
+func SampleBounds(socketBWHigh, latencyHigh float64) perfmon.Bounds {
 	return perfmon.Bounds{
-		MaxBW:      16 * w.SocketBWHigh,
-		MaxLatency: 64 * w.LatencyHigh,
+		MaxBW:      16 * socketBWHigh,
+		MaxLatency: 64 * latencyHigh,
 	}
 }
 
@@ -224,8 +225,12 @@ type Runtime struct {
 	lowCores       int
 	lowPrefetchers int
 
-	guard  Guard
+	period Period
 	bounds perfmon.Bounds
+	// sample and decision carry one period's reading from Sense to Act and
+	// its decision from Act to Record.
+	sample   perfmon.Sample
+	decision Decision
 
 	history []Decision
 }
@@ -246,8 +251,8 @@ func New(n *node.Node, cfg Config) (*Runtime, error) {
 		cfg:          cfg,
 		lowPool:      n.Processor().SubdomainCores(cfg.Socket, cfg.LowSubdomain),
 		backfillPool: n.Processor().SubdomainCores(cfg.Socket, cfg.HighSubdomain),
-		guard:        NewGuard(cfg.DegradeAfter, cfg.RecoverAfter),
-		bounds:       cfg.Watermarks.SanityBounds(),
+		period:       NewPeriod(n, "kelp", cfg.DegradeAfter, cfg.RecoverAfter),
+		bounds:       SampleBounds(cfg.Watermarks.SocketBWHigh, cfg.Watermarks.LatencyHigh),
 	}
 	if cfg.MaxLowCores > r.lowPool.Len() {
 		return nil, fmt.Errorf("core: MaxLowCores %d exceeds subdomain's %d cores",
@@ -286,73 +291,52 @@ func (r *Runtime) LowCores() int { return r.lowCores }
 func (r *Runtime) LowPrefetchers() int { return r.lowPrefetchers }
 
 // Degraded reports whether the runtime is in fail-safe mode.
-func (r *Runtime) Degraded() bool { return r.guard.Degraded() }
+func (r *Runtime) Degraded() bool { return r.period.Guard.Degraded() }
 
 // Guard returns a copy of the degradation watchdog's state.
-func (r *Runtime) Guard() Guard { return r.guard }
+func (r *Runtime) Guard() Guard { return r.period.Guard }
 
 // Control implements sim.Controller: one iteration of Algorithm 1,
-// hardened against a faulty signal path. Sensor readings are sanitized
-// before they are acted on and enforcement failures are scored instead of
-// crashing; after K consecutive faulted periods the runtime falls back to
-// a conservative static configuration (minimum low-priority cores,
-// prefetchers off, minimum backfill) and resumes closed-loop control only
-// after J consecutive clean periods.
-func (r *Runtime) Control(now float64) {
-	if r.n.Faults().Stall(now, "kelp") {
-		r.fault(now)
-		return
-	}
-	s := r.n.Monitor().Window()
-	if s.Elapsed == 0 {
-		// An empty window at startup is expected, not a fault.
-		return
-	}
-	s, dropped := r.n.Faults().PerturbSample(now, "kelp", s)
-	if dropped {
-		r.fault(now)
-		return
-	}
-	if err := s.Check(r.bounds); err != nil {
-		if rec := r.n.Events(); rec.Enabled() {
-			rec.Emit(now, events.SensorReject, "kelp", map[string]any{
-				"reason": err.Error(),
-			})
-		}
-		r.fault(now)
-		return
-	}
-	if r.guard.Degraded() {
-		// Re-assert the fail-safe configuration every period: a stuck
-		// actuator may have swallowed the previous attempt.
-		if err := r.enforceFailSafe(now); err != nil {
-			if rec := r.n.Events(); rec.Enabled() {
-				rec.Emit(now, events.ActuateError, "kelp", map[string]any{
-					"error": err.Error(),
-				})
-			}
-			r.guard.Fault()
-			return
-		}
-		r.clean(now)
-		return
-	}
-	d := r.decide(now, s)
-	r.configHiPriority(d.ActionHigh)
-	r.configLoPriority(d.ActionLow)
-	if err := r.enforce(now); err != nil {
-		// Groups were validated at construction, so any failure here is
-		// the actuation path itself misbehaving: score it and hold the
-		// last applied configuration rather than crash the runtime.
-		if rec := r.n.Events(); rec.Enabled() {
-			rec.Emit(now, events.ActuateError, "kelp", map[string]any{
-				"error": err.Error(),
-			})
-		}
-		r.fault(now)
-		return
-	}
-	r.clean(now)
+// hardened against a faulty signal path by the shared control Period.
+// Sensor readings are sanitized before they are acted on and enforcement
+// failures are scored instead of crashing; after K consecutive faulted
+// periods the runtime falls back to a conservative static configuration
+// (minimum low-priority cores, prefetchers off, minimum backfill) and
+// resumes closed-loop control only after J consecutive clean periods.
+func (r *Runtime) Control(now float64) { r.period.Run(now, r) }
+
+// Sense implements Plant: the PMU window, sanitized against the profile's
+// sanity bounds.
+func (r *Runtime) Sense(now float64) (Sensed, error) {
+	s, st, err := r.period.SenseWindow(now, r.bounds)
+	r.sample = s
+	return st, err
+}
+
+// Act implements Plant: Algorithm 1's decision, Algorithm 2's actuator
+// steps, and EnforceConfig.
+func (r *Runtime) Act(now float64) error {
+	r.decision = r.decide(now, r.sample)
+	r.configHiPriority(r.decision.ActionHigh)
+	r.configLoPriority(r.decision.ActionLow)
+	return r.enforce(now)
+}
+
+// FailSafe implements Plant: the conservative static configuration — the
+// low subdomain shrunk to its minimum core count with every prefetcher
+// off, and backfill at its floor — the CoreThrottle-like stance that
+// protects the accelerated task when the feedback loop cannot be trusted.
+func (r *Runtime) FailSafe(now float64) error {
+	r.lowCores = r.cfg.MinLowCores
+	r.lowPrefetchers = 0
+	r.backfillCores = r.cfg.MinBackfillCores
+	return r.enforce(now)
+}
+
+// Record implements Plant: the period's decision joins the actuator trace
+// and the kelp.actuate event stream.
+func (r *Runtime) Record(now float64) {
+	d := r.decision
 	d.BackfillCores = r.backfillCores
 	d.LowCores = r.lowCores
 	d.LowPrefetchers = r.lowPrefetchers
@@ -370,55 +354,6 @@ func (r *Runtime) Control(now float64) {
 			"backfill_cores":  d.BackfillCores,
 		})
 	}
-}
-
-// fault scores one faulted control period; on the K-th consecutive one the
-// runtime enters fail-safe mode.
-func (r *Runtime) fault(now float64) {
-	if !r.guard.Fault() {
-		return
-	}
-	if rec := r.n.Events(); rec.Enabled() {
-		rec.Emit(now, events.DegradeEnter, "kelp", map[string]any{
-			"controller":         "kelp",
-			"consecutive_faults": r.guard.EnterAfter,
-		})
-	}
-	if err := r.enforceFailSafe(now); err != nil {
-		// Best effort: a stuck actuator may refuse even the fail-safe
-		// write. Control re-asserts it every degraded period.
-		if rec := r.n.Events(); rec.Enabled() {
-			rec.Emit(now, events.ActuateError, "kelp", map[string]any{
-				"error": err.Error(),
-			})
-		}
-	}
-}
-
-// clean scores one clean control period; on the J-th consecutive one while
-// degraded the runtime leaves fail-safe mode and closed-loop control
-// resumes from the fail-safe actuator values.
-func (r *Runtime) clean(now float64) {
-	if !r.guard.Clean() {
-		return
-	}
-	if rec := r.n.Events(); rec.Enabled() {
-		rec.Emit(now, events.DegradeExit, "kelp", map[string]any{
-			"controller":    "kelp",
-			"clean_periods": r.guard.ExitAfter,
-		})
-	}
-}
-
-// enforceFailSafe applies the conservative static configuration: the low
-// subdomain shrunk to its minimum core count with every prefetcher off,
-// and backfill at its floor — the CoreThrottle-like stance that protects
-// the accelerated task when the feedback loop cannot be trusted.
-func (r *Runtime) enforceFailSafe(now float64) error {
-	r.lowCores = r.cfg.MinLowCores
-	r.lowPrefetchers = 0
-	r.backfillCores = r.cfg.MinBackfillCores
-	return r.enforce(now)
 }
 
 // decide evaluates Algorithm 1's watermark comparisons.
@@ -508,11 +443,10 @@ func (r *Runtime) configLoPriority(a Action) {
 	}
 }
 
-// RuntimeState is a snapshot of the runtime's mutable control state, used
-// by the experiments layer's warm-started sweep cells and, gob-encoded as
-// is, by the durability layer's session snapshots. Actuator effects
-// (cpusets, prefetch flags) are captured by the node snapshot; this carries
-// only what the runtime itself remembers.
+// RuntimeState is a snapshot of the runtime's mutable control state; it
+// travels inside policy.State. Actuator effects (cpusets, prefetch flags)
+// are captured by the node snapshot; this carries only what the runtime
+// itself remembers.
 type RuntimeState struct {
 	BackfillCores, LowCores, LowPrefetchers int
 	Guard                                   Guard
@@ -525,7 +459,7 @@ func (r *Runtime) Snapshot() RuntimeState {
 		BackfillCores:  r.backfillCores,
 		LowCores:       r.lowCores,
 		LowPrefetchers: r.lowPrefetchers,
-		Guard:          r.guard,
+		Guard:          r.period.Guard,
 		History:        append([]Decision(nil), r.history...),
 	}
 }
@@ -537,7 +471,7 @@ func (r *Runtime) Restore(st RuntimeState) {
 	r.backfillCores = st.BackfillCores
 	r.lowCores = st.LowCores
 	r.lowPrefetchers = st.LowPrefetchers
-	r.guard = st.Guard
+	r.period.Guard = st.Guard
 	r.history = append(r.history[:0], st.History...)
 }
 

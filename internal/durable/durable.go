@@ -7,7 +7,7 @@
 //
 //	<name>.wal    "KELPWAL1" then frames of [u32 len][u32 crc32c][payload],
 //	              payload = one JSON Record; appended and fsynced per record.
-//	<name>.snap   "KELPSNP3" then exactly one frame, payload = gob-encoded
+//	<name>.snap   "KELPSNP4" then exactly one frame, payload = gob-encoded
 //	              SessionSnapshot; written to a .tmp sibling, fsynced,
 //	              renamed over the old snapshot, directory fsynced.
 //
@@ -26,7 +26,7 @@ import (
 
 const (
 	walMagic  = "KELPWAL1"
-	snapMagic = "KELPSNP3"
+	snapMagic = "KELPSNP4"
 
 	// maxRecord bounds one WAL record's payload. kelpd caps request bodies
 	// far below this; a larger declared length is framing nonsense, and

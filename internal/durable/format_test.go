@@ -75,12 +75,13 @@ func fullSessionSnapshot(tb testing.TB) (*SessionSnapshot, *agent.Agent) {
 	tb.Helper()
 	kp := sessionAgent(tb, policy.Kelp, true)
 	ns := kp.Node().Snapshot()
-	rt := kp.Applied().Runtime.Snapshot()
-	th := sessionAgent(tb, policy.CoreThrottle, true).Applied().Throttler.Snapshot()
-	mba := sessionAgent(tb, policy.MBAThrottle, true).Applied().MBA.Snapshot()
 	return &SessionSnapshot{
-		Seq: 9, SimNow: kp.Node().Now(), Recorder: kp.Events().State(),
-		Node: ns, Runtime: &rt, Throttler: &th, MBA: &mba,
+		Seq: 9, SimNow: kp.Node().Now(), Recorder: kp.Events().State(), Node: ns,
+		Policy: policy.State{
+			Runtime:   kp.Applied().State().Runtime,
+			Throttler: sessionAgent(tb, policy.CoreThrottle, true).Applied().State().Throttler,
+			MBA:       sessionAgent(tb, policy.MBAThrottle, true).Applied().State().MBA,
+		},
 	}, kp
 }
 
@@ -148,8 +149,9 @@ func TestFullSnapshotRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Throttler == nil || got.MBA == nil || !reflect.DeepEqual(got.Throttler.History, snap.Throttler.History) ||
-		!reflect.DeepEqual(got.MBA.History, snap.MBA.History) {
+	if got.Policy.Throttler == nil || got.Policy.MBA == nil ||
+		!reflect.DeepEqual(got.Policy.Throttler.History, snap.Policy.Throttler.History) ||
+		!reflect.DeepEqual(got.Policy.MBA.History, snap.Policy.MBA.History) {
 		t.Error("controller states did not survive the round trip")
 	}
 
@@ -157,7 +159,7 @@ func TestFullSnapshotRestores(t *testing.T) {
 	if err := restored.Node().Restore(got.Node); err != nil {
 		t.Fatal(err)
 	}
-	restored.Applied().Runtime.Restore(*got.Runtime)
+	restored.Applied().Runtime.Restore(*got.Policy.Runtime)
 	type observed struct {
 		Throughput map[string]float64
 		Window     any

@@ -75,6 +75,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipped := append([]byte{}, valid...)
 		flipped[len(flipped)/2] ^= 8
 		f.Add(flipped)
+		// The same image under the previous format's magic.
+		f.Add(append([]byte("KELPSNP3"), valid[len(snapMagic):]...))
 	}
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})

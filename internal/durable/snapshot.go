@@ -8,25 +8,22 @@ import (
 	"os"
 	"path/filepath"
 
-	"kelp/internal/core"
 	"kelp/internal/events"
 	"kelp/internal/node"
 	"kelp/internal/policy"
 )
 
 // SessionSnapshot is one checkpoint of a session: the node's full
-// simulation state (PR 6's node.Snapshot), the applied policy controllers'
-// state, the flight recorder, and the WAL sequence number the state
-// corresponds to — recovery restores the snapshot and replays only WAL
-// records with Seq > this one.
+// simulation state, the applied policy controller's state, the flight
+// recorder, and the WAL sequence number the state corresponds to —
+// recovery restores the snapshot and replays only WAL records with
+// Seq > this one.
 type SessionSnapshot struct {
-	Seq       uint64
-	SimNow    float64
-	Recorder  events.RecorderState
-	Node      *node.Snapshot
-	Runtime   *core.RuntimeState
-	Throttler *policy.ThrottlerState
-	MBA       *policy.MBAState
+	Seq      uint64
+	SimNow   float64
+	Recorder events.RecorderState
+	Node     *node.Snapshot
+	Policy   policy.State
 }
 
 // WriteSnapshot writes s to path with the atomic-rename discipline: encode,

@@ -30,12 +30,10 @@ import (
 // restores.
 
 // cellSnapshot is one cached post-warmup state: the node snapshot plus the
-// policy controller's internal state, if the policy installed one.
+// policy controller's internal state.
 type cellSnapshot struct {
-	node      *node.Snapshot
-	runtime   *core.RuntimeState
-	throttler *policy.ThrottlerState
-	mba       *policy.MBAState
+	node   *node.Snapshot
+	policy policy.State
 }
 
 // warmEntry is one singleflight slot: the first run of a configuration
@@ -116,43 +114,16 @@ func warmEligible(s Scenario) bool {
 
 // snapshot captures the cell's full post-warmup state.
 func (c *cell) snapshot() *cellSnapshot {
-	cs := &cellSnapshot{node: c.n.Snapshot()}
-	if rt := c.applied.Runtime; rt != nil {
-		st := rt.Snapshot()
-		cs.runtime = &st
-	}
-	if th := c.applied.Throttler; th != nil {
-		st := th.Snapshot()
-		cs.throttler = &st
-	}
-	if mc := c.applied.MBA; mc != nil {
-		st := mc.Snapshot()
-		cs.mba = &st
-	}
-	return cs
+	return &cellSnapshot{node: c.n.Snapshot(), policy: c.applied.State()}
 }
 
 // restore installs a snapshot onto a freshly built cell of the same
 // configuration.
 func (c *cell) restore(cs *cellSnapshot) error {
-	if (cs.runtime != nil) != (c.applied.Runtime != nil) ||
-		(cs.throttler != nil) != (c.applied.Throttler != nil) ||
-		(cs.mba != nil) != (c.applied.MBA != nil) {
-		return fmt.Errorf("experiments: snapshot controller set does not match cell")
-	}
-	if err := c.n.Restore(cs.node); err != nil {
+	if err := c.applied.Restore(cs.policy); err != nil {
 		return err
 	}
-	if cs.runtime != nil {
-		c.applied.Runtime.Restore(*cs.runtime)
-	}
-	if cs.throttler != nil {
-		c.applied.Throttler.Restore(*cs.throttler)
-	}
-	if cs.mba != nil {
-		c.applied.MBA.Restore(*cs.mba)
-	}
-	return nil
+	return c.n.Restore(cs.node)
 }
 
 // warm brings the cell to its post-warmup state: restored from the cache

@@ -33,12 +33,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"kelp/internal/cgroup"
 	"kelp/internal/cpu"
 	"kelp/internal/events"
+	"kelp/internal/kvspec"
 	"kelp/internal/perfmon"
 	"kelp/internal/sim"
 )
@@ -110,33 +109,19 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// fields is the spec's key table, in String's key order (seed first).
+func (s *Spec) fields() []kvspec.Field {
+	return []kvspec.Field{
+		{Key: "drop", V: &s.Drop}, {Key: "stale", V: &s.Stale}, {Key: "nan", V: &s.NaN},
+		{Key: "spike", V: &s.Spike}, {Key: "spikemag", V: &s.SpikeMag}, {Key: "flap", V: &s.Flap},
+		{Key: "actfail", V: &s.ActFail}, {Key: "actstick", V: &s.ActStick},
+		{Key: "actpartial", V: &s.ActPartial}, {Key: "stall", V: &s.Stall},
+	}
+}
+
 // String renders the spec in ParseSpec's key=value format, omitting zero
 // fields, with keys in a fixed order.
-func (s Spec) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-	}
-	add("drop", s.Drop)
-	add("stale", s.Stale)
-	add("nan", s.NaN)
-	add("spike", s.Spike)
-	add("spikemag", s.SpikeMag)
-	add("flap", s.Flap)
-	add("actfail", s.ActFail)
-	add("actstick", s.ActStick)
-	add("actpartial", s.ActPartial)
-	add("stall", s.Stall)
-	if len(parts) == 0 {
-		return "off"
-	}
-	return strings.Join(parts, ",")
-}
+func (s Spec) String() string { return kvspec.Format(s.Seed, s.fields()) }
 
 // ParseSpec parses the -faults flag format: a comma-separated list of
 // key=value pairs, e.g. "seed=7,drop=0.2,actstick=0.05". Keys are seed,
@@ -144,67 +129,10 @@ func (s Spec) String() string {
 // stall. An empty string (and "off") yields the disabled zero Spec.
 func ParseSpec(str string) (Spec, error) {
 	var s Spec
-	str = strings.TrimSpace(str)
-	if str == "" || str == "off" {
-		return s, nil
-	}
-	for _, kv := range strings.Split(str, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("faults: %q is not key=value", kv)
-		}
-		k = strings.ToLower(strings.TrimSpace(k))
-		v = strings.TrimSpace(v)
-		if k == "seed" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("faults: seed: %w", err)
-			}
-			s.Seed = n
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("faults: %s: %w", k, err)
-		}
-		switch k {
-		case "drop":
-			s.Drop = f
-		case "stale":
-			s.Stale = f
-		case "nan":
-			s.NaN = f
-		case "spike":
-			s.Spike = f
-		case "spikemag":
-			s.SpikeMag = f
-		case "flap":
-			s.Flap = f
-		case "actfail":
-			s.ActFail = f
-		case "actstick":
-			s.ActStick = f
-		case "actpartial":
-			s.ActPartial = f
-		case "stall":
-			s.Stall = f
-		default:
-			return Spec{}, fmt.Errorf("faults: unknown key %q", k)
-		}
+	if err := kvspec.Parse("faults", str, &s.Seed, s.fields()); err != nil {
+		return Spec{}, err
 	}
 	return s, s.Validate()
-}
-
-// newStream derives an independent generator from the root seed and a
-// stable class name, so enabling one fault class never shifts another's
-// draw sequence.
-func newStream(seed uint64, name string) *sim.Xorshift {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return sim.NewXorshift(seed ^ h)
 }
 
 // hit draws once and reports whether an event with probability p fired.
@@ -246,13 +174,13 @@ func NewInjector(s Spec) (*Injector, error) {
 	}
 	return &Injector{
 		spec:      s,
-		stall:     newStream(s.Seed, "stall"),
-		drop:      newStream(s.Seed, "drop"),
-		stale:     newStream(s.Seed, "stale"),
-		nan:       newStream(s.Seed, "nan"),
-		spike:     newStream(s.Seed, "spike"),
-		flap:      newStream(s.Seed, "flap"),
-		act:       newStream(s.Seed, "act"),
+		stall:     kvspec.Stream(s.Seed, "stall"),
+		drop:      kvspec.Stream(s.Seed, "drop"),
+		stale:     kvspec.Stream(s.Seed, "stale"),
+		nan:       kvspec.Stream(s.Seed, "nan"),
+		spike:     kvspec.Stream(s.Seed, "spike"),
+		flap:      kvspec.Stream(s.Seed, "flap"),
+		act:       kvspec.Stream(s.Seed, "act"),
 		last:      make(map[string]perfmon.Sample),
 		flapHigh:  make(map[string]bool),
 		nanMetric: make(map[string]int),

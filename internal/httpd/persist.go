@@ -167,27 +167,13 @@ func (sess *Session) logAdvance(s *Server, end float64) {
 // sequence. Caller holds sess.mu.
 func (sess *Session) captureLocked() *durable.SessionSnapshot {
 	n := sess.agent.Node()
-	snap := &durable.SessionSnapshot{
+	return &durable.SessionSnapshot{
 		Seq:      sess.wal.Seq(),
 		SimNow:   n.Now(),
 		Recorder: sess.agent.Events().State(),
 		Node:     n.Snapshot(),
+		Policy:   sess.agent.Applied().State(),
 	}
-	if ap := sess.agent.Applied(); ap != nil {
-		if ap.Runtime != nil {
-			st := ap.Runtime.Snapshot()
-			snap.Runtime = &st
-		}
-		if ap.Throttler != nil {
-			st := ap.Throttler.Snapshot()
-			snap.Throttler = &st
-		}
-		if ap.MBA != nil {
-			st := ap.MBA.Snapshot()
-			snap.MBA = &st
-		}
-	}
-	return snap
 }
 
 // snapshotNow writes a snapshot if one is due: SnapshotEvery records have
@@ -446,21 +432,8 @@ func (s *Server) restoreFromSnapshot(req createSessionRequest, name string, recs
 		if err := n.Restore(snap.Node); err != nil {
 			return err
 		}
-		ap := sess.agent.Applied()
-		hasRT := ap != nil && ap.Runtime != nil
-		hasTH := ap != nil && ap.Throttler != nil
-		hasMBA := ap != nil && ap.MBA != nil
-		if (snap.Runtime != nil) != hasRT || (snap.Throttler != nil) != hasTH || (snap.MBA != nil) != hasMBA {
-			return fmt.Errorf("httpd: snapshot controller set does not match the rebuilt session")
-		}
-		if snap.Runtime != nil {
-			ap.Runtime.Restore(*snap.Runtime)
-		}
-		if snap.Throttler != nil {
-			ap.Throttler.Restore(*snap.Throttler)
-		}
-		if snap.MBA != nil {
-			ap.MBA.Restore(*snap.MBA)
+		if err := sess.agent.Applied().Restore(snap.Policy); err != nil {
+			return err
 		}
 		// The recorder state overwrites the admission events the structural
 		// replay just emitted at t=0 with the true history up to the

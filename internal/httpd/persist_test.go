@@ -249,12 +249,15 @@ func TestRecoveryCorruptLogQuarantined(t *testing.T) {
 
 // TestRecoveryCorruptSnapshotFallsBackToReplay pins the fallback for a
 // snapshot that cannot be used: a damaged file, or one written in an older
-// format (its magic names a previous version), is quarantined and the
-// session is rebuilt byte-identically by full log replay.
+// format (its magic names a previous version, such as KELPSNP3, whose
+// session snapshot listed each controller state as its own field), is
+// quarantined and the session is rebuilt byte-identically by full log
+// replay.
 func TestRecoveryCorruptSnapshotFallsBackToReplay(t *testing.T) {
 	for name, damage := range map[string]func([]byte){
-		"bit flip":   func(d []byte) { d[len(d)/2] ^= 0x10 },
-		"old format": func(d []byte) { copy(d, "KELPSNP1") },
+		"bit flip":        func(d []byte) { d[len(d)/2] ^= 0x10 },
+		"old format":      func(d []byte) { copy(d, "KELPSNP1") },
+		"previous format": func(d []byte) { copy(d, "KELPSNP3") },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -3,6 +3,7 @@ package node
 import (
 	"testing"
 
+	"kelp/internal/accel"
 	"kelp/internal/cgroup"
 	"kelp/internal/workload"
 )
@@ -137,15 +138,55 @@ func BenchmarkNodeRunHorizon(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ticks), "ns/tick")
 }
 
+// mlNode builds a colocation of the three accelerated task kinds, each in
+// its own high-priority group — an RNN1 inference server, CNN1 training and
+// a pipelined CNN1 trainer — plus a CPUML loop.
+func mlNode(tb testing.TB) *Node {
+	tb.Helper()
+	n := MustNew(DefaultConfig())
+	dev := must(accel.NewDevice(accel.NewTPU()))
+	for _, g := range []struct {
+		name  string
+		prio  cgroup.Priority
+		cores []int
+		task  workload.Task
+	}{
+		{"rnn1", cgroup.High, []int{0, 1, 2, 3}, must(workload.NewRNN1(dev, n.Engine().RNG().Stream("rnn1")))},
+		{"cnn1", cgroup.High, []int{4, 5, 6, 7}, must(workload.NewCNN1(accel.NewCloudTPU()))},
+		{"pipe", cgroup.High, []int{8, 9, 10, 11}, must(workload.PipelinedCNN1(accel.NewCloudTPU()))},
+		{"cpuml", cgroup.Low, []int{12, 13, 14, 15}, must(workload.NewCPUML(4))},
+	} {
+		if _, err := n.Cgroups().Create(g.name, g.prio); err != nil {
+			tb.Fatal(err)
+		}
+		if err := n.Cgroups().SetCPUs(g.name, g.cores); err != nil {
+			tb.Fatal(err)
+		}
+		if err := n.AddTask(g.task, g.name); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return n
+}
+
 // TestNodeStepSteadyStateAllocs pins the allocation-free node tick: after
-// warmup, one engine tick (node pipeline + memsys resolve) performs zero
-// heap allocations — on the whole pipeline, with the offer compare (clean)
-// and within the horizon (steady) — and so does a Run that advances the
-// steady colocation through runs of ticks.
+// warmup, engine ticks (node pipeline + memsys resolve) perform zero heap
+// allocations — on the whole pipeline, with the offer compare (clean) and
+// within the horizon (steady) — and so does a Run that advances the steady
+// colocation through runs of ticks, also with inference, training and
+// pipelined tasks (ml). Each measured run is 1000 ticks:
+// testing.AllocsPerRun truncates its average to an integer, so one tick per
+// run would read 0 for anything allocating on fewer than every tick.
 func TestNodeStepSteadyStateAllocs(t *testing.T) {
+	const ticks = 1000
 	noInc := DefaultConfig()
 	noInc.NoIncremental = true
-	tick := func(n *Node) { n.engine.Tick() }
+	tick := func(n *Node) {
+		for range ticks {
+			n.engine.Tick()
+		}
+	}
+	run := func(n *Node) { n.Run(ticks * n.cfg.Step) }
 	for _, tc := range []struct {
 		name  string
 		build func(testing.TB) *Node
@@ -154,16 +195,17 @@ func TestNodeStepSteadyStateAllocs(t *testing.T) {
 		{"full", func(tb testing.TB) *Node { return benchNodeWith(tb, noInc) }, tick},
 		{"clean", reofferNode, tick},
 		{"steady", benchNode, tick},
-		{"run", benchNode, func(n *Node) { n.Run(100 * n.cfg.Step) }},
+		{"run", benchNode, run},
+		{"ml", mlNode, run},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.build(t)
-			n.Run(10 * n.cfg.Step)
-			avg := testing.AllocsPerRun(200, func() {
+			n.Run(ticks * n.cfg.Step)
+			avg := testing.AllocsPerRun(20, func() {
 				tc.step(n)
 			})
 			if avg != 0 {
-				t.Fatalf("steady-state node %s allocates %v allocs/op, want 0", tc.name, avg)
+				t.Fatalf("steady-state node %s allocates %v times per %d ticks, want 0", tc.name, avg, ticks)
 			}
 		})
 	}

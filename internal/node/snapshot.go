@@ -19,7 +19,7 @@ import (
 // onto nodes rebuilt from the same configuration.
 //
 // Controller-internal state (the Kelp runtime, CoreThrottle, MBA) lives
-// outside the node; the experiments layer snapshots those separately.
+// outside the node, in policy.State.
 //
 // The durability layer gob-encodes a Snapshot as is. Task states are `any`
 // values whose concrete types register themselves with gob in the workload

@@ -72,27 +72,13 @@ type Bounds struct {
 // an error here should hold its last good decision rather than actuate on
 // garbage (the paper's runtime trusts PMU deltas; a hardened one cannot).
 func (s Sample) Check(b Bounds) error {
-	checkVals := func(name string, vals []float64, max float64) error {
-		for i, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("perfmon: %s[%d] = %v", name, i, v)
-			}
-			if v < 0 {
-				return fmt.Errorf("perfmon: %s[%d] = %v is negative", name, i, v)
-			}
-			if max > 0 && v > max {
-				return fmt.Errorf("perfmon: %s[%d] = %v exceeds bound %v", name, i, v, max)
-			}
-		}
-		return nil
-	}
 	if math.IsNaN(s.Elapsed) || s.Elapsed < 0 {
 		return fmt.Errorf("perfmon: elapsed = %v", s.Elapsed)
 	}
-	if err := checkVals("socket_bw", s.SocketBW, b.MaxBW); err != nil {
+	if err := checkVals("socket_bw", -1, s.SocketBW, b.MaxBW); err != nil {
 		return err
 	}
-	if err := checkVals("socket_latency", s.SocketLatency, b.MaxLatency); err != nil {
+	if err := checkVals("socket_latency", -1, s.SocketLatency, b.MaxLatency); err != nil {
 		return err
 	}
 	for i, v := range s.SocketSaturation {
@@ -100,14 +86,38 @@ func (s Sample) Check(b Bounds) error {
 			return fmt.Errorf("perfmon: saturation[%d] = %v outside [0, 1]", i, v)
 		}
 	}
-	for sock := range s.ControllerBW {
-		if err := checkVals(fmt.Sprintf("controller_bw[%d]", sock), s.ControllerBW[sock], b.MaxBW); err != nil {
+	for sock, vals := range s.ControllerBW {
+		if err := checkVals("controller_bw", sock, vals, b.MaxBW); err != nil {
 			return err
 		}
 	}
-	for sock := range s.ControllerLatency {
-		if err := checkVals(fmt.Sprintf("controller_latency[%d]", sock), s.ControllerLatency[sock], b.MaxLatency); err != nil {
+	for sock, vals := range s.ControllerLatency {
+		if err := checkVals("controller_latency", sock, vals, b.MaxLatency); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkVals reports the first of vals that is not finite, is negative, or
+// exceeds max (when max > 0). The metric is name, or name[row] for one
+// socket's per-controller row (row >= 0); its label is formatted only on
+// failure, so a passing Check does not allocate.
+func checkVals(name string, row int, vals []float64, max float64) error {
+	for i, v := range vals {
+		if !(math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || (max > 0 && v > max)) {
+			continue
+		}
+		if row >= 0 {
+			name = fmt.Sprintf("%s[%d]", name, row)
+		}
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("perfmon: %s[%d] = %v", name, i, v)
+		case v < 0:
+			return fmt.Errorf("perfmon: %s[%d] = %v is negative", name, i, v)
+		default:
+			return fmt.Errorf("perfmon: %s[%d] = %v exceeds bound %v", name, i, v, max)
 		}
 	}
 	return nil

@@ -392,3 +392,66 @@ func BenchmarkRecordNPaths(b *testing.B) {
 		}
 	}
 }
+
+// checkSample is a plausible two-socket, two-controller window.
+func checkSample() Sample {
+	return Sample{
+		Elapsed:            0.1,
+		SocketBW:           []float64{40e9, 1e9},
+		SocketOfferedBW:    []float64{45e9, 1e9},
+		SocketLatency:      []float64{150e-9, 90e-9},
+		SocketSaturation:   []float64{0.2, 0},
+		SocketBackpressure: []float64{0.9, 1},
+		ControllerBW:       [][]float64{{30e9, 10e9}, {0.5e9, 0.5e9}},
+		ControllerLatency:  [][]float64{{200e-9, 100e-9}, {90e-9, 90e-9}},
+	}
+}
+
+// TestSampleCheckErrors pins Check's verdicts and the exact text of each
+// rejection, which reaches the sensor.reject event stream as its reason.
+func TestSampleCheckErrors(t *testing.T) {
+	b := Bounds{MaxBW: 100e9, MaxLatency: 1e-6}
+	if err := checkSample().Check(b); err != nil {
+		t.Fatalf("plausible sample rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		mutate func(*Sample)
+		want   string
+	}{
+		{func(s *Sample) { s.Elapsed = math.NaN() }, "perfmon: elapsed = NaN"},
+		{func(s *Sample) { s.SocketBW[1] = math.Inf(1) }, "perfmon: socket_bw[1] = +Inf"},
+		{func(s *Sample) { s.SocketBW[0] = -1 }, "perfmon: socket_bw[0] = -1 is negative"},
+		{func(s *Sample) { s.SocketLatency[0] = 2e-6 }, "perfmon: socket_latency[0] = 2e-06 exceeds bound 1e-06"},
+		{func(s *Sample) { s.SocketSaturation[1] = 1.5 }, "perfmon: saturation[1] = 1.5 outside [0, 1]"},
+		{func(s *Sample) { s.ControllerBW[1][0] = math.NaN() }, "perfmon: controller_bw[1][0] = NaN"},
+		{func(s *Sample) { s.ControllerBW[0][1] = 200e9 }, "perfmon: controller_bw[0][1] = 2e+11 exceeds bound 1e+11"},
+		{func(s *Sample) { s.ControllerLatency[1][1] = -3 }, "perfmon: controller_latency[1][1] = -3 is negative"},
+	} {
+		s := checkSample()
+		tc.mutate(&s)
+		err := s.Check(b)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Check = %v, want %q", err, tc.want)
+		}
+	}
+	// Zero bounds disable the bound checks.
+	s := checkSample()
+	s.ControllerBW[0][0] = 1e15
+	if err := s.Check(Bounds{}); err != nil {
+		t.Errorf("unbounded check rejected a large reading: %v", err)
+	}
+}
+
+// TestSampleCheckAllocs pins that a passing Check does not allocate: the
+// sanitizer runs on every control period of every PMU-driven controller.
+func TestSampleCheckAllocs(t *testing.T) {
+	s := checkSample()
+	b := Bounds{MaxBW: 100e9, MaxLatency: 1e-6}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := s.Check(b); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("passing Check allocates %v times per call, want 0", avg)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"kelp/internal/events"
 	"kelp/internal/node"
-	"kelp/internal/perfmon"
 )
 
 // MBADecision records one control period of the MBA controller.
@@ -40,11 +39,8 @@ const FailSafeMBAPercent = 10
 // configuration trades less ML interference against outsized slowdown of
 // cache-resident batch work.
 type MBAController struct {
-	n       *node.Node
 	cfg     MBAControllerConfig
-	cur     int
-	deg     degradeState
-	bounds  perfmon.Bounds
+	loop    socketLoop
 	history []MBADecision
 }
 
@@ -63,24 +59,20 @@ func NewMBAController(n *node.Node, cfg MBAControllerConfig) (*MBAController, er
 		return nil, fmt.Errorf("policy: mba degrade thresholds K=%d J=%d",
 			cfg.DegradeAfter, cfg.RecoverAfter)
 	}
-	c := &MBAController{
-		n:      n,
-		cfg:    cfg,
-		cur:    100,
-		deg:    newDegradeState("mba", cfg.DegradeAfter, cfg.RecoverAfter),
-		bounds: cfg.Watermarks.sanityBounds(),
-	}
-	if err := n.Cgroups().SetMBA(cfg.Group, c.cur); err != nil {
+	c := &MBAController{cfg: cfg}
+	c.loop = newSocketLoop(n, "mba", cfg.Socket, cfg.Watermarks,
+		FailSafeMBAPercent, 100, 10, cfg.DegradeAfter, cfg.RecoverAfter, c)
+	if err := n.Cgroups().SetMBA(cfg.Group, c.loop.cur); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // Percent returns the current MBA throttle level.
-func (c *MBAController) Percent() int { return c.cur }
+func (c *MBAController) Percent() int { return c.loop.cur }
 
 // Degraded reports whether the controller is in fail-safe mode.
-func (c *MBAController) Degraded() bool { return c.deg.Guard.Degraded() }
+func (c *MBAController) Degraded() bool { return c.loop.period.Guard.Degraded() }
 
 // History returns a copy of the per-period decision trace.
 func (c *MBAController) History() []MBADecision {
@@ -90,79 +82,20 @@ func (c *MBAController) History() []MBADecision {
 // Control implements sim.Controller, hardened like the other controllers:
 // sanitized samples, scored enforcement failures, and a fail-safe mode
 // that pins the hardest MBA throttle after K consecutive faulted periods.
-func (c *MBAController) Control(now float64) {
-	if c.n.Faults().Stall(now, "mba") {
-		c.fault(now)
-		return
-	}
-	s := c.n.Monitor().Window()
-	if s.Elapsed == 0 {
-		return
-	}
-	s, dropped := c.n.Faults().PerturbSample(now, "mba", s)
-	if dropped {
-		c.fault(now)
-		return
-	}
-	if err := s.Check(c.bounds); err != nil {
-		c.deg.reject(c.n, now, err)
-		c.fault(now)
-		return
-	}
-	if c.deg.Guard.Degraded() {
-		if err := c.enforceFailSafe(now); err != nil {
-			c.deg.actuateError(c.n, now, err)
-			c.deg.Guard.Fault()
-			return
-		}
-		c.deg.clean(c.n, now)
-		return
-	}
-	bw := s.SocketBW[c.cfg.Socket]
-	lat := s.SocketLatency[c.cfg.Socket]
-	w := c.cfg.Watermarks
-	switch {
-	case bw > w.SocketBWHigh || lat > w.LatencyHigh:
-		if c.cur > 10 {
-			c.cur -= 10
-		}
-	case bw < w.SocketBWLow && lat < w.LatencyLow:
-		if c.cur < 100 {
-			c.cur += 10
-		}
-	}
-	if err := c.enforce(now); err != nil {
-		c.deg.actuateError(c.n, now, err)
-		c.fault(now)
-		return
-	}
-	c.deg.clean(c.n, now)
-	c.history = append(c.history, MBADecision{Time: now, SocketBW: bw, Latency: lat, Percent: c.cur})
-	if rec := c.n.Events(); rec != nil {
+func (c *MBAController) Control(now float64) { c.loop.period.Run(now, &c.loop) }
+
+// set pushes a throttle level through the (possibly fault-gated) cgroup
+// interface.
+func (c *MBAController) set(now float64, percent int) error {
+	n := c.loop.n
+	return n.Faults().SetMBA(now, n.Cgroups(), c.cfg.Group, percent)
+}
+
+func (c *MBAController) record(now, bw, lat float64, percent int) {
+	c.history = append(c.history, MBADecision{Time: now, SocketBW: bw, Latency: lat, Percent: percent})
+	if rec := c.loop.n.Events(); rec != nil {
 		rec.Emit(now, events.MBAActuate, "mba", map[string]any{
-			"socket_bw": bw, "latency": lat, "percent": c.cur,
+			"socket_bw": bw, "latency": lat, "percent": percent,
 		})
-	}
-}
-
-// enforce pushes the current throttle level through the (possibly
-// fault-gated) cgroup interface.
-func (c *MBAController) enforce(now float64) error {
-	return c.n.Faults().SetMBA(now, c.n.Cgroups(), c.cfg.Group, c.cur)
-}
-
-// enforceFailSafe pins the hardest throttle level.
-func (c *MBAController) enforceFailSafe(now float64) error {
-	c.cur = FailSafeMBAPercent
-	return c.enforce(now)
-}
-
-// fault scores one faulted period, entering fail-safe after K in a row.
-func (c *MBAController) fault(now float64) {
-	if !c.deg.fault(c.n, now) {
-		return
-	}
-	if err := c.enforceFailSafe(now); err != nil {
-		c.deg.actuateError(c.n, now, err)
 	}
 }

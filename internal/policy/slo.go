@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"kelp/internal/core"
 	"kelp/internal/cpu"
 	"kelp/internal/node"
 	"kelp/internal/workload"
@@ -45,7 +46,8 @@ type SLOController struct {
 	n       *node.Node
 	cfg     SLOControllerConfig
 	cur     int
-	deg     degradeState
+	period  core.Period
+	tail    float64 // the period's sensed p95
 	history []SLODecision
 }
 
@@ -78,10 +80,10 @@ func NewSLOController(n *node.Node, cfg SLOControllerConfig) (*SLOController, er
 			cfg.DegradeAfter, cfg.RecoverAfter)
 	}
 	c := &SLOController{
-		n:   n,
-		cfg: cfg,
-		cur: cfg.MaxCores,
-		deg: newDegradeState("slo", cfg.DegradeAfter, cfg.RecoverAfter),
+		n:      n,
+		cfg:    cfg,
+		cur:    cfg.MaxCores,
+		period: core.NewPeriod(n, "slo", cfg.DegradeAfter, cfg.RecoverAfter),
 	}
 	if err := n.Cgroups().SetCPUs(cfg.Group, cfg.Pool.Take(c.cur)); err != nil {
 		return nil, err
@@ -93,7 +95,7 @@ func NewSLOController(n *node.Node, cfg SLOControllerConfig) (*SLOController, er
 func (c *SLOController) Cores() int { return c.cur }
 
 // Degraded reports whether the controller is in fail-safe mode.
-func (c *SLOController) Degraded() bool { return c.deg.Guard.Degraded() }
+func (c *SLOController) Degraded() bool { return c.period.Guard.Degraded() }
 
 // History returns per-period decisions (do not mutate).
 func (c *SLOController) History() []SLODecision { return c.history }
@@ -103,69 +105,53 @@ func (c *SLOController) History() []SLODecision { return c.history }
 // perturbation does not apply; it still sanitizes the tail reading, routes
 // its core writes through the fault gate, and degrades to the minimum
 // grant after K consecutive faulted periods.
-func (c *SLOController) Control(now float64) {
-	if c.n.Faults().Stall(now, "slo") {
-		c.fault(now)
-		return
-	}
+func (c *SLOController) Control(now float64) { c.period.Run(now, c) }
+
+// Sense implements core.Plant: the server's windowed p95, rejected when it
+// is not a finite non-negative latency.
+func (c *SLOController) Sense(now float64) (core.Sensed, error) {
 	tail := c.cfg.Server.WindowTailLatency(0.95)
 	if tail == 0 {
-		return // no completions in the window: nothing to react to
+		return core.SenseEmpty, nil // no completions in the window: nothing to react to
 	}
 	if math.IsNaN(tail) || math.IsInf(tail, 0) || tail < 0 {
-		c.deg.reject(c.n, now, fmt.Errorf("policy: tail p95 = %v", tail))
-		c.fault(now)
-		return
+		return core.SenseRejected, fmt.Errorf("policy: tail p95 = %v", tail)
 	}
-	if c.deg.Guard.Degraded() {
-		if err := c.enforceFailSafe(now); err != nil {
-			c.deg.actuateError(c.n, now, err)
-			c.deg.Guard.Fault()
-			return
-		}
-		c.deg.clean(c.n, now)
-		return
-	}
+	c.tail = tail
+	return core.SenseOK, nil
+}
+
+// Act implements core.Plant.
+func (c *SLOController) Act(now float64) error {
 	switch {
-	case tail > c.cfg.TargetP95:
+	case c.tail > c.cfg.TargetP95:
 		// SLO violation: revoke aggressively (half the allocation), the
 		// way Heracles disables best-effort growth on violations.
 		c.cur /= 2
 		if c.cur < c.cfg.MinCores {
 			c.cur = c.cfg.MinCores
 		}
-	case tail < c.cfg.TargetP95*(1-c.cfg.Headroom):
+	case c.tail < c.cfg.TargetP95*(1-c.cfg.Headroom):
 		if c.cur < c.cfg.MaxCores {
 			c.cur++
 		}
 	}
-	if err := c.enforce(now); err != nil {
-		c.deg.actuateError(c.n, now, err)
-		c.fault(now)
-		return
-	}
-	c.deg.clean(c.n, now)
-	c.history = append(c.history, SLODecision{Time: now, TailP95: tail, Cores: c.cur})
+	return c.enforce(now)
+}
+
+// FailSafe implements core.Plant: pin the minimum core grant.
+func (c *SLOController) FailSafe(now float64) error {
+	c.cur = c.cfg.MinCores
+	return c.enforce(now)
+}
+
+// Record implements core.Plant.
+func (c *SLOController) Record(now float64) {
+	c.history = append(c.history, SLODecision{Time: now, TailP95: c.tail, Cores: c.cur})
 }
 
 // enforce pushes the current grant through the (possibly fault-gated)
 // cgroup interface.
 func (c *SLOController) enforce(now float64) error {
 	return c.n.Faults().SetCPUs(now, c.n.Cgroups(), c.cfg.Group, c.cfg.Pool.Take(c.cur))
-}
-
-// enforceFailSafe pins the minimum core grant.
-func (c *SLOController) enforceFailSafe(now float64) error {
-	c.cur = c.cfg.MinCores
-	return c.enforce(now)
-}
-
-// fault scores one faulted period, entering fail-safe after K in a row.
-func (c *SLOController) fault(now float64) {
-	if !c.deg.fault(c.n, now) {
-		return
-	}
-	if err := c.enforceFailSafe(now); err != nil {
-		c.deg.actuateError(c.n, now, err)
-	}
 }

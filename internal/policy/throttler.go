@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 
+	"kelp/internal/core"
 	"kelp/internal/cpu"
 	"kelp/internal/events"
 	"kelp/internal/node"
@@ -52,15 +53,88 @@ type ThrottlerDecision struct {
 	Cores    int
 }
 
+// socketLoop is the socket-scope watermark feedback that CoreThrottle and
+// the MBA controller share: one actuator level in [lo, hi], lowered by step
+// when socket bandwidth or latency passes its high watermark and raised
+// when both sit below their low ones. Its fail-safe level is lo. It is the
+// two controllers' core.Plant; act supplies what differs between them.
+type socketLoop struct {
+	n            *node.Node
+	period       core.Period
+	bounds       perfmon.Bounds
+	socket       int
+	w            ThrottlerWatermarks
+	lo, hi, step int
+	cur          int
+	act          actuator
+
+	// bw and lat are the period's sensed socket bandwidth and latency.
+	bw, lat float64
+}
+
+// actuator is one socketLoop controller's actuator: how a level is
+// enforced and how a closed-loop period is recorded.
+type actuator interface {
+	set(now float64, level int) error
+	record(now, bw, lat float64, level int)
+}
+
+// newSocketLoop returns the named controller's loop, starting at hi;
+// k and j are its watchdog thresholds.
+func newSocketLoop(n *node.Node, name string, socket int, w ThrottlerWatermarks, lo, hi, step, k, j int, act actuator) socketLoop {
+	return socketLoop{
+		n:      n,
+		period: core.NewPeriod(n, name, k, j),
+		bounds: core.SampleBounds(w.SocketBWHigh, w.LatencyHigh),
+		socket: socket,
+		w:      w,
+		lo:     lo,
+		hi:     hi,
+		step:   step,
+		cur:    hi,
+		act:    act,
+	}
+}
+
+// Sense implements core.Plant.
+func (l *socketLoop) Sense(now float64) (core.Sensed, error) {
+	s, st, err := l.period.SenseWindow(now, l.bounds)
+	if st == core.SenseOK {
+		l.bw, l.lat = s.SocketBW[l.socket], s.SocketLatency[l.socket]
+	}
+	return st, err
+}
+
+// Act implements core.Plant: one watermark step.
+func (l *socketLoop) Act(now float64) error {
+	switch {
+	case l.bw > l.w.SocketBWHigh || l.lat > l.w.LatencyHigh:
+		if l.cur > l.lo {
+			l.cur -= l.step
+		}
+	case l.bw < l.w.SocketBWLow && l.lat < l.w.LatencyLow:
+		if l.cur < l.hi {
+			l.cur += l.step
+		}
+	}
+	return l.act.set(now, l.cur)
+}
+
+// FailSafe implements core.Plant: pin the lowest level.
+func (l *socketLoop) FailSafe(now float64) error {
+	l.cur = l.lo
+	return l.act.set(now, l.cur)
+}
+
+// Record implements core.Plant.
+func (l *socketLoop) Record(now float64) { l.act.record(now, l.bw, l.lat, l.cur) }
+
 // Throttler is the CoreThrottle runtime: a feedback loop that narrows or
 // widens the low-priority tasks' CPU mask (paper §V-A, configuration CT,
 // mimicking [28][29][30]).
 type Throttler struct {
-	n       *node.Node
 	cfg     ThrottlerConfig
-	cur     int
-	deg     degradeState
-	bounds  perfmon.Bounds
+	loop    socketLoop
 	history []ThrottlerDecision
 }
 
@@ -86,24 +160,20 @@ func NewThrottler(n *node.Node, cfg ThrottlerConfig) (*Throttler, error) {
 		return nil, fmt.Errorf("policy: throttler degrade thresholds K=%d J=%d",
 			cfg.DegradeAfter, cfg.RecoverAfter)
 	}
-	t := &Throttler{
-		n:      n,
-		cfg:    cfg,
-		cur:    cfg.MaxCores,
-		deg:    newDegradeState("throttler", cfg.DegradeAfter, cfg.RecoverAfter),
-		bounds: cfg.Watermarks.sanityBounds(),
-	}
-	if err := n.Cgroups().SetCPUs(cfg.Group, cfg.Pool.Take(t.cur)); err != nil {
+	t := &Throttler{cfg: cfg}
+	t.loop = newSocketLoop(n, "throttler", cfg.Socket, cfg.Watermarks,
+		cfg.MinCores, cfg.MaxCores, 1, cfg.DegradeAfter, cfg.RecoverAfter, t)
+	if err := n.Cgroups().SetCPUs(cfg.Group, cfg.Pool.Take(t.loop.cur)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // Cores returns the currently granted core count.
-func (t *Throttler) Cores() int { return t.cur }
+func (t *Throttler) Cores() int { return t.loop.cur }
 
 // Degraded reports whether the controller is in fail-safe mode.
-func (t *Throttler) Degraded() bool { return t.deg.Guard.Degraded() }
+func (t *Throttler) Degraded() bool { return t.loop.period.Guard.Degraded() }
 
 // History returns a copy of the per-period decision trace.
 func (t *Throttler) History() []ThrottlerDecision {
@@ -114,82 +184,22 @@ func (t *Throttler) History() []ThrottlerDecision {
 // path: samples are sanitized before use, enforcement failures are scored
 // instead of crashing, and after K consecutive faulted periods the
 // controller pins the minimum core grant until J clean periods pass.
-func (t *Throttler) Control(now float64) {
-	if t.n.Faults().Stall(now, "throttler") {
-		t.fault(now)
-		return
-	}
-	s := t.n.Monitor().Window()
-	if s.Elapsed == 0 {
-		return
-	}
-	s, dropped := t.n.Faults().PerturbSample(now, "throttler", s)
-	if dropped {
-		t.fault(now)
-		return
-	}
-	if err := s.Check(t.bounds); err != nil {
-		t.deg.reject(t.n, now, err)
-		t.fault(now)
-		return
-	}
-	if t.deg.Guard.Degraded() {
-		if err := t.enforceFailSafe(now); err != nil {
-			t.deg.actuateError(t.n, now, err)
-			t.deg.Guard.Fault()
-			return
-		}
-		t.deg.clean(t.n, now)
-		return
-	}
-	bw := s.SocketBW[t.cfg.Socket]
-	lat := s.SocketLatency[t.cfg.Socket]
-	w := t.cfg.Watermarks
-	switch {
-	case bw > w.SocketBWHigh || lat > w.LatencyHigh:
-		if t.cur > t.cfg.MinCores {
-			t.cur--
-		}
-	case bw < w.SocketBWLow && lat < w.LatencyLow:
-		if t.cur < t.cfg.MaxCores {
-			t.cur++
-		}
-	}
-	if err := t.enforce(now); err != nil {
-		t.deg.actuateError(t.n, now, err)
-		t.fault(now)
-		return
-	}
-	t.deg.clean(t.n, now)
+func (t *Throttler) Control(now float64) { t.loop.period.Run(now, &t.loop) }
+
+// set pushes a core grant through the (possibly fault-gated) cgroup
+// interface.
+func (t *Throttler) set(now float64, cores int) error {
+	n := t.loop.n
+	return n.Faults().SetCPUs(now, n.Cgroups(), t.cfg.Group, t.cfg.Pool.Take(cores))
+}
+
+func (t *Throttler) record(now, bw, lat float64, cores int) {
 	t.history = append(t.history, ThrottlerDecision{
-		Time: now, SocketBW: bw, Latency: lat, Cores: t.cur,
+		Time: now, SocketBW: bw, Latency: lat, Cores: cores,
 	})
-	if rec := t.n.Events(); rec != nil {
+	if rec := t.loop.n.Events(); rec != nil {
 		rec.Emit(now, events.ThrottlerActuate, "throttler", map[string]any{
-			"socket_bw": bw, "latency": lat, "cores": t.cur,
+			"socket_bw": bw, "latency": lat, "cores": cores,
 		})
-	}
-}
-
-// enforce pushes the current grant through the (possibly fault-gated)
-// cgroup interface.
-func (t *Throttler) enforce(now float64) error {
-	return t.n.Faults().SetCPUs(now, t.n.Cgroups(), t.cfg.Group, t.cfg.Pool.Take(t.cur))
-}
-
-// enforceFailSafe pins the minimum core grant — the conservative stance
-// while the feedback loop cannot be trusted.
-func (t *Throttler) enforceFailSafe(now float64) error {
-	t.cur = t.cfg.MinCores
-	return t.enforce(now)
-}
-
-// fault scores one faulted period, entering fail-safe after K in a row.
-func (t *Throttler) fault(now float64) {
-	if !t.deg.fault(t.n, now) {
-		return
-	}
-	if err := t.enforceFailSafe(now); err != nil {
-		t.deg.actuateError(t.n, now, err)
 	}
 }
