@@ -35,10 +35,11 @@ import (
 	"strconv"
 	"strings"
 
-	"kelp/internal/accel"
 	"kelp/internal/cgroup"
+	"kelp/internal/experiments"
 	"kelp/internal/node"
 	"kelp/internal/resctrlfs"
+	"kelp/internal/scenario"
 	"kelp/internal/sim"
 	"kelp/internal/workload"
 )
@@ -56,44 +57,18 @@ func buildNode(ml, agg string) (*node.Node, error) {
 		if err := cg.SetCPUs("ml", n.Processor().SocketCores(0).Take(4)); err != nil {
 			return nil, err
 		}
-		var task workload.Task
-		switch strings.ToUpper(ml) {
-		case "RNN1":
-			dev, err := accel.NewDevice(accel.NewTPU())
-			if err != nil {
-				return nil, err
-			}
-			task, err = workload.NewRNN1(dev, n.Engine().RNG().Stream("rnn1"))
-			if err != nil {
-				return nil, err
-			}
-		case "CNN1":
-			task, err = workload.NewCNN1(accel.NewCloudTPU())
-		case "CNN2":
-			task, err = workload.NewCNN2(accel.NewCloudTPU())
-		case "CNN3":
-			task, err = workload.NewCNN3(accel.NewGPU())
-		default:
-			return nil, fmt.Errorf("unknown ML workload %q", ml)
-		}
+		kind, err := scenario.ParseML(ml)
 		if err != nil {
 			return nil, err
 		}
-		if err := n.AddTask(task, "ml"); err != nil {
+		if _, err := experiments.NewMLTask(n, kind, "ml"); err != nil {
 			return nil, err
 		}
 	}
 	if agg != "none" {
-		var lvl workload.Level
-		switch strings.ToUpper(agg) {
-		case "L":
-			lvl = workload.LevelLow
-		case "M":
-			lvl = workload.LevelMedium
-		case "H":
-			lvl = workload.LevelHigh
-		default:
-			return nil, fmt.Errorf("unknown aggressor level %q", agg)
+		lvl, err := scenario.ParseLevel(agg)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := cg.Create("agg", cgroup.Low); err != nil {
 			return nil, err

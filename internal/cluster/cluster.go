@@ -101,16 +101,21 @@ func (c Config) Validate() error {
 	if c.MakeTask == nil {
 		return fmt.Errorf("cluster: MakeTask required")
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	if err := c.Recovery.Validate(); err != nil {
-		return err
-	}
-	if err := validHorizon(c.Horizon); err != nil {
+	if err := c.series().Validate(); err != nil {
 		return err
 	}
 	return c.Node.Validate()
+}
+
+// series is the fault/recovery part of the configuration, the form
+// RunSeries takes.
+func (c Config) series() SeriesConfig {
+	return SeriesConfig{
+		Faults:   c.Faults,
+		Recovery: c.Recovery,
+		Horizon:  c.Horizon,
+		Events:   c.Events,
+	}
 }
 
 // WorkerResult is one worker's standalone outcome.
@@ -152,30 +157,25 @@ type workerSim struct {
 	degDurs []float64
 }
 
-// Run simulates all workers and composes the lock-step service rate. When
-// the fault spec is enabled, the fault-tolerant runtime then replays the
-// lock-step schedule under injected failures and attaches a FaultReport.
+// Run simulates all workers and composes the lock-step service rate through
+// RunSeries. When the fault spec is enabled, the fault-tolerant runtime then
+// replays the lock-step schedule under injected failures and attaches a
+// FaultReport.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	needDegraded := cfg.Faults.Degrade > 0
-	sims, err := pool.Collect(cfg.Parallel, len(cfg.Workers), func(i int) (*workerSim, error) {
-		w, err := runWorker(cfg, i, cfg.Workers[i], needDegraded)
+	members, err := pool.Collect(cfg.Parallel, len(cfg.Workers), func(i int) (MemberSeries, error) {
+		m, err := simulateMember(cfg, i)
 		if err != nil {
-			return nil, fmt.Errorf("worker %d: %w", i, err)
+			return MemberSeries{}, fmt.Errorf("worker %d: %w", i, err)
 		}
-		return w, nil
+		return m, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return runSims(SeriesConfig{
-		Faults:   cfg.Faults,
-		Recovery: cfg.Recovery,
-		Horizon:  cfg.Horizon,
-		Events:   cfg.Events,
-	}, sims)
+	return RunSeries(cfg.series(), members)
 }
 
 // MemberSeries is one lock-step member's measured behaviour, supplied by a
@@ -254,7 +254,26 @@ func RunSeries(cfg SeriesConfig, members []MemberSeries) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runSims(cfg, sims)
+	results := make([]WorkerResult, len(sims))
+	for i, s := range sims {
+		results[i] = s.WorkerResult
+	}
+	res, err := compose(results)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Faults.Enabled() {
+		inj, err := clusterfaults.NewInjector(cfg.Faults, len(sims))
+		if err != nil {
+			return nil, err
+		}
+		rep, err := replay(cfg, sims, inj)
+		if err != nil {
+			return nil, err
+		}
+		res.Faults = rep
+	}
+	return res, nil
 }
 
 // memberSims derives each member's step-duration series, the form the
@@ -280,31 +299,6 @@ func memberSims(cfg SeriesConfig, members []MemberSeries) ([]*workerSim, error) 
 		sims[i] = ws
 	}
 	return sims, nil
-}
-
-// runSims composes per-member simulations into the lock-step result and
-// runs the fault replay when enabled.
-func runSims(cfg SeriesConfig, sims []*workerSim) (*Result, error) {
-	results := make([]WorkerResult, len(sims))
-	for i, s := range sims {
-		results[i] = s.WorkerResult
-	}
-	res, err := compose(results)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Faults.Enabled() {
-		inj, err := clusterfaults.NewInjector(cfg.Faults, len(sims))
-		if err != nil {
-			return nil, err
-		}
-		rep, err := replay(cfg, sims, inj)
-		if err != nil {
-			return nil, err
-		}
-		res.Faults = rep
-	}
-	return res, nil
 }
 
 // compose builds the lock-step service result from per-worker outcomes:
@@ -351,35 +345,24 @@ func compose(workers []WorkerResult) (*Result, error) {
 	return res, nil
 }
 
-// runWorker simulates one worker node under its configured policy. With
-// needDegraded set it additionally simulates the worker under escalated
-// interference (the degrade fault's step-time series), so an isolation
-// policy measurably shrinks what escalation costs.
-func runWorker(cfg Config, idx int, spec WorkerSpec, needDegraded bool) (*workerSim, error) {
-	w, err := simulateWorker(cfg, idx, spec)
+// simulateMember simulates worker idx into the series RunSeries composes.
+// When the fault spec can escalate interference it also re-simulates the
+// worker one interference level up (the degrade fault's step-time series),
+// so an isolation policy measurably shrinks what escalation costs.
+func simulateMember(cfg Config, idx int) (MemberSeries, error) {
+	spec := cfg.Workers[idx]
+	m, err := simulateWorker(cfg, idx, spec)
 	if err != nil {
-		return nil, err
+		return MemberSeries{}, err
 	}
-	ws := &workerSim{WorkerResult: *w}
-	ws.durs, err = stepDurations(w.StepTimes)
-	if err != nil {
-		// The plain composition tolerates short series (its own minSteps
-		// check reports them); only the fault runtime needs durations.
-		if cfg.Faults.Enabled() {
-			return nil, err
-		}
-	}
-	if needDegraded {
-		dw, err := simulateWorker(cfg, idx, escalate(spec))
+	if cfg.Faults.Degrade > 0 {
+		d, err := simulateWorker(cfg, idx, escalate(spec))
 		if err != nil {
-			return nil, fmt.Errorf("degraded rerun: %w", err)
+			return MemberSeries{}, fmt.Errorf("degraded rerun: %w", err)
 		}
-		ws.degDurs, err = stepDurations(dw.StepTimes)
-		if err != nil {
-			return nil, fmt.Errorf("degraded rerun: %w", err)
-		}
+		m.DegradedStepTimes = d.StepTimes
 	}
-	return ws, nil
+	return m, nil
 }
 
 // escalate returns the worker spec one interference level up: a colocated
@@ -419,41 +402,41 @@ func stepDurations(stepTimes []float64) ([]float64, error) {
 
 // simulateWorker runs one worker node end to end and records its measured
 // step-completion timestamps.
-func simulateWorker(cfg Config, idx int, spec WorkerSpec) (*WorkerResult, error) {
+func simulateWorker(cfg Config, idx int, spec WorkerSpec) (MemberSeries, error) {
 	ncfg := cfg.Node
 	ncfg.Seed = cfg.Node.Seed + int64(idx)*7919
 	n, err := node.New(ncfg)
 	if err != nil {
-		return nil, err
+		return MemberSeries{}, err
 	}
 	opts := policy.DefaultOptions()
 	opts.MLCores = cfg.MLCores
 	applied, err := policy.Apply(n, spec.Policy, opts)
 	if err != nil {
-		return nil, err
+		return MemberSeries{}, err
 	}
 	task, err := cfg.MakeTask()
 	if err != nil {
-		return nil, err
+		return MemberSeries{}, err
 	}
 	task.RecordStepTimes(true)
 	if err := n.AddTask(task, applied.ML); err != nil {
-		return nil, err
+		return MemberSeries{}, err
 	}
 	if spec.Aggressor {
 		agg, err := workload.NewDRAMAggressor(spec.Level)
 		if err != nil {
-			return nil, err
+			return MemberSeries{}, err
 		}
 		if err := n.AddTask(agg, applied.Low); err != nil {
-			return nil, err
+			return MemberSeries{}, err
 		}
 	}
 	n.Run(cfg.Warmup)
 	task.RecordStepTimes(true) // reset recorded warmup steps
 	n.StartMeasurement()
 	n.Run(cfg.Measure)
-	return &WorkerResult{
+	return MemberSeries{
 		StepsPerSec: task.Throughput(n.Now()),
 		StepTimes:   append([]float64(nil), task.StepTimes()...),
 	}, nil

@@ -12,12 +12,11 @@
 //
 // Emitters hold a *Recorder and call Emit; a nil *Recorder is a valid no-op
 // target, so instrumented code needs no nil checks. Consumers poll with
-// Since (the kelpd GET /events endpoint does exactly this), attach a Sink
-// for in-order, per-type-filtered delivery (the -events JSONL flag of
-// kelpbench/kelpsim), or Watch for a push subscription with a bounded
-// per-subscriber buffer (the kelpd SSE stream endpoints). Sink and
-// subscription fan-out happens outside the recorder's mutex, so a slow or
-// re-entrant consumer never stalls Emit.
+// Since (the kelpd GET /events endpoint does exactly this, and the -events
+// JSONL flag of kelpbench/kelpsim writes the ring with WriteJSONL after the
+// run), or Watch for a push subscription with a bounded per-subscriber
+// buffer (the kelpd SSE stream endpoints). Emit delivers to subscriptions
+// without blocking, so a slow consumer never stalls the emitter.
 package events
 
 import (
@@ -212,16 +211,6 @@ type Event struct {
 	Fields map[string]any `json:"fields,omitempty"`
 }
 
-// Sink receives events as they are emitted, in sequence order. Sinks run
-// outside the recorder's lock, so a sink may freely call back into the
-// recorder — including Emit — without deadlocking, and a slow sink never
-// blocks concurrent emitters (they enqueue their event and return; the
-// goroutine currently fanning out delivers it). Delivery is serialized:
-// at most one sink invocation is in flight per recorder, so a sink needs
-// no internal locking against itself. Consumers that should never delay
-// delivery at all can poll Since or attach a Subscription (Watch) instead.
-type Sink func(Event)
-
 // DefaultCapacity is the ring size used when callers don't care: large
 // enough to hold every event of a multi-second default-period session.
 const DefaultCapacity = 4096
@@ -236,21 +225,7 @@ type Recorder struct {
 	size    int    // live events in the ring
 	nextSeq uint64 // seq the next event will get
 	dropped uint64 // events evicted by capacity pressure
-	sinks   []sinkEntry
 	subs    []*Subscription
-
-	// Fan-out state (guarded by mu). Emitted events queue on pending and
-	// exactly one goroutine at a time — the fanner — drains the queue with
-	// mu released, delivering to sinks and subscriptions in seq order. A
-	// sink that re-enters Emit, or an emitter racing a slow sink, appends
-	// to pending and returns immediately instead of blocking.
-	pending []Event
-	fanning bool
-}
-
-type sinkEntry struct {
-	sink  Sink
-	types map[Type]bool // nil = all types
 }
 
 // New returns a recorder holding at most capacity events; when full, the
@@ -271,25 +246,6 @@ func MustNew(capacity int) *Recorder {
 	return r
 }
 
-// AttachSink registers an in-order consumer (see Sink for the delivery
-// contract). With no types listed the sink sees every event; otherwise
-// only the listed types.
-func (r *Recorder) AttachSink(s Sink, types ...Type) {
-	if r == nil || s == nil {
-		return
-	}
-	e := sinkEntry{sink: s}
-	if len(types) > 0 {
-		e.types = make(map[Type]bool, len(types))
-		for _, t := range types {
-			e.types[t] = true
-		}
-	}
-	r.mu.Lock()
-	r.sinks = append(r.sinks, e)
-	r.mu.Unlock()
-}
-
 // Enabled reports whether emitted events are actually recorded. It is
 // nil-safe — a nil *Recorder reports false — so hot-path emitters can guard
 // the construction of a field map behind one predictable branch:
@@ -303,23 +259,18 @@ func (r *Recorder) AttachSink(s Sink, types ...Type) {
 // attached, not merely "one wasted map per event".
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit records one event, stamping its sequence number. Calling Emit on a
-// nil recorder is a no-op.
+// Emit records one event, stamping its sequence number, and delivers it to
+// every matching subscription. Calling Emit on a nil recorder is a no-op.
 //
-// Sinks and subscriptions are fed outside the recorder mutex: Emit appends
-// the stamped event to a pending queue and, unless another goroutine is
-// already fanning out, drains the queue itself with the lock released. The
-// recorder's state (ring, counters, Since) is therefore never held hostage
-// by a consumer, a sink may re-enter the recorder, and a stalled
-// subscription only ever drops its own events. When another goroutine is
-// mid-fan-out, Emit returns after enqueueing; that fanner delivers the
-// event, still in seq order. In single-goroutine use every Emit has
-// delivered to all sinks by the time it returns, exactly as before.
+// Delivery happens under the recorder mutex, so every subscriber sees
+// events in strictly increasing seq order. It never blocks: a subscription
+// whose buffer is full drops the event and counts it (see Subscription).
 func (r *Recorder) Emit(time float64, t Type, source string, fields map[string]any) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := Event{Seq: r.nextSeq, Time: time, Type: t, Source: source, Fields: fields}
 	r.nextSeq++
 	if r.size == len(r.ring) {
@@ -329,45 +280,9 @@ func (r *Recorder) Emit(time float64, t Type, source string, fields map[string]a
 	}
 	r.ring[(r.start+r.size)%len(r.ring)] = e
 	r.size++
-	if len(r.sinks) == 0 && len(r.subs) == 0 {
-		r.mu.Unlock()
-		return
+	for _, sub := range r.subs {
+		sub.push(e)
 	}
-	r.pending = append(r.pending, e)
-	if r.fanning {
-		// The current fanner's drain loop will deliver this event.
-		r.mu.Unlock()
-		return
-	}
-	r.fanning = true
-	r.fanOutLocked()
-	r.mu.Unlock()
-}
-
-// fanOutLocked drains the pending queue, delivering each event to every
-// matching sink and subscription in seq order. Called with r.mu held and
-// r.fanning true; releases and reacquires the lock around deliveries and
-// leaves it held (with fanning cleared) on return.
-func (r *Recorder) fanOutLocked() {
-	for len(r.pending) > 0 {
-		batch := r.pending
-		r.pending = nil
-		sinks := r.sinks
-		subs := r.subs
-		r.mu.Unlock()
-		for _, e := range batch {
-			for _, se := range sinks {
-				if se.types == nil || se.types[e.Type] {
-					se.sink(e)
-				}
-			}
-			for _, sub := range subs {
-				sub.push(e)
-			}
-		}
-		r.mu.Lock()
-	}
-	r.fanning = false
 }
 
 // Len returns the number of events currently buffered.
@@ -487,15 +402,4 @@ func WriteJSONL(w io.Writer, evs []Event) error {
 		}
 	}
 	return nil
-}
-
-// JSONLSink returns a sink streaming each event to w as JSONL. Encoding
-// errors are reported through errf if non-nil (once per failed event).
-func JSONLSink(w io.Writer, errf func(error)) Sink {
-	enc := json.NewEncoder(w)
-	return func(e Event) {
-		if err := enc.Encode(e); err != nil && errf != nil {
-			errf(err)
-		}
-	}
 }

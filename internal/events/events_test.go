@@ -3,7 +3,6 @@ package events
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -22,7 +21,6 @@ func TestNewValidation(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(1, DistressAssert, "memsys", nil) // must not panic
-	r.AttachSink(func(Event) {})
 	if r.Len() != 0 || r.Cap() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder reported non-zero state")
 	}
@@ -93,23 +91,6 @@ func TestSinceCursorAndTypeFilter(t *testing.T) {
 	}
 	if got := r.Since(4); got != nil {
 		t.Errorf("Since(end) = %v, want nil", got)
-	}
-}
-
-func TestSinksReceiveFilteredEvents(t *testing.T) {
-	r := MustNew(8)
-	var all, kelpOnly []Type
-	r.AttachSink(func(e Event) { all = append(all, e.Type) })
-	r.AttachSink(func(e Event) { kelpOnly = append(kelpOnly, e.Type) }, KelpActuate)
-
-	r.Emit(0.1, DistressAssert, "memsys", nil)
-	r.Emit(0.2, KelpActuate, "kelp", nil)
-
-	if !reflect.DeepEqual(all, []Type{DistressAssert, KelpActuate}) {
-		t.Errorf("all sink saw %v", all)
-	}
-	if !reflect.DeepEqual(kelpOnly, []Type{KelpActuate}) {
-		t.Errorf("filtered sink saw %v", kelpOnly)
 	}
 }
 

@@ -31,8 +31,8 @@ func ExampleRecorder() {
 	// new events after #3: 0
 }
 
-// Sinks deliver events synchronously with per-type filtering; the JSONL
-// sink behind kelpbench/kelpsim -events is one WriteJSONL call away.
+// WriteJSONL renders a slice of events, here filtered by type, in the
+// -events format of kelpbench and kelpsim.
 func ExampleWriteJSONL() {
 	rec := events.MustNew(64)
 	rec.Emit(0.05, events.DistressAssert, "memsys",

@@ -26,8 +26,8 @@ func (s RecorderState) GobEncode() ([]byte, error) { return json.Marshal(s) }
 // GobDecode implements gob.GobDecoder.
 func (s *RecorderState) GobDecode(data []byte) error { return json.Unmarshal(data, s) }
 
-// State captures the recorder's buffered events and counters. Sinks and
-// subscriptions are runtime wiring, not state, and are not captured.
+// State captures the recorder's buffered events and counters.
+// Subscriptions are runtime wiring, not state, and are not captured.
 func (r *Recorder) State() RecorderState {
 	if r == nil {
 		return RecorderState{NextSeq: 1}

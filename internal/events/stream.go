@@ -1,23 +1,23 @@
 package events
 
-import "sync"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Subscription is a push-based, non-blocking consumer of a recorder's
 // event stream, created by Watch. Each subscription owns a bounded buffer:
 // emitted events that match its type filter are delivered to the buffer in
 // seq order, and when the consumer falls behind and the buffer fills, new
 // events are dropped for that subscriber only — counted by Dropped — while
-// every other subscriber, every sink, and the emitter itself proceed
+// every other subscriber and the emitter itself proceed
 // untouched. A dropped span is recoverable as long as the ring still holds
 // it: the consumer sees the seq gap on its next receive and can backfill
 // with Since (the kelpd SSE handlers do exactly this).
 type Subscription struct {
-	types map[Type]bool // nil = all types
-	ch    chan Event
-
-	mu      sync.Mutex
-	closed  bool
-	dropped uint64
+	types   map[Type]bool // nil = all types
+	ch      chan Event
+	dropped atomic.Uint64
 }
 
 // C returns the subscription's receive channel. It is closed by
@@ -35,27 +35,21 @@ func (sub *Subscription) Dropped() uint64 {
 	if sub == nil {
 		return 0
 	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return sub.dropped
+	return sub.dropped.Load()
 }
 
 // push delivers one already-stamped event, without blocking: a full buffer
-// drops the event and counts it. Called by the recorder's fanner with no
-// recorder lock held; sub.mu orders the send against Unsubscribe's close.
+// drops the event and counts it. Called by Emit under the recorder lock,
+// which Unsubscribe also holds while it detaches and closes the channel, so
+// a send never reaches a closed channel.
 func (sub *Subscription) push(e Event) {
 	if sub.types != nil && !sub.types[e.Type] {
-		return
-	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.closed {
 		return
 	}
 	select {
 	case sub.ch <- e:
 	default:
-		sub.dropped++
+		sub.dropped.Add(1)
 	}
 }
 
@@ -79,7 +73,6 @@ func (r *Recorder) Watch(buffer int, types ...Type) *Subscription {
 		}
 	}
 	if r == nil {
-		sub.closed = true
 		close(sub.ch)
 		return sub
 	}
@@ -90,29 +83,21 @@ func (r *Recorder) Watch(buffer int, types ...Type) *Subscription {
 }
 
 // Unsubscribe detaches a subscription and closes its channel. Events
-// already buffered remain readable; a concurrent fan-out that still holds
-// the subscriber silently discards its delivery. Idempotent and nil-safe.
+// already buffered remain readable. Idempotent (a second call finds the
+// subscription detached and does nothing) and nil-safe.
 func (r *Recorder) Unsubscribe(sub *Subscription) {
 	if r == nil || sub == nil {
 		return
 	}
 	r.mu.Lock()
-	// Build a fresh slice rather than splicing in place: an in-flight
-	// fanner iterates a snapshot of the old backing array.
-	var kept []*Subscription
-	for _, s := range r.subs {
-		if s != sub {
-			kept = append(kept, s)
+	defer r.mu.Unlock()
+	for i, s := range r.subs {
+		if s == sub {
+			r.subs = slices.Delete(r.subs, i, i+1)
+			close(sub.ch)
+			return
 		}
 	}
-	r.subs = kept
-	r.mu.Unlock()
-	sub.mu.Lock()
-	if !sub.closed {
-		sub.closed = true
-		close(sub.ch)
-	}
-	sub.mu.Unlock()
 }
 
 // Subscribers returns the number of attached subscriptions (leak checks).

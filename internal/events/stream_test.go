@@ -1,51 +1,11 @@
 package events
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
-
-// A sink that re-enters the recorder — even Emit — must not deadlock:
-// fan-out runs outside the recorder mutex, and a re-entrant Emit enqueues
-// its event for the in-flight fanner instead of waiting on it.
-func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
-	r := MustNew(16)
-	var seen []Type
-	r.AttachSink(func(e Event) {
-		seen = append(seen, e.Type)
-		if e.Type == AgentAdmit {
-			// Reads and a nested Emit, all from inside delivery.
-			_ = r.Since(0)
-			_ = r.Len()
-			r.Emit(e.Time, AgentEvict, "agent", nil)
-		}
-	})
-
-	done := make(chan struct{})
-	go func() {
-		r.Emit(1, AgentAdmit, "agent", nil)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("re-entrant sink deadlocked Emit")
-	}
-
-	// Both events recorded with consecutive seqs, and the sink saw both in
-	// seq order (the outer Emit's fan-out loop delivered the nested one).
-	evs := r.Events()
-	if len(evs) != 2 || evs[0].Type != AgentAdmit || evs[1].Type != AgentEvict {
-		t.Fatalf("ring = %+v", evs)
-	}
-	if evs[0].Seq != 1 || evs[1].Seq != 2 {
-		t.Fatalf("seqs = %d, %d", evs[0].Seq, evs[1].Seq)
-	}
-	if len(seen) != 2 || seen[0] != AgentAdmit || seen[1] != AgentEvict {
-		t.Fatalf("sink saw %v", seen)
-	}
-}
 
 func TestWatchDeliversInSeqOrder(t *testing.T) {
 	r := MustNew(64)
@@ -133,6 +93,74 @@ func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 	}
 }
 
+// A full buffer drops only for its own subscription: a second subscriber
+// with room still receives every event in seq order.
+func TestDropsArePerSubscriber(t *testing.T) {
+	r := MustNew(64)
+	small := r.Watch(2)
+	defer r.Unsubscribe(small)
+	large := r.Watch(32)
+	defer r.Unsubscribe(large)
+
+	for i := 0; i < 10; i++ {
+		r.Emit(float64(i), KelpActuate, "kelp", nil)
+	}
+	if d := small.Dropped(); d != 8 {
+		t.Errorf("small Dropped = %d, want 8", d)
+	}
+	if d := large.Dropped(); d != 0 {
+		t.Errorf("large Dropped = %d, want 0", d)
+	}
+	for want := uint64(1); want <= 10; want++ {
+		if e := <-large.C(); e.Seq != want {
+			t.Fatalf("large got seq %d, want %d", e.Seq, want)
+		}
+	}
+}
+
+// Delivery happens inside Emit under the recorder lock, so a consumer
+// that reacts to an event by reading the recorder and emitting again must
+// not deadlock: it runs on its own goroutine, after Emit has returned.
+func TestConsumerReentersRecorder(t *testing.T) {
+	r := MustNew(16)
+	sub := r.Watch(4)
+	defer r.Unsubscribe(sub)
+
+	var seen []Type
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for e := range sub.C() {
+			seen = append(seen, e.Type)
+			if e.Type == AgentAdmit {
+				_ = r.Since(0)
+				_ = r.Len()
+				r.Emit(e.Time, AgentEvict, "agent", nil)
+			}
+			if e.Type == AgentEvict {
+				return
+			}
+		}
+	}()
+	r.Emit(1, AgentAdmit, "agent", nil)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("consumer re-entering the recorder deadlocked")
+	}
+
+	evs := r.Events()
+	if len(evs) != 2 || evs[0].Type != AgentAdmit || evs[1].Type != AgentEvict {
+		t.Fatalf("ring = %+v", evs)
+	}
+	if evs[0].Seq != 1 || evs[1].Seq != 2 {
+		t.Fatalf("seqs = %d, %d", evs[0].Seq, evs[1].Seq)
+	}
+	if len(seen) != 2 || seen[0] != AgentAdmit || seen[1] != AgentEvict {
+		t.Fatalf("consumer saw %v", seen)
+	}
+}
+
 func TestUnsubscribeClosesChannelAndDetaches(t *testing.T) {
 	r := MustNew(16)
 	sub := r.Watch(4)
@@ -181,18 +209,11 @@ func TestOldestSeq(t *testing.T) {
 	}
 }
 
-// Concurrent emitters with subscribers and sinks attached: every consumer
-// must still observe strictly increasing seqs (single-fanner delivery),
-// and the ring must hold every event. Run with -race.
+// Concurrent emitters with a subscriber attached: the subscriber must
+// still observe strictly increasing seqs, and the ring must hold every
+// event. Run with -race.
 func TestConcurrentEmitFanOutOrdered(t *testing.T) {
 	r := MustNew(4096)
-	var sinkMu sync.Mutex
-	var sinkSeqs []uint64
-	r.AttachSink(func(e Event) {
-		sinkMu.Lock()
-		sinkSeqs = append(sinkSeqs, e.Seq)
-		sinkMu.Unlock()
-	})
 	sub := r.Watch(4096)
 	defer r.Unsubscribe(sub)
 
@@ -212,16 +233,6 @@ func TestConcurrentEmitFanOutOrdered(t *testing.T) {
 	if r.Len() != emitters*each {
 		t.Fatalf("ring holds %d, want %d", r.Len(), emitters*each)
 	}
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if len(sinkSeqs) != emitters*each {
-		t.Fatalf("sink saw %d events, want %d", len(sinkSeqs), emitters*each)
-	}
-	for i := 1; i < len(sinkSeqs); i++ {
-		if sinkSeqs[i] <= sinkSeqs[i-1] {
-			t.Fatalf("sink order broken at %d: %d after %d", i, sinkSeqs[i], sinkSeqs[i-1])
-		}
-	}
 	var last uint64
 	for i := 0; i < emitters*each; i++ {
 		e := <-sub.C()
@@ -229,6 +240,73 @@ func TestConcurrentEmitFanOutOrdered(t *testing.T) {
 			t.Fatalf("subscription order broken: %d after %d", e.Seq, last)
 		}
 		last = e.Seq
+	}
+}
+
+// Subscribers that come and go while emitters run: Unsubscribe must never
+// let a delivery reach a closed channel, every subscription must see
+// strictly increasing seqs, and none may stay attached. Run with -race.
+func TestUnsubscribeRacesEmit(t *testing.T) {
+	r := MustNew(1024)
+	const emitters, each = 4, 2000
+	const watchers, rounds = 4, 50
+	stop := make(chan struct{})
+	var emit sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		emit.Add(1)
+		go func() {
+			defer emit.Done()
+			for i := 0; i < each; i++ {
+				r.Emit(float64(i), KelpActuate, "kelp", nil)
+			}
+		}()
+	}
+	var watch sync.WaitGroup
+	errs := make(chan string, watchers)
+	for g := 0; g < watchers; g++ {
+		watch.Add(1)
+		go func() {
+			defer watch.Done()
+			for i := 0; i < rounds; i++ {
+				sub := r.Watch(8)
+				var last uint64
+				inOrder := func(e Event) bool {
+					ok := e.Seq > last
+					if !ok {
+						errs <- fmt.Sprintf("seq %d after %d", e.Seq, last)
+					}
+					last = e.Seq
+					return ok
+				}
+				for n := 0; n < 3; n++ {
+					select {
+					case e := <-sub.C():
+						if !inOrder(e) {
+							r.Unsubscribe(sub)
+							return
+						}
+					case <-stop:
+					}
+				}
+				r.Unsubscribe(sub)
+				// Whatever was buffered before the close still drains in order.
+				for e := range sub.C() {
+					if !inOrder(e) {
+						return
+					}
+				}
+			}
+		}()
+	}
+	emit.Wait()
+	close(stop)
+	watch.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if n := r.Subscribers(); n != 0 {
+		t.Fatalf("Subscribers = %d after every Unsubscribe, want 0", n)
 	}
 }
 

@@ -85,7 +85,7 @@ func backpressureCell(h *Harness, ml MLKind, lvl workload.Level, offPct int, bas
 	if err := cg.SetLLCWays("ml", (uint64(1)<<uint(h.Opts.CATWays))-1); err != nil {
 		return nil, err
 	}
-	if _, err := buildML(n, ml, "ml"); err != nil {
+	if _, err := NewMLTask(n, ml, "ml"); err != nil {
 		return nil, err
 	}
 

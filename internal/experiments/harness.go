@@ -180,15 +180,9 @@ type Result struct {
 	Faults *faults.Injector
 }
 
-// NewCPUTask constructs a low-priority task for a spec; the index makes
-// the task name unique per node.
+// NewCPUTask constructs a low-priority task for a spec. The name must be
+// unique per node, so the instance index is appended.
 func NewCPUTask(spec CPUSpec, idx int, llcSize float64) (*workload.Loop, error) {
-	return buildCPUTask(spec, idx, llcSize)
-}
-
-// buildCPUTask constructs a task for a spec. The name must be unique per
-// node, so an instance index is appended.
-func buildCPUTask(spec CPUSpec, idx int, llcSize float64) (*workload.Loop, error) {
 	var (
 		l   *workload.Loop
 		err error
@@ -219,45 +213,35 @@ func buildCPUTask(spec CPUSpec, idx int, llcSize float64) (*workload.Loop, error
 	return workload.NewLoop(fmt.Sprintf("%s#%d", l.Name(), idx), cfg)
 }
 
-// NewMLTask constructs the accelerated task for a workload kind and
-// registers it with the node in the given group.
-func NewMLTask(n *node.Node, m MLKind, group string) (workload.Task, error) {
-	return buildML(n, m, group)
-}
-
-// buildML constructs the ML task and registers it with the node.
-func buildML(n *node.Node, m MLKind, group string) (workload.Task, error) {
+// NewTask constructs the workload's accelerated task for node n without
+// registering it. RNN1 draws its request arrivals from the node's "rnn1"
+// RNG stream.
+func (m MLKind) NewTask(n *node.Node) (workload.Task, error) {
 	switch m {
 	case RNN1:
 		dev, err := accel.NewDevice(m.Platform())
 		if err != nil {
 			return nil, err
 		}
-		t, err := workload.NewRNN1(dev, n.Engine().RNG().Stream("rnn1"))
-		if err != nil {
-			return nil, err
-		}
-		return t, n.AddTask(t, group)
+		return workload.NewRNN1(dev, n.Engine().RNG().Stream("rnn1"))
 	case CNN1:
-		t, err := workload.NewCNN1(m.Platform())
-		if err != nil {
-			return nil, err
-		}
-		return t, n.AddTask(t, group)
+		return workload.NewCNN1(m.Platform())
 	case CNN2:
-		t, err := workload.NewCNN2(m.Platform())
-		if err != nil {
-			return nil, err
-		}
-		return t, n.AddTask(t, group)
+		return workload.NewCNN2(m.Platform())
 	case CNN3:
-		t, err := workload.NewCNN3(m.Platform())
-		if err != nil {
-			return nil, err
-		}
-		return t, n.AddTask(t, group)
+		return workload.NewCNN3(m.Platform())
 	}
 	return nil, fmt.Errorf("experiments: unknown ML kind %d", int(m))
+}
+
+// NewMLTask constructs the accelerated task for a workload kind and
+// registers it with the node in the given group.
+func NewMLTask(n *node.Node, m MLKind, group string) (workload.Task, error) {
+	t, err := m.NewTask(n)
+	if err != nil {
+		return nil, err
+	}
+	return t, n.AddTask(t, group)
 }
 
 // coherenceFor applies the platform's host coherence penalty to the node's
@@ -306,7 +290,7 @@ func buildCell(cfg node.Config, s Scenario) (*cell, error) {
 	}
 	var ml workload.Task
 	if !s.NoML {
-		ml, err = buildML(n, s.ML, applied.ML)
+		ml, err = NewMLTask(n, s.ML, applied.ML)
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +298,7 @@ func buildCell(cfg node.Config, s Scenario) (*cell, error) {
 
 	var lowTasks []workload.Task
 	for i, spec := range s.CPU {
-		t, err := buildCPUTask(spec, i, cfg.Memory.LLCSize)
+		t, err := NewCPUTask(spec, i, cfg.Memory.LLCSize)
 		if err != nil {
 			return nil, err
 		}

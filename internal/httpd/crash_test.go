@@ -297,7 +297,7 @@ func referenceFromWAL(t *testing.T, recs []durable.Record) (events, metrics stri
 	if err := json.Unmarshal(recs[0].Config, &req); err != nil {
 		t.Fatal(err)
 	}
-	sess, _, err := ref.replayAll(req, req.Name, recs)
+	sess, _, err := ref.rebuildSession(req, req.Name, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,7 +349,7 @@ func (s *Server) recoverSession(e durable.ScanEntry) {
 	mode := "snapshot"
 	sess, replayed, err := (*Session)(nil), 0, error(nil)
 	if snap != nil {
-		sess, replayed, err = s.restoreFromSnapshot(req, e.Session, recs, snap)
+		sess, replayed, err = s.rebuildSession(req, e.Session, recs, snap)
 		if err != nil {
 			s.quarantineFile(e.Session, e.SnapPath, "snapshot restore failed: "+err.Error())
 			snap = nil
@@ -357,7 +357,7 @@ func (s *Server) recoverSession(e durable.ScanEntry) {
 	}
 	if sess == nil {
 		mode = "replay"
-		sess, replayed, err = s.replayAll(req, e.Session, recs)
+		sess, replayed, err = s.rebuildSession(req, e.Session, recs, nil)
 		if err != nil {
 			s.quarantineFile(e.Session, e.WALPath, "replay failed: "+err.Error())
 			return
@@ -399,12 +399,15 @@ func (s *Server) recoverSession(e durable.ScanEntry) {
 	})
 }
 
-// restoreFromSnapshot rebuilds a session as snapshot + WAL tail: replay
-// the structural records up to the snapshot's sequence (task and group
-// registration is time-invariant, so advances are skipped), install the
-// snapshot state over it, then replay the tail in full.
-func (s *Server) restoreFromSnapshot(req createSessionRequest, name string, recs []durable.Record, snap *durable.SessionSnapshot) (*Session, int, error) {
-	if snap.Node == nil {
+// rebuildSession rebuilds a session from its command log. With a snapshot
+// it restores snapshot + WAL tail: replay the structural records up to the
+// snapshot's sequence (task and group registration is time-invariant, so
+// advances are skipped), install the snapshot state over it, then replay
+// the tail in full. With a nil snapshot it replays the full log from t=0;
+// the simulation is deterministic and seeded, so this is exact, just
+// slower. It returns the number of records applied.
+func (s *Server) rebuildSession(req createSessionRequest, name string, recs []durable.Record, snap *durable.SessionSnapshot) (*Session, int, error) {
+	if snap != nil && snap.Node == nil {
 		return nil, 0, fmt.Errorf("httpd: snapshot has no node state")
 	}
 	sess, err := s.buildSession(req, name)
@@ -415,9 +418,11 @@ func (s *Server) restoreFromSnapshot(req createSessionRequest, name string, recs
 	err = func() error {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		bound := int(snap.Seq)
-		if bound > len(recs) {
-			bound = len(recs) // unreachable (Seq checked against lastSeq), defensive
+		bound := 1
+		if snap != nil {
+			// Seq is checked against the log's last record, so it is never
+			// past the end; clamp defensively.
+			bound = min(int(snap.Seq), len(recs))
 		}
 		for _, rec := range recs[1:bound] {
 			if rec.Kind == durable.KindAdvance {
@@ -428,49 +433,21 @@ func (s *Server) restoreFromSnapshot(req createSessionRequest, name string, recs
 			}
 			replayed++
 		}
-		n := sess.agent.Node()
-		if err := n.Restore(snap.Node); err != nil {
-			return err
-		}
-		if err := sess.agent.Applied().Restore(snap.Policy); err != nil {
-			return err
-		}
-		// The recorder state overwrites the admission events the structural
-		// replay just emitted at t=0 with the true history up to the
-		// snapshot, preserving byte-identical /events output.
-		if err := sess.agent.Events().Restore(snap.Recorder); err != nil {
-			return err
-		}
-		for _, rec := range recs[bound:] {
-			if err := sess.applyRecord(s, rec); err != nil {
+		if snap != nil {
+			if err := sess.agent.Node().Restore(snap.Node); err != nil {
 				return err
 			}
-			replayed++
+			if err := sess.agent.Applied().Restore(snap.Policy); err != nil {
+				return err
+			}
+			// The recorder state overwrites the admission events the
+			// structural replay just emitted at t=0 with the true history
+			// up to the snapshot, preserving byte-identical /events output.
+			if err := sess.agent.Events().Restore(snap.Recorder); err != nil {
+				return err
+			}
 		}
-		sess.storeNow()
-		sess.syncDegraded(s)
-		return nil
-	}()
-	if err != nil {
-		sess.abandon(s)
-		return nil, 0, err
-	}
-	return sess, replayed, nil
-}
-
-// replayAll rebuilds a session by replaying the full command log from t=0.
-// The simulation is deterministic and seeded, so this is exact — just
-// slower than a snapshot restore.
-func (s *Server) replayAll(req createSessionRequest, name string, recs []durable.Record) (*Session, int, error) {
-	sess, err := s.buildSession(req, name)
-	if err != nil {
-		return nil, 0, err
-	}
-	replayed := 0
-	err = func() error {
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		for _, rec := range recs[1:] {
+		for _, rec := range recs[bound:] {
 			if err := sess.applyRecord(s, rec); err != nil {
 				return err
 			}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kelp/internal/accel"
 	"kelp/internal/agent"
 	"kelp/internal/durable"
 	"kelp/internal/events"
@@ -24,7 +23,6 @@ import (
 	"kelp/internal/profile"
 	"kelp/internal/resctrlfs"
 	"kelp/internal/scenario"
-	"kelp/internal/workload"
 )
 
 // Session is one named simulation in the pool: a managed node with its
@@ -594,7 +592,7 @@ func errBody(err error) map[string]string { return map[string]string{"error": er
 
 // buildMLTask constructs and admits the accelerated task via the agent.
 func buildMLTask(a *agent.Agent, ml experiments.MLKind, cores int) (string, error) {
-	task, err := newMLWorkload(a, ml)
+	task, err := ml.NewTask(a.Node())
 	if err != nil {
 		return "", err
 	}
@@ -602,25 +600,6 @@ func buildMLTask(a *agent.Agent, ml experiments.MLKind, cores int) (string, erro
 		return "", err
 	}
 	return task.Name(), nil
-}
-
-// newMLWorkload constructs (without registering) the accelerated task.
-func newMLWorkload(a *agent.Agent, ml experiments.MLKind) (workload.Task, error) {
-	switch ml {
-	case experiments.RNN1:
-		dev, err := accel.NewDevice(ml.Platform())
-		if err != nil {
-			return nil, err
-		}
-		return workload.NewRNN1(dev, a.Node().Engine().RNG().Stream("rnn1"))
-	case experiments.CNN1:
-		return workload.NewCNN1(ml.Platform())
-	case experiments.CNN2:
-		return workload.NewCNN2(ml.Platform())
-	case experiments.CNN3:
-		return workload.NewCNN3(ml.Platform())
-	}
-	return nil, fmt.Errorf("httpd: unknown ML kind %v", ml)
 }
 
 func handleMetrics(s *Server, sess *Session, w http.ResponseWriter, r *http.Request) {

@@ -8,9 +8,9 @@
 // controller behaviour with closed-form curves (latency vs utilization,
 // proportional sharing, strict priority under fine-grained QoS, distress
 // above a utilization threshold). The microsimulator reproduces those
-// behaviours from first principles, and memsys's test suite checks the two
-// agree qualitatively — the standard cross-validation between a fluid
-// approximation and an event-level reference.
+// behaviours from first principles. Only this package's own tests run it:
+// they check the behaviours and compare its latency inflation with a copy
+// of the fluid stretch formula; memsys's tests do not call it yet.
 package microsim
 
 import (

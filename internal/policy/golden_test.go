@@ -102,14 +102,22 @@ func goldenDigest(t *testing.T, ctrl string) (string, map[events.Type]int) {
 	h := sha256.New()
 	counts := map[events.Type]int{}
 	run := func(inj *faults.Injector) {
-		rec := events.MustNew(events.DefaultCapacity)
-		rec.AttachSink(events.JSONLSink(h, func(err error) { t.Error(err) }))
-		rec.AttachSink(func(e events.Event) { counts[e.Type]++ })
+		rec := events.MustNew(1 << 20)
 		n := goldenNode(t, ctrl, rec)
 		if inj != nil {
 			n.SetFaults(inj)
 		}
 		n.Run(goldenRun)
+		if d := rec.Dropped(); d != 0 {
+			t.Fatalf("recorder dropped %d events; the digest needs the whole stream", d)
+		}
+		evs := rec.Events()
+		if err := events.WriteJSONL(h, evs); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			counts[e.Type]++
+		}
 	}
 	run(nil)
 	for _, fc := range experiments.FaultCases(7) {
