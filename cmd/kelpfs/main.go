@@ -50,7 +50,7 @@ func buildNode(ml, agg string) (*node.Node, error) {
 		return nil, err
 	}
 	cg := n.Cgroups()
-	if ml != "none" {
+	if !strings.EqualFold(ml, "none") {
 		if _, err := cg.Create("ml", cgroup.High); err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func buildNode(ml, agg string) (*node.Node, error) {
 			return nil, err
 		}
 	}
-	if agg != "none" {
+	if !strings.EqualFold(agg, "none") {
 		lvl, err := scenario.ParseLevel(agg)
 		if err != nil {
 			return nil, err

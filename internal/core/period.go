@@ -19,6 +19,10 @@ type Period struct {
 	name string
 	// Guard is the controller's watchdog, which its snapshots carry.
 	Guard Guard
+	// window is the PMU read SenseWindow fills every period, reused so
+	// that a period's read does not allocate. The sample SenseWindow
+	// returns aliases it until the next period's read.
+	window perfmon.Sample
 }
 
 // NewPeriod returns the named controller's control period on n; k or j <= 0
@@ -107,8 +111,11 @@ func (p *Period) Run(now float64, c Plant) {
 
 // SenseWindow reads the node's PMU window for a Plant's Sense: the window
 // passes through the fault injector and then the sanity check against b.
+// The returned sample's slices belong to the period and are overwritten by
+// the next period's read, so a Plant reads them within its period only.
 func (p *Period) SenseWindow(now float64, b perfmon.Bounds) (perfmon.Sample, Sensed, error) {
-	s := p.n.Monitor().Window()
+	p.n.Monitor().WindowInto(&p.window)
+	s := p.window
 	if s.Elapsed == 0 {
 		return s, SenseEmpty, nil
 	}

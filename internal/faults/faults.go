@@ -327,8 +327,8 @@ var sensorMetrics = []string{"socket_bw", "socket_latency", "saturation", "contr
 // PerturbSample applies the configured sensor fault classes to one
 // windowed sample. The second result is true when the whole window was
 // dropped; the caller must then discard the sample and treat the period
-// as unmeasured. The returned sample may alias s's slices (they are
-// freshly allocated per Window call), but never the injector's own cache.
+// as unmeasured. The returned sample may alias s's slices, which NaN and
+// spike faults overwrite in place, but never the injector's own cache.
 func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (perfmon.Sample, bool) {
 	if i == nil {
 		return s, false

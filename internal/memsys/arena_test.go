@@ -116,7 +116,9 @@ func TestResolveDoubleBuffer(t *testing.T) {
 }
 
 // TestResolveSteadyStateAllocs pins the tentpole: once the arena has grown
-// to the flow-set shape, Resolve performs zero heap allocations.
+// to the flow-set shape, Resolve performs zero heap allocations, both when
+// it recomputes (every call a memo miss, missCycle) and when it returns a
+// remembered fixed point.
 func TestResolveSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -135,8 +137,19 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 				{Task: "lo", Socket: 0, Subdomain: 1, DemandBW: 30 * GB, LLCFootprint: 64e6},
 				{Task: "rem", Socket: 1, Subdomain: 0, DemandBW: 15 * GB, RemoteFrac: 0.5},
 			}
-			if _, err := s.Resolve(flows); err != nil {
-				t.Fatal(err)
+			base, i := flows[0].DemandBW, 0
+			resolve := func() {
+				missCycle(flows, base, i)
+				i++
+				if _, err := s.Resolve(flows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range memoSlots + 1 {
+				resolve()
+			}
+			if avg := testing.AllocsPerRun(200, resolve); avg != 0 {
+				t.Fatalf("steady-state Resolve recompute allocates %v allocs/op, want 0", avg)
 			}
 			avg := testing.AllocsPerRun(200, func() {
 				if _, err := s.Resolve(flows); err != nil {
@@ -144,13 +157,13 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 				}
 			})
 			if avg != 0 {
-				t.Fatalf("steady-state Resolve allocates %v allocs/op, want 0", avg)
+				t.Fatalf("remembered Resolve allocates %v allocs/op, want 0", avg)
 			}
 		})
 	}
 
 	// Dirty steps: flows that change on every call must not allocate
-	// either.
+	// either, once every slot has grown its buffers.
 	t.Run("incremental-dirty", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SNCEnabled = true
@@ -159,8 +172,11 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 			{Task: "ml", Socket: 0, Subdomain: 0, DemandBW: 3 * GB, LLCFootprint: 8e6, LLCRefBW: 4 * GB},
 			{Task: "lo", Socket: 0, Subdomain: 1, DemandBW: 30 * GB, LLCFootprint: 64e6},
 		}
-		if _, err := s.Resolve(flows); err != nil {
-			t.Fatal(err)
+		for range memoSlots {
+			flows[1].DemandBW += GB
+			if _, err := s.Resolve(flows); err != nil {
+				t.Fatal(err)
+			}
 		}
 		avg := testing.AllocsPerRun(200, func() {
 			flows[1].DemandBW += GB

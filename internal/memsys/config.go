@@ -10,6 +10,11 @@
 // grants, effective latencies, cache hit fractions, and backpressure throttle
 // factors for that step. Execution-rate effects are applied by the caller
 // (the node package), keeping this package purely about the memory fabric.
+//
+// A node's flow set cycles through a few shapes, so a System remembers the
+// fixed points of its last few distinct flow sets: Resolve of a set it
+// remembers returns the remembered resolution, bitwise what a recompute
+// would give, and only a new set is computed (docs/PERFORMANCE.md §3).
 package memsys
 
 import (

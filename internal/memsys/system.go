@@ -9,17 +9,19 @@ import (
 
 // System resolves memory traffic for a configured node. It is stateless
 // between steps except for caching the last resolution for inspection,
-// a reusable scratch arena that makes steady-state Resolve allocation-free,
-// and, when a flight recorder is attached, the per-controller signal state
-// used to detect distress and saturation transitions.
+// a reusable scratch arena that makes steady-state Resolve allocation-free
+// and remembers the fixed points of the last few distinct flow sets, and,
+// when a flight recorder is attached, the per-controller signal state used
+// to detect distress and saturation transitions.
 type System struct {
 	cfg  Config
 	last *Resolution
 
 	// arena holds every intermediate buffer Resolve needs, sized once per
-	// flow-set shape and reused across calls. Resolve is the innermost loop
-	// of every experiment (10,000 calls per simulated second per cell), so
-	// the hot path must not allocate in steady state; see docs/PERFORMANCE.md.
+	// flow-set shape and reused across calls, and the resolution slots.
+	// Resolve is the innermost loop of every experiment (10,000 calls per
+	// simulated second per cell), so the hot path must not allocate in
+	// steady state; see docs/PERFORMANCE.md.
 	arena arena
 
 	// Replay state: lastValid marks that last was computed by Resolve
@@ -32,8 +34,8 @@ type System struct {
 	lastValid bool
 	// resolveSeq counts fixed-point computations; each stamps its
 	// Resolution so a caller can prove to Replay which one it holds, and
-	// downstream caches (perfmon) can tell a replayed repeat from a
-	// recompute that landed on a reused arena buffer.
+	// downstream caches (perfmon) can tell a remembered repeat from a
+	// recompute that landed on a reused slot.
 	resolveSeq uint64
 
 	// events, when non-nil, receives distress assert/deassert and
@@ -47,15 +49,33 @@ type System struct {
 	prevSaturated []bool
 }
 
+// memoSlots is how many distinct flow sets a System remembers the fixed
+// points of. A node's flow set cycles through a few shapes (an ML task's
+// phases, a burst's edges), so most Resolve calls repeat one of the last
+// few; eight slots catch nearly all of those repeats.
+const memoSlots = 8
+
+// slot is one remembered fixed point: the resolution, a copy of the flows
+// it was computed from and the configuration epoch it was computed under.
+type slot struct {
+	res   Resolution
+	flows []Flow
+	epoch uint64
+	// used is the arena clock at the slot's last Resolve, 0 while empty.
+	used uint64
+}
+
 // arena is the scratch space of one System. Buffers grow to the largest
-// shape seen and are then reused; the two Resolution buffers alternate so
-// that the value returned by one Resolve (and by Last) stays valid until
-// the second-following Resolve — the same caller-must-copy ownership rule
-// as the policy controllers' History() slices. Callers that retain a
+// shape seen and are then reused. Resolutions live in a ring of slots, and
+// a recompute overwrites the least recently used one. The slot in use is
+// the most recently used, so it is never the one overwritten, and the value
+// returned by one Resolve (and by Last) stays valid until at least the
+// second-following Resolve — the same caller-must-copy ownership rule as
+// the policy controllers' History() slices. Callers that retain a
 // resolution longer must Clone it.
 type arena struct {
-	res [2]Resolution
-	cur int
+	slots [memoSlots]slot
+	clock uint64
 
 	hit, dram                     []float64
 	offeredHi, offeredLo          []float64
@@ -140,8 +160,8 @@ func (s *System) SetLast(r *Resolution) {
 
 // Last returns the most recent resolution, or nil before the first step.
 // The returned value is owned by the System and remains valid until the
-// second-following Resolve call (the two internal buffers alternate);
-// callers that retain it longer must Clone it.
+// second-following Resolve call (a recompute overwrites the least recently
+// used slot); callers that retain it longer must Clone it.
 func (s *System) Last() *Resolution { return s.last }
 
 // SetEvents attaches a flight recorder; now supplies the simulated
@@ -230,17 +250,27 @@ func (s *System) remoteTarget(socket int) int {
 // backpressure for one step's flows.
 //
 // The returned Resolution is owned by the System: it stays valid until the
-// second-following Resolve call, after which its buffers are reused (the
+// second-following Resolve call, after which its buffers may be reused (the
 // same ownership rule as the policy controllers' History() slices). Callers
 // that retain a resolution across more than one further step must Clone it.
 // Steady-state Resolve performs no heap allocation once the scratch arena
 // has grown to the flow-set shape (pinned by BenchmarkResolveSteady and
 // TestResolveSteadyStateAllocs).
 //
-// Resolve always recomputes. A caller that has proven its flow set
-// unchanged since its last Resolve reuses the fixed point through Replay
-// instead.
+// A flow set bitwise equal to one of the last memoSlots distinct sets,
+// under the same configuration epoch, returns that set's remembered
+// resolution, as Replay does: the same pointer and Seq, the transition
+// emitter run on it. Any other flow set is validated and recomputed under
+// a new Seq. A caller that has proven its flow set unchanged since its
+// last Resolve skips even the comparison through Replay.
 func (s *System) Resolve(flows []Flow) (*Resolution, error) {
+	a := &s.arena
+	a.clock++
+	if sl := a.lookup(flows, s.epoch); sl != nil {
+		sl.used = a.clock
+		s.settle(&sl.res)
+		return &sl.res, nil
+	}
 	cfg := s.cfg
 	for i := range flows {
 		if err := flows[i].validate(cfg); err != nil {
@@ -249,10 +279,11 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 		}
 	}
 
-	a := &s.arena
+	sl := a.victim()
+	sl.used, sl.epoch = a.clock, s.epoch
+	sl.flows = append(sl.flows[:0], flows...)
 	nCtl := cfg.Sockets * cfg.ControllersPerSocket
-	res := &a.res[a.cur]
-	a.cur = 1 - a.cur
+	res := &sl.res
 	if cap(res.Flows) < len(flows) {
 		res.Flows = make([]FlowResult, len(flows))
 	}
@@ -526,13 +557,60 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 		}
 	}
 
+	s.settle(res)
+	return res, nil
+}
+
+// settle makes res, computed or remembered under the current epoch, the
+// cached last fixed point, and emits its transitions.
+func (s *System) settle(res *Resolution) {
 	if s.events != nil {
 		s.emitTransitions(res.Controllers)
 	}
 	s.last = res
 	s.lastEpoch = s.epoch
 	s.lastValid = true
-	return res, nil
+}
+
+// lookup returns the slot remembering flows under epoch, or nil.
+func (a *arena) lookup(flows []Flow, epoch uint64) *slot {
+	for i := range a.slots {
+		sl := &a.slots[i]
+		if sl.used != 0 && sl.epoch == epoch && sameFlows(sl.flows, flows) {
+			return sl
+		}
+	}
+	return nil
+}
+
+// victim returns the least recently used slot, an empty one first.
+func (a *arena) victim() *slot {
+	v := &a.slots[0]
+	for i := 1; i < len(a.slots); i++ {
+		if a.slots[i].used < v.used {
+			v = &a.slots[i]
+		}
+	}
+	return v
+}
+
+// sameFlows reports whether two flow sets are bitwise equal: floats
+// compare by bit pattern, so +0 and -0 differ and a NaN equals itself.
+func sameFlows(a, b []Flow) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if !bitsEq(x.DemandBW, y.DemandBW) || !bitsEq(x.LLCRefBW, y.LLCRefBW) ||
+			!bitsEq(x.RemoteFrac, y.RemoteFrac) || !bitsEq(x.LLCFootprint, y.LLCFootprint) ||
+			x.Socket != y.Socket || x.Subdomain != y.Subdomain ||
+			x.LLCWayMask != y.LLCWayMask || x.HighPriority != y.HighPriority || x.Task != y.Task {
+			return false
+		}
+	}
+	return true
 }
 
 // Replay returns the cached fixed point without looking at any flows, for a
@@ -541,8 +619,8 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 // false — and the caller must fall back to Resolve — unless that resolution
 // is still the cached one, no Resolve failed since, and the configuration
 // epoch is unchanged since it was computed. A successful Replay returns
-// what Resolve of the same flows would compute, without flipping the double
-// buffer or stamping a new Seq. The transition emitter still runs, so a
+// what Resolve of the same flows would compute, without comparing flows or
+// stamping a new Seq. The transition emitter still runs, so a
 // recorder attached mid-run observes its initial edges; on a true steady
 // state it emits nothing.
 func (s *System) Replay(seq uint64) (*Resolution, bool) {

@@ -79,6 +79,8 @@ func benchNodeTasks(b testing.TB, cfg Config, wrap func(*workload.Loop) workload
 // NoIncremental is set so the number keeps measuring the whole pipeline
 // across snapshots: without it, a steady colocation skips pipeline stages
 // (BenchmarkNodeStepClean and BenchmarkNodeStepReoffer measure those).
+// The steady flow set repeats, so its resolution is a memo hit in the
+// memory system (BenchmarkResolveSteady times a recompute).
 // Steady state must not allocate on the node/memsys side of the pipeline.
 func BenchmarkNodeStep(b *testing.B) {
 	cfg := DefaultConfig()

@@ -40,8 +40,9 @@ type Config struct {
 	// the paper's hardware.
 	HardwarePrefetchGovernor bool
 	// NoIncremental turns off both skippable stages of StepN: every call
-	// makes the offer pass, rebuilds flows, recomputes the fixed point and
-	// advances one tick. The skips produce byte-identical results (pinned
+	// makes the offer pass, rebuilds flows, resolves them (the memory
+	// system may still answer a flow set it remembers) and advances one
+	// tick. The skips produce byte-identical results (pinned
 	// by the equivalence tests), so this is the reference path for
 	// verification and benchmarking, not a correctness switch.
 	NoIncremental bool
@@ -96,8 +97,8 @@ func (c Config) Validate() error {
 type boundTask struct {
 	task  workload.Task
 	group *cgroup.Group
-	// loop is the task as a Loop, which never reports reoffer and advances
-	// a whole run in one AdvanceN; nil for every other task.
+	// loop is the task as a Loop, which never reports reoffer and so
+	// advances after the run's length is known; nil for every other task.
 	loop *workload.Loop
 	// groupIdx indexes the node's groupsList for allocation-free per-group
 	// demand accumulation in the step pipeline.
@@ -122,8 +123,9 @@ type Node struct {
 
 	tasks  []*boundTask
 	byName map[string]*boundTask
-	// ticked indexes the tasks StepN's run loop advances tick by tick:
-	// every task but the loops, which advance once per run.
+	// ticked indexes the tasks that can report reoffer, and so end a run:
+	// every task but the loops, which advance once the run's length is
+	// known.
 	ticked []int
 
 	// groupsList holds the distinct cgroups of registered tasks, indexed by
@@ -461,13 +463,14 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 //     offer matches the cached one (offersUnchanged): the flow set, the
 //     rates and the memory system's fixed point are then still exact, and
 //     the fixed point is replayed.
-//   - the run advances the tasks that can report reoffer tick by tick on
-//     their effective cores and rates, and ends after the first tick whose
-//     Advance reports reoffer, or before the first tick that is past the
-//     earliest offer horizon, past the deadline, or due for a controller.
-//     Each workload.Loop, which never reports reoffer, then advances the
-//     run's ticks in one AdvanceN, and the monitor integrates the run in
-//     one RecordN.
+//   - the run advances the tasks on their effective cores and rates. Its
+//     limit (runLimit) is the ticks before the first that is past the
+//     earliest offer horizon, past the deadline, or due for a controller,
+//     and it ends early after the first tick a task reports reoffer on. A
+//     lone task that can report reoffer takes the whole run in one
+//     Advance; several go tick by tick together. Each workload.Loop, which
+//     never reports reoffer, then advances the run's ticks in one Advance,
+//     and the monitor integrates the run in one RecordN.
 //
 // A node with Config.NoIncremental or the hardware prefetch governor takes
 // the whole pipeline and one tick on every call. It returns the number of
@@ -495,34 +498,98 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 	if !n.incremental() {
 		end = now
 	}
+	limit := runLimit(now, dt, end, deadline, due)
 	tasks, effective := n.tasks, n.scratchEffective[:len(n.tasks)]
-	start, ticks, stale := now, 0, false
-	for !stale {
-		for _, i := range n.ticked {
-			bt := tasks[i]
-			if bt.task.Advance(now, dt, effective[i], &bt.rates) {
-				stale = true
+	ticks, stale := limit, false
+	switch len(n.ticked) {
+	case 0:
+	case 1:
+		i := n.ticked[0]
+		ticks, stale = tasks[i].task.Advance(now, dt, limit, effective[i], &tasks[i].rates)
+	default:
+		// Tasks may share a device, so they take each tick in turn, and
+		// the run ends after the first tick any of them reports reoffer on.
+		at := now
+		for ticks = 0; ticks < limit && !stale; ticks++ {
+			for _, i := range n.ticked {
+				bt := tasks[i]
+				if _, re := bt.task.Advance(at, dt, 1, effective[i], &bt.rates); re {
+					stale = true
+				}
 			}
-		}
-		ticks++
-		// One add per tick, landing where the engine's AddN lands: the
-		// ticked tasks see now at every tick, and the run's bounds are
-		// checked against it.
-		now += dt
-		if !(now < end && now < deadline-1e-12 && now+1e-12 < due) {
-			break
+			at += dt
 		}
 	}
 	// A task's Advance reads only its own state, cores and rates, so
 	// advancing the loops after the others changes nothing.
 	for i, bt := range tasks {
 		if bt.loop != nil {
-			bt.loop.AdvanceN(start, dt, ticks, effective[i], &bt.rates)
+			bt.loop.Advance(now, dt, ticks, effective[i], &bt.rates)
 		}
 	}
 	n.stale = stale
 	n.mon.RecordN(dt, res, ticks)
 	return ticks
+}
+
+// maxRun caps one run's ticks, far beyond any bound a run meets in
+// practice (over three simulated years at 100 µs), so that the search in
+// runLimit stays finite even if the clock could stop advancing.
+const maxRun = 1 << 40
+
+// runLimit returns how many ticks the run from now may take: the tick at
+// now, and each following tick whose start time, reached by repeated adds
+// of dt, is before end and deadline and not yet due for a controller. The
+// start times are sim.AddN's, where the engine's clock lands. The estimate
+// from the bounds is at most a few ticks off (rounding of the repeated
+// adds), so the search around it takes a handful of AddN calls; it
+// gallops out from the estimate and then bisects, so it stays exact for
+// any rounding drift.
+func runLimit(now, dt, end, deadline, due float64) int {
+	before := func(t float64) bool { return t < end && t < deadline-1e-12 && t+1e-12 < due }
+	if !before(now + dt) {
+		return 1 // a one-tick run, as every Tick and a non-incremental node take
+	}
+	open := func(k int) bool { return before(sim.AddN(now, dt, k)) }
+	guess := 1
+	if est := (min(end, deadline-1e-12, due-1e-12) - now) / dt; est > 1 {
+		guess = int(min(est, maxRun))
+	}
+	// open(lo) (or lo is 0) and !open(hi); the limit is the least k >= 1
+	// with !open(k).
+	var lo, hi int
+	if open(guess) {
+		lo = guess
+		for step := 1; ; step *= 2 {
+			if lo >= maxRun {
+				return maxRun
+			}
+			if hi = min(lo+step, maxRun); !open(hi) {
+				break
+			}
+			lo = hi
+		}
+	} else {
+		hi = guess
+		for step := 1; ; step *= 2 {
+			if lo = hi - step; lo < 1 {
+				lo = 0
+				break
+			}
+			if open(lo) {
+				break
+			}
+			hi = lo
+		}
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; open(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // offer runs the offer pass for the tick at now: every task's offer, and

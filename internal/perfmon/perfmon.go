@@ -373,41 +373,62 @@ func (m *Monitor) cacheRates(res *memsys.Resolution) {
 // the accumulators — for observers (metrics scrapers) that must not steal
 // the controller's window.
 func (m *Monitor) Peek() Sample {
-	return m.sample(false)
+	var s Sample
+	m.sample(&s, false)
+	return s
 }
 
 // Window returns averages since the previous Window call and resets the
 // windowed accumulators. An empty window returns zeros with Elapsed 0.
 func (m *Monitor) Window() Sample {
-	return m.sample(true)
+	var s Sample
+	m.sample(&s, true)
+	return s
 }
 
-func (m *Monitor) sample(reset bool) Sample {
+// WindowInto is Window written into *dst, reusing dst's slices where they
+// have room: a controller that reads its window every period into one
+// Sample it owns allocates only on its first read. Every value is
+// overwritten, so dst may hold anything a previous read left in it.
+func (m *Monitor) WindowInto(dst *Sample) { m.sample(dst, true) }
+
+// sample writes the averages since the previous Window call into *out,
+// resetting the windowed accumulators when reset is set.
+func (m *Monitor) sample(out *Sample, reset bool) {
 	el := m.elapsed
-	out := Sample{
-		Elapsed:            el,
-		SocketBW:           make([]float64, m.sockets),
-		SocketOfferedBW:    make([]float64, m.sockets),
-		SocketLatency:      make([]float64, m.sockets),
-		SocketSaturation:   make([]float64, m.sockets),
-		SocketBackpressure: make([]float64, m.sockets),
-		ControllerBW:       make([][]float64, m.sockets),
-		ControllerLatency:  make([][]float64, m.sockets),
-	}
-	for s := 0; s < m.sockets; s++ {
-		out.ControllerBW[s] = make([]float64, m.cps)
-		out.ControllerLatency[s] = make([]float64, m.cps)
+	avg := func(v float64) float64 {
 		if el > 0 {
-			out.SocketBW[s] = m.bw[s] / el
-			out.SocketOfferedBW[s] = m.offered[s] / el
-			out.SocketLatency[s] = m.lat[s] / el
-			out.SocketSaturation[s] = m.sat[s] / el
-			out.SocketBackpressure[s] = m.bp[s] / el
-			for c := 0; c < m.cps; c++ {
-				out.ControllerBW[s][c] = m.ctlBW[s][c] / el
-				out.ControllerLatency[s][c] = m.ctlLat[s][c] / el
-			}
+			return v / el
 		}
+		return 0
+	}
+	out.Elapsed = el
+	out.SocketBW = resize(out.SocketBW, m.sockets)
+	out.SocketOfferedBW = resize(out.SocketOfferedBW, m.sockets)
+	out.SocketLatency = resize(out.SocketLatency, m.sockets)
+	out.SocketSaturation = resize(out.SocketSaturation, m.sockets)
+	out.SocketBackpressure = resize(out.SocketBackpressure, m.sockets)
+	if cap(out.ControllerBW) < m.sockets {
+		out.ControllerBW = make([][]float64, m.sockets)
+	}
+	if cap(out.ControllerLatency) < m.sockets {
+		out.ControllerLatency = make([][]float64, m.sockets)
+	}
+	out.ControllerBW = out.ControllerBW[:m.sockets]
+	out.ControllerLatency = out.ControllerLatency[:m.sockets]
+	for s := 0; s < m.sockets; s++ {
+		out.SocketBW[s] = avg(m.bw[s])
+		out.SocketOfferedBW[s] = avg(m.offered[s])
+		out.SocketLatency[s] = avg(m.lat[s])
+		out.SocketSaturation[s] = avg(m.sat[s])
+		out.SocketBackpressure[s] = avg(m.bp[s])
+		ctlBW := resize(out.ControllerBW[s], m.cps)
+		ctlLat := resize(out.ControllerLatency[s], m.cps)
+		for c := 0; c < m.cps; c++ {
+			ctlBW[c] = avg(m.ctlBW[s][c])
+			ctlLat[c] = avg(m.ctlLat[s][c])
+		}
+		out.ControllerBW[s], out.ControllerLatency[s] = ctlBW, ctlLat
 		if reset {
 			m.bw[s] = 0
 			m.offered[s] = 0
@@ -423,7 +444,15 @@ func (m *Monitor) sample(reset bool) Sample {
 	if reset {
 		m.elapsed = 0
 	}
-	return out
+}
+
+// resize returns buf resliced to n elements, reallocating only when its
+// capacity is short. The caller overwrites every element.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // State is a snapshot of a monitor's accumulators, used by the node-level

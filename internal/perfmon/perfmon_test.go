@@ -455,3 +455,63 @@ func TestSampleCheckAllocs(t *testing.T) {
 		t.Fatalf("passing Check allocates %v times per call, want 0", avg)
 	}
 }
+
+// sampleBits flattens a sample's values to bit patterns, in field order.
+func sampleBits(s Sample) []uint64 {
+	out := []uint64{math.Float64bits(s.Elapsed)}
+	for _, row := range [][]float64{s.SocketBW, s.SocketOfferedBW, s.SocketLatency, s.SocketSaturation, s.SocketBackpressure} {
+		for _, v := range row {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	for _, rows := range [][][]float64{s.ControllerBW, s.ControllerLatency} {
+		for _, row := range rows {
+			out = append(out, uint64(len(row)))
+			for _, v := range row {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+	}
+	return out
+}
+
+// WindowInto must write exactly what Window returns, whatever the
+// destination held before (wrong shapes, stale and NaN values, an empty
+// window's zeros), and reuse the destination's slices without allocating.
+func TestWindowIntoMatchesWindow(t *testing.T) {
+	cfg := memsys.DefaultConfig()
+	sys := memsys.MustSystem(cfg)
+	a := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
+	b := MustMonitor(cfg.Sockets, cfg.ControllersPerSocket)
+	dst := Sample{
+		SocketBW:     []float64{math.NaN()},
+		ControllerBW: [][]float64{{1, 2, 3, 4, 5}},
+	}
+	for i, bw := range []float64{10, 0, 30, 55, 80} {
+		if bw > 0 {
+			res := resolve(t, sys, []memsys.Flow{{Task: "a", Socket: i % 2, DemandBW: bw * memsys.GB}})
+			a.RecordN(1e-4, res, 7*i)
+			b.RecordN(1e-4, res, 7*i)
+		}
+		want := a.Window()
+		b.WindowInto(&dst)
+		if got := sampleBits(dst); !reflect.DeepEqual(got, sampleBits(want)) {
+			t.Fatalf("window %d: WindowInto %+v, Window %+v", i, dst, want)
+		}
+		poison := func(rows ...[]float64) {
+			for _, row := range rows {
+				for k := range row {
+					row[k] = math.NaN()
+				}
+			}
+		}
+		poison(dst.SocketBW, dst.SocketLatency, dst.ControllerBW[0])
+	}
+	res := resolve(t, sys, []memsys.Flow{{Task: "a", Socket: 0, DemandBW: 20 * memsys.GB}})
+	if avg := testing.AllocsPerRun(100, func() {
+		b.RecordN(1e-4, res, 1000)
+		b.WindowInto(&dst)
+	}); avg != 0 {
+		t.Fatalf("WindowInto into a reused sample allocates %v times, want 0", avg)
+	}
+}

@@ -189,9 +189,21 @@ func (s *Inference) interarrival() float64 {
 	return base * (1 + s.cfg.ArrivalJitter*(2*s.rng.Float64()-1))
 }
 
-// Advance implements Task. It reports reoffer when the step changed the
-// number of requests in their CPU phase.
-func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
+// Advance implements Task, one tick at a time. It reports reoffer when a
+// tick changed the number of requests in their CPU phase.
+func (s *Inference) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool) {
+	for ticks < n {
+		ticks++
+		if s.tick(now, dt, cores, r) {
+			return ticks, true
+		}
+		now += dt
+	}
+	return ticks, false
+}
+
+// tick is one tick of Advance.
+func (s *Inference) tick(now, dt float64, cores float64, r *Rates) (reoffer bool) {
 	end := now + dt
 	before := len(s.inflight)
 
@@ -255,7 +267,8 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 	offered := k - (len(s.inflight) - before)
 
 	// Finished requests leave in the same pass: the survivors shift down
-	// in place, in order.
+	// in place, in order. Until a request finishes every survivor is
+	// already in its place, so only the ones after it are copied.
 	kEnd, kept := 0, 0
 	for i := range s.inflight {
 		q := &s.inflight[i]
@@ -286,7 +299,9 @@ func (s *Inference) Advance(now, dt float64, cores float64, r *Rates) (reoffer b
 		if q.Phase == reqCPU {
 			kEnd++
 		}
-		s.inflight[kept] = *q
+		if kept != i {
+			s.inflight[kept] = *q
+		}
 		kept++
 	}
 	s.inflight = s.inflight[:kept]

@@ -45,12 +45,12 @@ func runInference(s *Inference, cores float64, r *Rates, dur float64) float64 {
 	now, dt := 0.0, 100e-6
 	warm := dur * 0.2
 	for now < warm {
-		s.Advance(now, dt, cores, r)
+		s.Advance(now, dt, 1, cores, r)
 		now += dt
 	}
 	s.StartMeasurement(now)
 	for now < dur {
-		s.Advance(now, dt, cores, r)
+		s.Advance(now, dt, 1, cores, r)
 		now += dt
 	}
 	return now
@@ -189,7 +189,7 @@ func TestInferenceZeroCoresMakesNoProgress(t *testing.T) {
 	s := newRNN1(t)
 	now, dt := 0.0, 1e-3
 	for now < 1.0 {
-		s.Advance(now, dt, 0, fullRates())
+		s.Advance(now, dt, 1, 0, fullRates())
 		now += dt
 	}
 	if s.Completed() != 0 {
@@ -207,7 +207,7 @@ func TestInferenceOfferTracksCPUPhases(t *testing.T) {
 	}
 	now, dt := 0.0, 100e-6
 	for i := 0; i < 200; i++ {
-		s.Advance(now, dt, 6, fullRates())
+		s.Advance(now, dt, 1, 6, fullRates())
 		now += dt
 	}
 	off := offerOf(s, now, 6)
@@ -280,7 +280,7 @@ func TestInferenceAdvanceAllocs(t *testing.T) {
 			s := tc.build(t)
 			now, dt := 0.0, 100e-6
 			tick := func() {
-				s.Advance(now, dt, tc.cores, tc.r)
+				s.Advance(now, dt, 1, tc.cores, tc.r)
 				now += dt
 			}
 			for range 30000 {

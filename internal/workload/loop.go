@@ -138,30 +138,24 @@ func (l *Loop) Offer(now float64, cores float64, o *Offer) (until float64) {
 	return edge - burstEdgeMargin
 }
 
-// Advance implements Task: AdvanceN for one tick.
-// A loop's offer depends only on time and cores, so it never reports
-// reoffer.
-func (l *Loop) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
-	l.AdvanceN(now, dt, 1, cores, r)
-	return false
-}
-
-// AdvanceN progresses the loop by k ticks of dt from now, on constant cores
-// and rates. It is exactly k Advance calls, the i-th at now advanced by i
-// repeated adds of dt: every tick adds the same work to the partial unit
-// in the same order, so the node can hand a loop a whole run in one call.
-// A unit completes when the partial unit reaches UnitWork; for a positive
-// UnitWork u that is p/u >= 1 exactly when p >= u, since rounding is
-// monotone and the largest float below u, divided by u, rounds below 1.
-// So only a tick that completes a unit divides.
-func (l *Loop) AdvanceN(now, dt float64, k int, cores float64, r *Rates) {
+// Advance implements Task: it progresses the loop by n ticks of dt from
+// now, on constant cores and rates. A loop's offer depends only on time and
+// cores, so it never reports reoffer and always takes the whole run. Every
+// tick adds the same work to the partial unit in the same order as n
+// one-tick calls would. A unit completes when the partial unit reaches
+// UnitWork; for a positive UnitWork u that is p/u >= 1 exactly when
+// p >= u, since rounding is monotone and the largest float below u,
+// divided by u, rounds below 1. So only a tick that completes a unit
+// divides.
+func (l *Loop) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool) {
+	ticks = max(n, 0)
 	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
-		return
+		return ticks, false
 	}
 	work := dt * active * r.CPUFactor
 	p, u := l.partial, l.cfg.UnitWork
-	for ; k > 0; k-- {
+	for ; n > 0; n-- {
 		p += work
 		if p >= u {
 			whole := float64(int64(p / u))
@@ -171,6 +165,7 @@ func (l *Loop) AdvanceN(now, dt float64, k int, cores float64, r *Rates) {
 		now += dt
 	}
 	l.partial = p
+	return ticks, false
 }
 
 // StartMeasurement implements Task.

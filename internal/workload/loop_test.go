@@ -31,7 +31,7 @@ func runLoop(l *Loop, cores float64, r *Rates, dur float64) float64 {
 	now, dt := 0.0, 1e-3
 	l.StartMeasurement(0)
 	for now < dur {
-		l.Advance(now, dt, cores, r)
+		l.Advance(now, dt, 1, cores, r)
 		now += dt
 	}
 	return now
@@ -174,7 +174,7 @@ func TestAggressorProfilesMatchTheirRoles(t *testing.T) {
 }
 
 // advanceRef is one tick of the loop as a per-tick reference: the float
-// operations AdvanceN must repeat, tick by tick, in this order.
+// operations a whole-run Advance must repeat, tick by tick, in this order.
 func advanceRef(l *Loop, now, dt, cores float64, r *Rates) {
 	active := min(float64(l.cfg.Threads), cores)
 	if active <= 0 {
@@ -204,10 +204,10 @@ func sameLoopState(t *testing.T, a, b *Loop) bool {
 	return math.Float64bits(a.partial) == math.Float64bits(b.partial) && bytes.Equal(ga, gb)
 }
 
-// checkAdvanceN runs one AdvanceN(k), k Advance calls and k reference
-// ticks from the same state, with now advanced by repeated adds, and fails
-// unless all three end bit-identical.
-func checkAdvanceN(t *testing.T, cfg LoopConfig, partial, now, dt float64, k int, cores float64, r *Rates, measured bool) {
+// checkLoopRun runs one k-tick Advance, k one-tick Advance calls and k
+// reference ticks from the same state, with now advanced by repeated adds,
+// and fails unless all three end bit-identical.
+func checkLoopRun(t *testing.T, cfg LoopConfig, partial, now, dt float64, k int, cores float64, r *Rates, measured bool) {
 	t.Helper()
 	mk := func() *Loop {
 		l := MustLoop("l", cfg)
@@ -218,28 +218,30 @@ func checkAdvanceN(t *testing.T, cfg LoopConfig, partial, now, dt float64, k int
 		return l
 	}
 	batch, single, ref := mk(), mk(), mk()
-	batch.AdvanceN(now, dt, k, cores, r)
+	if ticks, reoffer := batch.Advance(now, dt, k, cores, r); ticks != k || reoffer {
+		t.Fatalf("Loop.Advance(k=%d) = %d, %v; want %d, false", k, ticks, reoffer, k)
+	}
 	at := now
 	for range k {
-		if single.Advance(at, dt, cores, r) {
-			t.Fatal("Loop.Advance reported reoffer")
+		if ticks, reoffer := single.Advance(at, dt, 1, cores, r); ticks != 1 || reoffer {
+			t.Fatalf("one-tick Loop.Advance = %d, %v; want 1, false", ticks, reoffer)
 		}
 		advanceRef(ref, at, dt, cores, r)
 		at += dt
 	}
 	if !sameLoopState(t, single, ref) {
-		t.Fatalf("%+v k=%d cores=%v cpu=%v: Advance diverged from the reference", cfg, k, cores, r.CPUFactor)
+		t.Fatalf("%+v k=%d cores=%v cpu=%v: one-tick Advance diverged from the reference", cfg, k, cores, r.CPUFactor)
 	}
 	if !sameLoopState(t, batch, ref) {
-		t.Fatalf("%+v k=%d cores=%v cpu=%v: AdvanceN partial %v meter %+v, reference %v %+v",
+		t.Fatalf("%+v k=%d cores=%v cpu=%v: whole-run Advance partial %v meter %+v, reference %v %+v",
 			cfg, k, cores, r.CPUFactor, batch.partial, batch.units, ref.partial, ref.units)
 	}
 }
 
-// One AdvanceN(k) must equal k Advance calls bit for bit, over run lengths
-// up to 2000 ticks, fractional and non-positive cores, and execution
-// factors from vanishing to extreme.
-func TestLoopAdvanceNMatchesAdvance(t *testing.T) {
+// One k-tick Advance must equal k one-tick calls bit for bit, over run
+// lengths up to 2000 ticks, fractional and non-positive cores, and
+// execution factors from vanishing to extreme.
+func TestLoopAdvanceRunMatchesTicks(t *testing.T) {
 	cfgs := []LoopConfig{
 		{Threads: 8, UnitWork: 1e-3},
 		{Threads: 3, UnitWork: 0.37},
@@ -251,16 +253,16 @@ func TestLoopAdvanceNMatchesAdvance(t *testing.T) {
 				for _, cpu := range []float64{0, 1e-300, 0.013, 0.5, 1, 1.45, 1e6, 1e300} {
 					r := fullRates()
 					r.CPUFactor = cpu
-					checkAdvanceN(t, cfg, 0.3*cfg.UnitWork, 1.25, 1e-4, k, cores, r, k%2 == 0)
+					checkLoopRun(t, cfg, 0.3*cfg.UnitWork, 1.25, 1e-4, k, cores, r, k%2 == 0)
 				}
 			}
 		}
 	}
 }
 
-// FuzzLoopAdvanceN compares one AdvanceN(k) against k Advance calls and the
-// per-tick reference from arbitrary states.
-func FuzzLoopAdvanceN(f *testing.F) {
+// FuzzLoopAdvanceRun compares one k-tick Advance against k one-tick calls
+// and the per-tick reference from arbitrary states.
+func FuzzLoopAdvanceRun(f *testing.F) {
 	f.Add(uint8(8), 1e-3, 0.0, 0.0, 1e-4, uint16(1000), 8.0, 1.0, true)
 	f.Add(uint8(3), 0.37, 0.1, 2.5, 1e-4, uint16(2000), 1.7, 0.013, false)
 	f.Add(uint8(1), 1e-9, 0.0, 1e9, 1e-3, uint16(77), 0.5, 1e300, true)
@@ -272,6 +274,6 @@ func FuzzLoopAdvanceN(f *testing.F) {
 		}
 		r := fullRates()
 		r.CPUFactor = cpu
-		checkAdvanceN(t, cfg, partial, now, dt, int(k)%2001, cores, r, measured)
+		checkLoopRun(t, cfg, partial, now, dt, int(k)%2001, cores, r, measured)
 	})
 }

@@ -115,9 +115,22 @@ func (p *Pipelined) Offer(now float64, cores float64, o *Offer) (until float64) 
 
 func (p *Pipelined) full() bool { return p.buffered >= p.capacity }
 
-// Advance implements Task: producer and consumer progress concurrently. It
-// reports reoffer when the buffer crosses between full and not full.
-func (p *Pipelined) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
+// Advance implements Task: producer and consumer progress concurrently,
+// one tick at a time. It reports reoffer when the buffer crosses between
+// full and not full.
+func (p *Pipelined) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool) {
+	for ticks < n {
+		ticks++
+		if p.tick(now, dt, cores, r) {
+			return ticks, true
+		}
+		now += dt
+	}
+	return ticks, false
+}
+
+// tick is one tick of Advance.
+func (p *Pipelined) tick(now, dt float64, cores float64, r *Rates) (reoffer bool) {
 	wasFull := p.full()
 	// Producer: prepare items while the buffer has room.
 	if p.buffered < p.capacity && cores > 0 {

@@ -20,12 +20,12 @@ func runPipelined(p *Pipelined, cores float64, r *Rates, dur float64) float64 {
 	now, dt := 0.0, 100e-6
 	warm := dur * 0.2
 	for now < warm {
-		p.Advance(now, dt, cores, r)
+		p.Advance(now, dt, 1, cores, r)
 		now += dt
 	}
 	p.StartMeasurement(now)
 	for now < dur {
-		p.Advance(now, dt, cores, r)
+		p.Advance(now, dt, 1, cores, r)
 		now += dt
 	}
 	return now
@@ -115,7 +115,7 @@ func TestPipelinedBufferBounded(t *testing.T) {
 	p := newPipelined(t)
 	now, dt := 0.0, 100e-6
 	for now < 2.0 {
-		p.Advance(now, dt, 8, fullRates())
+		p.Advance(now, dt, 1, 8, fullRates())
 		now += dt
 		if p.Buffered() > 2.0+1e-9 {
 			t.Fatalf("buffer exceeded capacity: %v", p.Buffered())
@@ -131,7 +131,7 @@ func TestPipelinedOfferPausesWhenBufferFull(t *testing.T) {
 	r.CPUFactor = 50
 	now, dt := 0.0, 100e-6
 	for i := 0; i < 50; i++ {
-		p.Advance(now, dt, 8, r)
+		p.Advance(now, dt, 1, 8, r)
 		now += dt
 	}
 	if p.Buffered() < 1 {
@@ -148,7 +148,7 @@ func TestPipelinedZeroCores(t *testing.T) {
 	p := newPipelined(t)
 	now, dt := 0.0, 1e-3
 	for now < 1.0 {
-		p.Advance(now, dt, 0, fullRates())
+		p.Advance(now, dt, 1, 0, fullRates())
 		now += dt
 	}
 	if p.Steps() != 0 {

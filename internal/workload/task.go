@@ -7,8 +7,9 @@
 // Workloads are fluid state machines. Each simulation step the node asks a
 // task what memory traffic it offers (Offer), resolves the memory system,
 // and hands back the resulting execution-rate factors (Rates) so the task
-// can advance its work. Tasks never touch the memory system directly, which
-// keeps the contention model in one place.
+// can advance its work, for the whole run of ticks over which those
+// factors hold (Task.Advance). Tasks never touch the memory system
+// directly, which keeps the contention model in one place.
 package workload
 
 import "fmt"
@@ -121,6 +122,13 @@ type Rates struct {
 // restoring a snapshot (TaskRestore) is the one exception, and whoever
 // restores must ask for a fresh offer.
 //
+// Between two offer-relevant changes nothing a tick reads changes either,
+// so Advance takes a whole run of ticks in one call: the node hands a task
+// every tick up to its next offer horizon or controller, and the task
+// stops early at the tick that reports reoffer. A Training task folds the
+// ticks inside one phase into one exact repeated subtraction
+// (sim.AddWhile), a Loop its whole run; the others tick one by one.
+//
 // Every task can capture and restore its full mutable state: the node
 // snapshots behind warm-started sweep cells (docs/PERFORMANCE.md) and
 // kelpd's session snapshots are built from these.
@@ -135,11 +143,15 @@ type Task interface {
 	// later tick before until. +Inf means only Advance can change it; a
 	// horizon at or before the next tick means ask again.
 	Offer(now float64, cores float64, o *Offer) (until float64)
-	// Advance progresses the task by dt given cores' worth of CPU (possibly
-	// fractional, under timesharing) and the resolved rates. *r belongs to
-	// the caller: Advance must not mutate it. It reports reoffer when it
-	// changed offer-relevant state, voiding the last Offer's horizon.
-	Advance(now, dt float64, cores float64, r *Rates) (reoffer bool)
+	// Advance progresses the task by up to n ticks of dt from now, given
+	// cores' worth of CPU (possibly fractional, under timesharing) and the
+	// resolved rates, all constant over the run. *r belongs to the caller:
+	// Advance must not mutate it. It stops after the first tick that
+	// changed offer-relevant state, voiding the last Offer's horizon, and
+	// reports reoffer; otherwise it advances all n ticks. It returns the
+	// ticks it advanced, and must be bit for bit that many one-tick calls,
+	// the i-th at now advanced by i repeated adds of dt.
+	Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool)
 	// StartMeasurement begins the measured interval (discards warmup).
 	StartMeasurement(now float64)
 	// Throughput returns measured work rate in the task's natural units

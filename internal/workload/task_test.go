@@ -246,7 +246,7 @@ func TestOfferOverwritesEveryField(t *testing.T) {
 		if now > 10 {
 			t.Fatal("training never reached its accelerator phase")
 		}
-		cnn1accel.Advance(now, 100e-6, 8, fullRates())
+		cnn1accel.Advance(now, 100e-6, 1, 8, fullRates())
 	}
 
 	idle := newRNN1(t)
@@ -255,7 +255,7 @@ func TestOfferOverwritesEveryField(t *testing.T) {
 		if now > 1 {
 			t.Fatal("inference never admitted a request")
 		}
-		busy.Advance(now, 100e-6, 6, fullRates())
+		busy.Advance(now, 100e-6, 1, 6, fullRates())
 	}
 
 	empty := newPipelined(t)
@@ -266,7 +266,7 @@ func TestOfferOverwritesEveryField(t *testing.T) {
 		if now > 1 {
 			t.Fatal("pipelined buffer never filled")
 		}
-		full.Advance(now, 100e-6, 8, fast)
+		full.Advance(now, 100e-6, 1, 8, fast)
 	}
 
 	cases := []struct {

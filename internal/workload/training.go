@@ -6,6 +6,7 @@ import (
 
 	"kelp/internal/accel"
 	"kelp/internal/metrics"
+	"kelp/internal/sim"
 )
 
 // PhaseKind classifies a phase of an ML iteration.
@@ -141,8 +142,75 @@ func (t *Training) Offer(now float64, cores float64, o *Offer) (until float64) {
 
 // Advance implements Task. A step boundary inside dt rolls leftover time
 // into the next phase, so throughput is not quantized by the tick length.
-// It reports reoffer whenever it enters a phase.
-func (t *Training) Advance(now, dt float64, cores float64, r *Rates) (reoffer bool) {
+// It reports reoffer whenever it enters a phase. The ticks before the one
+// that ends a phase only take their constant bite out of the phase's
+// remaining work, so hold folds them into one exact repeated subtraction;
+// the tick that ends the phase runs the one-tick body.
+func (t *Training) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool) {
+	for ticks < n {
+		k := t.hold(dt, n-ticks, cores, r)
+		if ticks += k; ticks == n {
+			break
+		}
+		now = sim.AddN(now, dt, k)
+		ticks++
+		if t.tick(now, dt, cores, r) {
+			return ticks, true
+		}
+		now += dt
+	}
+	return ticks, false
+}
+
+// hold advances the leading ticks, up to n, that end no phase, and returns
+// how many it advanced. Such a tick leaves the phase unchanged and
+// subtracts a constant from the remaining work: dt*rate for a CPU phase
+// while remaining/rate > dt, dt for the others while remaining > dt. The
+// CPU test is monotone in remaining, since rounding a quotient by a
+// positive rate is, so it reads remaining > T for the largest T with
+// T/rate <= dt.
+func (t *Training) hold(dt float64, n int, cores float64, r *Rates) int {
+	if !(dt > 1e-15) {
+		return n // the tick body does nothing
+	}
+	if dt > math.MaxFloat64 {
+		return 0
+	}
+	p := &t.phases[t.phase]
+	w, bound := dt, dt
+	if p.Kind == CPUPhase {
+		rate := min(float64(p.Parallel), cores) * r.CPUFactor
+		if rate <= 0 {
+			return n // starved of cores: no tick makes progress
+		}
+		if !(rate <= math.MaxFloat64) {
+			return 0 // NaN or infinite: leave it to the tick body
+		}
+		w, bound = dt*rate, maxQuotientAtMost(dt, rate)
+	}
+	var k int
+	t.remaining, k = sim.AddWhile(t.remaining, -w, bound, n)
+	return k
+}
+
+// maxQuotientAtMost returns the largest float T with T/rate <= dt, for a
+// positive finite rate. dt*rate is within a rounding or two of it.
+func maxQuotientAtMost(dt, rate float64) float64 {
+	t := dt * rate
+	for t/rate > dt {
+		t = math.Nextafter(t, math.Inf(-1))
+	}
+	for {
+		up := math.Nextafter(t, math.Inf(1))
+		if up/rate > dt {
+			return t
+		}
+		t = up
+	}
+}
+
+// tick is one tick of Advance.
+func (t *Training) tick(now, dt float64, cores float64, r *Rates) (reoffer bool) {
 	for dt > 1e-15 {
 		p := &t.phases[t.phase]
 		switch p.Kind {

@@ -69,7 +69,7 @@ func TestTrainingStandaloneThroughput(t *testing.T) {
 	now := 0.0
 	cnn1.StartMeasurement(0)
 	for now < dur {
-		cnn1.Advance(now, dt, 8, fullRates())
+		cnn1.Advance(now, dt, 1, 8, fullRates())
 		now += dt
 	}
 	got := cnn1.Throughput(now)
@@ -89,7 +89,7 @@ func TestTrainingSlowsWithCPUFactor(t *testing.T) {
 		now := 0.0
 		task.StartMeasurement(0)
 		for now < 3.0 {
-			task.Advance(now, dt, 8, r)
+			task.Advance(now, dt, 1, 8, r)
 			now += dt
 		}
 		return task.Throughput(now)
@@ -111,7 +111,7 @@ func TestTrainingNoCoresNoProgress(t *testing.T) {
 	now := 0.0
 	dt := 1e-3
 	for now < 1.0 {
-		task.Advance(now, dt, 0, fullRates())
+		task.Advance(now, dt, 1, 0, fullRates())
 		now += dt
 	}
 	if task.Steps() != 0 {
@@ -137,7 +137,7 @@ func TestTrainingAccelPhaseInsensitiveToCPUFactor(t *testing.T) {
 		now, dt := 0.0, 100e-6
 		task.StartMeasurement(0)
 		for now < 2.0 {
-			task.Advance(now, dt, 4, r)
+			task.Advance(now, dt, 1, 4, r)
 			now += dt
 		}
 		return task.Throughput(now)
@@ -165,7 +165,7 @@ func TestTrainingOfferOnlyDuringCPUPhase(t *testing.T) {
 		if _, kind := task.CurrentPhase(); kind == AccelPhase {
 			break
 		}
-		task.Advance(now, dt, 8, fullRates())
+		task.Advance(now, dt, 1, 8, fullRates())
 		now += dt
 	}
 	if _, kind := task.CurrentPhase(); kind != AccelPhase {

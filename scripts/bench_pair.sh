@@ -5,10 +5,12 @@
 #
 # Absolute numbers recorded on another host say little about a change; a
 # pair of runs on the same host, one right after the other, does. For
-# every workload (sweep, fleet, serve) and seed (1 to 10), the script runs
-# `perfbench/run.sh --trace 0` at perfbench's default run length once in a
-# copy of PARENT and once in this checkout, alternating which goes first,
-# then prints per end-to-end metric:
+# every seed (1 to 10), and within it every workload (sweep, fleet,
+# serve), the script runs `perfbench/run.sh --trace 0` at perfbench's
+# default run length once in a copy of PARENT and once in this checkout,
+# alternating from seed to seed which goes first. Seeds are the outer loop
+# so that a host that drifts over the ~20 minutes drifts on all three
+# workloads alike. Then it prints, per workload and end-to-end metric:
 #
 #   - the median of each side over the ten seeds;
 #   - the change of the median;
@@ -31,7 +33,9 @@
 # The copy of PARENT is `git archive` output under
 # .bench_build/pair/<commit>/, so it leaves no state in the repository's
 # git directory, and its build cache survives for the next comparison
-# against the same commit. perfbench itself is run as is. Every run must
+# against the same commit. Copies of other commits are deleted first, so
+# at most one copy (about 120 MiB with its build cache) is kept. perfbench
+# itself is run as is. Every run must
 # report "correct": true, or the script stops and keeps the JSON lines of
 # the runs so far in the directory it names.
 #
@@ -51,7 +55,13 @@ fi
 commit=$(git rev-parse --verify "$1^{commit}")
 seeds="1 2 3 4 5 6 7 8 9 10"
 
-parent_dir="$root/.bench_build/pair/$commit"
+pair_root="$root/.bench_build/pair"
+parent_dir="$pair_root/$commit"
+for d in "$pair_root"/*/; do
+	if [ -d "$d" ] && [ "${d%/}" != "$parent_dir" ]; then
+		rm -rf "$d"
+	fi
+done
 if [ ! -f "$parent_dir/perfbench/run.sh" ]; then
 	rm -rf "$parent_dir"
 	mkdir -p "$parent_dir"
@@ -78,11 +88,14 @@ run() {
 
 echo "parent $commit, head: this checkout ($(git rev-parse --short HEAD) plus any uncommitted changes)"
 echo "host: $(nproc) CPUs; seeds: $seeds"
-for w in sweep fleet serve; do
+workloads="sweep fleet serve"
+for w in $workloads; do
 	: >"$res/$w.parent"
 	: >"$res/$w.head"
-	i=0
-	for s in $seeds; do
+done
+i=0
+for s in $seeds; do
+	for w in $workloads; do
 		if [ $((i % 2)) -eq 0 ]; then
 			run "$parent_dir" "$w" "$s" >>"$res/$w.parent"
 			run "$root" "$w" "$s" >>"$res/$w.head"
@@ -90,8 +103,10 @@ for w in sweep fleet serve; do
 			run "$root" "$w" "$s" >>"$res/$w.head"
 			run "$parent_dir" "$w" "$s" >>"$res/$w.parent"
 		fi
-		i=$((i + 1))
 	done
+	i=$((i + 1))
+done
+for w in $workloads; do
 	echo
 	echo "== $w"
 	awk -f - "$root/BENCHMARK.json" "$res/$w.parent" "$res/$w.head" <<'EOF'
