@@ -153,10 +153,13 @@ func (m *Manager) SetCPUs(name string, cpus cpu.Set) error {
 			return fmt.Errorf("cgroup: group %q: %w", name, err)
 		}
 	}
+	// An unchanged mask keeps its storage, so re-asserting one, as a
+	// controller does every period, does not allocate. A changed one is a
+	// fresh copy: CPUs' callers may still hold the old.
 	if !setsEqual(g.cpus, cpus) {
 		m.gen++
+		g.cpus = append(cpu.Set(nil), cpus...)
 	}
-	g.cpus = append(cpu.Set(nil), cpus...)
 	return nil
 }
 

@@ -97,6 +97,28 @@ func TestSetCPUsCopiesInput(t *testing.T) {
 	}
 }
 
+// Re-asserting an unchanged mask neither allocates nor bumps the
+// generation, and a mask a caller holds from CPUs keeps its cores when the
+// group's mask changes.
+func TestSetCPUsReassertKeepsMask(t *testing.T) {
+	m, _ := newManager(t)
+	m.Create("g", Low)
+	pool := cpu.NewSet(0, 1, 2, 3)
+	m.SetCPUs("g", pool.Prefix(2))
+	g, _ := m.Group("g")
+	held, gen := g.CPUs(), m.Gen()
+	if avg := testing.AllocsPerRun(100, func() { m.SetCPUs("g", pool.Prefix(2)) }); avg != 0 {
+		t.Errorf("re-asserting an unchanged mask allocates %v times", avg)
+	}
+	if m.Gen() != gen {
+		t.Error("re-asserting an unchanged mask bumped the generation")
+	}
+	m.SetCPUs("g", cpu.NewSet(2, 3))
+	if held[0] != 0 || held[1] != 1 || pool[0] != 0 || pool[1] != 1 {
+		t.Errorf("changing the mask rewrote a held mask %v or the pool %v", held, pool)
+	}
+}
+
 func TestSetMemPolicyValidates(t *testing.T) {
 	m, _ := newManager(t)
 	m.Create("g", Low)

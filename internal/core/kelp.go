@@ -482,7 +482,7 @@ func (r *Runtime) Restore(st RuntimeState) {
 func (r *Runtime) enforce(now float64) error {
 	inj := r.n.Faults()
 	cg := r.n.Cgroups()
-	if err := inj.SetCPUs(now, cg, r.cfg.LowGroup, r.lowPool.Take(r.lowCores)); err != nil {
+	if err := inj.SetCPUs(now, cg, r.cfg.LowGroup, r.lowPool.Prefix(r.lowCores)); err != nil {
 		return err
 	}
 	if err := inj.SetPrefetchCount(now, cg, r.cfg.LowGroup, r.lowPrefetchers); err != nil {
@@ -496,8 +496,7 @@ func (r *Runtime) enforce(now float64) error {
 		if take > pool.Len() {
 			take = pool.Len()
 		}
-		set := append(cpu.Set(nil), pool[pool.Len()-take:]...)
-		if err := inj.SetCPUs(now, cg, r.cfg.BackfillGroup, set); err != nil {
+		if err := inj.SetCPUs(now, cg, r.cfg.BackfillGroup, pool[pool.Len()-take:]); err != nil {
 			return err
 		}
 	}

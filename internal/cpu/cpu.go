@@ -214,15 +214,17 @@ func (s Set) Contains(id int) bool {
 	return i < len(s) && s[i] == id
 }
 
-// Take returns the first n cores of the set (all of them if n >= Len).
-func (s Set) Take(n int) Set {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(s) {
-		n = len(s)
-	}
-	return append(Set(nil), s[:n]...)
+// Take returns a copy of the first n cores of the set (all of them if
+// n >= Len).
+func (s Set) Take(n int) Set { return append(Set(nil), s.Prefix(n)...) }
+
+// Prefix is Take without the copy: the result shares s's storage, capped so
+// that appending to it copies. A controller re-asserting a cpuset every
+// period passes one to cgroup.Manager.SetCPUs, which copies only a changed
+// mask.
+func (s Set) Prefix(n int) Set {
+	n = min(max(n, 0), len(s))
+	return s[:n:n]
 }
 
 // Union returns the sorted union of s and other.

@@ -144,6 +144,26 @@ func TestSetTake(t *testing.T) {
 	}
 }
 
+// Prefix is Take sharing storage: the same cores, clamped the same way, on
+// s's array, with no room to append over s's later cores.
+func TestSetPrefix(t *testing.T) {
+	s := NewSet(5, 6, 7)
+	for _, n := range []int{-1, 0, 2, 3, 10} {
+		p, want := s.Prefix(n), s.Take(n)
+		if len(p) != len(want) || cap(p) != len(p) {
+			t.Fatalf("Prefix(%d) = %v (cap %d), want %v with no spare room", n, p, cap(p), want)
+		}
+		for i := range p {
+			if p[i] != want[i] || &p[i] != &s[i] {
+				t.Fatalf("Prefix(%d) = %v, want %v sharing s's storage", n, p, want)
+			}
+		}
+	}
+	if p := append(s.Prefix(2), 99); s[2] != 7 || p[2] != 99 {
+		t.Errorf("appending to a prefix wrote over the set: %v", s)
+	}
+}
+
 func TestSetAlgebraProperties(t *testing.T) {
 	gen := func(rng *rand.Rand) Set {
 		n := rng.Intn(10)

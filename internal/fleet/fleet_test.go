@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"kelp/internal/cluster"
@@ -70,9 +71,15 @@ func TestFleetConfigValidate(t *testing.T) {
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: -1},
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: math.NaN()},
 		{Machines: 10, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom, Horizon: math.Inf(1)},
-		// Jobs x WorkersPerJob = 2⁶⁴ wraps to 0 in int arithmetic.
-		{Machines: 2000, Jobs: 1 << 33, WorkersPerJob: 1 << 31, Policy: PolicyRandom},
-		{Machines: math.MaxInt32 + 1, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom},
+	}
+	// Counts only a 64-bit int holds, shifted at run time so that the file
+	// also builds where int has 32 bits: Jobs x WorkersPerJob = 2⁶⁴ wraps
+	// to 0 in int arithmetic, and Machines is past math.MaxInt32.
+	if one := 1; strconv.IntSize == 64 {
+		bad = append(bad,
+			Config{Machines: 2000, Jobs: one << 33, WorkersPerJob: one << 31, Policy: PolicyRandom},
+			Config{Machines: one << 31, Jobs: 1, WorkersPerJob: 1, Policy: PolicyRandom},
+		)
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

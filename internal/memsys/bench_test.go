@@ -76,7 +76,7 @@ func BenchmarkResolveLLCOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resolveLLC(cfg, flows, idx, hits, &a)
+		resolveLLC(&cfg, flows, idx, hits, &a)
 	}
 }
 

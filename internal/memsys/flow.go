@@ -38,7 +38,7 @@ type Flow struct {
 	HighPriority bool
 }
 
-func (f Flow) validate(cfg Config) error {
+func (f *Flow) validate(cfg *Config) error {
 	switch {
 	case f.Socket < 0 || f.Socket >= cfg.Sockets:
 		return fmt.Errorf("memsys: flow %q: socket %d out of range", f.Task, f.Socket)

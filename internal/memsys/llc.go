@@ -14,7 +14,7 @@ package memsys
 // indexed by flow index (hits[fi] for each fi in flows). The per-way
 // footprint/weight buffers come from the caller's arena so steady-state
 // resolution does not allocate.
-func resolveLLC(cfg Config, all []Flow, flows []int, hits []float64, a *arena) {
+func resolveLLC(cfg *Config, all []Flow, flows []int, hits []float64, a *arena) {
 	ways := cfg.LLCWays
 	wayBytes := cfg.LLCSize / float64(ways)
 	allMask := cfg.AllWays()
@@ -22,7 +22,7 @@ func resolveLLC(cfg Config, all []Flow, flows []int, hits []float64, a *arena) {
 	// llcWeight is a flow's displacement power: footprint times total
 	// cache-visible access rate (reuse plus streaming traffic, which also
 	// passes through and evicts).
-	llcWeight := func(f Flow) float64 {
+	llcWeight := func(f *Flow) float64 {
 		rate := f.LLCRefBW + f.DemandBW
 		if rate < 1 {
 			rate = 1 // footprint with no traffic still occupies space
@@ -35,7 +35,7 @@ func resolveLLC(cfg Config, all []Flow, flows []int, hits []float64, a *arena) {
 	wayWeight := growF(a.llcWayWeight, ways)
 	a.llcWayFootprint, a.llcWayWeight = wayFootprint, wayWeight
 	for _, fi := range flows {
-		f := all[fi]
+		f := &all[fi]
 		if f.LLCFootprint <= 0 {
 			continue
 		}
@@ -44,16 +44,17 @@ func resolveLLC(cfg Config, all []Flow, flows []int, hits []float64, a *arena) {
 			mask = allMask
 		}
 		nw := float64(popcount(mask))
+		fpPerWay, wPerWay := f.LLCFootprint/nw, llcWeight(f)/nw
 		for w := 0; w < ways; w++ {
 			if mask&(1<<uint(w)) != 0 {
-				wayFootprint[w] += f.LLCFootprint / nw
-				wayWeight[w] += llcWeight(f) / nw
+				wayFootprint[w] += fpPerWay
+				wayWeight[w] += wPerWay
 			}
 		}
 	}
 
 	for _, fi := range flows {
-		f := all[fi]
+		f := &all[fi]
 		if f.LLCFootprint <= 0 {
 			hits[fi] = 1
 			continue

@@ -271,7 +271,7 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 		s.settle(&sl.res)
 		return &sl.res, nil
 	}
-	cfg := s.cfg
+	cfg := &s.cfg
 	for i := range flows {
 		if err := flows[i].validate(cfg); err != nil {
 			s.lastValid = false
@@ -324,8 +324,8 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 	linkOffered := growF(a.linkOffered, cfg.Sockets) // by source socket
 	dram := sizedF(a.dram, len(flows))
 	a.offeredHi, a.offeredLo, a.linkOffered, a.dram = offeredHi, offeredLo, linkOffered, dram
-	isHi := func(f Flow) bool { return cfg.FineGrainedQoS && f.HighPriority }
-	addOffered := func(f Flow, c int, v float64) {
+	isHi := func(f *Flow) bool { return cfg.FineGrainedQoS && f.HighPriority }
+	addOffered := func(f *Flow, c int, v float64) {
 		if isHi(f) {
 			offeredHi[c] += v
 		} else {
@@ -339,7 +339,8 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 	// socket. Remote traffic is not yet assigned to the home controllers:
 	// the interconnect caps what actually arrives, so inbound traffic must
 	// be scaled by the link's grant ratio first.
-	for i, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		d := f.DemandBW + (1-hit[i])*f.LLCRefBW
 		dram[i] = d
 		local := d * (1 - f.RemoteFrac)
@@ -367,7 +368,8 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 			linkCap[sock] = cfg.LinkBW / linkOffered[sock]
 		}
 	}
-	for i, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		remote := dram[i] * f.RemoteFrac
 		if remote <= 0 || cfg.Sockets < 2 {
 			continue
@@ -482,7 +484,8 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 	// 6. Per-flow results, using the flow's priority class. The local
 	// routing mirrors pass 1: the home controller under SNC, the socket's
 	// controllers in equal shares otherwise.
-	for i, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		classG, classLat := gLo, latLo
 		if isHi(f) {
 			classG, classLat = gHi, latHi

@@ -12,16 +12,22 @@ import (
 
 // runCounter stands between a node and its engine. It counts the StepN
 // calls the engine makes and the ticks it hands over in them, how many of
-// those ticks ran in multi-tick runs, the offer passes the node made, and
-// the calls that made more than one.
+// those ticks ran in multi-tick runs, the offer passes the node made, the
+// calls that made more than one, the offers it asked for to confirm a
+// reoffer, and the calls that started after a reoffer and found every
+// offer unchanged (wasted: the run before could have gone on).
 type runCounter struct {
 	*Node
 	calls, ticks, batched int
 	offers, multiOffer    int
+	confirms, wasted      int
+	prev                  []workload.Offer
 }
 
 func (c *runCounter) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
 	before := c.offers
+	afterReoffer := c.Node.stale && c.Node.unchanged()
+	c.prev = append(c.prev[:0], c.Node.prevOffers...)
 	k := c.Node.StepN(now, dt, deadline, due)
 	c.calls++
 	c.ticks += k
@@ -31,19 +37,28 @@ func (c *runCounter) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time
 	if c.offers-before > 1 {
 		c.multiOffer++
 	}
+	if afterReoffer && reflect.DeepEqual(c.Node.scratchOffers[:len(c.Node.tasks)], c.prev) {
+		c.wasted++
+	}
 	return k
 }
 
-// offerCounter wraps a task and counts its Offer calls. The node asks every
-// task once per offer pass, so on a node's first task it counts offer
-// passes.
+// offerCounter wraps a task and counts its Offer calls: those into the
+// node's confirm slot in confirms, the others, when passes is set, in
+// passes. The node asks every task once per offer pass, so on a node's
+// first task passes counts offer passes.
 type offerCounter struct {
 	workload.Task
-	n *int
+	node             *Node
+	passes, confirms *int
 }
 
 func (o offerCounter) Offer(now, cores float64, off *workload.Offer) float64 {
-	*o.n++
+	if off == &o.node.confirmed {
+		*o.confirms++
+	} else if o.passes != nil {
+		*o.passes++
+	}
 	return o.Task.Offer(now, cores, off)
 }
 
@@ -60,7 +75,13 @@ func horizonNode(t *testing.T, tc tierCase, noInc bool, period sim.Duration) (n 
 	rc = &runCounter{Node: n}
 	n.engine.SetStepper(rc)
 	tc.build(t, n)
-	n.tasks[0].task = offerCounter{Task: n.tasks[0].task, n: &rc.offers}
+	for i, bt := range n.tasks {
+		oc := offerCounter{Task: bt.task, node: n, confirms: &rc.confirms}
+		if i == 0 {
+			oc.passes = &rc.offers
+		}
+		bt.task = oc
+	}
 	inside = new(int)
 	if period == 0 {
 		return n, rc, inside
@@ -144,11 +165,15 @@ func TestTickTierHorizonRun(t *testing.T) {
 	}
 }
 
-// TestOfferPassStartsRun pins that an offer pass starts a run. With no
-// controller and no deadline in range, each StepN call makes exactly one
-// offer pass: a call ends only where the offers may have changed, and a
-// full or offer-compare tick runs on into the horizon ticks after it
-// instead of returning. A NoIncremental node makes one offer pass per tick.
+// TestOfferPassStartsRun pins that an offer pass starts a run, and that a
+// run ends only where an offer changed. With no controller and no deadline
+// in range, each StepN call makes exactly one offer pass: a call ends only
+// where the offers may have changed, and a full or offer-compare tick runs
+// on into the horizon ticks after it instead of returning. A reoffer that
+// leaves every offer unchanged does not end the run, so no call that starts
+// after a reoffer finds every offer unchanged; the node asks the reoffering
+// tasks for offers to confirm that, apart from the offer passes. A
+// NoIncremental node makes one offer pass per tick and never confirms.
 func TestOfferPassStartsRun(t *testing.T) {
 	for _, tc := range tierCases() {
 		for _, noInc := range []bool{false, true} {
@@ -161,11 +186,23 @@ func TestOfferPassStartsRun(t *testing.T) {
 				if rc.calls != rc.offers {
 					t.Errorf("%d StepN calls made %d offer passes, want one each", rc.calls, rc.offers)
 				}
-				if noInc && rc.calls != rc.ticks {
-					t.Errorf("NoIncremental node took %d ticks in %d calls, want one each", rc.ticks, rc.calls)
+				if rc.wasted != 0 {
+					t.Errorf("%d of %d StepN calls started after a reoffer and found every offer unchanged", rc.wasted, rc.calls)
 				}
-				if !noInc && rc.batched*2 <= rc.ticks {
+				if noInc {
+					if rc.calls != rc.ticks {
+						t.Errorf("NoIncremental node took %d ticks in %d calls, want one each", rc.ticks, rc.calls)
+					}
+					if rc.confirms != 0 {
+						t.Errorf("NoIncremental node asked for %d offers to confirm a reoffer, want none", rc.confirms)
+					}
+					return
+				}
+				if rc.batched*2 <= rc.ticks {
 					t.Errorf("%d of %d ticks ran inside multi-tick runs, want most", rc.batched, rc.ticks)
+				}
+				if len(n.ticked) > 0 && rc.confirms == 0 {
+					t.Error("no reoffer was confirmed; the case must reach the confirm")
 				}
 			})
 		}

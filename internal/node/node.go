@@ -123,7 +123,7 @@ type Node struct {
 
 	tasks  []*boundTask
 	byName map[string]*boundTask
-	// ticked indexes the tasks that can report reoffer, and so end a run:
+	// ticked indexes the tasks that can report reoffer, and so may end a run:
 	// every task but the loops, which advance once the run's length is
 	// known.
 	ticked []int
@@ -182,6 +182,10 @@ type Node struct {
 	// stale records that an Advance since the last offer pass reported
 	// reoffer, voiding horizon.
 	stale bool
+	// confirmed is the slot StepN asks a task that reported reoffer for its
+	// offer in. It lives on the node because a local would escape through
+	// the interface call and allocate on every confirm.
+	confirmed workload.Offer
 }
 
 // New builds a node.
@@ -465,16 +469,23 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 //     the fixed point is replayed.
 //   - the run advances the tasks on their effective cores and rates. Its
 //     limit (runLimit) is the ticks before the first that is past the
-//     earliest offer horizon, past the deadline, or due for a controller,
-//     and it ends early after the first tick a task reports reoffer on. A
-//     lone task that can report reoffer takes the whole run in one
-//     Advance; several go tick by tick together. Each workload.Loop, which
-//     never reports reoffer, then advances the run's ticks in one Advance,
-//     and the monitor integrates the run in one RecordN.
+//     earliest offer horizon, past the deadline, or due for a controller.
+//     A lone task that can report reoffer takes the run in one Advance;
+//     several go tick by tick together. When a tick before the limit
+//     reports reoffer, the node asks the tasks that can report it for
+//     their offers at the next tick (reofferUnchanged): if each is the one
+//     the run's rates were resolved from, with a horizon no earlier than
+//     the run's, the run goes on from there, and otherwise it ends there.
+//     Each workload.Loop, which never reports reoffer, then advances the
+//     run's ticks in one Advance, and the monitor integrates the run in one
+//     RecordN.
 //
-// A node with Config.NoIncremental or the hardware prefetch governor takes
-// the whole pipeline and one tick on every call. It returns the number of
-// ticks advanced.
+// Going on is exact because a run splits anywhere: a fresh StepN at the
+// next tick would make the offer pass, find every offer unchanged, replay
+// the same resolution and run on the same cores and rates to the same
+// limit, and sim.AddN composes exactly. A node with Config.NoIncremental or
+// the hardware prefetch governor takes the whole pipeline and one tick on
+// every call, so it never asks. It returns the number of ticks advanced.
 func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
 	reuse := n.withinHorizon(now)
 	if !reuse {
@@ -505,19 +516,36 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 	case 0:
 	case 1:
 		i := n.ticked[0]
-		ticks, stale = tasks[i].task.Advance(now, dt, limit, effective[i], &tasks[i].rates)
+		bt := tasks[i]
+		ticks = 0
+		for at := now; ; {
+			k, re := bt.task.Advance(at, dt, limit-ticks, effective[i], &bt.rates)
+			if ticks += k; !re || ticks == limit {
+				stale = re
+				break
+			}
+			if at = sim.AddN(at, dt, k); !n.reofferUnchanged(i, at) {
+				stale = true
+				break
+			}
+		}
 	default:
-		// Tasks may share a device, so they take each tick in turn, and
-		// the run ends after the first tick any of them reports reoffer on.
-		at := now
-		for ticks = 0; ticks < limit && !stale; ticks++ {
+		// Tasks may share a device, so they take each tick in turn.
+		ticks = 0
+		for at := now; ticks < limit; {
+			re := false
 			for _, i := range n.ticked {
 				bt := tasks[i]
-				if _, re := bt.task.Advance(at, dt, 1, effective[i], &bt.rates); re {
-					stale = true
+				if _, r := bt.task.Advance(at, dt, 1, effective[i], &bt.rates); r {
+					re = true
 				}
 			}
+			ticks++
 			at += dt
+			if re && (ticks == limit || !n.tickedUnchanged(at)) {
+				stale = true
+				break
+			}
 		}
 	}
 	// A task's Advance reads only its own state, cores and rates, so
@@ -532,10 +560,34 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 	return ticks
 }
 
+// reofferUnchanged reports whether task i, which reported reoffer on the
+// tick before at, offers at at exactly what the run's rates were resolved
+// from, on the cores of the last offer pass, with a horizon no earlier than
+// the run's. A reoffer means only that offer-relevant state changed: an
+// Inference server whose CPU-phase requests outnumber its cores offers the
+// same cores for one request more or less.
+func (n *Node) reofferUnchanged(i int, at sim.Time) bool {
+	until := n.tasks[i].task.Offer(at, n.scratchCapacity[i], &n.confirmed)
+	return until >= n.horizon && n.confirmed == n.prevOffers[i]
+}
+
+// tickedUnchanged is reofferUnchanged for every task that can report
+// reoffer.
+func (n *Node) tickedUnchanged(at sim.Time) bool {
+	for _, i := range n.ticked {
+		if !n.reofferUnchanged(i, at) {
+			return false
+		}
+	}
+	return true
+}
+
 // maxRun caps one run's ticks, far beyond any bound a run meets in
-// practice (over three simulated years at 100 µs), so that the search in
-// runLimit stays finite even if the clock could stop advancing.
-const maxRun = 1 << 40
+// practice (over three simulated years at 100 µs with a 64-bit int, over
+// a simulated day with a 32-bit one), so that the search in runLimit
+// stays finite even if the clock could stop advancing. Half the int range
+// keeps the search's lo+step from overflowing.
+const maxRun = min(1<<40, math.MaxInt>>1)
 
 // runLimit returns how many ticks the run from now may take: the tick at
 // now, and each following tick whose start time, reached by repeated adds

@@ -10,16 +10,15 @@ import (
 // of the golden colocations, no recorder or injector attached: each
 // measured run is one 1000-tick sample period, the node's ticks and the
 // controller's Control together. The PMU read fills a sample the period
-// owns (perfmon.Monitor.WindowInto), so the MBA controller, which keeps
-// nothing else, allocates nothing; the Kelp runtime (KP) and CoreThrottle
-// (CT) stay within the few allocations of their cgroup actuation (with a
-// freshly allocated window per read they were 11 for MBA, 15 for KP and
-// 13 for CT).
+// owns (perfmon.Monitor.WindowInto), and re-asserting an unchanged cpuset
+// copies neither the pool's prefix (cpu.Set.Prefix) nor the mask
+// (cgroup.Manager.SetCPUs), so no controller allocates: not the MBA
+// controller, not the Kelp runtime (KP), not CoreThrottle (CT).
 // testing.AllocsPerRun truncates its average, so a decision history that
 // grows by doubling does not count.
 func TestControlPeriodAllocs(t *testing.T) {
 	period := policy.DefaultOptions().SamplePeriod
-	for ctrl, limit := range map[string]float64{"KP": 4, "CT": 2, "MBA": 0} {
+	for ctrl, limit := range map[string]float64{"KP": 0, "CT": 0, "MBA": 0} {
 		n := goldenNode(t, ctrl, nil)
 		n.Run(20 * period)
 		avg := testing.AllocsPerRun(50, func() { n.Run(period) })

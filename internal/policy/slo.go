@@ -153,5 +153,5 @@ func (c *SLOController) Record(now float64) {
 // enforce pushes the current grant through the (possibly fault-gated)
 // cgroup interface.
 func (c *SLOController) enforce(now float64) error {
-	return c.n.Faults().SetCPUs(now, c.n.Cgroups(), c.cfg.Group, c.cfg.Pool.Take(c.cur))
+	return c.n.Faults().SetCPUs(now, c.n.Cgroups(), c.cfg.Group, c.cfg.Pool.Prefix(c.cur))
 }

@@ -190,7 +190,7 @@ func (t *Throttler) Control(now float64) { t.loop.period.Run(now, &t.loop) }
 // interface.
 func (t *Throttler) set(now float64, cores int) error {
 	n := t.loop.n
-	return n.Faults().SetCPUs(now, n.Cgroups(), t.cfg.Group, t.cfg.Pool.Take(cores))
+	return n.Faults().SetCPUs(now, n.Cgroups(), t.cfg.Group, t.cfg.Pool.Prefix(cores))
 }
 
 func (t *Throttler) record(now, bw, lat float64, cores int) {

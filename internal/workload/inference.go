@@ -189,17 +189,114 @@ func (s *Inference) interarrival() float64 {
 	return base * (1 + s.cfg.ArrivalJitter*(2*s.rng.Float64()-1))
 }
 
-// Advance implements Task, one tick at a time. It reports reoffer when a
-// tick changed the number of requests in their CPU phase.
+// Advance implements Task. It reports reoffer when a tick changed the
+// number of requests in their CPU phase. The ticks in which no request
+// arrives, is admitted, changes phase or finishes advance request by
+// request (quiet); every other tick runs the one-tick body.
 func (s *Inference) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool) {
 	for ticks < n {
-		ticks++
+		var k int
+		if now, k = s.quiet(now, dt, n-ticks, cores, r); ticks+k == n {
+			return n, false
+		}
+		ticks += k + 1
 		if s.tick(now, dt, cores, r) {
 			return ticks, true
 		}
 		now += dt
 	}
 	return ticks, false
+}
+
+// quiet advances the leading ticks, up to n, in which no request arrives,
+// is admitted, changes phase or finishes, and returns the clock after them
+// and how many it advanced. Such a tick only subtracts each CPU-phase
+// request's bite, dt*(share*CPUFactor), and each transfer's dt from its
+// remaining work, so each request takes its m subtractions in a row, in
+// the order the tick body would make them. Rounding a subtraction is
+// monotone, so within a phase the request with the least remaining crosses
+// zero first: m is found by walking that request's repeated subtractions,
+// and the tick ends (the repeated adds of dt) against the earliest
+// accelerator finish and the next arrival. A pending closed-loop top-up or
+// admission makes the first tick an event.
+func (s *Inference) quiet(now, dt float64, n int, cores float64, r *Rates) (float64, int) {
+	if len(s.inflight) < s.cfg.MaxConcurrency && (s.cfg.ClosedLoop || len(s.queued) > 0) {
+		return now, 0
+	}
+	k := 0
+	cpuMin, xferMin, accelMin := math.Inf(1), math.Inf(1), math.Inf(1)
+	for i := range s.inflight {
+		q := &s.inflight[i]
+		// A NaN is never the least, and never crosses zero either.
+		switch q.Phase {
+		case reqCPU:
+			k++
+			if q.Remaining < cpuMin {
+				cpuMin = q.Remaining
+			}
+		case reqXfer:
+			if q.Remaining < xferMin {
+				xferMin = q.Remaining
+			}
+		case reqAccel:
+			if q.AccelDone < accelMin {
+				accelMin = q.AccelDone
+			}
+		}
+	}
+	arrival := math.Inf(1)
+	if !s.cfg.ClosedLoop {
+		arrival = s.nextArrival
+	}
+	bite := dt * (cpuShare(k, cores) * r.CPUFactor)
+	m := 0
+	for ; m < n; m++ {
+		end := now + dt
+		if end >= accelMin || arrival < end {
+			break
+		}
+		if cpuMin -= bite; cpuMin <= 0 {
+			break
+		}
+		if xferMin -= dt; xferMin <= 0 {
+			break
+		}
+		now = end
+	}
+	if m == 0 {
+		return now, 0
+	}
+	for i := range s.inflight {
+		q := &s.inflight[i]
+		switch q.Phase {
+		case reqCPU:
+			x := q.Remaining
+			for range m {
+				x -= bite
+			}
+			q.Remaining = x
+		case reqXfer:
+			x := q.Remaining
+			for range m {
+				x -= dt
+			}
+			q.Remaining = x
+		}
+	}
+	return now, m
+}
+
+// cpuShare returns the cores' worth each of k CPU-phase requests runs on:
+// they share the task's cores equally, and each request's beam search is
+// single-threaded, so per-request speed is capped at one core's worth.
+func cpuShare(k int, cores float64) float64 {
+	switch {
+	case cores <= 0:
+		return 0
+	case k > 0 && cores < float64(k):
+		return cores / float64(k)
+	}
+	return 1
 }
 
 // tick is one tick of Advance.
@@ -245,23 +342,14 @@ func (s *Inference) tick(now, dt float64, cores float64, r *Rates) (reoffer bool
 		}
 	}
 
-	// 3. Progress. CPU-phase requests share the task's cores equally; each
-	// request's beam search is single-threaded, so per-request speed is
-	// capped at one core's worth.
+	// 3. Progress.
 	k := 0
 	for i := range s.inflight {
 		if s.inflight[i].Phase == reqCPU {
 			k++
 		}
 	}
-	share := 1.0
-	if k > 0 && cores < float64(k) {
-		share = cores / float64(k)
-	}
-	if cores <= 0 {
-		share = 0
-	}
-	cpuRate := share * r.CPUFactor
+	cpuRate := cpuShare(k, cores) * r.CPUFactor
 	// Arrivals and admissions only add CPU-phase requests, so the count the
 	// last Offer saw is k less the requests this step added.
 	offered := k - (len(s.inflight) - before)

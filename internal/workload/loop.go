@@ -146,7 +146,13 @@ func (l *Loop) Offer(now float64, cores float64, o *Offer) (until float64) {
 // UnitWork; for a positive UnitWork u that is p/u >= 1 exactly when
 // p >= u, since rounding is monotone and the largest float below u,
 // divided by u, rounds below 1. So only a tick that completes a unit
-// divides.
+// divides, and not even one that completes exactly one: for u <= p < 2u,
+// p/u rounds below 2, so whole is 1. If u is a power of two the quotient
+// is exact. Otherwise u = m*2^e with 1 < m < 2, the floats just below 2u
+// are 2^(e-51) apart, and the largest of them, divided by u, is below 2 by
+// 2^-51/m > 2^-52: below the largest float under 2, so it rounds below 2
+// too. A subnormal u only widens that gap, and a 2u that overflows to +Inf
+// still bounds every finite p from above.
 func (l *Loop) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool) {
 	ticks = max(n, 0)
 	active := min(float64(l.cfg.Threads), cores)
@@ -155,10 +161,13 @@ func (l *Loop) Advance(now, dt float64, n int, cores float64, r *Rates) (ticks i
 	}
 	work := dt * active * r.CPUFactor
 	p, u := l.partial, l.cfg.UnitWork
-	for ; n > 0; n-- {
+	for u2 := 2 * u; n > 0; n-- {
 		p += work
 		if p >= u {
-			whole := float64(int64(p / u))
+			whole := 1.0
+			if p >= u2 {
+				whole = float64(int64(p / u))
+			}
 			l.units.Add(now+dt, whole)
 			p -= whole * u
 		}

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -256,6 +257,37 @@ func TestLoopAdvanceRunMatchesTicks(t *testing.T) {
 					checkLoopRun(t, cfg, 0.3*cfg.UnitWork, 1.25, 1e-4, k, cores, r, k%2 == 0)
 				}
 			}
+		}
+	}
+}
+
+// A tick that completes exactly one unit skips the division, which is exact
+// only if the largest float below 2u, divided by u, truncates to 1 for
+// every UnitWork u: powers of two, random mantissas over the whole exponent
+// range, subnormals, and values whose double overflows. Advance from a
+// partial unit at that float, at 2u and just above, with a vanishing bite,
+// must match the per-tick reference.
+func TestLoopOneUnitQuotient(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	us := []float64{1, 0.5, 1e-3, 0.37, 2.5e-6, math.SmallestNonzeroFloat64,
+		3 * math.SmallestNonzeroFloat64, 1.5 * math.Ldexp(1, -1023), math.MaxFloat64}
+	for range 20000 {
+		us = append(us, math.Ldexp(1+rng.Float64(), rng.Intn(2098)-1074))
+	}
+	for _, u := range us {
+		if !(u > 0) || math.IsInf(u, 0) {
+			continue
+		}
+		if q := int64(math.Nextafter(2*u, 0) / u); q != 1 {
+			t.Fatalf("UnitWork %v: the largest float below 2u over u truncates to %d, want 1", u, q)
+		}
+	}
+	r := fullRates()
+	r.CPUFactor = 1e-300
+	for _, u := range us[:9] {
+		cfg := LoopConfig{Threads: 1, UnitWork: u}
+		for _, p := range []float64{u, math.Nextafter(2*u, 0), 2 * u, math.Nextafter(2*u, math.Inf(1))} {
+			checkLoopRun(t, cfg, p, 1.25, 1e-4, 3, 1, r, true)
 		}
 	}
 }

@@ -26,14 +26,18 @@ func taskBits(t *testing.T, task Task) []byte {
 // tickRun is Advance's contract spelled out: one-tick calls, the i-th at
 // now advanced by i repeated adds of dt, up to n of them, stopping after
 // the first that reports reoffer. A Training's one-tick Advance folds too,
-// so for a Training the reference tick is its unfolded tick body.
+// and an Inference's takes a quiet tick request by request, so for those
+// the reference tick is their unfolded tick body.
 func tickRun(task Task, now, dt float64, n int, cores float64, r *Rates) (int, bool) {
 	tick := func(now float64) bool {
 		_, reoffer := task.Advance(now, dt, 1, cores, r)
 		return reoffer
 	}
-	if tr, ok := task.(*Training); ok {
-		tick = func(now float64) bool { return tr.tick(now, dt, cores, r) }
+	switch tt := task.(type) {
+	case *Training:
+		tick = func(now float64) bool { return tt.tick(now, dt, cores, r) }
+	case *Inference:
+		tick = func(now float64) bool { return tt.tick(now, dt, cores, r) }
 	}
 	for k := 1; k <= n; k++ {
 		if tick(now) {
@@ -203,6 +207,56 @@ func FuzzTrainingAdvance(f *testing.F) {
 				at += dt
 			}
 			return tr
+		}
+		at := now
+		for range int(prefix) % 600 {
+			at += dt
+		}
+		checkRuns(t, mk, at, dt, []int{int(n) % 2001, 1, int(n) % 97}, 6, cores, r)
+	})
+}
+
+// FuzzInferenceAdvance compares one n-tick Inference Advance with n one-tick
+// tick bodies from fuzzed states (reached by a fuzzed number of one-tick
+// calls): open and closed loop, arrival rates and jitter, pipeline depths,
+// cores, execution factors, clocks and tick lengths.
+func FuzzInferenceAdvance(f *testing.F) {
+	f.Add(false, 900.0, 0.5, uint8(4), 4.0, 1.0, 0.0, 1e-4, uint16(1000), uint16(0))
+	f.Add(true, 330.0, 0.0, uint8(8), 3.0, 0.5, 1.25, 1e-4, uint16(55), uint16(37))
+	f.Add(false, 2000.0, 0.0, uint8(0), 0.5, 1.45, 3.5, 3.7e-5, uint16(2000), uint16(500))
+	f.Add(false, 100.0, 0.9, uint8(15), 0.0, 0.013, 0.0, 1e-3, uint16(7), uint16(3))
+	f.Add(true, 1.0, 0.0, uint8(2), 64.0, 1e300, 1e9, 1e-4, uint16(97), uint16(599))
+	// A CPU phase whose remaining work reaches exactly zero.
+	f.Add(true, 90.0, 0.5, uint8(56), 320.0, 9.0, 42.0, 3.3333333333333335e-05, uint16(960), uint16(33))
+	f.Fuzz(func(t *testing.T, closed bool, qps, jitter float64, depth uint8, cores, cpu, now, dt float64, n, prefix uint16) {
+		// An open loop's first arrival is at 0, so it catches up from there
+		// to now; many arrivals per tick or to catch up are slow.
+		if !(dt > 0 && dt <= 1e-2) || math.IsNaN(now) || math.IsInf(now, 0) ||
+			!closed && !(qps*dt <= 100 && qps*now <= 1e5) {
+			t.Skip()
+		}
+		cfg := InferenceConfig{
+			ClosedLoop: closed, TargetQPS: qps, MaxConcurrency: int(depth)%16 + 1,
+			IterationsPerRequest: 2, CPUWorkPerIter: 2.4e-3, XferBytes: 256 << 10,
+			AccelWorkPerIter: 1e-3 * 92e12, ArrivalJitter: jitter,
+		}
+		if cfg.Validate() != nil {
+			t.Skip()
+		}
+		r := fullRates()
+		r.CPUFactor = cpu
+		mk := func() Task {
+			dev, err := accel.NewDevice(accel.NewTPU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := MustInference("fuzz", dev, cfg, sim.NewRNG(7).Stream("fuzz"))
+			at := now
+			for range int(prefix) % 600 {
+				s.Advance(at, dt, 1, cores, r)
+				at += dt
+			}
+			return s
 		}
 		at := now
 		for range int(prefix) % 600 {

@@ -118,16 +118,21 @@ type Rates struct {
 // task's state (a new phase, a request entering or leaving its CPU
 // phase). The contract exposes both, so the node can skip asking while
 // neither can have happened: Offer returns a horizon, and Advance reports
-// reoffer. Advance is the only method that changes offer-relevant state;
-// restoring a snapshot (TaskRestore) is the one exception, and whoever
-// restores must ask for a fresh offer.
+// reoffer. Reoffer means that offer-relevant state changed, not that the
+// offer did: an Inference server with more CPU-phase requests than cores
+// offers the same for one request more, so the node asks for the offer to
+// confirm a reoffer before it ends a run on it. Advance is the only method
+// that changes offer-relevant state; restoring a snapshot (TaskRestore) is
+// the one exception, and whoever restores must ask for a fresh offer.
 //
 // Between two offer-relevant changes nothing a tick reads changes either,
 // so Advance takes a whole run of ticks in one call: the node hands a task
 // every tick up to its next offer horizon or controller, and the task
 // stops early at the tick that reports reoffer. A Training task folds the
 // ticks inside one phase into one exact repeated subtraction
-// (sim.AddWhile), a Loop its whole run; the others tick one by one.
+// (sim.AddWhile), a Loop its whole run, and an Inference server takes the
+// ticks in which nothing but progress happens request by request; a
+// Pipelined task ticks one by one.
 //
 // Every task can capture and restore its full mutable state: the node
 // snapshots behind warm-started sweep cells (docs/PERFORMANCE.md) and
@@ -148,7 +153,8 @@ type Task interface {
 	// resolved rates, all constant over the run. *r belongs to the caller:
 	// Advance must not mutate it. It stops after the first tick that
 	// changed offer-relevant state, voiding the last Offer's horizon, and
-	// reports reoffer; otherwise it advances all n ticks. It returns the
+	// reports reoffer, whether or not the offer itself changed; otherwise
+	// it advances all n ticks. It returns the
 	// ticks it advanced, and must be bit for bit that many one-tick calls,
 	// the i-th at now advanced by i repeated adds of dt.
 	Advance(now, dt float64, n int, cores float64, r *Rates) (ticks int, reoffer bool)
