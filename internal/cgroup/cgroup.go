@@ -80,8 +80,8 @@ type Manager struct {
 	proc   *cpu.Processor
 	groups map[string]*Group
 	// gen counts effective group mutations (create, remove, and every
-	// setter that changes a field); the node's clean-tick fast path
-	// compares generations to detect actuations between steps.
+	// setter that changes a field); the node's offer horizon compares
+	// generations to detect actuations between steps.
 	gen uint64
 }
 

@@ -332,6 +332,33 @@ func (s *Server) withSession(h func(*Server, *Session, http.ResponseWriter, *htt
 	}
 }
 
+// healthzBody is the /healthz response. Its fields are declared in key
+// order, the order a map's encoding sorts them into.
+type healthzBody struct {
+	DegradedSessions int64          `json:"degraded_sessions"`
+	JobsDone         uint64         `json:"jobs_done"`
+	JobsQueued       int64          `json:"jobs_queued"`
+	JobsRunning      int64          `json:"jobs_running"`
+	MaxSessions      int            `json:"max_sessions"`
+	Panics           uint64         `json:"panics"`
+	Persist          healthzPersist `json:"persist"`
+	Sessions         int64          `json:"sessions"`
+	ShedTotal        uint64         `json:"shed_total"`
+	Status           string         `json:"status"`
+	UptimeSec        float64        `json:"uptime_sec"`
+	WriteErrors      uint64         `json:"write_errors"`
+}
+
+// healthzPersist is the durability block of the /healthz response.
+type healthzPersist struct {
+	Enabled           bool   `json:"enabled"`
+	PersistErrors     uint64 `json:"persist_errors"`
+	QuarantinedFiles  int64  `json:"quarantined_files"`
+	RecoveredSessions int64  `json:"recovered_sessions"`
+	ReplayedRecords   int64  `json:"replayed_records"`
+	Snapshots         uint64 `json:"snapshots"`
+}
+
 // handleHealthz is the liveness probe. It reads only atomic counters —
 // never a session or pool lock — so it answers in microseconds even while
 // every session is mid-advance. Status is "ok", "degraded" (≥1 session's
@@ -344,25 +371,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
-		"status":            status,
-		"sessions":          s.sessionsLive.Load(),
-		"max_sessions":      s.cfg.MaxSessions,
-		"jobs_queued":       s.jobsQueued.Load(),
-		"jobs_running":      s.jobsRunning.Load(),
-		"jobs_done":         s.jobsDone.Load(),
-		"degraded_sessions": s.degradedSessions.Load(),
-		"shed_total":        s.shedTotal.Load(),
-		"panics":            s.panicsTotal.Load(),
-		"write_errors":      s.writeErrors.Load(),
-		"uptime_sec":        s.nowSec(),
-		"persist": map[string]any{
-			"enabled":            s.cfg.PersistDir != "",
-			"recovered_sessions": s.recoveredSessions.Load(),
-			"quarantined_files":  s.quarantinedFiles.Load(),
-			"replayed_records":   s.replayedRecords.Load(),
-			"persist_errors":     s.persistErrors.Load(),
-			"snapshots":          s.snapshotsTotal.Load(),
+	s.writeJSON(w, r, http.StatusOK, &healthzBody{
+		Status:           status,
+		Sessions:         s.sessionsLive.Load(),
+		MaxSessions:      s.cfg.MaxSessions,
+		JobsQueued:       s.jobsQueued.Load(),
+		JobsRunning:      s.jobsRunning.Load(),
+		JobsDone:         s.jobsDone.Load(),
+		DegradedSessions: s.degradedSessions.Load(),
+		ShedTotal:        s.shedTotal.Load(),
+		Panics:           s.panicsTotal.Load(),
+		WriteErrors:      s.writeErrors.Load(),
+		UptimeSec:        s.nowSec(),
+		Persist: healthzPersist{
+			Enabled:           s.cfg.PersistDir != "",
+			RecoveredSessions: s.recoveredSessions.Load(),
+			QuarantinedFiles:  s.quarantinedFiles.Load(),
+			ReplayedRecords:   s.replayedRecords.Load(),
+			PersistErrors:     s.persistErrors.Load(),
+			Snapshots:         s.snapshotsTotal.Load(),
 		},
 	})
 }

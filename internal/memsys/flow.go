@@ -134,10 +134,10 @@ type Resolution struct {
 
 	// seq identifies the fixed-point computation that produced this
 	// resolution: the owning system stamps a fresh value on every
-	// Resolve, and Replay returns the cached resolution with its stamp
-	// unchanged. Pointer identity alone cannot tell a replay from a
-	// recompute (the double-buffer arena reuses addresses), so consumers
-	// that cache derived values (perfmon) key on (pointer, seq).
+	// recompute, and a memo hit returns the remembered resolution with its
+	// stamp unchanged. Pointer identity alone cannot tell a hit from a
+	// recompute (a recompute reuses a slot's buffers), so consumers that
+	// cache derived values (perfmon) key on (pointer, seq).
 	seq uint64
 }
 

@@ -27,13 +27,13 @@ func resolutionBits(t *testing.T, r *Resolution) []byte {
 	return buf.Bytes()
 }
 
-// memoFlowSets returns replayFlows, then its variants that each change one
+// memoFlowSets returns mixedFlows, then its variants that each change one
 // field of one flow, floats by one step where that changes the result,
 // then n random flow
 // sets of zero to four flows, with demands that put controllers on both
 // sides of the distress threshold and of saturation.
 func memoFlowSets(rng *rand.Rand, n int) [][]Flow {
-	sets := [][]Flow{replayFlows()}
+	sets := [][]Flow{mixedFlows()}
 	for _, mut := range []func(f *Flow){
 		func(f *Flow) { f.DemandBW = math.Nextafter(f.DemandBW, 0) },
 		func(f *Flow) { f.RemoteFrac = math.Nextafter(f.RemoteFrac, 1) },
@@ -45,7 +45,7 @@ func memoFlowSets(rng *rand.Rand, n int) [][]Flow {
 		func(f *Flow) { f.HighPriority = !f.HighPriority },
 		func(f *Flow) { f.Task = "other" },
 	} {
-		v := replayFlows()
+		v := mixedFlows()
 		mut(&v[0])
 		sets = append(sets, v)
 	}
@@ -113,7 +113,7 @@ func TestResolveMemoMatchesFresh(t *testing.T) {
 			memo.SetFineGrainedQoS(on)
 			always.SetFineGrainedQoS(on)
 		}
-		// Favour replayFlows and its variants, which outnumber the slots,
+		// Favour mixedFlows and its variants, which outnumber the slots,
 		// so that hits, evictions and near misses all occur.
 		i := rng.Intn(len(sets))
 		if rng.Intn(3) > 0 {
@@ -180,5 +180,134 @@ func TestResolveMemoMatchesFresh(t *testing.T) {
 	}
 	if got, want := memoRec.Since(0), alwaysRec.Since(0); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("memo events (%d) differ from always-recompute events (%d)", len(got), len(want))
+	}
+}
+
+// TestResolveMemoHit pins the memo at the edges of one flow set's life.
+// A repeated Resolve returns the remembered resolution, the same pointer
+// with the same Seq, whose contents are what a fresh System computes; a
+// first Resolve, a configuration change and a new flow set recompute
+// under the next Seq; a failed Resolve remembers nothing and leaves the
+// remembered set and Last as they were.
+func TestResolveMemoHit(t *testing.T) {
+	flows := mixedFlows()
+	resolve := func(t *testing.T, s *System, fl []Flow) *Resolution {
+		t.Helper()
+		r, err := s.Resolve(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	hit := func(t *testing.T, s *System, want *Resolution) {
+		t.Helper()
+		seq := want.Seq()
+		if got := resolve(t, s, flows); got != want || got.Seq() != seq {
+			t.Fatalf("repeat = %p seq %d, want %p seq %d", got, got.Seq(), want, seq)
+		}
+		if s.Last() != want {
+			t.Fatal("Last is not the remembered resolution")
+		}
+	}
+
+	t.Run("matches Resolve", func(t *testing.T) {
+		s := MustSystem(DefaultConfig())
+		r := resolve(t, s, flows)
+		want := resolutionBits(t, resolve(t, MustSystem(DefaultConfig()), flows))
+		for i := 0; i < 3; i++ {
+			hit(t, s, r)
+			if !bytes.Equal(resolutionBits(t, r), want) {
+				t.Fatalf("repeat %d diverged from a fresh Resolve\n got: %+v", i, r)
+			}
+		}
+	})
+	t.Run("before first Resolve", func(t *testing.T) {
+		s := MustSystem(DefaultConfig())
+		if s.Last() != nil {
+			t.Fatal("Last is set before the first Resolve")
+		}
+		if r := resolve(t, s, flows); r.Seq() != 1 {
+			t.Fatalf("first Resolve stamped seq %d, want 1", r.Seq())
+		}
+	})
+	t.Run("epoch bump", func(t *testing.T) {
+		s := MustSystem(DefaultConfig())
+		r := resolve(t, s, flows)
+		seq := r.Seq()
+		s.SetSNC(true)
+		if got := resolve(t, s, flows); got.Seq() != seq+1 {
+			t.Fatalf("Resolve after SetSNC stamped seq %d, want a recompute at %d", got.Seq(), seq+1)
+		}
+		// The flip back is a new epoch too: the set remembered under the
+		// first epoch is not reused.
+		s.SetSNC(false)
+		if got := resolve(t, s, flows); got.Seq() != seq+2 {
+			t.Fatalf("Resolve after the flip back stamped seq %d, want a recompute at %d", got.Seq(), seq+2)
+		}
+	})
+	t.Run("failed Resolve", func(t *testing.T) {
+		s := MustSystem(DefaultConfig())
+		r := resolve(t, s, flows)
+		bad := []Flow{{Task: "bad", Socket: 99}}
+		for i := 0; i < 2; i++ {
+			if got, err := s.Resolve(bad); err == nil || got != nil {
+				t.Fatalf("invalid flow set %d: Resolve = %p, %v; want nil and an error", i, got, err)
+			}
+			if s.Last() != r {
+				t.Fatal("a failed Resolve replaced Last")
+			}
+		}
+		hit(t, s, r)
+	})
+	t.Run("seq mismatch", func(t *testing.T) {
+		s := MustSystem(DefaultConfig())
+		r := resolve(t, s, flows)
+		other := resolve(t, s, []Flow{{Task: "x", Socket: 1, DemandBW: 10 * GB}})
+		if other == r || other.Seq() != r.Seq()+1 {
+			t.Fatalf("another flow set returned %p seq %d after %p seq %d; want a recompute", other, other.Seq(), r, r.Seq())
+		}
+		hit(t, s, r)
+	})
+}
+
+// TestResolveMemoHitEvents pins that a memo hit emits transitions exactly
+// as a recompute of the same flows does: a recorder attached after the
+// first Resolve observes the initial edges on the next hit, and steady
+// hits emit nothing.
+func TestResolveMemoHitEvents(t *testing.T) {
+	cfg := DefaultConfig()
+	flows := []Flow{{Task: "hog", Socket: 0, DemandBW: 4 * cfg.SocketBW()}}
+	run := func(forget bool) []events.Event {
+		s := MustSystem(cfg)
+		first, err := s.Resolve(flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := first.Seq()
+		rec := events.MustNew(64)
+		now := 0.0
+		s.SetEvents(rec, func() float64 { return now })
+		for ; now < 3; now++ {
+			if forget {
+				for j := range s.arena.slots {
+					s.arena.slots[j].used = 0
+				}
+			}
+			r, err := s.Resolve(flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit := r == first && r.Seq() == seq; hit == forget {
+				t.Fatalf("step %v: memo hit %v with the memo forgotten %v", now, hit, forget)
+			}
+		}
+		return rec.Since(0)
+	}
+	hits, recomputes := run(false), run(true)
+	if len(hits) == 0 {
+		t.Fatal("recorder attached after the first Resolve saw no initial transitions on a memo hit")
+	}
+	if !reflect.DeepEqual(hits, recomputes) {
+		t.Fatalf("memo hit events differ from a recompute's:\nhits:       %+v\nrecomputes: %+v", hits, recomputes)
 	}
 }

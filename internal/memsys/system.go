@@ -24,18 +24,13 @@ type System struct {
 	// steady state; see docs/PERFORMANCE.md.
 	arena arena
 
-	// Replay state: lastValid marks that last was computed by Resolve
-	// (not installed by SetLast, and no Resolve failed since), and
-	// lastEpoch is the config epoch at that time. epoch counts
-	// configuration mutations (SetSNC, SetFineGrainedQoS) so a config flip
-	// can never be confused with a steady state.
-	epoch     uint64
-	lastEpoch uint64
-	lastValid bool
+	// epoch counts configuration mutations (SetSNC, SetFineGrainedQoS), so
+	// a remembered fixed point is never returned under another
+	// configuration.
+	epoch uint64
 	// resolveSeq counts fixed-point computations; each stamps its
-	// Resolution so a caller can prove to Replay which one it holds, and
-	// downstream caches (perfmon) can tell a remembered repeat from a
-	// recompute that landed on a reused slot.
+	// Resolution so downstream caches (perfmon) can tell a remembered
+	// repeat from a recompute that landed on a reused slot.
 	resolveSeq uint64
 
 	// events, when non-nil, receives distress assert/deassert and
@@ -144,19 +139,15 @@ func (s *System) SetFineGrainedQoS(on bool) {
 
 // Epoch returns the configuration epoch, incremented by every mutation of
 // the system configuration (SetSNC, SetFineGrainedQoS). Callers that cache
-// state derived from a Resolution — the node's skippable pipeline stages —
-// compare epochs to detect that cached results are stale.
+// state derived from a Resolution — the node's offer horizon — compare
+// epochs to detect that cached results are stale.
 func (s *System) Epoch() uint64 { return s.epoch }
 
 // SetLast installs a resolution as the cached last fixed-point — the
 // warm-start restore hook, used when a node snapshot is restored and the
 // controllers' next sample must read the pre-snapshot state via Last().
-// Replay declines until the next Resolve. The resolution should be
-// detached from any arena (Clone it first).
-func (s *System) SetLast(r *Resolution) {
-	s.last = r
-	s.lastValid = false
-}
+// The resolution should be detached from any arena (Clone it first).
+func (s *System) SetLast(r *Resolution) { s.last = r }
 
 // Last returns the most recent resolution, or nil before the first step.
 // The returned value is owned by the System and remains valid until the
@@ -259,10 +250,9 @@ func (s *System) remoteTarget(socket int) int {
 //
 // A flow set bitwise equal to one of the last memoSlots distinct sets,
 // under the same configuration epoch, returns that set's remembered
-// resolution, as Replay does: the same pointer and Seq, the transition
-// emitter run on it. Any other flow set is validated and recomputed under
-// a new Seq. A caller that has proven its flow set unchanged since its
-// last Resolve skips even the comparison through Replay.
+// resolution: the same pointer and Seq, the transition emitter run on it,
+// so a recorder attached since observes its initial edges. Any other flow
+// set is validated and recomputed under a new Seq.
 func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 	a := &s.arena
 	a.clock++
@@ -274,7 +264,6 @@ func (s *System) Resolve(flows []Flow) (*Resolution, error) {
 	cfg := &s.cfg
 	for i := range flows {
 		if err := flows[i].validate(cfg); err != nil {
-			s.lastValid = false
 			return nil, fmt.Errorf("flow %d: %w", i, err)
 		}
 	}
@@ -571,8 +560,6 @@ func (s *System) settle(res *Resolution) {
 		s.emitTransitions(res.Controllers)
 	}
 	s.last = res
-	s.lastEpoch = s.epoch
-	s.lastValid = true
 }
 
 // lookup returns the slot remembering flows under epoch, or nil.
@@ -614,24 +601,4 @@ func sameFlows(a, b []Flow) bool {
 		}
 	}
 	return true
-}
-
-// Replay returns the cached fixed point without looking at any flows, for a
-// caller that has already proven its flow set unchanged: seq must be the
-// Seq of the resolution that caller last received from Resolve. It reports
-// false — and the caller must fall back to Resolve — unless that resolution
-// is still the cached one, no Resolve failed since, and the configuration
-// epoch is unchanged since it was computed. A successful Replay returns
-// what Resolve of the same flows would compute, without comparing flows or
-// stamping a new Seq. The transition emitter still runs, so a
-// recorder attached mid-run observes its initial edges; on a true steady
-// state it emits nothing.
-func (s *System) Replay(seq uint64) (*Resolution, bool) {
-	if !s.lastValid || s.lastEpoch != s.epoch || s.last.seq != seq {
-		return nil, false
-	}
-	if s.events != nil {
-		s.emitTransitions(s.last.Controllers)
-	}
-	return s.last, true
 }

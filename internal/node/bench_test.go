@@ -19,8 +19,8 @@ func benchNodeWith(b testing.TB, cfg Config) *Node {
 }
 
 // reofferLoop is a Loop whose offer horizon is always now: a node running
-// only reofferLoops re-offers on every tick, so a steady colocation takes
-// the offer-compare (clean) tier instead of the horizon tier.
+// only reofferLoops makes the offer pass and flow assembly on every tick,
+// so a steady colocation never stays within the horizon.
 type reofferLoop struct{ *workload.Loop }
 
 func (r reofferLoop) Offer(now, cores float64, o *workload.Offer) float64 {
@@ -77,8 +77,8 @@ func benchNodeTasks(b testing.TB, cfg Config, wrap func(*workload.Loop) workload
 // collection, cgroup timesharing, memory-system resolution, rate
 // distribution, task advance — the 100µs inner loop of every experiment.
 // NoIncremental is set so the number keeps measuring the whole pipeline
-// across snapshots: without it, a steady colocation skips pipeline stages
-// (BenchmarkNodeStepClean and BenchmarkNodeStepReoffer measure those).
+// across snapshots: without it, a steady colocation skips the offer pass
+// within its horizon (BenchmarkNodeStepClean measures that).
 // The steady flow set repeats, so its resolution is a memo hit in the
 // memory system (BenchmarkResolveSteady times a recompute).
 // Steady state must not allocate on the node/memsys side of the pipeline.
@@ -98,24 +98,11 @@ func BenchmarkNodeStep(b *testing.B) {
 // BenchmarkNodeStepClean measures what a steady simulation phase pays per
 // 100µs step: offers, cgroup/prefetch/memory generations, and the resolved
 // flow set all unchanged since the previous tick. Its non-bursting loops
-// never re-offer, so every one-tick call is within the horizon and skips
-// both the offer pass and Resolve (docs/PERFORMANCE.md §3).
+// never re-offer, so every one-tick call is within the horizon: it skips
+// the offer pass and flow assembly, and its Resolve is a memo hit
+// (docs/PERFORMANCE.md §3).
 func BenchmarkNodeStepClean(b *testing.B) {
 	n := benchNode(b)
-	n.Run(10 * n.cfg.Step)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.engine.Tick()
-	}
-}
-
-// BenchmarkNodeStepReoffer measures the offer compare: the same steady
-// colocation as BenchmarkNodeStepClean, but every task's horizon is now, so
-// each tick makes the offer pass and skips only flow assembly and Resolve,
-// by proving every offer unchanged.
-func BenchmarkNodeStepReoffer(b *testing.B) {
-	n := reofferNode(b)
 	n.Run(10 * n.cfg.Step)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -173,8 +160,8 @@ func mlNode(tb testing.TB) *Node {
 
 // TestNodeStepSteadyStateAllocs pins the allocation-free node tick: after
 // warmup, engine ticks (node pipeline + memsys resolve) perform zero heap
-// allocations — on the whole pipeline, with the offer compare (clean) and
-// within the horizon (steady) — and so does a Run that advances the steady
+// allocations — on the whole pipeline, with an offer pass on every tick
+// (reoffer) and within the horizon (steady) — and so does a Run that advances the steady
 // colocation through runs of ticks, also with inference, training and
 // pipelined tasks (ml). Each measured run is 1000 ticks:
 // testing.AllocsPerRun truncates its average to an integer, so one tick per
@@ -195,7 +182,7 @@ func TestNodeStepSteadyStateAllocs(t *testing.T) {
 		step  func(*Node)
 	}{
 		{"full", func(tb testing.TB) *Node { return benchNodeWith(tb, noInc) }, tick},
-		{"clean", reofferNode, tick},
+		{"reoffer", reofferNode, tick},
 		{"steady", benchNode, tick},
 		{"run", benchNode, run},
 		{"ml", mlNode, run},

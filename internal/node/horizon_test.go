@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // those ticks ran in multi-tick runs, the offer passes the node made, the
 // calls that made more than one, the offers it asked for to confirm a
 // reoffer, and the calls that started after a reoffer and found every
-// offer unchanged (wasted: the run before could have gone on).
+// offer unchanged (wasted: the run before could have gone on). A call
+// starts after a reoffer when the horizon is voided while no control
+// surface changed; prev holds the offers of the call before.
 type runCounter struct {
 	*Node
 	calls, ticks, batched int
@@ -26,8 +29,7 @@ type runCounter struct {
 
 func (c *runCounter) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
 	before := c.offers
-	afterReoffer := c.Node.stale && c.Node.unchanged()
-	c.prev = append(c.prev[:0], c.Node.prevOffers...)
+	afterReoffer := math.IsInf(c.Node.horizon, -1) && c.Node.unchanged()
 	k := c.Node.StepN(now, dt, deadline, due)
 	c.calls++
 	c.ticks += k
@@ -37,9 +39,11 @@ func (c *runCounter) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time
 	if c.offers-before > 1 {
 		c.multiOffer++
 	}
-	if afterReoffer && reflect.DeepEqual(c.Node.scratchOffers[:len(c.Node.tasks)], c.prev) {
+	offers := c.Node.scratchOffers[:len(c.Node.tasks)]
+	if afterReoffer && reflect.DeepEqual(offers, c.prev) {
 		c.wasted++
 	}
+	c.prev = append(c.prev[:0], offers...)
 	return k
 }
 
@@ -168,8 +172,8 @@ func TestTickTierHorizonRun(t *testing.T) {
 // TestOfferPassStartsRun pins that an offer pass starts a run, and that a
 // run ends only where an offer changed. With no controller and no deadline
 // in range, each StepN call makes exactly one offer pass: a call ends only
-// where the offers may have changed, and a full or offer-compare tick runs
-// on into the horizon ticks after it instead of returning. A reoffer that
+// where the offers may have changed, and the tick that makes the offer pass
+// runs on into the horizon ticks after it instead of returning. A reoffer that
 // leaves every offer unchanged does not end the run, so no call that starts
 // after a reoffer finds every offer unchanged; the node asks the reoffering
 // tasks for offers to confirm that, apart from the offer passes. A

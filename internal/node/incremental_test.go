@@ -10,12 +10,12 @@ import (
 	"kelp/internal/workload"
 )
 
-// TestIncrementalMutationEquivalence pins that skipping pipeline stages
-// never changes observable behaviour: a node that skips them stays
-// byte-identical to a NoIncremental node through every mutation that must
-// void the cached offers, flows or fixed point — a prefetcher flip, a
-// cgroup CPU-set change, a task added mid-run, and a foreign resolve on
-// the node's memory system.
+// TestIncrementalMutationEquivalence pins that skipping the offer pass
+// within the horizon never changes observable behaviour: a node that skips
+// it stays byte-identical to a NoIncremental node through every mutation
+// that must void the cached offers and flows, or could confuse the memory
+// system's memo — a prefetcher flip, a cgroup CPU-set change, a task added
+// mid-run, and a foreign resolve on the node's memory system.
 func TestIncrementalMutationEquivalence(t *testing.T) {
 	run := func(noInc bool) nodeStats {
 		cfg := DefaultConfig()
@@ -56,7 +56,7 @@ func TestIncrementalMutationEquivalence(t *testing.T) {
 		n.Run(20 * sim.Millisecond)
 
 		// A foreign resolve on the node's memory system: the node's next
-		// Replay must decline and fall back to Resolve.
+		// Resolve must still return its own flows' fixed point.
 		if _, err := n.Memory().Resolve([]memsys.Flow{{Task: "foreign", Socket: 1, DemandBW: 50 * memsys.GB}}); err != nil {
 			t.Fatal(err)
 		}

@@ -39,12 +39,12 @@ type Config struct {
 	// making Kelp's software toggling unnecessary. Off by default, as on
 	// the paper's hardware.
 	HardwarePrefetchGovernor bool
-	// NoIncremental turns off both skippable stages of StepN: every call
-	// makes the offer pass, rebuilds flows, resolves them (the memory
-	// system may still answer a flow set it remembers) and advances one
-	// tick. The skips produce byte-identical results (pinned
-	// by the equivalence tests), so this is the reference path for
-	// verification and benchmarking, not a correctness switch.
+	// NoIncremental turns off StepN's horizon: every call makes the offer
+	// pass, rebuilds flows, resolves them (the memory system may still
+	// answer a flow set it remembers) and advances one tick. The horizon
+	// produces byte-identical results (pinned by the equivalence tests), so
+	// this is the reference path for verification and benchmarking, not a
+	// correctness switch.
 	NoIncremental bool
 	// Step is the simulation time step.
 	Step sim.Duration
@@ -156,32 +156,19 @@ type Node struct {
 	scratchFlows     []memsys.Flow
 	scratchDemand    []float64
 
-	// Skip state for StepN's two skippable stages (docs/PERFORMANCE.md §3).
-	// Both need the last flow assembly's flow set and rates to still
-	// describe the node: it completed (prevValid) and the cgroup,
-	// prefetcher and memory-config generations are unchanged since. On top
-	// of that, the offer pass is skipped when no Advance reported reoffer
-	// since the last pass (stale) and now is before every task's offer
-	// horizon; flow assembly and Resolve are skipped when every offer
-	// matches prevOffers. Invalidated by task add/remove and snapshot
-	// restore; disabled by Config.NoIncremental or the hardware prefetch
-	// governor (whose integral state mutates every tick). None of it is
-	// snapshotted.
-	prevOffers    []workload.Offer
-	prevValid     bool
+	// Skip state for StepN's offer pass (docs/PERFORMANCE.md §3). horizon
+	// is the earliest offer horizon the tasks returned at the last offer
+	// pass: before it, every task's offer, and so the flow set and rates
+	// assembled from them, is still exact, as long as the cgroup,
+	// prefetcher and memory-config generations are those of that assembly.
+	// A run that ends on a reoffer, a task add or remove, a snapshot
+	// restore and New set it to -Inf. Config.NoIncremental and the hardware
+	// prefetch governor (whose integral state mutates every tick) disable
+	// it. None of it is snapshotted.
+	horizon       float64
 	prevCgroupGen uint64
 	prevProcGen   uint64
 	prevMemEpoch  uint64
-	// prevSeq is the Seq of the resolution the node last received, the
-	// node's proof to Replay that the memory system's cached fixed point is
-	// still the one computed from this node's flows.
-	prevSeq uint64
-	// horizon is the earliest offer horizon the tasks returned at the last
-	// offer pass: before it, every task's offer is still exact.
-	horizon float64
-	// stale records that an Advance since the last offer pass reported
-	// reoffer, voiding horizon.
-	stale bool
 	// confirmed is the slot StepN asks a task that reported reoffer for its
 	// offer in. It lives on the node because a local would escape through
 	// the interface call and allocate on every confirm.
@@ -217,6 +204,7 @@ func New(cfg Config) (*Node, error) {
 		mon:     mon,
 		engine:  engine,
 		byName:  make(map[string]*boundTask),
+		horizon: math.Inf(-1),
 	}
 	engine.SetStepper(n)
 	return n, nil
@@ -313,7 +301,7 @@ func (n *Node) AddTask(t workload.Task, groupName string) error {
 	n.tasks = append(n.tasks, bt)
 	n.byName[t.Name()] = bt
 	n.indexTicked()
-	n.prevValid = false
+	n.horizon = math.Inf(-1)
 	return nil
 }
 
@@ -347,7 +335,7 @@ func (n *Node) RemoveTask(name string) error {
 		}
 	}
 	n.indexTicked()
-	n.prevValid = false
+	n.horizon = math.Inf(-1)
 	return nil
 }
 
@@ -456,17 +444,14 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 }
 
 // StepN implements sim.Stepper: the node pipeline for the tick at now and
-// the run of ticks that follows it. The pipeline has two stages that a tick
-// skips when nothing they read can have changed, then one run loop:
+// the run of ticks that follows it:
 //   - the offer pass collects every task's offer and timeshares each
-//     cgroup's cores among its tasks. It is skipped within the horizon
-//     (withinHorizon): no task's offer can have changed since the last
-//     pass, so its offers and effective cores are still the cached ones.
-//   - flow assembly and Resolve build the memory system's flows, resolve
-//     them and distribute each task's rates. They are skipped when every
-//     offer matches the cached one (offersUnchanged): the flow set, the
-//     rates and the memory system's fixed point are then still exact, and
-//     the fixed point is replayed.
+//     cgroup's cores among its tasks; flow assembly then builds the memory
+//     system's flows, resolves them and distributes each task's rates.
+//     Within the horizon (withinHorizon) no task's offer can have changed
+//     since the last pass, so the offers, effective cores, flows and rates
+//     are still the cached ones and only the cached flows are resolved
+//     again, which the memory system answers from its memo.
 //   - the run advances the tasks on their effective cores and rates. Its
 //     limit (runLimit) is the ticks before the first that is past the
 //     earliest offer horizon, past the deadline, or due for a controller.
@@ -481,27 +466,17 @@ func (n *Node) prefetchFrac(g *cgroup.Group) float64 {
 //     RecordN.
 //
 // Going on is exact because a run splits anywhere: a fresh StepN at the
-// next tick would make the offer pass, find every offer unchanged, replay
-// the same resolution and run on the same cores and rates to the same
-// limit, and sim.AddN composes exactly. A node with Config.NoIncremental or
+// next tick would make the offer pass, find every offer unchanged, resolve
+// the same flows and run on the same cores and rates to the same limit,
+// and sim.AddN composes exactly. A node with Config.NoIncremental or
 // the hardware prefetch governor takes the whole pipeline and one tick on
 // every call, so it never asks. It returns the number of ticks advanced.
 func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int {
-	reuse := n.withinHorizon(now)
-	if !reuse {
-		n.offer(now)
-		reuse = n.offersUnchanged()
-	}
 	var res *memsys.Resolution
-	if reuse {
-		var ok bool
-		// Replay declines when anything else resolved on this memory
-		// system since the node's last resolution; the node's own flows,
-		// still in scratchFlows, then resolve again.
-		if res, ok = n.mem.Replay(n.prevSeq); !ok {
-			res = n.resolve(n.scratchFlows)
-		}
+	if n.withinHorizon(now) {
+		res = n.resolve(n.scratchFlows)
 	} else {
+		n.offer(now)
 		res = n.resolveOffers()
 	}
 
@@ -555,7 +530,9 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 			bt.loop.Advance(now, dt, ticks, effective[i], &bt.rates)
 		}
 	}
-	n.stale = stale
+	if stale {
+		n.horizon = math.Inf(-1)
+	}
 	n.mon.RecordN(dt, res, ticks)
 	return ticks
 }
@@ -568,7 +545,7 @@ func (n *Node) StepN(now sim.Time, dt sim.Duration, deadline, due sim.Time) int 
 // same cores for one request more or less.
 func (n *Node) reofferUnchanged(i int, at sim.Time) bool {
 	until := n.tasks[i].task.Offer(at, n.scratchCapacity[i], &n.confirmed)
-	return until >= n.horizon && n.confirmed == n.prevOffers[i]
+	return until >= n.horizon && n.confirmed == n.scratchOffers[i]
 }
 
 // tickedUnchanged is reofferUnchanged for every task that can report
@@ -686,7 +663,7 @@ func (n *Node) offer(now sim.Time) {
 
 // resolveOffers assembles the memory system's flows from the offer pass,
 // resolves them and distributes each task's rates, then records the
-// fingerprint the next tick's offer compare checks against.
+// generations the horizon is valid under.
 func (n *Node) resolveOffers() *memsys.Resolution {
 	offers := n.scratchOffers[:len(n.tasks)]
 	effective := n.scratchEffective[:len(n.tasks)]
@@ -763,23 +740,19 @@ func (n *Node) resolveOffers() *memsys.Resolution {
 		bt.rates = r
 	}
 
-	n.prevOffers = append(n.prevOffers[:0], offers...)
 	n.prevCgroupGen = n.cgroups.Gen()
 	n.prevProcGen = n.proc.Gen()
 	n.prevMemEpoch = n.mem.Epoch()
-	n.prevValid = true
 	return res
 }
 
-// resolve resolves the memory system for fl and remembers the resolution's
-// Seq for the next Replay. Flows were validated at construction; an error
-// here is a programming bug.
+// resolve resolves the memory system for fl. Flows were validated at
+// construction; an error here is a programming bug.
 func (n *Node) resolve(fl []memsys.Flow) *memsys.Resolution {
 	res, err := n.mem.Resolve(fl)
 	if err != nil {
 		panic(fmt.Sprintf("node: resolve: %v", err))
 	}
-	n.prevSeq = res.Seq()
 	return res
 }
 
@@ -790,37 +763,19 @@ func (n *Node) incremental() bool {
 	return !n.cfg.NoIncremental && !n.cfg.HardwarePrefetchGovernor
 }
 
-// unchanged reports whether the previous offer pass's flow set and rates
-// still describe the node: it assembled them completely and no control
-// surface was actuated since. It is the precondition of both skippable
-// stages.
+// unchanged reports whether the node may reuse work and no control surface
+// was actuated since the last flow assembly.
 func (n *Node) unchanged() bool {
-	return n.incremental() && n.prevValid &&
+	return n.incremental() &&
 		n.prevCgroupGen == n.cgroups.Gen() && n.prevProcGen == n.proc.Gen() &&
 		n.prevMemEpoch == n.mem.Epoch()
 }
 
-// withinHorizon reports whether this step may skip the offer pass: no
-// control surface was actuated, no task reported reoffer, and now is
-// before every task's offer horizon.
+// withinHorizon reports whether this step may skip the offer pass and flow
+// assembly: now is before every task's offer horizon and nothing was
+// actuated since the last flow assembly.
 func (n *Node) withinHorizon(now sim.Time) bool {
-	return !n.stale && now < n.horizon && n.unchanged()
-}
-
-// offersUnchanged reports whether this step may skip flow assembly and
-// Resolve: no control surface was actuated since the last flow assembly,
-// and every task offers exactly what it offered then.
-func (n *Node) offersUnchanged() bool {
-	offers := n.scratchOffers[:len(n.tasks)]
-	if !n.unchanged() || len(offers) != len(n.prevOffers) {
-		return false
-	}
-	for i := range offers {
-		if offers[i] != n.prevOffers[i] {
-			return false
-		}
-	}
-	return true
+	return now < n.horizon && n.unchanged()
 }
 
 // Run advances the node by d simulated seconds.

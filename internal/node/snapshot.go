@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"kelp/internal/cgroup"
 	"kelp/internal/faults"
@@ -69,9 +70,11 @@ func (n *Node) Snapshot() *Snapshot {
 // Restore installs a snapshot onto a node rebuilt from the same
 // configuration: same topology, same groups created, same tasks registered
 // in the same order, same engine controllers, and a fault injector exactly
-// when the snapshotted node had one. The cached offers and flows are
-// invalidated so the first step after a restore runs the whole pipeline.
+// when the snapshotted node had one. The horizon is voided first, so the
+// first step after a restore, or after one that failed part way, runs the
+// whole pipeline.
 func (n *Node) Restore(s *Snapshot) error {
+	n.horizon = math.Inf(-1)
 	if s == nil {
 		return fmt.Errorf("node: nil snapshot")
 	}
@@ -122,6 +125,5 @@ func (n *Node) Restore(s *Snapshot) error {
 			return err
 		}
 	}
-	n.prevValid = false
 	return nil
 }

@@ -156,9 +156,9 @@ type Monitor struct {
 
 	// Rate cache: the per-second values derived from the last distinct
 	// resolution, so steady-state recording (the same resolution integrated
-	// tick after tick while the node replays it) reduces to multiply-adds.
-	// Keyed on (pointer, seq) — pointer identity alone is ambiguous because
-	// the memory system's double-buffer arena reuses addresses.
+	// tick after tick while the memory system's memo returns it) reduces to
+	// multiply-adds. Keyed on (pointer, seq) — pointer identity alone is
+	// ambiguous because a recompute reuses a memo slot's buffers.
 	lastRes    *memsys.Resolution
 	lastSeq    uint64
 	rateBW     []float64
@@ -214,8 +214,8 @@ func MustMonitor(sockets, controllersPerSocket int) *Monitor {
 // Record integrates one step's resolution over dt seconds. Deriving the
 // per-second values from the resolution is the expensive part (per-socket
 // aggregations over flows and controllers); they are cached and reused
-// while the same resolution repeats, which while the node replays it is
-// every steady-state tick. Seq 0 marks a hand-constructed resolution with
+// while the same resolution repeats, which while the memory system's memo
+// returns it is every steady-state tick. Seq 0 marks a hand-constructed resolution with
 // no computation stamp — those are re-derived every call, since the caller
 // may mutate them in place between Records.
 func (m *Monitor) Record(dt float64, res *memsys.Resolution) {

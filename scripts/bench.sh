@@ -44,19 +44,17 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 # Hot-path microbenchmarks: the allocation-free one-tick node step taking
-# the whole pipeline (NoIncremental), skipping both stages within the
-# horizon, and making the offer pass to skip only flow assembly and
-# Resolve (the prefix BenchmarkNodeStep already matches
-# BenchmarkNodeStepReoffer, which is named to pin it), a steady node
-# advanced through runs under Run (ns per simulated tick), the
-# zero-cost disabled instrumentation path, the fleet composition tick
-# (per-job cluster replay over pre-measured shapes; placement runs before
-# the timer), fleet placement per policy at the study's 20000-machine
-# config, and the session server's advance round trip and middleware tax.
+# the whole pipeline (NoIncremental) and skipping the offer pass within
+# the horizon, a steady node advanced through runs under Run (ns per
+# simulated tick), the zero-cost disabled instrumentation path, the fleet
+# composition tick (per-job cluster replay over pre-measured shapes;
+# placement runs before the timer), fleet placement per policy at the
+# study's 20000-machine config, and the session server's advance round trip
+# and middleware tax.
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
 # BENCH_MATCH narrows the suite, e.g. to baseline newly guarded benchmarks
 # without re-recording the others (cmd/benchguard layers snapshots).
-MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkNodeStepReoffer|BenchmarkNodeRunHorizon|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
+MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkNodeRunHorizon|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
 
 case "$MODE" in
 quick)
