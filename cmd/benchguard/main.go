@@ -1,26 +1,28 @@
-// Command benchguard compares fresh `go test -bench` output against the
-// committed BENCH_*.json snapshots (scripts/bench.sh) and exits non-zero
-// when a guarded benchmark's ns/op regressed beyond the allowed ratio.
+// Command benchguard compares two `go test -bench -benchmem` outputs taken
+// on the same host, one from a base commit and one from the change, and
+// exits non-zero when a guarded benchmark regressed: its minimum ns/op
+// grew beyond the allowed ratio of the base's, or its allocs/op grew at
+// all. scripts/bench_guard.sh builds both sides and runs them interleaved.
 //
-// Snapshots layer: -baseline may be given several times, oldest first, and
-// each benchmark's baseline is its ns/op in the last listed snapshot that
-// records it. A snapshot taken to baseline newly guarded benchmarks can
-// therefore record only those, leaving the older baselines in force.
+// The minimum across repeated runs is the usual noise-robust statistic for
+// "how fast can this go" on a shared machine, and comparing against a base
+// measured on the same host, in the same minutes, keeps the host out of
+// the ratio. allocs/op does not depend on the host, so it is gated exactly.
 //
-// It exists so CI can gate hot-path performance without installing
-// anything: benchstat, when available, gives a nicer statistical report,
-// but the pass/fail decision comes from this comparator. The new
-// measurement is the minimum across repeated -count runs — the usual
-// noise-robust statistic for "how fast can this go" on shared CI machines.
+// The committed BENCH_*.json snapshots (scripts/bench.sh) remain the
+// trajectory record: with -baseline, each guarded benchmark is also printed
+// against its ns/op in the last listed snapshot that records it, as a
+// report line that never fails the run. Snapshots layer: -baseline may be
+// given several times, oldest first.
 //
-//	go run ./cmd/benchguard -baseline BENCH_2026-08-07.json -bench raw.txt
-//	go run ./cmd/benchguard -baseline BENCH_a.json -baseline BENCH_b.json -bench raw.txt
-//	go run ./cmd/benchguard -baseline BENCH_2026-08-07.json -emit-baseline old.txt
+//	go run ./cmd/benchguard -base base.txt -bench head.txt
+//	go run ./cmd/benchguard -base base.txt -bench head.txt -baseline BENCH_a.json -baseline BENCH_b.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,8 +30,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"flag"
 )
 
 // snapshot mirrors the JSON scripts/bench.sh writes.
@@ -62,11 +62,17 @@ type fileList []string
 func (f *fileList) String() string     { return strings.Join(*f, ",") }
 func (f *fileList) Set(v string) error { *f = append(*f, v); return nil }
 
-// parseBench extracts the minimum ns/op per benchmark name from raw
+// measure is one benchmark's minimum ns/op and allocs/op over its runs;
+// allocs is -1 when no run reported it.
+type measure struct {
+	ns, allocs float64
+}
+
+// parseBench extracts each benchmark's minimum ns/op and allocs/op from raw
 // `go test -bench` output. The -N GOMAXPROCS suffix is stripped so names
-// line up with the snapshot's.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+// line up across outputs and with the snapshots'.
+func parseBench(r io.Reader) (map[string]measure, error) {
+	out := make(map[string]measure)
 	sc := bufio.NewScanner(r)
 	suffix := regexp.MustCompile(`-[0-9]+$`)
 	for sc.Scan() {
@@ -75,61 +81,77 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 			continue
 		}
 		name := suffix.ReplaceAllString(f[0], "")
+		m, seen := out[name]
+		if !seen {
+			m.allocs = -1
+		}
 		for i := 2; i+1 < len(f); i += 2 {
-			if f[i+1] != "ns/op" {
+			unit := f[i+1]
+			if unit != "ns/op" && unit != "allocs/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchguard: bad ns/op on %q: %v", sc.Text(), err)
+				return nil, fmt.Errorf("benchguard: bad %s on %q: %v", unit, sc.Text(), err)
 			}
-			if old, ok := out[name]; !ok || v < old {
-				out[name] = v
+			switch {
+			case unit == "ns/op" && (!seen || v < m.ns):
+				m.ns = v
+			case unit == "allocs/op" && (m.allocs < 0 || v < m.allocs):
+				m.allocs = v
 			}
 		}
+		out[name] = m
 	}
 	return out, sc.Err()
 }
 
-// compare returns one failure line per guarded benchmark whose fresh ns/op
-// exceeds baseline*maxRatio, and one informational line per comparison.
-func compare(base, fresh map[string]float64, match *regexp.Regexp, maxRatio float64) (info, failures []string) {
-	names := make([]string, 0, len(fresh))
+// guarded returns the names in fresh that match, sorted.
+func guarded(fresh map[string]measure, match *regexp.Regexp) []string {
+	var names []string
 	for name := range fresh {
 		if match.MatchString(name) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		old, ok := base[name]
-		if !ok || old <= 0 {
-			info = append(info, fmt.Sprintf("%s: no baseline, skipping", name))
+	return names
+}
+
+// compare returns one line per guarded benchmark of head and one failure
+// line per benchmark whose ns/op exceeds base's by more than maxRatio or
+// whose allocs/op exceeds base's (when base reported it). A benchmark base
+// did not run is reported and skipped.
+func compare(base, head map[string]measure, match *regexp.Regexp, maxRatio float64) (info, failures []string) {
+	for _, name := range guarded(head, match) {
+		b, ok := base[name]
+		if !ok || b.ns <= 0 {
+			info = append(info, fmt.Sprintf("%s: not run at the base, skipping", name))
 			continue
 		}
-		ratio := fresh[name] / old
-		line := fmt.Sprintf("%s: %.4g ns/op vs baseline %.4g ns/op (%.2fx)", name, fresh[name], old, ratio)
+		h := head[name]
+		ratio := h.ns / b.ns
+		line := fmt.Sprintf("%s: %.4g ns/op vs base %.4g ns/op (%.2fx), %v vs %v allocs/op",
+			name, h.ns, b.ns, ratio, h.allocs, b.allocs)
 		info = append(info, line)
-		if ratio > maxRatio {
+		if ratio > maxRatio || b.allocs >= 0 && h.allocs > b.allocs {
 			failures = append(failures, line)
 		}
 	}
 	return info, failures
 }
 
-// emitBaseline renders the snapshot's guarded benchmarks in benchmark text
-// format so benchstat can diff it against fresh output.
-func emitBaseline(w io.Writer, base map[string]float64, match *regexp.Regexp) {
-	names := make([]string, 0, len(base))
-	for name := range base {
-		if match.MatchString(name) {
-			names = append(names, name)
+// report returns one line per guarded benchmark of head against its
+// snapshot baseline.
+func report(snap map[string]float64, head map[string]measure, match *regexp.Regexp) []string {
+	var out []string
+	for _, name := range guarded(head, match) {
+		if old, ok := snap[name]; ok && old > 0 {
+			out = append(out, fmt.Sprintf("%s: %.4g ns/op vs snapshot %.4g ns/op (%.2fx, report only)",
+				name, head[name].ns, old, head[name].ns/old))
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%s-1 1 %v ns/op\n", name, base[name])
-	}
+	return out
 }
 
 // defaultMatch names the guarded benchmarks: the memory-system fixed
@@ -141,20 +163,38 @@ const defaultMatch = `^(BenchmarkResolveSteady|BenchmarkEngineTick|BenchmarkNode
 
 func main() {
 	var baselines fileList
-	flag.Var(&baselines, "baseline", "BENCH_*.json snapshot to compare against; repeat it, oldest first, to layer snapshots")
-	benchFile := flag.String("bench", "", "raw `go test -bench` output file")
+	flag.Var(&baselines, "baseline", "BENCH_*.json snapshot to report against (never gates); repeat it, oldest first, to layer snapshots")
+	baseFile := flag.String("base", "", "raw `go test -bench -benchmem` output of the base commit")
+	benchFile := flag.String("bench", "", "raw `go test -bench -benchmem` output of the change")
 	match := flag.String("match", defaultMatch, "regexp of benchmark names to guard")
-	maxRatio := flag.Float64("max-ratio", 1.25, "fail when fresh ns/op exceeds baseline by this ratio")
-	emit := flag.String("emit-baseline", "", "write the baseline in benchmark text format (for benchstat) and exit")
+	maxRatio := flag.Float64("max-ratio", 1.25, "fail when the change's minimum ns/op exceeds the base's by this ratio")
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if len(baselines) == 0 {
-		fail(fmt.Errorf("benchguard: -baseline is required"))
+	if *baseFile == "" || *benchFile == "" {
+		fail(fmt.Errorf("benchguard: -base and -bench are required"))
 	}
+	re, err := regexp.Compile(*match)
+	if err != nil {
+		fail(err)
+	}
+	parseFile := func(path string) map[string]measure {
+		f, err := os.Open(path)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		m, err := parseBench(f)
+		if err != nil {
+			fail(err)
+		}
+		return m
+	}
+	base, head := parseFile(*baseFile), parseFile(*benchFile)
+
 	snaps := make([]*snapshot, len(baselines))
 	for i, path := range baselines {
 		raw, err := os.ReadFile(path)
@@ -166,43 +206,16 @@ func main() {
 			fail(fmt.Errorf("benchguard: %s: %v", path, err))
 		}
 	}
-	base := baselineNsOp(snaps...)
-	re, err := regexp.Compile(*match)
-	if err != nil {
-		fail(err)
+	for _, line := range report(baselineNsOp(snaps...), head, re) {
+		fmt.Println(line)
 	}
 
-	if *emit != "" {
-		f, err := os.Create(*emit)
-		if err != nil {
-			fail(err)
-		}
-		emitBaseline(f, base, re)
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *benchFile == "" {
-		fail(fmt.Errorf("benchguard: -bench is required"))
-	}
-	bf, err := os.Open(*benchFile)
-	if err != nil {
-		fail(err)
-	}
-	fresh, err := parseBench(bf)
-	bf.Close()
-	if err != nil {
-		fail(err)
-	}
-
-	info, failures := compare(base, fresh, re, *maxRatio)
+	info, failures := compare(base, head, re, *maxRatio)
 	for _, line := range info {
 		fmt.Println(line)
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed beyond %.2fx of %s:\n", len(failures), *maxRatio, baselines.String())
+		fmt.Fprintf(os.Stderr, "benchguard: %d benchmark(s) regressed against the base (over %.2fx ns/op, or more allocs/op):\n", len(failures), *maxRatio)
 		for _, line := range failures {
 			fmt.Fprintln(os.Stderr, "  "+line)
 		}

@@ -11,9 +11,10 @@ const rawBench = `goos: linux
 pkg: kelp/internal/memsys
 BenchmarkResolveSteady-8   	 1000000	       850.0 ns/op	       0 B/op	       0 allocs/op
 BenchmarkResolveSteady-8   	 1000000	       810.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkResolve-8         	 1000000	       900.0 ns/op	       0 B/op	       0 allocs/op
-pkg: kelp/internal/sim
-BenchmarkEngineTick-8      	171651536	         7.100 ns/op	       0 B/op	       0 allocs/op
+BenchmarkResolve-8         	 1000000	       900.0 ns/op
+pkg: kelp/internal/httpd
+BenchmarkSessionAdvance-8  	   40000	     27900 ns/op	    4096 B/op	      53 allocs/op
+BenchmarkSessionAdvance-8  	   40000	     28100 ns/op	    4096 B/op	      52 allocs/op
 PASS
 `
 
@@ -22,14 +23,14 @@ func TestParseBenchTakesMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkResolveSteady"] != 810 {
-		t.Errorf("min ns/op = %v, want 810", got["BenchmarkResolveSteady"])
-	}
-	if got["BenchmarkEngineTick"] != 7.1 {
-		t.Errorf("EngineTick = %v, want 7.1", got["BenchmarkEngineTick"])
-	}
-	if got["BenchmarkResolve"] != 900 {
-		t.Errorf("Resolve = %v, want 900", got["BenchmarkResolve"])
+	for name, want := range map[string]measure{
+		"BenchmarkResolveSteady":  {ns: 810, allocs: 0},
+		"BenchmarkResolve":        {ns: 900, allocs: -1}, // no -benchmem columns
+		"BenchmarkSessionAdvance": {ns: 27900, allocs: 52},
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %+v, want %+v", name, got[name], want)
+		}
 	}
 }
 
@@ -64,17 +65,17 @@ func TestBaselineLayersSnapshots(t *testing.T) {
 }
 
 func TestCompareFlagsRegressions(t *testing.T) {
-	base := map[string]float64{
-		"BenchmarkResolveSteady": 800,
-		"BenchmarkEngineTick":    7,
+	base := map[string]measure{
+		"BenchmarkResolveSteady": {ns: 800, allocs: 0},
+		"BenchmarkEngineTick":    {ns: 7, allocs: 0},
 	}
 	match := regexp.MustCompile(`^(BenchmarkResolveSteady|BenchmarkEngineTick)$`)
 
 	// Within the ratio: EngineTick up 14%, ResolveSteady slightly faster.
-	info, failures := compare(base, map[string]float64{
-		"BenchmarkResolveSteady": 780,
-		"BenchmarkEngineTick":    8,
-		"BenchmarkResolve":       5000, // unguarded, ignored
+	info, failures := compare(base, map[string]measure{
+		"BenchmarkResolveSteady": {ns: 780, allocs: 0},
+		"BenchmarkEngineTick":    {ns: 8, allocs: 0},
+		"BenchmarkResolve":       {ns: 5000, allocs: 3}, // unguarded, ignored
 	}, match, 1.25)
 	if len(failures) != 0 {
 		t.Errorf("unexpected failures: %v", failures)
@@ -84,33 +85,44 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 
 	// Beyond the ratio: ResolveSteady up 50%.
-	_, failures = compare(base, map[string]float64{
-		"BenchmarkResolveSteady": 1200,
-		"BenchmarkEngineTick":    7,
+	_, failures = compare(base, map[string]measure{
+		"BenchmarkResolveSteady": {ns: 1200, allocs: 0},
+		"BenchmarkEngineTick":    {ns: 7, allocs: 0},
 	}, match, 1.25)
 	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkResolveSteady") {
 		t.Errorf("failures = %v, want ResolveSteady flagged", failures)
 	}
 
-	// A guarded benchmark with no baseline is skipped, not failed.
-	_, failures = compare(map[string]float64{}, map[string]float64{
-		"BenchmarkEngineTick": 7,
+	// One more allocation fails at any speed; one fewer passes.
+	_, failures = compare(base, map[string]measure{
+		"BenchmarkResolveSteady": {ns: 700, allocs: 1},
+		"BenchmarkEngineTick":    {ns: 7, allocs: 0},
+	}, match, 1.25)
+	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkResolveSteady") {
+		t.Errorf("failures = %v, want ResolveSteady's allocation flagged", failures)
+	}
+	_, failures = compare(map[string]measure{"BenchmarkEngineTick": {ns: 7, allocs: 2}},
+		map[string]measure{"BenchmarkEngineTick": {ns: 7, allocs: 1}}, match, 1.25)
+	if len(failures) != 0 {
+		t.Errorf("fewer allocations flagged: %v", failures)
+	}
+
+	// A guarded benchmark the base did not run is skipped, not failed.
+	_, failures = compare(map[string]measure{}, map[string]measure{
+		"BenchmarkEngineTick": {ns: 7, allocs: 0},
 	}, match, 1.25)
 	if len(failures) != 0 {
-		t.Errorf("missing baseline should skip, got %v", failures)
+		t.Errorf("missing base should skip, got %v", failures)
 	}
 }
 
-func TestEmitBaselineFormat(t *testing.T) {
-	var sb strings.Builder
-	emitBaseline(&sb, map[string]float64{
-		"BenchmarkEngineTick":    7,
-		"BenchmarkResolveSteady": 800,
-		"BenchmarkResolve":       900,
-	}, regexp.MustCompile(`^(BenchmarkResolveSteady|BenchmarkEngineTick)$`))
-	want := "BenchmarkEngineTick-1 1 7 ns/op\nBenchmarkResolveSteady-1 1 800 ns/op\n"
-	if sb.String() != want {
-		t.Errorf("emitted:\n%q\nwant:\n%q", sb.String(), want)
+func TestReportAgainstSnapshot(t *testing.T) {
+	got := report(map[string]float64{"BenchmarkEngineTick": 7, "BenchmarkResolveSteady": 800},
+		map[string]measure{"BenchmarkEngineTick": {ns: 14}, "BenchmarkNodeStepClean": {ns: 60}},
+		regexp.MustCompile(defaultMatch))
+	want := []string{"BenchmarkEngineTick: 14 ns/op vs snapshot 7 ns/op (2.00x, report only)"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("report = %q, want %q", got, want)
 	}
 }
 

@@ -74,7 +74,7 @@ func main() {
 	machines := flag.Int("machines", 2000, "fleet size for -exp fleet")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	coldStart := flag.Bool("coldstart", false, "run the whole node pipeline on every tick and disable warm-started sweep cells (re-simulate everything; output is identical, only slower)")
+	coldStart := flag.Bool("coldstart", false, "run the whole node pipeline on every tick and turn off the result cache of repeated sweep cells (simulate every cell; output is identical, only slower)")
 	flag.Parse()
 
 	if *coldStart {

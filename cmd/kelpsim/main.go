@@ -154,27 +154,22 @@ func main() {
 		fmt.Printf("ML 95%%-ile latency (vs standalone): %.3f\n", r.MLTailNorm)
 	}
 	fmt.Printf("CPU throughput (units/s): %.1f\n", r.CPUUnits)
-	for name, tp := range r.Raw.PerTask {
-		fmt.Printf("  %-16s %.1f\n", name, tp)
+	for _, name := range sortedKeys(r.Raw.PerTask) {
+		fmt.Printf("  %-16s %.1f\n", name, r.Raw.PerTask[name])
 	}
-	if rt := r.Raw.Applied.Runtime; rt != nil {
+	c := r.Raw.Controls
+	if c.Runtime {
 		fmt.Printf("kelp runtime: lowCores=%d prefetchers=%d backfill=%d decisions=%d\n",
-			rt.LowCores(), rt.LowPrefetchers(), rt.BackfillCores(), len(rt.History()))
+			c.LowCores, c.Prefetchers, c.BackfillCores, c.RuntimeDecisions)
 	}
-	if th := r.Raw.Applied.Throttler; th != nil {
-		fmt.Printf("core throttler: cores=%d decisions=%d\n", th.Cores(), len(th.History()))
+	if c.Throttler {
+		fmt.Printf("core throttler: cores=%d decisions=%d\n", c.ThrottleCores, c.ThrottlerDecisions)
 	}
-	if inj := r.Raw.Faults; inj != nil {
-		counts := inj.Counts()
-		classes := make([]string, 0, len(counts))
-		for c := range counts {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
+	if f := r.Raw.Faults; f.Spec.Enabled() {
 		fmt.Printf("faults: spec %s, %d injected, degraded=%v\n",
-			inj.Spec(), inj.Total(), r.Raw.Applied.Degraded())
-		for _, c := range classes {
-			fmt.Printf("  %-12s %d\n", c, counts[c])
+			f.Spec, f.Total, c.Degraded)
+		for _, class := range sortedKeys(f.Counts) {
+			fmt.Printf("  %-12s %d\n", class, f.Counts[class])
 		}
 	}
 
@@ -194,4 +189,14 @@ func main() {
 		fmt.Printf("events: %d written to %s (%d dropped by the ring)\n",
 			len(evs), *eventsPath, h.Events.Dropped())
 	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

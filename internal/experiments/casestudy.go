@@ -78,13 +78,14 @@ func caseRow(ml MLKind, load int, k policy.Kind, r *NormResult) CaseStudyRow {
 		MLTail:   r.MLTailNorm,
 		CPUUnits: r.CPUUnits,
 	}
-	if th := r.Raw.Applied.Throttler; th != nil {
-		row.ThrottleCores = th.Cores()
+	c := r.Raw.Controls
+	if c.Throttler {
+		row.ThrottleCores = c.ThrottleCores
 	}
-	if rt := r.Raw.Applied.Runtime; rt != nil {
-		row.Prefetchers = rt.LowPrefetchers()
-		row.ThrottleCores = rt.LowCores()
-		row.BackfillCores = rt.BackfillCores()
+	if c.Runtime {
+		row.Prefetchers = c.Prefetchers
+		row.ThrottleCores = c.LowCores
+		row.BackfillCores = c.BackfillCores
 	}
 	return row
 }

@@ -89,7 +89,7 @@ func (h *Harness) measureMachine(shape fleet.MachineShape) (*fleet.Measurement, 
 	if err != nil {
 		return nil, err
 	}
-	c.warm(s, cfg)
+	c.n.Run(s.Warmup)
 	meas := &fleet.Measurement{}
 	var tr *workload.Training
 	if !s.NoML {
@@ -97,9 +97,8 @@ func (h *Harness) measureMachine(shape fleet.MachineShape) (*fleet.Measurement, 
 		if tr, ok = c.ml.(*workload.Training); !ok {
 			return nil, fmt.Errorf("experiments: fleet worker task %T records no step times", c.ml)
 		}
-		// Enabled only after warm-up (cold or restored), so warm-start
-		// snapshots never capture recording state and both paths measure
-		// identically.
+		// Enabled only after warm-up: the step series covers the measured
+		// window.
 		tr.RecordStepTimes(true)
 	}
 	c.n.StartMeasurement()

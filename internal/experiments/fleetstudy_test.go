@@ -51,10 +51,9 @@ func TestFleetStudyParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetStudyWarmStartNeutral pins warm-start neutrality for fleet
-// cells: a fully cold study (the kelpbench -coldstart path), the first
-// warm study (publishes snapshots), and a second warm study (restores
-// them) all render the same bytes.
+// TestFleetStudyWarmStartNeutral pins that the fleet study renders the
+// same bytes with the result cache off (the kelpbench -coldstart path) and
+// on, for a first harness and for a second one on the same process.
 func TestFleetStudyWarmStartNeutral(t *testing.T) {
 	defer SetWarmStart(true)
 
@@ -65,14 +64,14 @@ func TestFleetStudyWarmStartNeutral(t *testing.T) {
 	ResetWarmCache()
 	first := fleetTableString(t, fleetHarness(4))
 	// A fresh harness: the same one would serve every shape from its
-	// measurement memo and never restore a snapshot.
+	// measurement memo.
 	second := fleetTableString(t, fleetHarness(4))
 
 	if first != cold {
-		t.Fatalf("warm (snapshot publish) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, first)
+		t.Fatalf("warm (first harness) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, first)
 	}
 	if second != cold {
-		t.Fatalf("warm (snapshot restore) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, second)
+		t.Fatalf("warm (second harness) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, second)
 	}
 }
 

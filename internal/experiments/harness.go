@@ -161,7 +161,9 @@ type Scenario struct {
 	Faults faults.Spec
 }
 
-// Result carries one run's raw measurements.
+// Result carries one run's raw measurements. It holds values only, no
+// simulation object, so a cached Result (cache.go) keeps no node,
+// controller or injector alive; TestResultHoldsValuesOnly pins that.
 type Result struct {
 	// MLThroughput is the ML task's rate in its native units.
 	MLThroughput float64
@@ -171,13 +173,54 @@ type Result struct {
 	CPUUnits float64
 	// PerTask maps each low-priority task to its throughput.
 	PerTask map[string]float64
-	// KelpHistory / ThrottlerHistory expose actuator traces when the
-	// policy installed the corresponding controller.
-	Applied *policy.Applied
-	// Faults is the run's injector (nil when the scenario's spec is
-	// disabled), exposing per-class injection counts for resilience
-	// reporting.
-	Faults *faults.Injector
+	// Controls is the policy's controller state at the end of the run.
+	Controls Controls
+	// Faults is the run's fault injection (zero when the scenario's spec
+	// is disabled and no injector was built).
+	Faults FaultCounts
+}
+
+// Controls is a policy's controller state at the end of a run: the final
+// actuator readings (Figs. 11, 12) and decision counts.
+type Controls struct {
+	// Runtime reports whether the policy ran the Kelp runtime (KP-SD, KP);
+	// the next four fields are its readings.
+	Runtime          bool
+	LowCores         int
+	Prefetchers      int
+	BackfillCores    int
+	RuntimeDecisions int
+	// Throttler reports whether the policy ran CoreThrottle (CT); the
+	// next two fields are its readings.
+	Throttler          bool
+	ThrottleCores      int
+	ThrottlerDecisions int
+	// Degraded reports whether the controller ended the run in fail-safe
+	// mode.
+	Degraded bool
+}
+
+// FaultCounts is a run's fault injection: the injector's spec, its total
+// and its per-class counts.
+type FaultCounts struct {
+	Spec   faults.Spec
+	Total  uint64
+	Counts map[string]uint64
+}
+
+// controlsOf reads a policy's controller state.
+func controlsOf(a *policy.Applied) Controls {
+	c := Controls{Degraded: a.Degraded()}
+	if rt := a.Runtime; rt != nil {
+		c.Runtime = true
+		c.LowCores, c.Prefetchers, c.BackfillCores = rt.LowCores(), rt.LowPrefetchers(), rt.BackfillCores()
+		c.RuntimeDecisions = len(rt.History())
+	}
+	if th := a.Throttler; th != nil {
+		c.Throttler = true
+		c.ThrottleCores, c.ThrottlerDecisions = th.Cores(), len(th.History())
+	}
+	return c
 }
 
 // NewCPUTask constructs a low-priority task for a spec. The name must be
@@ -263,8 +306,8 @@ type cell struct {
 
 // buildCell constructs a scenario's node, policy, and tasks. Construction
 // is deterministic in (cfg, s): two cells built from equal inputs are
-// indistinguishable, which is what lets warm-start restore a snapshot taken
-// on one cell onto another.
+// indistinguishable, which is what lets the result cache serve one cell's
+// Result for another.
 func buildCell(cfg node.Config, s Scenario) (*cell, error) {
 	n, err := node.New(cfg)
 	if err != nil {
@@ -332,26 +375,40 @@ func buildCell(cfg node.Config, s Scenario) (*cell, error) {
 	return &cell{n: n, ml: ml, lowTasks: lowTasks, applied: applied, inj: inj}, nil
 }
 
-// Run executes one scenario and returns raw measurements.
+// Run executes one scenario and returns raw measurements. A scenario
+// without a flight recorder is served from the result cache (cache.go), so
+// a process simulates each distinct cell once.
 func Run(s Scenario) (*Result, error) {
 	if s.Warmup <= 0 || s.Measure <= 0 {
 		return nil, fmt.Errorf("experiments: warmup/measure must be positive")
 	}
 	cfg := coherenceFor(s.Node, s.ML)
+	f := resultSlot(cfg, s)
+	if f == nil {
+		return simulate(cfg, s)
+	}
+	r, err := f.do(func() (*Result, error) { return simulate(cfg, s) })
+	if err != nil {
+		return nil, err
+	}
+	return r.clone(), nil
+}
+
+// simulate builds, warms up and measures one cell.
+func simulate(cfg node.Config, s Scenario) (*Result, error) {
 	c, err := buildCell(cfg, s)
 	if err != nil {
 		return nil, err
 	}
-
-	c.warm(s, cfg)
+	c.n.Run(s.Warmup)
 	c.n.StartMeasurement()
 	c.n.Run(s.Measure)
 
 	now := c.n.Now()
 	res := &Result{
-		PerTask: make(map[string]float64, len(c.lowTasks)),
-		Applied: c.applied,
-		Faults:  c.inj,
+		PerTask:  make(map[string]float64, len(c.lowTasks)),
+		Controls: controlsOf(c.applied),
+		Faults:   FaultCounts{Spec: c.inj.Spec(), Total: c.inj.Total(), Counts: c.inj.Counts()},
 	}
 	if c.ml != nil {
 		res.MLThroughput = c.ml.Throughput(now)

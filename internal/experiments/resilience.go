@@ -102,12 +102,12 @@ func Resilience(h *Harness, seed uint64) ([]ResilienceRow, error) {
 			Fault:         c.fc.Name,
 			Policy:        c.k,
 			CPUUnits:      r.CPUUnits,
-			Injected:      r.Faults.Total(),
+			Injected:      r.Faults.Total,
 			Rejects:       len(rec.Since(0, events.SensorReject)),
 			ActErrors:     len(rec.Since(0, events.ActuateError)),
 			Enters:        len(rec.Since(0, events.DegradeEnter)),
 			Exits:         len(rec.Since(0, events.DegradeExit)),
-			DegradedAtEnd: r.Applied.Degraded(),
+			DegradedAtEnd: r.Controls.Degraded,
 		}
 		if base.MLThroughput > 0 {
 			row.MLPerf = r.MLThroughput / base.MLThroughput

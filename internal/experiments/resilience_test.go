@@ -50,7 +50,7 @@ func TestFaultsDisabledIsNeutral(t *testing.T) {
 		t.Errorf("disabled injector changed per-task throughputs:\n%v\n%v",
 			rp.Raw.PerTask, rz.Raw.PerTask)
 	}
-	if rz.Raw.Faults != nil {
+	if rz.Raw.Faults.Spec.Enabled() || rz.Raw.Faults.Counts != nil {
 		t.Error("disabled spec built an injector")
 	}
 	for _, ty := range faultEventTypes {
@@ -97,14 +97,14 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Errorf("same seed diverged: ML %v vs %v, CPU %v vs %v",
 			r1.MLThroughput, r2.MLThroughput, r1.CPUUnits, r2.CPUUnits)
 	}
-	if r1.Faults.Total() == 0 {
+	if r1.Faults.Total == 0 {
 		t.Fatal("spec injected nothing; the determinism check is vacuous")
 	}
-	if r1.Faults.Total() != r2.Faults.Total() {
-		t.Errorf("fault totals diverged: %d vs %d", r1.Faults.Total(), r2.Faults.Total())
+	if r1.Faults.Total != r2.Faults.Total {
+		t.Errorf("fault totals diverged: %d vs %d", r1.Faults.Total, r2.Faults.Total)
 	}
-	if !reflect.DeepEqual(r1.Faults.Counts(), r2.Faults.Counts()) {
-		t.Errorf("fault counts diverged:\n%v\n%v", r1.Faults.Counts(), r2.Faults.Counts())
+	if !reflect.DeepEqual(r1.Faults.Counts, r2.Faults.Counts) {
+		t.Errorf("fault counts diverged:\n%v\n%v", r1.Faults.Counts, r2.Faults.Counts)
 	}
 	if !bytes.Equal(ev1, ev2) {
 		t.Error("same seed produced different event streams")
@@ -129,7 +129,7 @@ func TestFaultDeterminism(t *testing.T) {
 	if err := events.WriteJSONL(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(ev1, buf.Bytes()) && reflect.DeepEqual(r1.Faults.Counts(), r3.Faults.Counts()) {
+	if bytes.Equal(ev1, buf.Bytes()) && reflect.DeepEqual(r1.Faults.Counts, r3.Faults.Counts) {
 		t.Error("different seeds produced identical fault streams")
 	}
 }
@@ -167,7 +167,7 @@ func TestDegradationOnPersistentDropout(t *testing.T) {
 		if first.Time > deadline {
 			t.Errorf("%s: entered fail-safe at t=%v, want within %v", k, first.Time, deadline)
 		}
-		if !r.Applied.Degraded() {
+		if !r.Controls.Degraded {
 			t.Errorf("%s: not degraded at end of a fully-dropped run", k)
 		}
 		if len(rec.Since(0, events.DegradeExit)) != 0 {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -49,50 +48,79 @@ type Census struct {
 	P99 []float64
 }
 
-// RunCensus generates the census.
+// RunCensus generates the census. It draws the same values as
+// rand.New(rand.NewSource(cfg.Seed)) would, through censusStream.
 func RunCensus(cfg CensusConfig) (*Census, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	out := make([]float64, cfg.Machines)
+	return &Census{P99: newCensusStream(cfg.Seed).census(cfg.Machines, cfg.SamplesPerMachine)}, nil
+}
+
+// census draws the machines' 99%-ile readings, each from its own mean and
+// samples, and returns them sorted ascending.
+func (s *censusStream) census(machines, samples int) []float64 {
+	out := make([]float64, machines)
 	// The 99%-ile is the k-th largest sample. Selecting it needs only the k
 	// largest samples seen so far, kept ascending so top[0] is the answer;
 	// sorting all of them is wasted work.
-	k := cfg.SamplesPerMachine - p99Index(cfg.SamplesPerMachine)
+	k := samples - p99Index(samples)
 	top := make([]float64, 0, k)
 	for m := range out {
-		mean := censusMean(rng)
+		mean := s.mean()
 		top = top[:0]
-		for range cfg.SamplesPerMachine {
-			top = keepLargest(top, k, censusSample(rng, mean))
+		for range samples {
+			// sample's fast path, inlined: both draws come from the
+			// current block, the normal draw's first try lands inside its
+			// strip and the uniform draw is below 1. Any other case draws
+			// through sample from the same position.
+			v, ok := 0.0, false
+			if i := s.i; i <= rngLen-2 {
+				j := int32(uint32(s.vec[i] >> 31))
+				strip := j & 0x7F
+				f := float64(int64(s.vec[i+1]&rngMask)) / (1 << 63)
+				if ok = absInt32(j) < kn[strip] && f != 1; ok {
+					s.i = i + 2
+					v = clampUnit(mean + 0.18*(float64(j)*float64(wn[strip]))*mean + 0.05*f)
+				}
+			}
+			if !ok {
+				v = s.sample(mean)
+			}
+			if len(top) < k || v > top[0] { // most samples miss the top k
+				top = keepLargest(top, k, v)
+			}
 		}
 		out[m] = top[0]
 	}
 	sort.Float64s(out)
-	return &Census{P99: out}, nil
+	return out
 }
 
-// censusMean draws a machine's mean utilization. Machine archetypes: the
-// paper's fleet mixes lightly-loaded web and storage machines with
-// batch/analytics machines that saturate memory, so the mean draws from a
-// three-mode mixture; the day's samples scatter around it, and the
-// 99%-ile picks the busy tail of the day.
-func censusMean(rng *rand.Rand) float64 {
-	switch p := rng.Float64(); {
+// mean draws a machine's mean utilization. Machine archetypes: the paper's
+// fleet mixes lightly-loaded web and storage machines with batch/analytics
+// machines that saturate memory, so the mean draws from a three-mode
+// mixture; the day's samples scatter around it, and the 99%-ile picks the
+// busy tail of the day.
+func (s *censusStream) mean() float64 {
+	switch p := s.float64(); {
 	case p < 0.45: // lightly loaded
-		return 0.08 + 0.12*rng.Float64()
+		return 0.08 + 0.12*s.float64()
 	case p < 0.85: // moderate
-		return 0.20 + 0.30*rng.Float64()
+		return 0.20 + 0.30*s.float64()
 	default: // heavy batch
-		return 0.55 + 0.35*rng.Float64()
+		return 0.55 + 0.35*s.float64()
 	}
 }
 
-// censusSample draws one of a machine's bandwidth samples, a fraction of
-// peak in [0, 1].
-func censusSample(rng *rand.Rand, mean float64) float64 {
-	v := mean + 0.18*rng.NormFloat64()*mean + 0.05*rng.Float64()
+// sample draws one of a machine's bandwidth samples, a fraction of peak in
+// [0, 1].
+func (s *censusStream) sample(mean float64) float64 {
+	return clampUnit(mean + 0.18*s.norm()*mean + 0.05*s.float64())
+}
+
+// clampUnit clamps v to [0, 1].
+func clampUnit(v float64) float64 {
 	if v < 0 {
 		v = 0
 	}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 )
 
 // Gob wire mirrors. Meter and Histogram keep their fields unexported so the
@@ -66,7 +67,7 @@ func (h *Histogram) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	h.min, h.growth, h.counts = w.Min, w.Growth, w.Counts
+	h.min, h.growth, h.logGrowth, h.counts = w.Min, w.Growth, math.Log(w.Growth), w.Counts
 	h.n, h.sum, h.maxSeen, h.minSeen = w.N, w.Sum, w.MaxSeen, w.MinSeen
 	return nil
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -14,7 +15,7 @@ import (
 func TestGobRoundTripPopulated(t *testing.T) {
 	for _, v := range []any{
 		Meter{total: 1, totalAll: 2, startTime: 3, started: true, lastTime: 4},
-		&Histogram{min: 1e-6, growth: 1.05, counts: []uint64{1, 0, 2}, n: 3, sum: 0.5, maxSeen: 0.3, minSeen: 1e-5},
+		&Histogram{min: 1e-6, growth: 1.05, logGrowth: math.Log(1.05), counts: []uint64{1, 0, 2}, n: 3, sum: 0.5, maxSeen: 0.3, minSeen: 1e-5},
 	} {
 		gobRoundTrip(t, v)
 	}

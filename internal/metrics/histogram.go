@@ -13,13 +13,14 @@ import (
 // (typically request latencies in seconds). Buckets grow geometrically, so
 // relative error of percentile queries is bounded by the growth factor.
 type Histogram struct {
-	min     float64 // lower bound of bucket 0
-	growth  float64 // bucket width ratio
-	counts  []uint64
-	n       uint64
-	sum     float64
-	maxSeen float64
-	minSeen float64
+	min       float64 // lower bound of bucket 0
+	growth    float64 // bucket width ratio
+	logGrowth float64 // math.Log(growth), computed once for bucket
+	counts    []uint64
+	n         uint64
+	sum       float64
+	maxSeen   float64
+	minSeen   float64
 }
 
 // NewHistogram returns a histogram covering [min, max] with the given
@@ -34,10 +35,11 @@ func NewHistogram(min, max, growth float64) (*Histogram, error) {
 	}
 	nb := int(math.Ceil(math.Log(max/min)/math.Log(growth))) + 1
 	return &Histogram{
-		min:     min,
-		growth:  growth,
-		counts:  make([]uint64, nb),
-		minSeen: math.Inf(1),
+		min:       min,
+		growth:    growth,
+		logGrowth: math.Log(growth),
+		counts:    make([]uint64, nb),
+		minSeen:   math.Inf(1),
 	}, nil
 }
 
@@ -60,7 +62,7 @@ func (h *Histogram) bucket(v float64) int {
 	if v <= h.min {
 		return 0
 	}
-	b := int(math.Log(v/h.min) / math.Log(h.growth))
+	b := int(math.Log(v/h.min) / h.logGrowth)
 	if b >= len(h.counts) {
 		b = len(h.counts) - 1
 	}
@@ -145,8 +147,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// Clone returns a deep copy of the histogram, used by simulation snapshots
-// (the experiments layer's warm-started sweep cells).
+// Clone returns a deep copy of the histogram, used by simulation snapshots.
 func (h *Histogram) Clone() *Histogram {
 	if h == nil {
 		return nil

@@ -80,6 +80,45 @@ func TestHistogramEdgeValues(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketMatchesFormula pins bucket, which divides by a
+// logarithm computed once, to the per-call formula
+// int(math.Log(v/min) / math.Log(growth)) on values around every bucket
+// edge, for histograms built by NewHistogram and decoded from gob.
+func TestHistogramBucketMatchesFormula(t *testing.T) {
+	for _, c := range []struct{ min, max, growth float64 }{
+		{10e-6, 1000, 1.02}, // NewLatencyHistogram
+		{1e-6, 10, 1.05},
+		{0.5, 3, 1.5},
+	} {
+		built := MustHistogram(c.min, c.max, c.growth)
+		raw, err := built.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := new(Histogram)
+		if err := decoded.GobDecode(raw); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []*Histogram{built, decoded} {
+			for e := range len(h.counts) + 1 {
+				edge := c.min * math.Pow(c.growth, float64(e))
+				for _, v := range []float64{
+					math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)),
+					edge * (1 - 1e-12), edge * (1 + 1e-12),
+				} {
+					want := 0
+					if v > c.min {
+						want = min(int(math.Log(v/c.min)/math.Log(c.growth)), len(h.counts)-1)
+					}
+					if got := h.bucket(v); got != want {
+						t.Errorf("%+v: bucket(%v) = %d, want %d", c, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHistogramSingleValue(t *testing.T) {
 	h := NewLatencyHistogram()
 	h.Observe(0.010)

@@ -53,7 +53,8 @@ trap 'rm -f "$RAW"' EXIT
 # and middleware tax.
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
 # BENCH_MATCH narrows the suite, e.g. to baseline newly guarded benchmarks
-# without re-recording the others (cmd/benchguard layers snapshots).
+# without re-recording the others (cmd/benchguard layers snapshots in its
+# report).
 MICRO_BENCH=${BENCH_MATCH:-'BenchmarkResolve|BenchmarkNodeStep|BenchmarkNodeRunHorizon|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkFleetBuild|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'}
 
 case "$MODE" in

@@ -16,7 +16,7 @@
 #   - the change of the median;
 #   - how many pairs improved, in the metric's direction from
 #     BENCHMARK.json;
-#   - the parent's interquartile range (IQR) over the seeds;
+#   - the interquartile range (IQR) over the seeds of each side;
 #   - a verdict, the first of these that holds:
 #       regress     the head median is worse than the parent median by
 #                   more than the metric's bound in BENCHMARK.json (a
@@ -36,8 +36,12 @@
 # against the same commit. Copies of other commits are deleted first, so
 # at most one copy (about 120 MiB with its build cache) is kept. perfbench
 # itself is run as is. Every run must
-# report "correct": true, or the script stops and keeps the JSON lines of
-# the runs so far in the directory it names.
+# report "correct": true, or the script stops.
+#
+# The final JSON line of every run is kept, one file per workload and side
+# (sweep.parent, sweep.head, ...), in a new directory under
+# .bench_build/pair-results/ that the script names when it starts and
+# when it stops, so a verdict can be traced back to the runs behind it.
 #
 # Usage (from anywhere in the repository):
 #   scripts/bench_pair.sh PARENT
@@ -68,7 +72,8 @@ if [ ! -f "$parent_dir/perfbench/run.sh" ]; then
 	git archive "$commit" | tar -x -C "$parent_dir"
 fi
 
-res=$(mktemp -d)
+res="$root/.bench_build/pair-results/$(date -u +%Y%m%dT%H%M%SZ)-${commit:0:12}"
+mkdir -p "$res"
 
 # run DIR WORKLOAD SEED prints the run's final JSON line.
 run() {
@@ -88,6 +93,7 @@ run() {
 
 echo "parent $commit, head: this checkout ($(git rev-parse --short HEAD) plus any uncommitted changes)"
 echo "host: $(nproc) CPUs; seeds: $seeds"
+echo "per-run JSON lines: $res"
 workloads="sweep fleet serve"
 for w in $workloads; do
 	: >"$res/$w.parent"
@@ -165,7 +171,7 @@ function quantile(k, q,    pos, lo) {
 }
 END {
 	k = (n["p"] < n["h"]) ? n["p"] : n["h"]
-	printf "%-40s %12s %12s %8s %8s %12s  %s\n", "metric", "parent", "head", "change", "improved", "parent_iqr", "verdict"
+	printf "%-40s %12s %12s %8s %8s %12s %12s  %s\n", "metric", "parent", "head", "change", "improved", "parent_iqr", "head_iqr", "verdict"
 	for (m = 1; m <= metrics; m++) {
 		name = order[m]
 		dir = (name in better) ? better[name] : "lower"
@@ -193,9 +199,10 @@ END {
 		else if (name in bound && name != "setup_s" && spread > bound[name] * pm && !apart) verdict = "unresolved"
 		else if (k >= 10 && gap > iqr && 10 * up >= 9 * k) verdict = "gain"
 		else if (k >= 10 && gap > iqr && 10 * down >= 9 * k) verdict = "loss"
-		printf "%-40s %12.5g %12.5g %8s %5d/%-2d %12.5g  %s\n", name " (" dir ")", pm, hm, change, up, k, iqr, verdict
+		printf "%-40s %12.5g %12.5g %8s %5d/%-2d %12.5g %12.5g  %s\n", name " (" dir ")", pm, hm, change, up, k, iqr, hiqr, verdict
 	}
 }
 EOF
 done
-rm -rf "$res"
+echo
+echo "per-run JSON lines kept in $res"

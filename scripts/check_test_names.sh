@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check_test_names.sh — fail when a name filter of a `go test` command in
-# .github/workflows/ci.yml, scripts/bench_guard.sh or scripts/bench.sh
-# names nothing.
+# .github/workflows/ci.yml or scripts/bench.sh, or of a guarded package in
+# scripts/bench_guard.sh, names nothing.
 #
 # A -run, -fuzz or -bench pattern that matches no function runs nothing and
 # passes, so a test renamed or deleted out from under a CI step would
@@ -12,7 +12,8 @@
 # a whole name when the pattern is written ^...$ or ^(...|...)$; only the
 # part before a '/' (a subtest) is checked. The pattern '^$' (run nothing)
 # is skipped. In scripts/bench.sh, $MICRO_BENCH and $MICRO_PKGS stand for
-# their default values.
+# their default values; in scripts/bench_guard.sh, each line of the
+# guarded list (a package and its -bench filter) is checked like a command.
 #
 # Usage: scripts/check_test_names.sh   # exits non-zero listing every miss
 set -u
@@ -78,10 +79,11 @@ if [ -z "$micro_bench" ] || [ -z "$micro_pkgs" ]; then
 	fail=1
 fi
 
-# scan checks every go test command line of a file, outside comments, with
-# bench.sh's variables replaced by their defaults.
+# scan checks every line of a file that matches PATTERN (default: go test
+# command lines), outside comments, with bench.sh's variables replaced by
+# their defaults.
 scan() {
-	local file=$1 n line
+	local file=$1 pattern=${2:-'go test '} n line
 	while IFS=: read -r n line; do
 		case "${line#"${line%%[! ]*}"}" in
 		\#*) continue ;;
@@ -89,11 +91,11 @@ scan() {
 		line=${line//'"$MICRO_BENCH"'/"'$micro_bench'"}
 		line=${line//'$MICRO_PKGS'/$micro_pkgs}
 		check "$file:$n" "$line"
-	done < <(grep -n 'go test ' "$file")
+	done < <(grep -nE "$pattern" "$file")
 }
 
 scan .github/workflows/ci.yml
-scan scripts/bench_guard.sh
+scan scripts/bench_guard.sh '^\./[^ ]+ -bench='
 scan scripts/bench.sh
 
 if [ "$fail" -ne 0 ]; then
