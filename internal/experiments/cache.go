@@ -52,12 +52,15 @@ func resultSlot(cfg node.Config, s Scenario) *flight[*Result] {
 	if s.Events != nil {
 		return nil
 	}
+	resultCache.Lock()
+	disabled := resultCache.disabled
+	resultCache.Unlock()
+	if disabled {
+		return nil
+	}
 	key := cellKey(cfg, s)
 	resultCache.Lock()
 	defer resultCache.Unlock()
-	if resultCache.disabled {
-		return nil
-	}
 	f, ok := resultCache.entries[key]
 	if !ok {
 		if len(resultCache.entries) >= resultCacheCap {

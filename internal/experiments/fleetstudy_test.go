@@ -51,30 +51,6 @@ func TestFleetStudyParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetStudyWarmStartNeutral pins that the fleet study renders the
-// same bytes with the result cache off (the kelpbench -coldstart path) and
-// on, for a first harness and for a second one on the same process.
-func TestFleetStudyWarmStartNeutral(t *testing.T) {
-	defer SetWarmStart(true)
-
-	SetWarmStart(false)
-	cold := fleetTableString(t, fleetHarness(4))
-
-	SetWarmStart(true)
-	ResetWarmCache()
-	first := fleetTableString(t, fleetHarness(4))
-	// A fresh harness: the same one would serve every shape from its
-	// measurement memo.
-	second := fleetTableString(t, fleetHarness(4))
-
-	if first != cold {
-		t.Fatalf("warm (first harness) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, first)
-	}
-	if second != cold {
-		t.Fatalf("warm (second harness) differs from cold:\ncold:\n%s\nwarm:\n%s", cold, second)
-	}
-}
-
 // TestFleetStudyKelpWins asserts the study's acceptance-level contrast on
 // the real node measurer: an all-Kelp fleet out-goodputs an all-Baseline
 // fleet under identical random placement, and within a mixed fleet the

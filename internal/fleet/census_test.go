@@ -262,7 +262,7 @@ func (s *scriptSource) Seed(int64)   {}
 // it rejects, each followed by a uniform output near 0, at one half, just
 // below 1 and rounding to 1 (which Float64 redraws), then filler outputs.
 // Each probe goes through norm alone and through a one-sample census,
-// whose sample loop inlines the fast path; both must match math/rand bit
+// whose sample takes its fused fast path; both must match math/rand bit
 // for bit, and norm must consume as many outputs as NormFloat64. The
 // probes must reach both slow paths: the base strip's tail (i == 0) and a
 // wedge test.

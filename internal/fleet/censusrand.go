@@ -106,24 +106,16 @@ func (s *censusStream) float64() float64 {
 	}
 }
 
-// norm is rand.NormFloat64. Its fast path, taken by more than 99% of
-// draws, is small enough to inline into the census's sample loop;
-// normSlow finishes the rest exactly.
+// norm is rand.NormFloat64: the ziggurat's first try, then the base
+// strip's tail or a wedge test that accepts x or starts the draw over.
 func (s *censusStream) norm() float64 {
-	j := int32(uint32(s.next() >> 31)) // rand.Uint32: bits 31..62; possibly negative
-	i := j & 0x7F
-	x := float64(j) * float64(wn[i])
-	if absInt32(j) < kn[i] {
-		return x
-	}
-	return s.normSlow(j, i, x)
-}
-
-// normSlow finishes a NormFloat64 draw whose first try (j, strip i, value
-// x) missed the fast path: the base strip's tail, or a wedge test that
-// accepts x or starts the draw over.
-func (s *censusStream) normSlow(j, i int32, x float64) float64 {
 	for {
+		j := int32(uint32(s.next() >> 31)) // rand.Uint32: bits 31..62; possibly negative
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
 		if i == 0 {
 			for {
 				x = -math.Log(s.float64()) * (1.0 / rn)
@@ -138,12 +130,6 @@ func (s *censusStream) normSlow(j, i int32, x float64) float64 {
 			return -rn - x
 		}
 		if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
-			return x
-		}
-		j = int32(uint32(s.next() >> 31))
-		i = j & 0x7F
-		x = float64(j) * float64(wn[i])
-		if absInt32(j) < kn[i] {
 			return x
 		}
 	}
