@@ -121,20 +121,6 @@ func NewGPU() Platform {
 	}
 }
 
-// ByKind returns the default platform of the given kind.
-func ByKind(k Kind) (Platform, error) {
-	switch k {
-	case TPU:
-		return NewTPU(), nil
-	case CloudTPU:
-		return NewCloudTPU(), nil
-	case GPU:
-		return NewGPU(), nil
-	default:
-		return Platform{}, fmt.Errorf("accel: unknown kind %d", int(k))
-	}
-}
-
 // ComputeTime returns how long the accelerator needs for work units of
 // compute, ignoring host effects.
 func (p Platform) ComputeTime(work float64) float64 {
@@ -188,21 +174,4 @@ func (d *Device) Reserve(now, work float64) (finish float64) {
 	}
 	d.busyUntil = start + d.Platform.ComputeTime(work)
 	return d.busyUntil
-}
-
-// Utilization returns the fraction of [start, now] the engine was busy,
-// assuming continuous operation since the last idle period. It is an
-// approximation for reporting only.
-func (d *Device) Utilization(start, now float64) float64 {
-	if now <= start {
-		return 0
-	}
-	busy := d.busyUntil - start
-	if busy < 0 {
-		busy = 0
-	}
-	if busy > now-start {
-		busy = now - start
-	}
-	return busy / (now - start)
 }

@@ -32,21 +32,6 @@ func TestValidateRejectsBadPlatforms(t *testing.T) {
 	}
 }
 
-func TestByKind(t *testing.T) {
-	for _, k := range []Kind{TPU, CloudTPU, GPU} {
-		p, err := ByKind(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Kind != k {
-			t.Errorf("ByKind(%v).Kind = %v", k, p.Kind)
-		}
-	}
-	if _, err := ByKind(Kind(42)); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{TPU: "TPU", CloudTPU: "CloudTPU", GPU: "GPU", Kind(9): "Kind(9)"}
 	for k, want := range cases {
@@ -112,21 +97,6 @@ func TestNewDeviceRejectsInvalid(t *testing.T) {
 	p.ComputeRate = 0
 	if _, err := NewDevice(p); err == nil {
 		t.Error("invalid platform accepted")
-	}
-}
-
-func TestDeviceUtilization(t *testing.T) {
-	d, _ := NewDevice(NewTPU())
-	if d.Utilization(0, 0) != 0 {
-		t.Error("zero window utilization should be 0")
-	}
-	d.Reserve(0, d.Platform.ComputeRate*0.010)
-	u := d.Utilization(0, 0.020)
-	if math.Abs(u-0.5) > 1e-6 {
-		t.Errorf("Utilization = %v, want 0.5", u)
-	}
-	if u := d.Utilization(0, 0.005); math.Abs(u-1) > 1e-6 {
-		t.Errorf("Utilization mid-work = %v, want 1", u)
 	}
 }
 

@@ -196,31 +196,6 @@ func (a *Agent) AdmitBatch(t workload.Task) error {
 	return nil
 }
 
-// Evict removes a task by name. Evicting the accelerated task frees the
-// slot for a new one, but the policy configuration remains. A failed
-// eviction is recorded too — an agent.evict event carrying the error —
-// so the flight recorder shows the attempt, not just successes.
-func (a *Agent) Evict(name string) error {
-	if err := a.n.RemoveTask(name); err != nil {
-		if a.recording() {
-			a.emit(events.AgentEvict, map[string]any{
-				"task": name, "error": err.Error(),
-			})
-		}
-		return err
-	}
-	if name == a.mlName {
-		a.mlName = ""
-	}
-	if a.recording() {
-		a.emit(events.AgentEvict, map[string]any{"task": name})
-	}
-	return nil
-}
-
-// MLTask returns the admitted accelerated task's name ("" if none).
-func (a *Agent) MLTask() string { return a.mlName }
-
 // Run advances the managed node.
 func (a *Agent) Run(d sim.Duration) { a.n.Run(d) }
 

@@ -44,8 +44,8 @@ func TestAdmissionFlow(t *testing.T) {
 	if err := a.AdmitML(ml, 2); err != nil {
 		t.Fatal(err)
 	}
-	if a.MLTask() != "CNN1" {
-		t.Errorf("MLTask = %q", a.MLTask())
+	if a.mlName != "CNN1" {
+		t.Errorf("ML task = %q", a.mlName)
 	}
 	if a.Applied() == nil || a.Applied().Runtime == nil {
 		t.Fatal("policy not applied")
@@ -77,7 +77,7 @@ func TestAdmissionFlow(t *testing.T) {
 	_ = low
 	_ = bf
 	a.Run(500 * sim.Millisecond)
-	if ml.Steps() == 0 {
+	if ml.Throughput(a.Node().Now()) == 0 {
 		t.Error("ML task made no progress")
 	}
 }
@@ -153,23 +153,6 @@ func TestProfileReachesRuntime(t *testing.T) {
 	}
 	if got := rt.Config().SamplePeriod; got != 0.05 {
 		t.Errorf("SamplePeriod = %v, want profile's 0.05", got)
-	}
-}
-
-func TestEvict(t *testing.T) {
-	a := testAgent(t, policy.Baseline)
-	ml := cnn1(t)
-	if err := a.AdmitML(ml, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Evict("CNN1"); err != nil {
-		t.Fatal(err)
-	}
-	if a.MLTask() != "" {
-		t.Error("ML slot not freed")
-	}
-	if err := a.Evict("CNN1"); err == nil {
-		t.Error("double evict accepted")
 	}
 }
 

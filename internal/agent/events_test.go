@@ -76,47 +76,6 @@ func TestFlightRecorderCapturesDecisionTrail(t *testing.T) {
 	}
 }
 
-func TestEvictIsRecorded(t *testing.T) {
-	a := testAgent(t, policy.Baseline)
-	if err := a.AdmitML(cnn1(t), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Evict("CNN1"); err != nil {
-		t.Fatal(err)
-	}
-	evicts := a.Events().Since(0, events.AgentEvict)
-	if len(evicts) != 1 || evicts[0].Fields["task"] != "CNN1" {
-		t.Fatalf("evicts = %+v", evicts)
-	}
-}
-
-func TestFailedEvictIsRecorded(t *testing.T) {
-	a := testAgent(t, policy.Baseline)
-	if err := a.AdmitML(cnn1(t), 2); err != nil {
-		t.Fatal(err)
-	}
-	err := a.Evict("no-such-task")
-	if err == nil {
-		t.Fatal("evicting an unknown task succeeded")
-	}
-	// The failed attempt shows up in the flight recorder too, carrying the
-	// error — not just successful evictions.
-	evicts := a.Events().Since(0, events.AgentEvict)
-	if len(evicts) != 1 {
-		t.Fatalf("evicts = %+v", evicts)
-	}
-	if evicts[0].Fields["task"] != "no-such-task" {
-		t.Errorf("evict fields = %+v", evicts[0].Fields)
-	}
-	if msg, _ := evicts[0].Fields["error"].(string); msg != err.Error() {
-		t.Errorf("evict error field = %q, want %q", msg, err.Error())
-	}
-	// The failure left the admitted task in place.
-	if a.MLTask() != "CNN1" {
-		t.Errorf("MLTask = %q after failed evict", a.MLTask())
-	}
-}
-
 func TestEventCapacityOption(t *testing.T) {
 	a, err := New(Config{
 		Node:          node.DefaultConfig(),
@@ -127,8 +86,11 @@ func TestEventCapacityOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Events().Cap(); got != 8 {
-		t.Errorf("Cap = %d, want 8", got)
+	for i := range 10 {
+		a.Events().Emit(float64(i), events.AgentAdmit, "test", nil)
+	}
+	if got := a.Events().Len(); got != 8 {
+		t.Errorf("recorder holds %d of 10 events, want its capacity 8", got)
 	}
 	if _, err := New(Config{
 		Node:          node.DefaultConfig(),

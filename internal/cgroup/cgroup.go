@@ -242,21 +242,6 @@ func (m *Manager) SetMBA(name string, percent int) error {
 	return nil
 }
 
-// SetPrefetch toggles L2 prefetchers on every core of the group's cpuset —
-// the actuator Kelp's ConfigLoPriority drives.
-func (m *Manager) SetPrefetch(name string, on bool) error {
-	g, err := m.Group(name)
-	if err != nil {
-		return err
-	}
-	for _, id := range g.cpus {
-		if err := m.proc.SetPrefetch(id, on); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SetPrefetchCount enables prefetchers on the first n cores of the group's
 // cpuset and disables them on the rest. It returns the number actually
 // enabled. This is the fractional actuation Fig. 7 sweeps ("percentage of

@@ -77,7 +77,7 @@ func TestSetCPUsValidates(t *testing.T) {
 	if g.CPUs().Len() != 3 {
 		t.Errorf("CPUs = %v", g.CPUs())
 	}
-	if err := m.SetCPUs("g", cpu.NewSet(proc.NumCores()+5)); err == nil {
+	if err := m.SetCPUs("g", cpu.NewSet(proc.Topology().Sockets*proc.Topology().CoresPerSocket+5)); err == nil {
 		t.Error("out-of-range core accepted")
 	}
 	if err := m.SetCPUs("missing", cpu.NewSet(0)); err == nil {
@@ -161,7 +161,7 @@ func TestPrefetchControls(t *testing.T) {
 	cpus := cpu.NewSet(0, 1, 2, 3)
 	m.SetCPUs("g", cpus)
 
-	if err := m.SetPrefetch("g", false); err != nil {
+	if _, err := m.SetPrefetchCount("g", 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range cpus {
@@ -194,9 +194,6 @@ func TestPrefetchControls(t *testing.T) {
 		t.Errorf("SetPrefetchCount(-1) = %d, want 0", set)
 	}
 
-	if err := m.SetPrefetch("missing", true); err == nil {
-		t.Error("missing group accepted")
-	}
 	if _, err := m.SetPrefetchCount("missing", 1); err == nil {
 		t.Error("missing group accepted")
 	}

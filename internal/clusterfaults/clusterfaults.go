@@ -281,15 +281,3 @@ func (i *Injector) Counts() map[string]uint64 {
 	}
 	return out
 }
-
-// Total returns the total number of injected faults across all classes.
-func (i *Injector) Total() uint64 {
-	if i == nil {
-		return 0
-	}
-	var t uint64
-	for _, v := range i.counts {
-		t += v
-	}
-	return t
-}

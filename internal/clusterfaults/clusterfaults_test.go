@@ -72,7 +72,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if i.Crash(0, 1) || i.Hang(0, 1) || i.Degrade(0, 1) || i.RestartFails(0) {
 		t.Error("nil injector fired a fault")
 	}
-	if i.Total() != 0 || i.Counts() != nil {
+	if i.Counts() != nil {
 		t.Error("nil injector has counts")
 	}
 	if i.Spec() != (Spec{}) {
@@ -178,8 +178,8 @@ func TestRateSemantics(t *testing.T) {
 	if fired < 100 {
 		t.Errorf("saturated hazard fired %d/100", fired)
 	}
-	if hot.Total() != uint64(fired) || hot.Counts()["crash"] != uint64(fired) {
-		t.Errorf("counts = %v, total = %d, want %d crashes", hot.Counts(), hot.Total(), fired)
+	if c := hot.Counts(); len(c) != 1 || c["crash"] != uint64(fired) {
+		t.Errorf("counts = %v, want %d crashes only", c, fired)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"encoding/gob"
 )
 
-// Guard keeps its counters unexported behind accessors (Degraded, Entries,
-// ConsecutiveFaults, CleanStreak) so they only move through Fault and Clean.
+// Guard keeps its counters unexported (Degraded reads one) so they only
+// move through Fault and Clean.
 // The default gob encoding would drop them, so Guard implements explicit gob
 // hooks for the durability layer's session snapshots.
 

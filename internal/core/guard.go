@@ -76,14 +76,3 @@ func (g *Guard) Clean() (exited bool) {
 
 // Degraded reports whether the controller is in fail-safe mode.
 func (g *Guard) Degraded() bool { return g.degraded }
-
-// ConsecutiveFaults returns the current faulted-period streak (0 while
-// degraded or after a clean period).
-func (g *Guard) ConsecutiveFaults() int { return g.faulted }
-
-// CleanStreak returns the current clean-period streak counted toward
-// recovery (non-zero only while degraded).
-func (g *Guard) CleanStreak() int { return g.clean }
-
-// Entries returns how many times the guard has entered fail-safe mode.
-func (g *Guard) Entries() int { return g.entries }

@@ -27,8 +27,8 @@ func TestGuardEntersAfterKConsecutiveFaults(t *testing.T) {
 	if !g.Fault() {
 		t.Fatal("no transition on the Kth fault")
 	}
-	if !g.Degraded() || g.Entries() != 1 {
-		t.Errorf("after K faults: degraded=%v entries=%d", g.Degraded(), g.Entries())
+	if !g.Degraded() || g.entries != 1 {
+		t.Errorf("after K faults: degraded=%v entries=%d", g.Degraded(), g.entries)
 	}
 	// Further faults while degraded are not new transitions.
 	if g.Fault() {
@@ -44,8 +44,8 @@ func TestGuardCleanPeriodResetsFaultStreak(t *testing.T) {
 	if g.Fault() || g.Fault() {
 		t.Error("entered fail-safe on a non-consecutive streak")
 	}
-	if g.ConsecutiveFaults() != 2 {
-		t.Errorf("fault streak = %d, want 2", g.ConsecutiveFaults())
+	if g.faulted != 2 {
+		t.Errorf("fault streak = %d, want 2", g.faulted)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestGuardFaultResetsRecoveryStreak(t *testing.T) {
 	g.Clean()
 	g.Clean()
 	g.Fault() // recovery streak back to zero
-	if g.CleanStreak() != 0 {
-		t.Fatalf("clean streak = %d after fault", g.CleanStreak())
+	if g.clean != 0 {
+		t.Fatalf("clean streak = %d after fault", g.clean)
 	}
 	g.Clean()
 	g.Clean()
@@ -93,8 +93,8 @@ func TestGuardFaultResetsRecoveryStreak(t *testing.T) {
 	if g.Degraded() {
 		t.Error("still degraded after J consecutive cleans")
 	}
-	if g.Entries() != 1 {
-		t.Errorf("entries = %d, want 1", g.Entries())
+	if g.entries != 1 {
+		t.Errorf("entries = %d, want 1", g.entries)
 	}
 }
 

@@ -293,9 +293,6 @@ func (r *Runtime) LowPrefetchers() int { return r.lowPrefetchers }
 // Degraded reports whether the runtime is in fail-safe mode.
 func (r *Runtime) Degraded() bool { return r.period.Guard.Degraded() }
 
-// Guard returns a copy of the degradation watchdog's state.
-func (r *Runtime) Guard() Guard { return r.period.Guard }
-
 // Control implements sim.Controller: one iteration of Algorithm 1,
 // hardened against a faulty signal path by the shared control Period.
 // Sensor readings are sanitized before they are acted on and enforcement

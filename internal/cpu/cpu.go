@@ -50,9 +50,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// TotalCores returns the number of logical cores on the node.
-func (t Topology) TotalCores() int { return t.Sockets * t.CoresPerSocket }
-
 // CoresPerSubdomain returns logical cores per NUMA subdomain.
 func (t Topology) CoresPerSubdomain() int { return t.CoresPerSocket / t.SubdomainsPerSocket }
 
@@ -114,9 +111,6 @@ func (p *Processor) Core(id int) (Core, error) {
 	}
 	return p.cores[id], nil
 }
-
-// NumCores returns the number of logical cores.
-func (p *Processor) NumCores() int { return len(p.cores) }
 
 // SetPrefetch toggles the L2 prefetchers on one core.
 func (p *Processor) SetPrefetch(id int, on bool) error {
@@ -227,27 +221,11 @@ func (s Set) Prefix(n int) Set {
 	return s[:n:n]
 }
 
-// Union returns the sorted union of s and other.
-func (s Set) Union(other Set) Set {
-	return NewSet(append(append([]int(nil), s...), other...)...)
-}
-
 // Minus returns s with other's cores removed.
 func (s Set) Minus(other Set) Set {
 	var out Set
 	for _, id := range s {
 		if !other.Contains(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Intersect returns the cores present in both sets.
-func (s Set) Intersect(other Set) Set {
-	var out Set
-	for _, id := range s {
-		if other.Contains(id) {
 			out = append(out, id)
 		}
 	}

@@ -151,9 +151,6 @@ func (w *WAL) Append(rec Record) error {
 // record; 0 for an empty log.
 func (w *WAL) Seq() uint64 { return w.seq }
 
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
 // Close closes the underlying file. The log is already durable — every
 // append fsynced — so Close performs no final flush.
 func (w *WAL) Close() error { return w.f.Close() }

@@ -64,10 +64,6 @@ const (
 	AgentAdmit Type = "agent.admit"
 	// AgentReject records a refused admission. Fields: task, ml, reason.
 	AgentReject Type = "agent.reject"
-	// AgentEvict records a task eviction attempt. Fields: task, plus
-	// error when the eviction failed (so a failed evict is visible in the
-	// flight recorder, not silently absent).
-	AgentEvict Type = "agent.evict"
 	// FaultSensor records an injected sensor fault (internal/faults):
 	// a dropped window, a stale replay, NaN poisoning, a counter spike,
 	// or distress flapping. Fields: controller, class, and per-class
@@ -177,23 +173,6 @@ const (
 	ServerRecover Type = "server.recover"
 )
 
-// Types lists every event type in the taxonomy, in documentation order.
-func Types() []Type {
-	return []Type{
-		DistressAssert, DistressDeassert, SaturationCross,
-		KelpActuate, ThrottlerActuate, MBAActuate,
-		AgentAdmit, AgentReject, AgentEvict,
-		FaultSensor, FaultActuator, FaultStall,
-		SensorReject, ActuateError, DegradeEnter, DegradeExit,
-		WorkerCrash, WorkerRestart, WorkerStraggle, WorkerDegrade, WorkerDead,
-		CheckpointSave, CheckpointRestore, BarrierTimeout,
-		FleetPlace, FleetEvict, FleetRebalance, MachineSaturate,
-		ServerPanic, ServerShed, ServerWriteError, ServerDrain,
-		SessionCreate, SessionDestroy,
-		SessionPersist, SessionRestore, ServerRecover,
-	}
-}
-
 // Event is one structured flight-recorder record.
 //
 // Fields is marshaled by encoding/json with sorted keys, so a recorded
@@ -295,14 +274,6 @@ func (r *Recorder) Len() int {
 	return r.size
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
-
 // Dropped returns how many events were evicted by capacity pressure.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
@@ -378,17 +349,6 @@ func (r *Recorder) SinceLimit(after uint64, limit int, types ...Type) []Event {
 		out = append(out, e)
 	}
 	return out
-}
-
-// NextSeq returns the sequence number the next emitted event will carry.
-// Pollers can pass NextSeq()-1 as the starting "since" cursor.
-func (r *Recorder) NextSeq() uint64 {
-	if r == nil {
-		return 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nextSeq
 }
 
 // WriteJSONL writes events as one JSON object per line — the -events

@@ -9,8 +9,8 @@ import (
 // event stream, created by Watch. Each subscription owns a bounded buffer:
 // emitted events that match its type filter are delivered to the buffer in
 // seq order, and when the consumer falls behind and the buffer fills, new
-// events are dropped for that subscriber only — counted by Dropped — while
-// every other subscriber and the emitter itself proceed
+// events are dropped for that subscriber only (and counted in its dropped
+// counter) while every other subscriber and the emitter itself proceed
 // untouched. A dropped span is recoverable as long as the ring still holds
 // it: the consumer sees the seq gap on its next receive and can backfill
 // with Since (the kelpd SSE handlers do exactly this).
@@ -27,15 +27,6 @@ func (sub *Subscription) C() <-chan Event {
 		return nil
 	}
 	return sub.ch
-}
-
-// Dropped returns how many matching events were discarded because the
-// subscription's buffer was full when they were emitted.
-func (sub *Subscription) Dropped() uint64 {
-	if sub == nil {
-		return 0
-	}
-	return sub.dropped.Load()
 }
 
 // push delivers one already-stamped event, without blocking: a full buffer
@@ -111,11 +102,11 @@ func (r *Recorder) Subscribers() int {
 }
 
 // OldestSeq returns the sequence number of the oldest event still
-// buffered, or NextSeq when the ring is empty. A poller holding cursor C
-// has provably missed events exactly when OldestSeq > C+1 and events with
-// those seqs ever existed: the span (C, OldestSeq) was evicted by capacity
-// pressure. The /events endpoints report this as oldest_seq so cursor gaps
-// are detectable, not silent.
+// buffered, or the next sequence number when the ring is empty. A poller
+// holding cursor C has provably missed events exactly when OldestSeq > C+1
+// and events with those seqs ever existed: the span (C, OldestSeq) was
+// evicted by capacity pressure. The /events endpoints report this as
+// oldest_seq so cursor gaps are detectable, not silent.
 func (r *Recorder) OldestSeq() uint64 {
 	if r == nil {
 		return 1

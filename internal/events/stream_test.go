@@ -24,8 +24,8 @@ func TestWatchDeliversInSeqOrder(t *testing.T) {
 			t.Fatalf("missing seq %d", want)
 		}
 	}
-	if d := sub.Dropped(); d != 0 {
-		t.Errorf("Dropped = %d, want 0", d)
+	if d := sub.dropped.Load(); d != 0 {
+		t.Errorf("dropped = %d, want 0", d)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestWatchTypeFilter(t *testing.T) {
 	default:
 	}
 	// Non-matching events must not count as drops either.
-	if d := sub.Dropped(); d != 0 {
-		t.Errorf("Dropped = %d, want 0", d)
+	if d := sub.dropped.Load(); d != 0 {
+		t.Errorf("dropped = %d, want 0", d)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 	if r.Len() != 1000 {
 		t.Errorf("ring holds %d events, want 1000", r.Len())
 	}
-	if d := sub.Dropped(); d != 1000-buffer {
-		t.Errorf("Dropped = %d, want %d", d, 1000-buffer)
+	if d := sub.dropped.Load(); d != 1000-buffer {
+		t.Errorf("dropped = %d, want %d", d, 1000-buffer)
 	}
 	// The buffered prefix survives in order; the consumer can see the gap
 	// (next delivered seq after a drain would jump) and backfill via Since.
@@ -105,11 +105,11 @@ func TestDropsArePerSubscriber(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Emit(float64(i), KelpActuate, "kelp", nil)
 	}
-	if d := small.Dropped(); d != 8 {
-		t.Errorf("small Dropped = %d, want 8", d)
+	if d := small.dropped.Load(); d != 8 {
+		t.Errorf("small dropped = %d, want 8", d)
 	}
-	if d := large.Dropped(); d != 0 {
-		t.Errorf("large Dropped = %d, want 0", d)
+	if d := large.dropped.Load(); d != 0 {
+		t.Errorf("large dropped = %d, want 0", d)
 	}
 	for want := uint64(1); want <= 10; want++ {
 		if e := <-large.C(); e.Seq != want {
@@ -135,9 +135,9 @@ func TestConsumerReentersRecorder(t *testing.T) {
 			if e.Type == AgentAdmit {
 				_ = r.Since(0)
 				_ = r.Len()
-				r.Emit(e.Time, AgentEvict, "agent", nil)
+				r.Emit(e.Time, AgentReject, "agent", nil)
 			}
-			if e.Type == AgentEvict {
+			if e.Type == AgentReject {
 				return
 			}
 		}
@@ -150,13 +150,13 @@ func TestConsumerReentersRecorder(t *testing.T) {
 	}
 
 	evs := r.Events()
-	if len(evs) != 2 || evs[0].Type != AgentAdmit || evs[1].Type != AgentEvict {
+	if len(evs) != 2 || evs[0].Type != AgentAdmit || evs[1].Type != AgentReject {
 		t.Fatalf("ring = %+v", evs)
 	}
 	if evs[0].Seq != 1 || evs[1].Seq != 2 {
 		t.Fatalf("seqs = %d, %d", evs[0].Seq, evs[1].Seq)
 	}
-	if len(seen) != 2 || seen[0] != AgentAdmit || seen[1] != AgentEvict {
+	if len(seen) != 2 || seen[0] != AgentAdmit || seen[1] != AgentReject {
 		t.Fatalf("consumer saw %v", seen)
 	}
 }

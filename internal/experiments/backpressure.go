@@ -5,6 +5,7 @@ import (
 
 	"kelp/internal/cgroup"
 	"kelp/internal/node"
+	"kelp/internal/pool"
 	"kelp/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func Figure7(h *Harness) ([]BackpressureRow, error) {
 			}
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (BackpressureRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (BackpressureRow, error) {
 		c := cells[i]
 		// The singleflight cache makes concurrent baseline requests for the
 		// same workload collapse into one run.

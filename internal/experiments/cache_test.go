@@ -8,6 +8,7 @@ import (
 	"kelp/internal/events"
 	"kelp/internal/faults"
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 	"kelp/internal/sim"
 )
 
@@ -160,7 +161,7 @@ func TestResultCacheConcurrentCallers(t *testing.T) {
 	SetWarmStart(true)
 	ResetWarmCache()
 	s := cacheScenario(CNN1, policy.Kelp)
-	results, err := Collect(4, 4, func(int) (*Result, error) { return Run(s) })
+	results, err := pool.Collect(4, 4, func(int) (*Result, error) { return Run(s) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 )
 
 // CaseStudyRow is one cell of a case-study sweep (Figs. 9 and 10): one
@@ -50,7 +51,7 @@ func caseStudyGrid(h *Harness, ml MLKind, loads []int, mixFor func(load int) []C
 			cells = append(cells, cell{load, k})
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (CaseStudyRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (CaseStudyRow, error) {
 		c := cells[i]
 		r, err := h.RunNormalized(ml, mixFor(c.load), c.k)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"kelp/internal/cluster"
 	"kelp/internal/clusterfaults"
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 	"kelp/internal/sim"
 	"kelp/internal/workload"
 )
@@ -100,7 +101,7 @@ func ClusterFaults(h *Harness, seed uint64, custom *clusterfaults.Spec) ([]Clust
 			cells = append(cells, cell{fc, k})
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (ClusterFaultRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (ClusterFaultRow, error) {
 		c := cells[i]
 		workers := make([]cluster.WorkerSpec, ClusterFaultWorkers)
 		for w := range workers {
@@ -119,7 +120,7 @@ func ClusterFaults(h *Harness, seed uint64, custom *clusterfaults.Spec) ([]Clust
 			MakeTask: func() (*workload.Training, error) {
 				return workload.NewCNN3(accel.NewGPU())
 			},
-			// The outer Collect already fans cells out; keep each cell's
+			// The outer pool.Collect already fans cells out; keep each cell's
 			// worker simulations serial so parallelism is bounded once.
 			Parallel: 1,
 			Faults:   c.fc.Spec,

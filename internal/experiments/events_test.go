@@ -80,7 +80,7 @@ func TestSequentialRunsShareOneStream(t *testing.T) {
 	if _, err := h.RunNormalized(CNN1, mix, policy.Kelp); err != nil {
 		t.Fatal(err)
 	}
-	mark := h.Events.NextSeq() - 1
+	mark := h.Events.State().NextSeq - 1
 	if mark == 0 {
 		t.Fatal("first run recorded nothing")
 	}

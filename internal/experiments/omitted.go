@@ -6,6 +6,7 @@ import (
 	"kelp/internal/accel"
 	"kelp/internal/cgroup"
 	"kelp/internal/node"
+	"kelp/internal/pool"
 	"kelp/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func KneeSweep(h *Harness, loads []float64) ([]KneeRow, error) {
 	if len(loads) == 0 {
 		loads = []float64{100, 150, 200, 250, 300, 350, 400, 450}
 	}
-	return Collect(h.workers(), len(loads), func(i int) (KneeRow, error) {
+	return pool.Collect(h.workers(), len(loads), func(i int) (KneeRow, error) {
 		row, err := kneeCell(h, loads[i])
 		if err != nil {
 			return KneeRow{}, err
@@ -143,7 +144,7 @@ func RatioSweep(h *Harness) ([]RatioRow, error) {
 			cells = append(cells, cell{ml, scale})
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (RatioRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (RatioRow, error) {
 		row, err := ratioCell(h, cells[i].ml, cells[i].scale)
 		if err != nil {
 			return RatioRow{}, err

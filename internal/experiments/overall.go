@@ -5,6 +5,7 @@ import (
 
 	"kelp/internal/metrics"
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 )
 
 // OverallRow is one cell of the overall evaluation (Fig. 13): one ML
@@ -51,7 +52,7 @@ func overallGrid(h *Harness, kinds []policy.Kind) ([]OverallRow, error) {
 			}
 		}
 	}
-	rows, err := Collect(h.workers(), len(cells), func(i int) (OverallRow, error) {
+	rows, err := pool.Collect(h.workers(), len(cells), func(i int) (OverallRow, error) {
 		c := cells[i]
 		r, err := h.RunNormalized(c.ml, c.mix, c.k)
 		if err != nil {

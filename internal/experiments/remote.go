@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 	"kelp/internal/workload"
 )
 
@@ -40,7 +41,7 @@ func Figure16(h *Harness) ([]RemoteSweepRow, error) {
 			}
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (RemoteSweepRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (RemoteSweepRow, error) {
 		c := cells[i]
 		r, err := remoteCell(h, c.ml, c.dataL, c.threadsL)
 		if err != nil {

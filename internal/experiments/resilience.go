@@ -4,6 +4,7 @@ import (
 	"kelp/internal/events"
 	"kelp/internal/faults"
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 )
 
 // FaultCase is one named fault regime of the resilience study.
@@ -79,7 +80,7 @@ func Resilience(h *Harness, seed uint64) ([]ResilienceRow, error) {
 			cells = append(cells, cell{fc, k})
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (ResilienceRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (ResilienceRow, error) {
 		c := cells[i]
 		rec := events.MustNew(events.DefaultCapacity)
 		opts := h.Opts

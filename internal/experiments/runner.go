@@ -4,8 +4,8 @@ import "kelp/internal/pool"
 
 // The evaluation is a grid of independent scenario cells: every cell builds
 // a fresh node (with its own seeded RNG streams), runs it, and reads its
-// counters, so cells never share mutable state. Collect exploits that by
-// fanning cells out across internal/pool's bounded worker pool while
+// counters, so cells never share mutable state. The studies exploit that by
+// fanning cells out with pool.Collect, a bounded worker pool, while
 // keeping the output byte-identical to a serial sweep: results are
 // collected by input index, so ordering — the only thing concurrency could
 // perturb — is restored.
@@ -13,13 +13,3 @@ import "kelp/internal/pool"
 // DefaultParallelism is the worker count used when a caller does not
 // request an explicit one: the Go runtime's available parallelism.
 func DefaultParallelism() int { return pool.DefaultParallelism() }
-
-// Collect evaluates cell(0) .. cell(n-1) on a bounded pool of workers and
-// returns the results in input order. workers <= 0 selects
-// DefaultParallelism; workers == 1 runs serially with fail-fast semantics.
-// Cells must be independent of each other. If any cell fails, Collect
-// returns the lowest-indexed error — the same one a serial in-order sweep
-// would have reported first.
-func Collect[T any](workers, n int, cell func(i int) (T, error)) ([]T, error) {
-	return pool.Collect(workers, n, cell)
-}

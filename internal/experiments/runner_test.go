@@ -1,88 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"kelp/internal/sim"
 )
-
-func TestCollectOrdersResults(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got, err := Collect(workers, 33, func(i int) (int, error) {
-			// Finish out of order on purpose.
-			time.Sleep(time.Duration(33-i) * 10 * time.Microsecond)
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 33 {
-			t.Fatalf("workers=%d: %d results", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestCollectEmpty(t *testing.T) {
-	got, err := Collect(4, 0, func(i int) (int, error) {
-		t.Error("cell called for n=0")
-		return 0, nil
-	})
-	if err != nil || got != nil {
-		t.Errorf("Collect(_, 0) = %v, %v", got, err)
-	}
-}
-
-func TestCollectReturnsLowestIndexedError(t *testing.T) {
-	boom2 := errors.New("cell 2")
-	boom5 := errors.New("cell 5")
-	for _, workers := range []int{1, 4} {
-		_, err := Collect(workers, 8, func(i int) (int, error) {
-			switch i {
-			case 2:
-				return 0, boom2
-			case 5:
-				return 0, boom5
-			}
-			return i, nil
-		})
-		if !errors.Is(err, boom2) {
-			t.Errorf("workers=%d: err = %v, want the lowest-indexed error", workers, err)
-		}
-	}
-}
-
-func TestCollectBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	var cur, max atomic.Int64
-	_, err := Collect(workers, 48, func(i int) (int, error) {
-		c := cur.Add(1)
-		for {
-			m := max.Load()
-			if c <= m || max.CompareAndSwap(m, c) {
-				break
-			}
-		}
-		time.Sleep(500 * time.Microsecond)
-		cur.Add(-1)
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := max.Load(); got > workers {
-		t.Errorf("observed %d concurrent cells, pool bounds %d", got, workers)
-	}
-}
 
 // TestStandaloneSingleflight hammers the baseline cache from many
 // goroutines: every caller must get the same cached *Result, i.e. one

@@ -3,6 +3,7 @@ package experiments
 import (
 	"kelp/internal/metrics"
 	"kelp/internal/policy"
+	"kelp/internal/pool"
 	"kelp/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func sensitivity(h *Harness, aggressors []CPUSpec) ([]SensitivityRow, error) {
 			cells = append(cells, cell{ml, agg})
 		}
 	}
-	return Collect(h.workers(), len(cells), func(i int) (SensitivityRow, error) {
+	return pool.Collect(h.workers(), len(cells), func(i int) (SensitivityRow, error) {
 		c := cells[i]
 		r, err := h.RunNormalized(c.ml, []CPUSpec{c.agg}, policy.Baseline)
 		if err != nil {

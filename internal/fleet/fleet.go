@@ -65,11 +65,6 @@ const (
 	PolicyKelpAware Policy = "kelp"
 )
 
-// Policies lists the placement policies in presentation order.
-func Policies() []Policy {
-	return []Policy{PolicyRandom, PolicyBandwidth, PolicyDistress, PolicyKelpAware}
-}
-
 // Placement-model constants: estimated bandwidth demand of one batch task
 // and one ML worker's host side (fractions of machine peak), the distress
 // watermark (the paper's 70%-of-peak headline doubles as the placement
@@ -306,17 +301,6 @@ type Fleet struct {
 	// with it.
 	parallel int
 }
-
-// Config returns the fleet's configuration.
-func (f *Fleet) Config() Config { return f.cfg }
-
-// Machines returns the fleet's machines with their placements (do not
-// mutate).
-func (f *Fleet) Machines() []Machine { return f.machines }
-
-// Shapes returns the distinct non-idle machine shapes, in deterministic
-// first-seen order (do not mutate).
-func (f *Fleet) Shapes() []MachineShape { return f.shapes }
 
 // variants resolves the configured seed-variant count.
 func (c Config) variants() int {

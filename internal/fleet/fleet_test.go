@@ -47,6 +47,9 @@ func synthMeasure(shape MachineShape) (*Measurement, error) {
 	return meas, nil
 }
 
+// policies lists the placement policies, each test's cases.
+var policies = []Policy{PolicyRandom, PolicyBandwidth, PolicyDistress, PolicyKelpAware}
+
 // testConfig is a small fleet every test can afford.
 func testConfig() Config {
 	cfg := DefaultConfig()
@@ -89,7 +92,7 @@ func TestFleetConfigValidate(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	for _, p := range Policies() {
+	for _, p := range policies {
 		cfg := testConfig()
 		cfg.Policy = p
 		a, err := Build(cfg)
@@ -100,7 +103,7 @@ func TestBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.Machines(), b.Machines()) {
+		if !reflect.DeepEqual(a.machines, b.machines) {
 			t.Errorf("%s: same seed placed differently", p)
 		}
 		cfg.Seed++
@@ -108,14 +111,14 @@ func TestBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reflect.DeepEqual(a.Machines(), c.Machines()) {
+		if reflect.DeepEqual(a.machines, c.machines) {
 			t.Errorf("%s: different seeds placed identically", p)
 		}
 	}
 }
 
 func TestPlacementInvariants(t *testing.T) {
-	for _, p := range Policies() {
+	for _, p := range policies {
 		cfg := testConfig()
 		cfg.Policy = p
 		f, err := Build(cfg)
@@ -124,7 +127,7 @@ func TestPlacementInvariants(t *testing.T) {
 		}
 		workers := make(map[int]int)
 		batch := 0
-		for _, m := range f.Machines() {
+		for _, m := range f.machines {
 			if m.Job >= 0 {
 				workers[m.Job]++
 			}
@@ -156,7 +159,7 @@ func TestKelpAwareWorkerPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range f.Machines() {
+	for _, m := range f.machines {
 		if m.Job >= 0 && !m.KelpOn {
 			t.Fatalf("kelp-aware policy placed job %d's worker on Kelp-off machine %d", m.Job, m.ID)
 		}
@@ -176,8 +179,8 @@ func TestDistressRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		for i := range f.Machines() {
-			m := &f.Machines()[i]
+		for i := range f.machines {
+			m := &f.machines[i]
 			if m.Job >= 0 && m.estLoad() > SaturateMark {
 				n++
 			}
@@ -256,7 +259,7 @@ func TestSimulateParallelIdentical(t *testing.T) {
 // refresh would differ from the machine's current estimate. Each heap must
 // also hold the heap order, and pos must point at each machine's slot.
 func TestLoadIndexKeysFresh(t *testing.T) {
-	for _, p := range Policies() {
+	for _, p := range policies {
 		// Sparse, dense enough to rebalance, and overfull.
 		for _, batch := range []int{90, 900, 1207} {
 			cfg := testConfig()
@@ -437,7 +440,7 @@ func BenchmarkFleetTick(b *testing.B) {
 // fleet study's 20000-machine config (8x8-worker jobs, 6000 batch tasks)
 // on the mixed fleet every policy row of the study places onto.
 func BenchmarkFleetBuild(b *testing.B) {
-	for _, p := range Policies() {
+	for _, p := range policies {
 		b.Run(string(p), func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Machines = 20000

@@ -250,12 +250,12 @@ func checkPlacementMatchesScan(t *testing.T, cfg Config, prep func([]Machine)) *
 	if gotEv.Dropped() != 0 || wantEv.Dropped() != 0 {
 		t.Fatalf("%s: event ring overflowed", name)
 	}
-	for i, m := range got.Machines() {
-		if w := want.Machines()[i]; m != w {
+	for i, m := range got.machines {
+		if w := want.machines[i]; m != w {
 			t.Fatalf("%s: machine %d = %+v, reference %+v", name, i, m, w)
 		}
 	}
-	if !reflect.DeepEqual(got.Shapes(), want.Shapes()) {
+	if !reflect.DeepEqual(got.shapes, want.shapes) {
 		t.Fatalf("%s: shapes differ from reference", name)
 	}
 	if !reflect.DeepEqual(gotEv.Events(), wantEv.Events()) {
@@ -282,7 +282,7 @@ func TestPlacementMatchesScan(t *testing.T) {
 	for _, sz := range sizes {
 		m := sz.machines
 		for _, batch := range []int{0, 1, m / 10, m * 3 / 10, m, 2 * m, 4*m + 7} {
-			for _, p := range Policies() {
+			for _, p := range policies {
 				for _, kf := range []float64{0, 0.3, 1} {
 					for seed := int64(1); seed <= int64(sz.seeds); seed++ {
 						cfg := DefaultConfig()
@@ -310,7 +310,7 @@ func quantizeLoads(ms []Machine) {
 func TestPlacementTiesMatchScan(t *testing.T) {
 	for _, m := range []int{40, 300} {
 		for _, batch := range []int{m / 10, m, 4*m + 7} {
-			for _, p := range Policies() {
+			for _, p := range policies {
 				for seed := int64(1); seed <= 2; seed++ {
 					cfg := DefaultConfig()
 					cfg.Machines, cfg.Jobs, cfg.WorkersPerJob = m, 4, 5
@@ -339,14 +339,14 @@ func FuzzPlacement(f *testing.F) {
 		cfg.Jobs = 1 + int(jobs)%min(8, cfg.Machines)
 		cfg.WorkersPerJob = 1 + int(workers)%min(8, cfg.Machines/cfg.Jobs)
 		cfg.BatchTasks = int(batch) % (4*cfg.Machines + 8)
-		cfg.Policy = Policies()[int(policy)%len(Policies())]
+		cfg.Policy = policies[int(policy)%len(policies)]
 		cfg.KelpFraction = float64(kelp%101) / 100
 		cfg.Seed = seed
 		var prep func([]Machine)
 		if quantize {
 			prep = quantizeLoads
 		}
-		for _, m := range checkPlacementMatchesScan(t, cfg, prep).Machines() {
+		for _, m := range checkPlacementMatchesScan(t, cfg, prep).machines {
 			if m.Batch < 0 || m.Batch > MaxBatchPerMach {
 				t.Fatalf("%+v: machine %d holds %d batch tasks", cfg, m.ID, m.Batch)
 			}

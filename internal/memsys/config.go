@@ -154,15 +154,6 @@ func (c Config) SocketBW() float64 {
 	return c.BWPerController * float64(c.ControllersPerSocket)
 }
 
-// Subdomains returns the number of NUMA subdomains per socket under the
-// current SNC setting.
-func (c Config) Subdomains() int {
-	if c.SNCEnabled {
-		return c.ControllersPerSocket
-	}
-	return 1
-}
-
 // AllWays returns the way bitmask covering the entire LLC.
 func (c Config) AllWays() uint64 {
 	return (uint64(1) << uint(c.LLCWays)) - 1

@@ -38,17 +38,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestSubdomainsFollowSNC(t *testing.T) {
-	c := testConfig()
-	if c.Subdomains() != 1 {
-		t.Errorf("SNC off: Subdomains = %d, want 1", c.Subdomains())
-	}
-	c.SNCEnabled = true
-	if c.Subdomains() != 2 {
-		t.Errorf("SNC on: Subdomains = %d, want 2", c.Subdomains())
-	}
-}
-
 func TestFlowValidation(t *testing.T) {
 	s := MustSystem(testConfig())
 	bad := []Flow{

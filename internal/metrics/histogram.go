@@ -92,18 +92,6 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the arithmetic mean of finite positive observations, or 0 if
-// there are none.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Max returns the largest finite observation, or 0 if there are none.
 func (h *Histogram) Max() float64 {
 	if math.IsInf(h.minSeen, 1) {

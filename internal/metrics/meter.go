@@ -1,7 +1,5 @@
 package metrics
 
-import "math"
-
 // Meter accumulates completed work over simulated time and reports average
 // throughput. It supports marking a measurement start so that warmup work is
 // excluded from the reported rate.
@@ -50,62 +48,4 @@ func (m *Meter) Rate(now float64) float64 {
 		return 0
 	}
 	return m.Total() / dt
-}
-
-// Gauge tracks the exponentially-weighted moving average of a sampled value,
-// the standard smoothing used by feedback controllers reading noisy counters.
-type Gauge struct {
-	alpha float64
-	value float64
-	init  bool
-	last  float64
-}
-
-// NewGauge returns a gauge with smoothing factor alpha in (0, 1]; alpha = 1
-// means no smoothing.
-func NewGauge(alpha float64) *Gauge {
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		alpha = 1
-	}
-	return &Gauge{alpha: alpha}
-}
-
-// Set records a new sample.
-func (g *Gauge) Set(v float64) {
-	g.last = v
-	if !g.init {
-		g.value, g.init = v, true
-		return
-	}
-	g.value = g.alpha*v + (1-g.alpha)*g.value
-}
-
-// Value returns the smoothed value.
-func (g *Gauge) Value() float64 { return g.value }
-
-// Last returns the most recent raw sample.
-func (g *Gauge) Last() float64 { return g.last }
-
-// TimeSeries records (time, value) samples for trace output.
-type TimeSeries struct {
-	Times  []float64
-	Values []float64
-}
-
-// Append records one sample.
-func (ts *TimeSeries) Append(t, v float64) {
-	ts.Times = append(ts.Times, t)
-	ts.Values = append(ts.Values, v)
-}
-
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.Times) }
-
-// MeanValue returns the arithmetic mean of all sampled values, or 0 when
-// empty.
-func (ts *TimeSeries) MeanValue() float64 {
-	if len(ts.Values) == 0 {
-		return 0
-	}
-	return Mean(ts.Values)
 }

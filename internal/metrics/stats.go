@@ -35,39 +35,6 @@ func HarmonicMean(xs []float64) float64 {
 	return float64(len(xs)) / s
 }
 
-// GeoMean returns the geometric mean of xs, or 0 when empty or when any
-// element is non-positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 || math.IsNaN(x) {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Window holds the last n values pushed, both in arrival order (a ring)
 // and sorted, so a trailing percentile costs one sorted delete and one
 // sorted insert per push instead of a copy and a sort. The cluster

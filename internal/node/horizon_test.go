@@ -11,6 +11,11 @@ import (
 	"kelp/internal/workload"
 )
 
+// controlFunc is a sim.Controller that calls f each time it fires.
+type controlFunc func(now sim.Time)
+
+func (f controlFunc) Control(now sim.Time) { f(now) }
+
 // runCounter stands between a node and its engine. It counts the StepN
 // calls the engine makes and the ticks it hands over in them, how many of
 // those ticks ran in multi-tick runs, the offer passes the node made, the
@@ -102,7 +107,7 @@ func horizonNode(t *testing.T, tc tierCase, noInc bool, period sim.Duration) (n 
 		func() error { return n.Processor().SetPrefetch(tc.to[0], true) },
 	}
 	fired := 0
-	if err := n.engine.AddController("actuate", period, sim.ControlFunc(func(now sim.Time) {
+	if err := n.engine.AddController("actuate", period, controlFunc(func(now sim.Time) {
 		if n.withinHorizon(now) {
 			*inside++
 		}
@@ -148,7 +153,7 @@ func TestTickTierHorizonRun(t *testing.T) {
 			whole, _, _ := horizonNode(t, tc, false, period)
 			whole.Run(chunked.Now())
 			ref, _, _ := horizonNode(t, tc, true, period)
-			for range chunked.Engine().Steps() {
+			for range chunked.Engine().State().Steps {
 				ref.engine.Tick()
 			}
 
@@ -237,7 +242,7 @@ func FuzzHorizonRunSplit(f *testing.F) {
 		// must end where an engine ticking one at a time would.
 		clock := sim.MustEngine(step, 1)
 		for _, b := range split {
-			if n.Engine().Steps() >= 4000 {
+			if n.Engine().State().Steps >= 4000 {
 				break
 			}
 			d := float64(int(b)*11+1) * step
@@ -251,7 +256,7 @@ func FuzzHorizonRunSplit(f *testing.F) {
 			}
 		}
 		ref, _, _ := horizonNode(t, tc, true, p)
-		for range n.Engine().Steps() {
+		for range n.Engine().State().Steps {
 			ref.engine.Tick()
 		}
 		if got, want := statsOf(n), statsOf(ref); !reflect.DeepEqual(got, want) {

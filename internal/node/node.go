@@ -161,8 +161,8 @@ type Node struct {
 	// pass: before it, every task's offer, and so the flow set and rates
 	// assembled from them, is still exact, as long as the cgroup,
 	// prefetcher and memory-config generations are those of that assembly.
-	// A run that ends on a reoffer, a task add or remove, a snapshot
-	// restore and New set it to -Inf. Config.NoIncremental and the hardware
+	// A run that ends on a reoffer, a task add, a snapshot restore and
+	// New set it to -Inf. Config.NoIncremental and the hardware
 	// prefetch governor (whose integral state mutates every tick) disable
 	// it. None of it is snapshotted.
 	horizon       float64
@@ -313,30 +313,6 @@ func (n *Node) indexTicked() {
 			n.ticked = append(n.ticked, i)
 		}
 	}
-}
-
-// RemoveTask unregisters a task (its cgroup remains).
-func (n *Node) RemoveTask(name string) error {
-	bt, ok := n.byName[name]
-	if !ok {
-		return fmt.Errorf("node: no task %q", name)
-	}
-	delete(n.byName, name)
-	for i, cur := range n.tasks {
-		if cur == bt {
-			copy(n.tasks[i:], n.tasks[i+1:])
-			// Zero the vacated tail slot: the shift-delete otherwise leaves
-			// a stale *boundTask in the backing array, keeping the removed
-			// task (and its cgroup) reachable by the GC for as long as the
-			// slice lives.
-			n.tasks[len(n.tasks)-1] = nil
-			n.tasks = n.tasks[:len(n.tasks)-1]
-			break
-		}
-	}
-	n.indexTicked()
-	n.horizon = math.Inf(-1)
-	return nil
 }
 
 // Task returns a registered task by name.

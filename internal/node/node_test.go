@@ -87,55 +87,6 @@ func TestTaskRegistration(t *testing.T) {
 	if len(n.Tasks()) != 1 {
 		t.Errorf("Tasks = %v", n.Tasks())
 	}
-	if err := n.RemoveTask("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.RemoveTask("a"); err == nil {
-		t.Error("double remove accepted")
-	}
-}
-
-// TestRemoveTaskClearsSlot pins the shift-delete in RemoveTask: removing a
-// task must zero the vacated tail slot of the backing array (no stale
-// *boundTask kept live for the GC) and removal/re-addition must leave
-// Tasks() with the right length and content in registration order.
-func TestRemoveTaskClearsSlot(t *testing.T) {
-	n := newNode(t)
-	addLoop(t, n, "a", "ga", cgroup.Low, []int{0, 1}, 2)
-	addLoop(t, n, "b", "gb", cgroup.Low, []int{2, 3}, 2)
-	addLoop(t, n, "c", "gc", cgroup.Low, []int{4, 5}, 2)
-
-	if err := n.RemoveTask("b"); err != nil {
-		t.Fatal(err)
-	}
-	// The backing array's vacated tail slot must be nil, not a stale
-	// pointer to the shifted-down last element.
-	if tail := n.tasks[:cap(n.tasks)][len(n.tasks)]; tail != nil {
-		t.Errorf("vacated tail slot holds %v, want nil", tail.task.Name())
-	}
-
-	names := func() []string {
-		var out []string
-		for _, task := range n.Tasks() {
-			out = append(out, task.Name())
-		}
-		return out
-	}
-	if got := names(); len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("after remove, Tasks() = %v, want [a c]", got)
-	}
-
-	// Re-add under the same name: lookup and ordering must behave as for a
-	// brand-new task.
-	addLoop(t, n, "b", "gb2", cgroup.Low, []int{6, 7}, 2)
-	if got := names(); len(got) != 3 || got[0] != "a" || got[1] != "c" || got[2] != "b" {
-		t.Fatalf("after re-add, Tasks() = %v, want [a c b]", got)
-	}
-	if _, err := n.Task("b"); err != nil {
-		t.Fatalf("re-added task lookup: %v", err)
-	}
-	// The node must still step cleanly with the reshaped task set.
-	n.Run(5 * n.cfg.Step)
 }
 
 func TestSingleTaskRunsAtFullSpeed(t *testing.T) {
@@ -250,7 +201,7 @@ func TestPrefetchTogglingReducesPressure(t *testing.T) {
 		agg, _ := workload.NewDRAMAggressor(workload.LevelHigh)
 		n.AddTask(agg, "lo")
 		if !prefetchOn {
-			n.Cgroups().SetPrefetch("lo", false)
+			n.Cgroups().SetPrefetchCount("lo", 0)
 		}
 		n.Run(500 * sim.Millisecond)
 		return n.Monitor().Window().SocketSaturation[0]
@@ -293,7 +244,7 @@ func TestGroupWithNoCoresIsIdle(t *testing.T) {
 		Mem: workload.MemProfile{StreamBWPerCore: workload.GB}})
 	n.AddTask(l, "g")
 	n.Run(200 * sim.Millisecond)
-	if got := l.Units(); got != 0 {
+	if got := l.Throughput(n.Now()); got != 0 {
 		t.Errorf("coreless task made progress: %v", got)
 	}
 	if res := n.Memory().Last(); res.SocketOffered(0)+res.SocketOffered(1) != 0 {

@@ -169,7 +169,7 @@ func taskObservations(n *Node) map[string]any {
 	for _, task := range n.Tasks() {
 		switch x := task.(type) {
 		case *workload.Inference:
-			out[x.Name()] = []float64{x.TailLatency(0.95), float64(x.QueueDepth()), float64(x.InFlight())}
+			out[x.Name()] = []any{x.TailLatency(0.95), x.TaskSnapshot()}
 		case *workload.Training:
 			out[x.Name()] = x.StepTimes()
 		case *workload.Pipelined:

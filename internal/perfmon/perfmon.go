@@ -539,11 +539,3 @@ func (m *Monitor) Restore(st State) error {
 	copy(m.totalBytes, st.TotalBytes)
 	return nil
 }
-
-// TotalBytes returns cumulative DRAM bytes moved on a socket since start.
-func (m *Monitor) TotalBytes(socket int) float64 {
-	if socket < 0 || socket >= len(m.totalBytes) {
-		return 0
-	}
-	return m.totalBytes[socket]
-}

@@ -68,16 +68,8 @@ func NewMBAController(n *node.Node, cfg MBAControllerConfig) (*MBAController, er
 	return c, nil
 }
 
-// Percent returns the current MBA throttle level.
-func (c *MBAController) Percent() int { return c.loop.cur }
-
 // Degraded reports whether the controller is in fail-safe mode.
 func (c *MBAController) Degraded() bool { return c.loop.period.Guard.Degraded() }
-
-// History returns a copy of the per-period decision trace.
-func (c *MBAController) History() []MBADecision {
-	return append([]MBADecision(nil), c.history...)
-}
 
 // Control implements sim.Controller, hardened like the other controllers:
 // sanitized samples, scored enforcement failures, and a fail-safe mode

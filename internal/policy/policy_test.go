@@ -80,7 +80,7 @@ func TestApplyBaseline(t *testing.T) {
 	if ml.LLCWays() != 0 {
 		t.Error("baseline should not partition the LLC")
 	}
-	if len(ml.CPUs().Intersect(low.CPUs())) != 0 {
+	if ml.CPUs().Minus(low.CPUs()).Len() != ml.CPUs().Len() {
 		t.Error("ML and low cpusets overlap")
 	}
 }
@@ -184,8 +184,8 @@ func TestBackfillNeverTouchesMLCores(t *testing.T) {
 	}
 	ml, _ := n.Cgroups().Group(a.ML)
 	bf, _ := n.Cgroups().Group(a.Backfill)
-	if overlap := ml.CPUs().Intersect(bf.CPUs()); overlap.Len() != 0 {
-		t.Errorf("backfill stole ML cores: %v", overlap)
+	if ml.CPUs().Minus(bf.CPUs()).Len() != ml.CPUs().Len() {
+		t.Errorf("backfill stole ML cores: ML %v, backfill %v", ml.CPUs(), bf.CPUs())
 	}
 }
 
@@ -316,18 +316,18 @@ func TestApplyMBAThrottle(t *testing.T) {
 	if a.MBA == nil {
 		t.Fatal("MBAThrottle should install the MBA controller")
 	}
-	if a.MBA.Percent() != 100 {
-		t.Errorf("initial MBA = %d, want 100", a.MBA.Percent())
+	if a.MBA.loop.cur != 100 {
+		t.Errorf("initial MBA = %d, want 100", a.MBA.loop.cur)
 	}
 	agg, _ := workload.NewDRAMAggressor(workload.LevelHigh)
 	if err := n.AddTask(agg, a.Low); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(3 * sim.Second)
-	if got := a.MBA.Percent(); got >= 100 {
+	if got := a.MBA.loop.cur; got >= 100 {
 		t.Errorf("MBA never throttled under DRAM-H: %d%%", got)
 	}
-	if len(a.MBA.History()) == 0 {
+	if len(a.MBA.history) == 0 {
 		t.Error("no decisions recorded")
 	}
 }

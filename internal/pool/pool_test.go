@@ -4,20 +4,34 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCollectPreservesInputOrder(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		got, err := Collect(workers, 50, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 50 {
-			t.Fatalf("workers=%d: %d results", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+	const n = 50
+	for _, tc := range []struct {
+		name string
+		cell func(i int) (int, error)
+	}{
+		{"in order", func(i int) (int, error) { return i * i, nil }},
+		// Later cells finish first on purpose.
+		{"out of order", func(i int) (int, error) {
+			time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
+			return i * i, nil
+		}},
+	} {
+		for _, workers := range []int{0, 1, 2, 3, 7, 64} {
+			got, err := Collect(workers, n, tc.cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("%s, workers=%d: %d results", tc.name, workers, len(got))
+			}
+			for i, v := range got {
+				if v != i*i {
+					t.Fatalf("%s, workers=%d: out[%d] = %d", tc.name, workers, i, v)
+				}
 			}
 		}
 	}

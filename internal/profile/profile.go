@@ -206,12 +206,3 @@ func (r *Registry) Get(name string) Profile {
 	}
 	return Default(name)
 }
-
-// Names returns the registered profile names.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.profiles))
-	for n := range r.profiles {
-		out = append(out, n)
-	}
-	return out
-}

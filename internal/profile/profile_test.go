@@ -139,8 +139,8 @@ func TestRegistry(t *testing.T) {
 	if err := r.Put(bad); err == nil {
 		t.Error("invalid profile stored")
 	}
-	if len(r.Names()) != 1 {
-		t.Errorf("Names = %v", r.Names())
+	if len(r.profiles) != 1 {
+		t.Errorf("registry holds %d profiles, want 1", len(r.profiles))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestRegistryRejectsMalformed(t *testing.T) {
 	if err := r.Put(Default("good")); err != nil {
 		t.Errorf("registry rejected a valid profile: %v", err)
 	}
-	if len(r.Names()) != 1 {
-		t.Errorf("registry holds %d profiles, want 1", len(r.Names()))
+	if len(r.profiles) != 1 {
+		t.Errorf("registry holds %d profiles, want 1", len(r.profiles))
 	}
 }

@@ -171,13 +171,3 @@ func Load(path string) (Spec, error) {
 	defer f.Close()
 	return Decode(f)
 }
-
-// Encode writes the spec as indented JSON.
-func (s Spec) Encode(w io.Writer) error {
-	if _, err := s.Resolve(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

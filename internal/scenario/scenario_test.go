@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	s := goodSpec()
 	s.WarmupSec = 1.5
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -111,7 +112,7 @@ func TestDecodeRejectsBadJSON(t *testing.T) {
 func TestLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.json")
 	var buf bytes.Buffer
-	if err := goodSpec().Encode(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(goodSpec()); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -126,14 +127,6 @@ func TestLoadFile(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file loaded")
-	}
-}
-
-func TestEncodeRejectsInvalid(t *testing.T) {
-	s := goodSpec()
-	s.ML = "NOPE"
-	if err := s.Encode(&bytes.Buffer{}); err == nil {
-		t.Error("invalid spec encoded")
 	}
 }
 

@@ -56,9 +56,6 @@ func (e *Engine) Now() Time { return e.now }
 // Step returns the engine's time step.
 func (e *Engine) Step() Duration { return e.dt }
 
-// Steps returns the number of ticks executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
 // RNG returns the engine's random stream source. Derive per-component
 // streams with RNG.Stream to keep runs reproducible under reordering.
 func (e *Engine) RNG() *RNG { return e.rng }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewEngineRejectsBadStep(t *testing.T) {
@@ -19,11 +18,11 @@ func TestNewEngineRejectsBadStep(t *testing.T) {
 func TestEngineAdvancesTime(t *testing.T) {
 	e := MustEngine(1*Millisecond, 42)
 	e.Run(50 * Millisecond)
-	if got := e.Now(); !ApproxEqual(got, 50*Millisecond, 1e-9) {
+	if got := e.Now(); math.Abs(got-50*Millisecond) > 1e-9 {
 		t.Fatalf("Now() = %v, want 50ms", got)
 	}
-	if e.Steps() != 50 {
-		t.Fatalf("Steps() = %d, want 50", e.Steps())
+	if e.steps != 50 {
+		t.Fatalf("Steps() = %d, want 50", e.steps)
 	}
 }
 
@@ -36,10 +35,15 @@ func (f tickFunc) StepN(now Time, dt Duration, deadline, due Time) int {
 	return 1
 }
 
+// controlFunc is a Controller that calls f each time it fires.
+type controlFunc func(now Time)
+
+func (f controlFunc) Control(now Time) { f(now) }
+
 func TestControllerFiresAtPeriod(t *testing.T) {
 	e := MustEngine(1*Millisecond, 1)
 	var fires []float64
-	err := e.AddController("c", 10*Millisecond, ControlFunc(func(now float64) {
+	err := e.AddController("c", 10*Millisecond, controlFunc(func(now float64) {
 		fires = append(fires, now)
 	}))
 	if err != nil {
@@ -50,7 +54,7 @@ func TestControllerFiresAtPeriod(t *testing.T) {
 		t.Fatalf("controller fired %d times (%v), want 3", len(fires), fires)
 	}
 	for i, want := range []float64{10 * Millisecond, 20 * Millisecond, 30 * Millisecond} {
-		if !ApproxEqual(fires[i], want, 1e-9) {
+		if math.Abs(fires[i]-want) > 1e-9 {
 			t.Errorf("fire %d at %v, want %v", i, fires[i], want)
 		}
 	}
@@ -58,7 +62,7 @@ func TestControllerFiresAtPeriod(t *testing.T) {
 
 func TestControllerRejectsBadArgs(t *testing.T) {
 	e := MustEngine(1*Millisecond, 1)
-	if err := e.AddController("x", 0, ControlFunc(func(float64) {})); err == nil {
+	if err := e.AddController("x", 0, controlFunc(func(float64) {})); err == nil {
 		t.Error("zero period accepted")
 	}
 	if err := e.AddController("x", 1, nil); err == nil {
@@ -70,7 +74,7 @@ func TestControllerFiresBeforeSteppersOnItsTick(t *testing.T) {
 	e := MustEngine(1*Millisecond, 1)
 	var log []string
 	e.SetStepper(tickFunc(func(Time) { log = append(log, "step") }))
-	if err := e.AddController("c", 2*Millisecond, ControlFunc(func(now float64) {
+	if err := e.AddController("c", 2*Millisecond, controlFunc(func(now float64) {
 		log = append(log, "ctrl")
 	})); err != nil {
 		t.Fatal(err)
@@ -99,7 +103,7 @@ func TestRunWhileStopsOnCondition(t *testing.T) {
 	if n != 7 {
 		t.Fatalf("n = %d, want 7", n)
 	}
-	if !ApproxEqual(elapsed, 7*Millisecond, 1e-9) {
+	if math.Abs(elapsed-7*Millisecond) > 1e-9 {
 		t.Fatalf("elapsed = %v, want 7ms", elapsed)
 	}
 }
@@ -140,9 +144,9 @@ func TestRunWhileCapMatchesRunUntil(t *testing.T) {
 		if _, done := e.RunWhile(tc.cap, func() bool { return true }); done {
 			t.Fatalf("dt %v cap %v: RunWhile reported done, want cap hit", tc.dt, tc.cap)
 		}
-		if e.Steps() != ref.Steps() || e.Now() != ref.Now() {
+		if e.steps != ref.steps || e.Now() != ref.Now() {
 			t.Errorf("dt %v cap %v from %v: RunWhile took %d ticks to %v, RunUntil %d to %v",
-				tc.dt, tc.cap, tc.start, e.Steps(), e.Now(), ref.Steps(), ref.Now())
+				tc.dt, tc.cap, tc.start, e.steps, e.Now(), ref.steps, ref.Now())
 		}
 	}
 }
@@ -171,13 +175,13 @@ func TestRunRejectsBadSpans(t *testing.T) {
 	for _, d := range []float64{-1, math.NaN()} {
 		mustPanic(fmt.Sprintf("RunWhile(%v)", d), func() { e.RunWhile(d, func() bool { return true }) })
 	}
-	if e.Now() != 0 || e.Steps() != 0 {
-		t.Errorf("rejected runs advanced the engine to %v (%d steps)", e.Now(), e.Steps())
+	if e.Now() != 0 || e.steps != 0 {
+		t.Errorf("rejected runs advanced the engine to %v (%d steps)", e.Now(), e.steps)
 	}
 	e.Run(3 * Millisecond)
 	e.RunUntil(1 * Millisecond)
-	if e.Steps() != 3 {
-		t.Errorf("RunUntil into the past ran %d steps, want none", e.Steps()-3)
+	if e.steps != 3 {
+		t.Errorf("RunUntil into the past ran %d steps, want none", e.steps-3)
 	}
 }
 
@@ -221,7 +225,7 @@ func TestRunUntilBatchMatchesTicks(t *testing.T) {
 		bt := &batchTracer{trace: &trace, max: max}
 		e.SetStepper(bt)
 		for _, period := range []Duration{2.5 * Millisecond, 7 * Millisecond} {
-			if err := e.AddController(fmt.Sprint(period), period, ControlFunc(func(now Time) {
+			if err := e.AddController(fmt.Sprint(period), period, controlFunc(func(now Time) {
 				trace = append(trace, traceEntry{ctrl: true, at: now})
 			})); err != nil {
 				t.Fatal(err)
@@ -243,11 +247,11 @@ func TestRunUntilBatchMatchesTicks(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("max %d: batched dispatch diverged from per-tick dispatch:\n got: %v\nwant: %v", max, got, want)
 		}
-		if e.Now() != ref.Now() || e.Steps() != ref.Steps() {
-			t.Errorf("max %d: engine at %v after %d steps, want %v after %d", max, e.Now(), e.Steps(), ref.Now(), ref.Steps())
+		if e.Now() != ref.Now() || e.steps != ref.steps {
+			t.Errorf("max %d: engine at %v after %d steps, want %v after %d", max, e.Now(), e.steps, ref.Now(), ref.steps)
 		}
-		if max > 1 && bt.calls >= int(e.Steps()) {
-			t.Errorf("max %d: %d StepN calls for %d ticks, want batching", max, bt.calls, e.Steps())
+		if max > 1 && bt.calls >= int(e.steps) {
+			t.Errorf("max %d: %d StepN calls for %d ticks, want batching", max, bt.calls, e.steps)
 		}
 	}
 }
@@ -318,52 +322,6 @@ func TestRNGSeedChangesStream(t *testing.T) {
 	}
 }
 
-func TestClampProperties(t *testing.T) {
-	f := func(v, a, b float64) bool {
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		got := Clamp(v, lo, hi)
-		return got >= lo && got <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClamp01(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{-0.5, 0}, {0, 0}, {0.25, 0.25}, {1, 1}, {3, 1},
-	}
-	for _, c := range cases {
-		if got := Clamp01(c.in); got != c.want {
-			t.Errorf("Clamp01(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestLerpEndpoints(t *testing.T) {
-	if Lerp(2, 10, 0) != 2 || Lerp(2, 10, 1) != 10 {
-		t.Error("Lerp endpoints wrong")
-	}
-	if got := Lerp(2, 10, 0.5); got != 6 {
-		t.Errorf("Lerp midpoint = %v, want 6", got)
-	}
-	if got := Lerp(2, 10, 5); got != 10 {
-		t.Errorf("Lerp clamps t: got %v, want 10", got)
-	}
-}
-
-func TestSafeDiv(t *testing.T) {
-	if got := SafeDiv(10, 2, -1); got != 5 {
-		t.Errorf("SafeDiv(10,2) = %v", got)
-	}
-	if got := SafeDiv(10, 0, -1); got != -1 {
-		t.Errorf("SafeDiv(10,0) = %v, want default", got)
-	}
-	if got := SafeDiv(10, math.NaN(), -1); got != -1 {
-		t.Errorf("SafeDiv(10,NaN) = %v, want default", got)
-	}
-}
-
 func TestFormatTime(t *testing.T) {
 	cases := []struct {
 		in   float64
@@ -377,18 +335,6 @@ func TestFormatTime(t *testing.T) {
 		if got := FormatTime(c.in); got != c.want {
 			t.Errorf("FormatTime(%v) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("tiny absolute difference should be equal")
-	}
-	if !ApproxEqual(1e9, 1e9*(1+1e-10), 1e-9) {
-		t.Error("tiny relative difference should be equal")
-	}
-	if ApproxEqual(1.0, 2.0, 1e-9) {
-		t.Error("1 and 2 should differ")
 	}
 }
 

@@ -5,47 +5,6 @@ import (
 	"math/bits"
 )
 
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Clamp01 limits v to [0, 1].
-func Clamp01(v float64) float64 { return Clamp(v, 0, 1) }
-
-// Lerp linearly interpolates between a and b by t in [0, 1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*Clamp01(t) }
-
-// SafeDiv returns a/b, or def when b is zero or not finite.
-func SafeDiv(a, b, def float64) float64 {
-	if b == 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return def
-	}
-	v := a / b
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return def
-	}
-	return v
-}
-
-// ApproxEqual reports whether a and b are within tol of each other, where tol
-// is interpreted as an absolute tolerance for small values and a relative one
-// for large values.
-func ApproxEqual(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}
-
 // addNLoop is the run length below which AddN just adds: the fold's checks
 // cost about as much as eight plain adds.
 const addNLoop = 8

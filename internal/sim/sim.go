@@ -52,12 +52,6 @@ type Controller interface {
 	Control(now Time)
 }
 
-// ControlFunc adapts a function to the Controller interface.
-type ControlFunc func(now Time)
-
-// Control calls f(now).
-func (f ControlFunc) Control(now Time) { f(now) }
-
 // FormatTime renders a simulated time compactly for traces and logs.
 func FormatTime(t Time) string {
 	switch {

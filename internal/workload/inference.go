@@ -155,12 +155,6 @@ func (s *Inference) Name() string { return s.name }
 // Config returns the server configuration.
 func (s *Inference) Config() InferenceConfig { return s.cfg }
 
-// InFlight returns the number of admitted, unfinished requests.
-func (s *Inference) InFlight() int { return len(s.inflight) }
-
-// QueueDepth returns the number of requests waiting for admission.
-func (s *Inference) QueueDepth() int { return len(s.queued) }
-
 // Offer implements Task: requests currently in their CPU phase occupy cores.
 // The offer depends only on how many there are, so it holds until Advance
 // changes that count.
@@ -409,10 +403,6 @@ func (s *Inference) StartMeasurement(now float64) {
 	s.dropped = 0
 }
 
-// Dropped returns arrivals rejected by the full admission queue since the
-// last StartMeasurement.
-func (s *Inference) Dropped() uint64 { return s.dropped }
-
 // WindowTailLatency returns the q-quantile of request latency since the
 // previous WindowTailLatency call and resets the window — the read-and-
 // reset semantics an SLO feedback controller samples with. Returns 0 when
@@ -429,9 +419,6 @@ func (s *Inference) Throughput(now float64) float64 { return s.completed.Rate(no
 // TailLatency returns the q-quantile of request latency (0.95 for the
 // paper's 95%-ile plots).
 func (s *Inference) TailLatency(q float64) float64 { return s.latency.Quantile(q) }
-
-// MeanLatency returns mean request latency.
-func (s *Inference) MeanLatency() float64 { return s.latency.Mean() }
 
 // Completed returns queries finished in the measured interval.
 func (s *Inference) Completed() float64 { return s.completed.Total() }
@@ -451,12 +438,4 @@ func (s *Inference) PhaseName() string {
 	default:
 		return "accel"
 	}
-}
-
-// StandaloneRequestTime returns the uncontended service time of one query.
-func (s *Inference) StandaloneRequestTime() float64 {
-	iter := s.cfg.CPUWorkPerIter +
-		s.device.Platform.TransferTime(s.cfg.XferBytes) +
-		s.device.Platform.ComputeTime(s.cfg.AccelWorkPerIter)
-	return float64(s.cfg.IterationsPerRequest) * iter
 }

@@ -103,13 +103,14 @@ func TestInferenceMeetsTargetQPSUncontended(t *testing.T) {
 	if qps < target*0.95 {
 		t.Errorf("uncontended QPS = %v, want >= 95%% of target %v", qps, target)
 	}
-	if s.Dropped() > 0 {
-		t.Errorf("dropped %d requests uncontended", s.Dropped())
+	if s.dropped > 0 {
+		t.Errorf("dropped %d requests uncontended", s.dropped)
 	}
 	// Tail should be close to the standalone request time (some queueing at
 	// the knee is expected).
 	tail := s.TailLatency(0.95)
-	base := s.StandaloneRequestTime()
+	base := float64(s.cfg.IterationsPerRequest) * (s.cfg.CPUWorkPerIter +
+		s.device.Platform.TransferTime(s.cfg.XferBytes) + s.device.Platform.ComputeTime(s.cfg.AccelWorkPerIter))
 	if tail < base {
 		t.Errorf("tail %v below standalone service time %v", tail, base)
 	}
@@ -130,8 +131,8 @@ func TestClosedLoopSaturatesPipeline(t *testing.T) {
 	if qps < 300 || qps > 450 {
 		t.Errorf("closed-loop QPS = %v, want near stage capacity", qps)
 	}
-	if s.InFlight() != s.Config().MaxConcurrency {
-		t.Errorf("in flight = %d, want pipeline full at %d", s.InFlight(), s.Config().MaxConcurrency)
+	if len(s.inflight) != s.Config().MaxConcurrency {
+		t.Errorf("in flight = %d, want pipeline full at %d", len(s.inflight), s.Config().MaxConcurrency)
 	}
 }
 
@@ -177,10 +178,10 @@ func TestInferenceQueueBounded(t *testing.T) {
 	r := fullRates()
 	r.CPUFactor = 0.05 // extreme starvation
 	runInference(s, 2, r, 5.0)
-	if got, cap := s.QueueDepth(), s.Config().maxQueue(); got > cap {
+	if got, cap := len(s.queued), s.Config().maxQueue(); got > cap {
 		t.Errorf("queue depth %d exceeds cap %d", got, cap)
 	}
-	if s.Dropped() == 0 {
+	if s.dropped == 0 {
 		t.Error("extreme overload should drop requests")
 	}
 }
@@ -195,7 +196,7 @@ func TestInferenceZeroCoresMakesNoProgress(t *testing.T) {
 	if s.Completed() != 0 {
 		t.Errorf("completed %v requests with zero cores", s.Completed())
 	}
-	if s.InFlight() == 0 {
+	if len(s.inflight) == 0 {
 		t.Error("requests should be admitted and stuck in CPU phase")
 	}
 }

@@ -182,13 +182,3 @@ func (l *Loop) StartMeasurement(now float64) { l.units.StartMeasurement(now) }
 
 // Throughput implements Task: output units per second.
 func (l *Loop) Throughput(now float64) float64 { return l.units.Rate(now) }
-
-// Units returns output completed in the measured interval.
-func (l *Loop) Units() float64 { return l.units.Total() }
-
-// StandaloneRate returns the uncontended throughput with all threads on
-// dedicated cores (prefetchers on, unloaded memory). Full rate corresponds
-// to CPUFactor 1.
-func (l *Loop) StandaloneRate() float64 {
-	return float64(l.cfg.Threads) / l.cfg.UnitWork
-}

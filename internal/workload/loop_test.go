@@ -85,18 +85,6 @@ func TestLoopOfferCapped(t *testing.T) {
 	}
 }
 
-func TestLoopStandaloneRate(t *testing.T) {
-	l := MustLoop("l", LoopConfig{
-		Threads:  4,
-		UnitWork: 2e-3,
-		Mem:      MemProfile{PrefetchLoss: 0.25},
-	})
-	want := 4 / 2e-3
-	if got := l.StandaloneRate(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("StandaloneRate = %v, want %v", got, want)
-	}
-}
-
 func TestCatalogConstructors(t *testing.T) {
 	for _, lv := range Levels() {
 		a, err := NewDRAMAggressor(lv)

@@ -240,7 +240,7 @@ func TestOfferOverwritesEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	for now := 0.0; ; now += 100e-6 {
-		if _, kind := cnn1accel.CurrentPhase(); kind == AccelPhase {
+		if kind := cnn1accel.phases[cnn1accel.phase].Kind; kind == AccelPhase {
 			break
 		}
 		if now > 10 {
@@ -251,7 +251,7 @@ func TestOfferOverwritesEveryField(t *testing.T) {
 
 	idle := newRNN1(t)
 	busy := newRNN1(t)
-	for now := 0.0; busy.InFlight() == 0; now += 100e-6 {
+	for now := 0.0; len(busy.inflight) == 0; now += 100e-6 {
 		if now > 1 {
 			t.Fatal("inference never admitted a request")
 		}

@@ -121,12 +121,6 @@ func (t *Training) enterPhase(i int) {
 // Name implements Task.
 func (t *Training) Name() string { return t.name }
 
-// Platform returns the accelerator platform the task runs on.
-func (t *Training) Platform() accel.Platform { return t.platform }
-
-// CurrentPhase returns the index and kind of the in-progress phase.
-func (t *Training) CurrentPhase() (int, PhaseKind) { return t.phase, t.phases[t.phase].Kind }
-
 // Offer implements Task: only CPU phases demand host resources. The offer
 // is the current phase's, so it holds until Advance enters a new one.
 func (t *Training) Offer(now float64, cores float64, o *Offer) (until float64) {
@@ -263,9 +257,6 @@ func (t *Training) StartMeasurement(now float64) { t.steps.StartMeasurement(now)
 
 // Throughput implements Task: steps per second.
 func (t *Training) Throughput(now float64) float64 { return t.steps.Rate(now) }
-
-// Steps returns the number of completed steps in the measured interval.
-func (t *Training) Steps() float64 { return t.steps.Total() }
 
 // StandaloneStepTime returns the uncontended duration of one step, the
 // normalization reference for "performance normalized to standalone".

@@ -114,10 +114,10 @@ func TestTrainingNoCoresNoProgress(t *testing.T) {
 		task.Advance(now, dt, 1, 0, fullRates())
 		now += dt
 	}
-	if task.Steps() != 0 {
-		t.Errorf("made %v steps with zero cores", task.Steps())
+	if task.steps.Total() != 0 {
+		t.Errorf("made %v steps with zero cores", task.steps.Total())
 	}
-	if ph, kind := task.CurrentPhase(); ph != 0 || kind != CPUPhase {
+	if ph, kind := task.phase, task.phases[task.phase].Kind; ph != 0 || kind != CPUPhase {
 		t.Errorf("phase advanced to %d/%v without cores", ph, kind)
 	}
 }
@@ -162,13 +162,13 @@ func TestTrainingOfferOnlyDuringCPUPhase(t *testing.T) {
 	// Drive into the accel phase and check the offer disappears.
 	now, dt := 0.0, 100e-6
 	for i := 0; i < 100000; i++ {
-		if _, kind := task.CurrentPhase(); kind == AccelPhase {
+		if kind := task.phases[task.phase].Kind; kind == AccelPhase {
 			break
 		}
 		task.Advance(now, dt, 1, 8, fullRates())
 		now += dt
 	}
-	if _, kind := task.CurrentPhase(); kind != AccelPhase {
+	if kind := task.phases[task.phase].Kind; kind != AccelPhase {
 		t.Fatal("never reached accel phase")
 	}
 	if off := offerOf(task, now, 8); off.ActiveCores != 0 {

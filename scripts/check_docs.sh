@@ -9,8 +9,9 @@
 #      marker, so `go test` executes them and godoc renders them (the test
 #      job actually runs them; this keeps them from being silently
 #      deleted or demoted to non-verified examples).
-#   4. every cmd/<name> path named in README.md, DESIGN.md and docs/*.md
-#      exists, so a deleted or renamed command leaves no stale reference.
+#   4. every cmd/<name> and internal/<name> path named in the files of
+#      check 2 exists, so a deleted or renamed command or package leaves
+#      no stale reference.
 #   5. every section reference written as a link plus a section number,
 #      `[X.md](X.md) §N`, in the files of check 2 names a section that
 #      exists: the linked file has an `## N.` heading.
@@ -67,15 +68,14 @@ for pair in $examples; do
     fi
 done
 
-# --- 4. cmd/<name> references ------------------------------------------------
-cmddocs=$(ls README.md DESIGN.md docs/*.md 2>/dev/null)
-for doc in $cmddocs; do
-    while IFS= read -r cmd; do
-        if [ ! -d "$cmd" ]; then
-            echo "check_docs: $doc names missing command: $cmd"
+# --- 4. cmd/<name> and internal/<name> references ---------------------------
+for doc in $docs; do
+    while IFS= read -r dir; do
+        if [ ! -d "$dir" ]; then
+            echo "check_docs: $doc names missing ${dir%%/*} path: $dir"
             fail=1
         fi
-    done < <(grep -oE 'cmd/[A-Za-z0-9_-]+' "$doc" | sort -u)
+    done < <(grep -oE '(cmd|internal)/[A-Za-z0-9_-]+' "$doc" | sort -u)
 done
 
 # --- 5. [X.md](X.md) §N section references ----------------------------------
