@@ -1,6 +1,7 @@
 package cgroup
 
 import (
+	"reflect"
 	"testing"
 
 	"kelp/internal/cpu"
@@ -244,5 +245,65 @@ func TestSetPriorityRetiers(t *testing.T) {
 func TestPriorityString(t *testing.T) {
 	if High.String() != "high" || Low.String() != "low" {
 		t.Error("priority strings wrong")
+	}
+}
+
+// A manager's state restores onto another manager holding the same groups,
+// bumping the generation only for a group whose settings change; a state
+// naming a group the target lacks is refused.
+func TestStateRestore(t *testing.T) {
+	mk := func() *Manager {
+		m, _ := newManager(t)
+		for _, g := range []struct {
+			name string
+			prio Priority
+		}{{"ml", High}, {"low", Low}} {
+			if _, err := m.Create(g.name, g.prio); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	src := mk()
+	if err := src.SetCPUs("low", cpu.Set{4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SetLLCWays("ml", 0x3); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SetMBA("low", 40); err != nil {
+		t.Fatal(err)
+	}
+	st := src.State()
+	if len(st) != 2 || st[0].Name != "low" || st[1].Name != "ml" {
+		t.Fatalf("State = %+v, want groups low and ml in name order", st)
+	}
+
+	dst := mk()
+	gen := dst.Gen()
+	if err := dst.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.State(); !reflect.DeepEqual(got, st) {
+		t.Errorf("restored state %+v, want %+v", got, st)
+	}
+	if dst.Gen() == gen {
+		t.Error("restore that changed settings kept the generation")
+	}
+	gen = dst.Gen()
+	if err := dst.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Gen() != gen {
+		t.Error("restore that changed nothing bumped the generation")
+	}
+	st[0].CPUs[0] = 9 // the restored cpuset is the manager's own
+	if g, _ := dst.Group("low"); g.CPUs()[0] != 4 {
+		t.Errorf("restored cpuset aliases the snapshot: %v", g.CPUs())
+	}
+
+	bare, _ := newManager(t)
+	if err := bare.Restore(st); err == nil {
+		t.Error("state for groups the manager lacks accepted")
 	}
 }

@@ -195,3 +195,46 @@ func TestCoreSetFilterNil(t *testing.T) {
 		t.Errorf("CoreSet(nil) = %d cores, want all %d", got, len(p.cores))
 	}
 }
+
+// A prefetcher snapshot restores onto another processor of the same
+// topology, bumping the generation only when a flag changes, and is
+// refused by a processor with a different core count.
+func TestPrefetchStateRestore(t *testing.T) {
+	src := MustProcessor(DefaultTopology())
+	for _, id := range []int{0, 3, 17} {
+		if err := src.SetPrefetch(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := src.PrefetchState()
+	st[0] = true // the snapshot is a copy: editing it leaves src alone
+	if src.PrefetchOn(0) {
+		t.Fatal("PrefetchState aliases the processor's flags")
+	}
+	st[0] = false
+
+	dst := MustProcessor(DefaultTopology())
+	gen := dst.Gen()
+	if err := dst.RestorePrefetchState(st); err != nil {
+		t.Fatal(err)
+	}
+	topo := dst.Topology()
+	for id := range topo.Sockets * topo.CoresPerSocket {
+		if dst.PrefetchOn(id) != src.PrefetchOn(id) {
+			t.Errorf("core %d prefetch = %v after restore, source %v", id, dst.PrefetchOn(id), src.PrefetchOn(id))
+		}
+	}
+	if dst.Gen() == gen {
+		t.Error("restore that changed flags kept the generation")
+	}
+	gen = dst.Gen()
+	if err := dst.RestorePrefetchState(st); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Gen() != gen {
+		t.Error("restore that changed nothing bumped the generation")
+	}
+	if err := dst.RestorePrefetchState(st[1:]); err == nil {
+		t.Error("snapshot of another core count accepted")
+	}
+}

@@ -2,6 +2,7 @@ package events
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -139,5 +140,81 @@ func TestConcurrentEmitters(t *testing.T) {
 		if evs[i].Seq != evs[i-1].Seq+1 {
 			t.Fatalf("seq gap at %d: %d -> %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
+	}
+}
+
+// A recorder restored from a gob round trip of its state renders the same
+// JSONL and goes on numbering where the source left off.
+func TestRecorderStateGobRoundTrip(t *testing.T) {
+	src := MustNew(8)
+	for i := range 11 {
+		src.Emit(float64(i)/4, KelpActuate, "kelp", map[string]any{"i": i, "name": fmt.Sprint("g", i), "x": 0.1 * float64(i)})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(src.State()); err != nil {
+		t.Fatal(err)
+	}
+	var st RecorderState
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	dst := MustNew(8)
+	if err := dst.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := WriteJSONL(&a, src.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&b, dst.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("restored events render\n%s\nsource\n%s", b.Bytes(), a.Bytes())
+	}
+	if dst.Dropped() != src.Dropped() {
+		t.Errorf("restored Dropped = %d, source %d", dst.Dropped(), src.Dropped())
+	}
+	src.Emit(3, AgentAdmit, "agent", nil)
+	dst.Emit(3, AgentAdmit, "agent", nil)
+	if s, d := src.Events()[7].Seq, dst.Events()[7].Seq; s != d || s != 12 {
+		t.Errorf("next event seq: restored %d, source %d, want 12", d, s)
+	}
+}
+
+// Restoring more events than the ring holds keeps the newest and counts the
+// rest as dropped, as live capacity pressure would have.
+func TestRestoreOverCapacityDropsOldest(t *testing.T) {
+	src := MustNew(5)
+	for i := 1; i <= 5; i++ {
+		src.Emit(float64(i), AgentAdmit, "agent", nil)
+	}
+	dst := MustNew(3)
+	if err := dst.Restore(src.State()); err != nil {
+		t.Fatal(err)
+	}
+	evs := dst.Events()
+	if len(evs) != 3 || evs[0].Seq != 3 || evs[2].Seq != 5 {
+		t.Errorf("restored ring holds %+v, want seqs 3..5", evs)
+	}
+	if dst.Dropped() != 2 {
+		t.Errorf("Dropped = %d, want 2", dst.Dropped())
+	}
+}
+
+// Restore refuses a nil recorder and a state whose next seq is 0, which
+// no recorder can produce; the refusal leaves the recorder as it was.
+func TestRestoreRejectsInvalid(t *testing.T) {
+	var nilRec *Recorder
+	if err := nilRec.Restore(RecorderState{NextSeq: 1}); err == nil {
+		t.Error("restore on a nil recorder accepted")
+	}
+	r := MustNew(4)
+	r.Emit(1, AgentAdmit, "agent", nil)
+	if err := r.Restore(RecorderState{NextSeq: 0}); err == nil {
+		t.Error("next_seq = 0 accepted")
+	}
+	if r.Len() != 1 || r.State().NextSeq != 2 {
+		t.Errorf("refused restore changed the recorder: %+v", r.State())
 	}
 }

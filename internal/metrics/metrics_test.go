@@ -299,3 +299,33 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 		t.Errorf("PercentileSorted(nil) = %v", got)
 	}
 }
+
+// A clone holds the same observations and is independent of its source:
+// observing into either leaves the other unchanged. A nil histogram clones
+// to nil.
+func TestHistogramClone(t *testing.T) {
+	if (*Histogram)(nil).Clone() != nil {
+		t.Error("nil Clone is not nil")
+	}
+	h := NewLatencyHistogram()
+	for _, v := range []float64{1e-3, 2e-3, 5e-3, 0.2} {
+		h.Observe(v)
+	}
+	c := h.Clone()
+	for _, q := range []float64{0.25, 0.5, 0.95, 1} {
+		if c.Quantile(q) != h.Quantile(q) {
+			t.Errorf("clone Quantile(%v) = %v, source %v", q, c.Quantile(q), h.Quantile(q))
+		}
+	}
+	p95 := h.Quantile(0.95)
+	for range 100 {
+		c.Observe(9)
+	}
+	if h.Quantile(0.95) != p95 || h.n != 4 {
+		t.Errorf("observing into the clone changed the source: n = %d, p95 = %v", h.n, h.Quantile(0.95))
+	}
+	h.Observe(1e-4)
+	if c.n != 104 {
+		t.Errorf("observing into the source changed the clone: n = %d", c.n)
+	}
+}

@@ -356,3 +356,56 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// An engine restored from a snapshot taken mid-run fires its controllers
+// and advances its clock exactly as the source does; one with another
+// controller count refuses the snapshot.
+func TestEngineStateRestoreResumes(t *testing.T) {
+	build := func(fires *[]string) *Engine {
+		e := MustEngine(1*Millisecond, 7)
+		for _, c := range []struct {
+			name   string
+			period Duration
+		}{{"fast", 3 * Millisecond}, {"slow", 7 * Millisecond}} {
+			err := e.AddController(c.name, c.period, controlFunc(func(now Time) {
+				*fires = append(*fires, fmt.Sprintf("%s@%s", c.name, FormatTime(now)))
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	var srcFires, dstFires []string
+	src := build(&srcFires)
+	if got := src.Step(); got != 1*Millisecond {
+		t.Fatalf("Step() = %v, want 1ms", got)
+	}
+	src.Run(10 * Millisecond)
+	st := src.State()
+	srcFires = srcFires[:0]
+
+	dst := build(&dstFires)
+	if err := dst.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst.State(), st) {
+		t.Fatalf("restored state %+v, want %+v", dst.State(), st)
+	}
+	src.Run(25 * Millisecond)
+	dst.Run(25 * Millisecond)
+	if len(srcFires) == 0 || !reflect.DeepEqual(dstFires, srcFires) {
+		t.Errorf("restored engine fired %v, source %v", dstFires, srcFires)
+	}
+	if dst.Now() != src.Now() || dst.steps != src.steps {
+		t.Errorf("restored engine at %v after %d steps, source at %v after %d", dst.Now(), dst.steps, src.Now(), src.steps)
+	}
+
+	other := MustEngine(1*Millisecond, 7)
+	if err := other.AddController("only", 3*Millisecond, controlFunc(func(Time) {})); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.RestoreState(st); err == nil {
+		t.Error("snapshot with two controllers accepted by an engine with one")
+	}
+}

@@ -1,6 +1,8 @@
 package kelp_test
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"kelp"
@@ -147,5 +149,58 @@ func TestPublicAPIHarness(t *testing.T) {
 	}
 	if _, _, err := kelp.Figure2(kelp.DefaultFleetConfig()); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPublicAPIProfileFile round-trips a profile through the public file
+// helpers, and a missing file is an error.
+func TestPublicAPIProfileFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cnn1.json")
+	want := kelp.DefaultProfile("CNN1")
+	if err := kelp.SaveProfile(path, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := kelp.LoadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded %+v, saved %+v", got, want)
+	}
+	if _, err := kelp.LoadProfile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Error("missing profile file loaded")
+	}
+}
+
+// TestPublicAPIEventRecorder builds a flight recorder through the public
+// package, attaches it to a node under Kelp, and reads the controller's
+// actuation events back; capacity 0 is refused.
+func TestPublicAPIEventRecorder(t *testing.T) {
+	if _, err := kelp.NewEventRecorder(0); err == nil {
+		t.Error("capacity 0 accepted")
+	}
+	rec, err := kelp.NewEventRecorder(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := kelp.NewNode(kelp.DefaultNodeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetEvents(rec)
+	applied, err := kelp.Apply(n, kelp.Kelp, kelp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := kelp.NewStream(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddTask(stream, applied.Low); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1 * kelp.Second)
+	if rec.Len() == 0 {
+		t.Error("a second of Kelp control recorded no events")
 	}
 }
