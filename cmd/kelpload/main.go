@@ -27,15 +27,9 @@
 // -max-heap-mb. Shed answers (429, and 503 with Retry-After) are counted
 // separately — under deliberate overload they are the correct behavior.
 //
-// -crash N switches kelpload into a crash-recovery harness: it spawns a
-// persisted server as a child process, SIGKILLs it at a randomized point
-// mid-load, restarts it, and verifies both that no acknowledged command
-// was lost and that every recovered session answers /events and /metrics
-// byte-identically to a serial no-persist reference — N times over:
-//
-//	go run ./cmd/kelpload -crash 3 -sessions 20 -requests 4 -ms 20 -admit
-//
-// See docs/KELPD.md, "Durability & crash recovery".
+// Crash recovery is checked elsewhere: internal/httpd's TestCrashInjection
+// harness SIGKILLs a persisted server mid-script and byte-compares every
+// recovered session (docs/KELPD.md, "Durability and crash recovery").
 package main
 
 import (
@@ -74,21 +68,8 @@ func main() {
 	flag.IntVar(&c.maxSessions, "max-sessions", 0, "in-process pool capacity (0 = fit all sessions)")
 	flag.IntVar(&c.queueDepth, "queue-depth", 0, "in-process per-session queue depth (0 = default)")
 	flag.Float64Var(&c.rate, "rate", 0, "in-process per-client rate limit, requests/s (0 = off)")
-	flag.IntVar(&c.crash, "crash", 0, "crash-recovery mode: SIGKILL and restart a spawned persisted server N times, verifying recovery (0 = off)")
-	flag.StringVar(&c.persistDir, "persist-dir", "", "persist directory for -crash / -serve-child (default: a temp dir)")
-	flag.IntVar(&c.snapshotEvery, "snapshot-every", 0, "child snapshot cadence for -crash (0 = server default, negative = replay-only)")
-	flag.BoolVar(&c.serveChild, "serve-child", false, "internal: run as the spawned server process for -crash")
 	flag.Parse()
-	var err error
-	switch {
-	case c.serveChild:
-		err = serveChild(&c)
-	case c.crash > 0:
-		err = runCrash(&c, os.Stdout)
-	default:
-		err = run(&c, os.Stdout)
-	}
-	if err != nil {
+	if err := run(&c, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "kelpload:", err)
 		os.Exit(1)
 	}
@@ -101,12 +82,9 @@ type cfg struct {
 	verify, minShed, maxHeapMB  int
 	stream                      int
 	maxSessions, queueDepth     int
-	crash, snapshotEvery        int
 	ms, rate                    float64
 	policy                      string
-	persistDir                  string
 	seed                        int64
-	serveChild                  bool
 }
 
 // counters aggregates one client's view of the run.

@@ -14,9 +14,10 @@
 // target, so instrumented code needs no nil checks. Consumers poll with
 // Since (the kelpd GET /events endpoint does exactly this, and the -events
 // JSONL flag of kelpbench/kelpsim writes the ring with WriteJSONL after the
-// run), or Watch for a push subscription with a bounded per-subscriber
-// buffer (the kelpd SSE stream endpoints). Emit delivers to subscriptions
-// without blocking, so a slow consumer never stalls the emitter.
+// run). A live consumer (the kelpd SSE stream endpoints) polls the same
+// way, and Watch tells it when to: Emit signals each subscription's
+// one-slot wakeup without blocking, so a slow consumer never stalls the
+// emitter.
 package events
 
 import (
@@ -238,12 +239,10 @@ func MustNew(capacity int) *Recorder {
 // attached, not merely "one wasted map per event".
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit records one event, stamping its sequence number, and delivers it to
-// every matching subscription. Calling Emit on a nil recorder is a no-op.
-//
-// Delivery happens under the recorder mutex, so every subscriber sees
-// events in strictly increasing seq order. It never blocks: a subscription
-// whose buffer is full drops the event and counts it (see Subscription).
+// Emit records one event, stamping its sequence number, and wakes every
+// subscription. Calling Emit on a nil recorder is a no-op. The wakeup never
+// blocks: a subscription with a signal already pending keeps that one (see
+// Subscription).
 func (r *Recorder) Emit(time float64, t Type, source string, fields map[string]any) {
 	if r == nil {
 		return
@@ -260,7 +259,7 @@ func (r *Recorder) Emit(time float64, t Type, source string, fields map[string]a
 	r.ring[(r.start+r.size)%len(r.ring)] = e
 	r.size++
 	for _, sub := range r.subs {
-		sub.push(e)
+		sub.notify()
 	}
 }
 

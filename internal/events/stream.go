@@ -1,68 +1,47 @@
 package events
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "slices"
 
-// Subscription is a push-based, non-blocking consumer of a recorder's
-// event stream, created by Watch. Each subscription owns a bounded buffer:
-// emitted events that match its type filter are delivered to the buffer in
-// seq order, and when the consumer falls behind and the buffer fills, new
-// events are dropped for that subscriber only (and counted in its dropped
-// counter) while every other subscriber and the emitter itself proceed
-// untouched. A dropped span is recoverable as long as the ring still holds
-// it: the consumer sees the seq gap on its next receive and can backfill
-// with Since (the kelpd SSE handlers do exactly this).
+// Subscription is a wakeup for one consumer of a recorder, created by
+// Watch. It carries no events: Emit fills its one-slot channel without
+// blocking, so a receive means "the ring may hold events past your cursor"
+// and the consumer reads them with SinceLimit. Any number of emits before
+// the consumer wakes collapse into one pending signal, so a stalled
+// consumer never slows Emit or any other subscriber, and the ring is the
+// only copy of every event: a consumer misses an event only when the ring
+// itself evicts it, which it sees as a seq gap, exactly like a poller.
 type Subscription struct {
-	types   map[Type]bool // nil = all types
-	ch      chan Event
-	dropped atomic.Uint64
+	ch chan struct{}
 }
 
-// C returns the subscription's receive channel. It is closed by
-// Unsubscribe; events arrive in strictly increasing seq order.
-func (sub *Subscription) C() <-chan Event {
+// C returns the subscription's wakeup channel. It is closed by
+// Unsubscribe.
+func (sub *Subscription) C() <-chan struct{} {
 	if sub == nil {
 		return nil
 	}
 	return sub.ch
 }
 
-// push delivers one already-stamped event, without blocking: a full buffer
-// drops the event and counts it. Called by Emit under the recorder lock,
-// which Unsubscribe also holds while it detaches and closes the channel, so
-// a send never reaches a closed channel.
-func (sub *Subscription) push(e Event) {
-	if sub.types != nil && !sub.types[e.Type] {
-		return
-	}
+// notify signals the consumer without blocking: a signal already pending
+// stands for this emit too. Called by Emit under the recorder lock, which
+// Unsubscribe also holds while it detaches and closes the channel, so a
+// send never reaches a closed channel.
+func (sub *Subscription) notify() {
 	select {
-	case sub.ch <- e:
+	case sub.ch <- struct{}{}:
 	default:
-		sub.dropped.Add(1)
 	}
 }
 
-// Watch registers a push subscriber: events emitted after the call (and
-// matching the optional type filter) are delivered to the returned
-// subscription's channel, buffered up to buffer events (buffer < 1 selects
-// 1). Delivery never blocks Emit — see Subscription. Watch does not replay
-// already-buffered events; a consumer that needs history reads Since first
-// and discards duplicates by seq, which is race-free because delivery is
-// in seq order. Callers must Unsubscribe when done. Watch on a nil
-// recorder returns a subscription whose channel is already closed.
-func (r *Recorder) Watch(buffer int, types ...Type) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	sub := &Subscription{ch: make(chan Event, buffer)}
-	if len(types) > 0 {
-		sub.types = make(map[Type]bool, len(types))
-		for _, t := range types {
-			sub.types[t] = true
-		}
-	}
+// Watch registers a wakeup: every event emitted after the call signals the
+// returned subscription (see Subscription). Watch does not signal for
+// already-buffered events; a consumer subscribes first, then reads the ring
+// past its cursor, then waits, which misses nothing. Callers must
+// Unsubscribe when done. Watch on a nil recorder returns a subscription
+// whose channel is already closed.
+func (r *Recorder) Watch() *Subscription {
+	sub := &Subscription{ch: make(chan struct{}, 1)}
 	if r == nil {
 		close(sub.ch)
 		return sub
@@ -73,9 +52,9 @@ func (r *Recorder) Watch(buffer int, types ...Type) *Subscription {
 	return sub
 }
 
-// Unsubscribe detaches a subscription and closes its channel. Events
-// already buffered remain readable. Idempotent (a second call finds the
-// subscription detached and does nothing) and nil-safe.
+// Unsubscribe detaches a subscription and closes its channel. Idempotent
+// (a second call finds the subscription detached and does nothing) and
+// nil-safe.
 func (r *Recorder) Unsubscribe(sub *Subscription) {
 	if r == nil || sub == nil {
 		return

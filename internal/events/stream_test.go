@@ -7,62 +7,68 @@ import (
 	"time"
 )
 
-func TestWatchDeliversInSeqOrder(t *testing.T) {
+// readPast drains the ring past cursor in small chunks, the way the kelpd
+// SSE loop does after each wakeup, and returns the new cursor.
+func readPast(r *Recorder, cursor uint64, seen func(Event)) uint64 {
+	for {
+		evs := r.SinceLimit(cursor, 8)
+		if len(evs) == 0 {
+			return cursor
+		}
+		for _, e := range evs {
+			seen(e)
+			cursor = e.Seq
+		}
+	}
+}
+
+// Emits before the consumer wakes collapse into one pending signal; after
+// the consumer takes it, the next emit signals again.
+func TestWatchWakesOnEmit(t *testing.T) {
 	r := MustNew(64)
-	sub := r.Watch(32)
+	sub := r.Watch()
 	defer r.Unsubscribe(sub)
+	if n := len(sub.C()); n != 0 {
+		t.Fatalf("%d signals pending before any emit", n)
+	}
 	for i := 0; i < 10; i++ {
 		r.Emit(float64(i), KelpActuate, "kelp", nil)
 	}
-	for want := uint64(1); want <= 10; want++ {
-		select {
-		case e := <-sub.C():
-			if e.Seq != want {
-				t.Fatalf("got seq %d, want %d", e.Seq, want)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("missing seq %d", want)
+	if n := len(sub.C()); n != 1 {
+		t.Fatalf("%d signals pending after 10 emits, want 1", n)
+	}
+	<-sub.C()
+	want := uint64(1)
+	cursor := readPast(r, 0, func(e Event) {
+		if e.Seq != want {
+			t.Fatalf("read seq %d, want %d", e.Seq, want)
 		}
+		want++
+	})
+	if cursor != 10 {
+		t.Fatalf("cursor %d after the wakeup's read, want 10", cursor)
 	}
-	if d := sub.dropped.Load(); d != 0 {
-		t.Errorf("dropped = %d, want 0", d)
+	if n := len(sub.C()); n != 0 {
+		t.Fatalf("%d signals pending after the read, want 0", n)
 	}
-}
-
-func TestWatchTypeFilter(t *testing.T) {
-	r := MustNew(64)
-	sub := r.Watch(32, KelpActuate)
-	defer r.Unsubscribe(sub)
-	r.Emit(0.1, DistressAssert, "memsys", nil)
-	r.Emit(0.2, KelpActuate, "kelp", nil)
-	r.Emit(0.3, DistressDeassert, "memsys", nil)
+	r.Emit(11, KelpActuate, "kelp", nil)
 	select {
-	case e := <-sub.C():
-		if e.Type != KelpActuate || e.Seq != 2 {
-			t.Fatalf("got %+v", e)
-		}
+	case <-sub.C():
 	case <-time.After(time.Second):
-		t.Fatal("filtered event not delivered")
-	}
-	select {
-	case e := <-sub.C():
-		t.Fatalf("unexpected extra delivery %+v", e)
-	default:
-	}
-	// Non-matching events must not count as drops either.
-	if d := sub.dropped.Load(); d != 0 {
-		t.Errorf("dropped = %d, want 0", d)
+		t.Fatal("emit after a taken signal did not wake the subscriber")
 	}
 }
 
-// A stalled subscriber (nobody reading) must never block Emit: the burst
-// lands in the ring in full, the subscription keeps its first buffered
-// events, and everything past the buffer is counted dropped.
+// A stalled subscriber (nobody waiting) must never block Emit: the burst
+// lands in the ring in full, the stalled subscription holds one pending
+// signal, another subscription is woken too, and the ring still holds
+// everything the stalled consumer will read when it wakes.
 func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 	r := MustNew(2048)
-	const buffer = 4
-	sub := r.Watch(buffer)
-	defer r.Unsubscribe(sub)
+	stalled := r.Watch()
+	defer r.Unsubscribe(stalled)
+	other := r.Watch()
+	defer r.Unsubscribe(other)
 
 	done := make(chan struct{})
 	go func() {
@@ -80,64 +86,39 @@ func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 	if r.Len() != 1000 {
 		t.Errorf("ring holds %d events, want 1000", r.Len())
 	}
-	if d := sub.dropped.Load(); d != 1000-buffer {
-		t.Errorf("dropped = %d, want %d", d, 1000-buffer)
+	if n, m := len(stalled.C()), len(other.C()); n != 1 || m != 1 {
+		t.Fatalf("pending signals: stalled %d, other %d, want 1 each", n, m)
 	}
-	// The buffered prefix survives in order; the consumer can see the gap
-	// (next delivered seq after a drain would jump) and backfill via Since.
-	for want := uint64(1); want <= buffer; want++ {
-		e := <-sub.C()
-		if e.Seq != want {
-			t.Fatalf("buffered seq %d, want %d", e.Seq, want)
-		}
+	<-stalled.C()
+	read := 0
+	readPast(r, 0, func(Event) { read++ })
+	if read != 1000 {
+		t.Fatalf("stalled consumer read %d events on waking, want 1000", read)
 	}
 }
 
-// A full buffer drops only for its own subscription: a second subscriber
-// with room still receives every event in seq order.
-func TestDropsArePerSubscriber(t *testing.T) {
-	r := MustNew(64)
-	small := r.Watch(2)
-	defer r.Unsubscribe(small)
-	large := r.Watch(32)
-	defer r.Unsubscribe(large)
-
-	for i := 0; i < 10; i++ {
-		r.Emit(float64(i), KelpActuate, "kelp", nil)
-	}
-	if d := small.dropped.Load(); d != 8 {
-		t.Errorf("small dropped = %d, want 8", d)
-	}
-	if d := large.dropped.Load(); d != 0 {
-		t.Errorf("large dropped = %d, want 0", d)
-	}
-	for want := uint64(1); want <= 10; want++ {
-		if e := <-large.C(); e.Seq != want {
-			t.Fatalf("large got seq %d, want %d", e.Seq, want)
-		}
-	}
-}
-
-// Delivery happens inside Emit under the recorder lock, so a consumer
-// that reacts to an event by reading the recorder and emitting again must
-// not deadlock: it runs on its own goroutine, after Emit has returned.
+// Emit signals under the recorder lock, so a consumer that reacts to a
+// wakeup by reading the recorder and emitting again must not deadlock: it
+// runs on its own goroutine, after Emit has returned.
 func TestConsumerReentersRecorder(t *testing.T) {
 	r := MustNew(16)
-	sub := r.Watch(4)
+	sub := r.Watch()
 	defer r.Unsubscribe(sub)
 
 	var seen []Type
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for e := range sub.C() {
-			seen = append(seen, e.Type)
-			if e.Type == AgentAdmit {
-				_ = r.Since(0)
-				_ = r.Len()
-				r.Emit(e.Time, AgentReject, "agent", nil)
-			}
-			if e.Type == AgentReject {
+		var cursor uint64
+		for range sub.C() {
+			cursor = readPast(r, cursor, func(e Event) {
+				seen = append(seen, e.Type)
+				if e.Type == AgentAdmit {
+					_ = r.Len()
+					r.Emit(e.Time, AgentReject, "agent", nil)
+				}
+			})
+			if len(seen) == 2 {
 				return
 			}
 		}
@@ -163,7 +144,7 @@ func TestConsumerReentersRecorder(t *testing.T) {
 
 func TestUnsubscribeClosesChannelAndDetaches(t *testing.T) {
 	r := MustNew(16)
-	sub := r.Watch(4)
+	sub := r.Watch()
 	if n := r.Subscribers(); n != 1 {
 		t.Fatalf("Subscribers = %d, want 1", n)
 	}
@@ -180,7 +161,7 @@ func TestUnsubscribeClosesChannelAndDetaches(t *testing.T) {
 
 func TestWatchNilRecorder(t *testing.T) {
 	var r *Recorder
-	sub := r.Watch(4)
+	sub := r.Watch()
 	if _, ok := <-sub.C(); ok {
 		t.Fatal("nil recorder's subscription channel not closed")
 	}
@@ -209,15 +190,15 @@ func TestOldestSeq(t *testing.T) {
 	}
 }
 
-// Concurrent emitters with a subscriber attached: the subscriber must
-// still observe strictly increasing seqs, and the ring must hold every
-// event. Run with -race.
-func TestConcurrentEmitFanOutOrdered(t *testing.T) {
-	r := MustNew(4096)
-	sub := r.Watch(4096)
+// Concurrent emitters and one consumer that waits on its wakeup and reads
+// the ring past its cursor, as the SSE loop does: the consumer must see
+// every seq exactly once, in order. Run with -race.
+func TestWakeupReaderSeesEverySeqOnce(t *testing.T) {
+	const emitters, each = 8, 200
+	r := MustNew(emitters * each)
+	sub := r.Watch()
 	defer r.Unsubscribe(sub)
 
-	const emitters, each = 8, 100
 	var wg sync.WaitGroup
 	for g := 0; g < emitters; g++ {
 		wg.Add(1)
@@ -228,24 +209,38 @@ func TestConcurrentEmitFanOutOrdered(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
 
-	if r.Len() != emitters*each {
-		t.Fatalf("ring holds %d, want %d", r.Len(), emitters*each)
-	}
-	var last uint64
-	for i := 0; i < emitters*each; i++ {
-		e := <-sub.C()
-		if e.Seq <= last {
-			t.Fatalf("subscription order broken: %d after %d", e.Seq, last)
+	seen := make([]int, emitters*each+1)
+	var cursor, last uint64
+	for cursor < emitters*each {
+		cursor = readPast(r, cursor, func(e Event) {
+			if e.Seq <= last {
+				t.Fatalf("seq %d read after %d", e.Seq, last)
+			}
+			last = e.Seq
+			seen[e.Seq]++
+		})
+		if cursor == emitters*each {
+			break
 		}
-		last = e.Seq
+		select {
+		case <-sub.C():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no wakeup with the cursor at %d of %d", cursor, emitters*each)
+		}
+	}
+	wg.Wait()
+	for seq := 1; seq < len(seen); seq++ {
+		if seen[seq] != 1 {
+			t.Fatalf("seq %d read %d times, want once", seq, seen[seq])
+		}
 	}
 }
 
 // Subscribers that come and go while emitters run: Unsubscribe must never
-// let a delivery reach a closed channel, every subscription must see
-// strictly increasing seqs, and none may stay attached. Run with -race.
+// let a signal reach a closed channel, every consumer must read strictly
+// increasing seqs from the ring, and none may stay attached. Run with
+// -race.
 func TestUnsubscribeRacesEmit(t *testing.T) {
 	r := MustNew(1024)
 	const emitters, each = 4, 2000
@@ -268,32 +263,33 @@ func TestUnsubscribeRacesEmit(t *testing.T) {
 		go func() {
 			defer watch.Done()
 			for i := 0; i < rounds; i++ {
-				sub := r.Watch(8)
-				var last uint64
-				inOrder := func(e Event) bool {
-					ok := e.Seq > last
-					if !ok {
-						errs <- fmt.Sprintf("seq %d after %d", e.Seq, last)
-					}
-					last = e.Seq
-					return ok
-				}
-				for n := 0; n < 3; n++ {
-					select {
-					case e := <-sub.C():
-						if !inOrder(e) {
-							r.Unsubscribe(sub)
-							return
+				sub := r.Watch()
+				var cursor, last uint64
+				ok := true
+				read := func() {
+					cursor = readPast(r, cursor, func(e Event) {
+						if ok && e.Seq <= last {
+							errs <- fmt.Sprintf("seq %d after %d", e.Seq, last)
+							ok = false
 						}
+						last = e.Seq
+					})
+				}
+				for n := 0; n < 3 && ok; n++ {
+					select {
+					case <-sub.C():
+						read()
 					case <-stop:
 					}
 				}
 				r.Unsubscribe(sub)
-				// Whatever was buffered before the close still drains in order.
-				for e := range sub.C() {
-					if !inOrder(e) {
-						return
-					}
+				// A signal pending at the close still drains, then the
+				// channel ends.
+				for range sub.C() {
+					read()
+				}
+				if !ok {
+					return
 				}
 			}
 		}()

@@ -1,20 +1,20 @@
 package httpd
 
 // Crash-injection harness: the test re-executes itself as a real child
-// process serving a persisted session pool, SIGKILLs it at randomized
-// points while advance jobs are in flight, restarts it, and asserts the
-// recovered sessions are byte-identical to a reference rebuilt from the
-// surviving write-ahead log — plus the durability contract itself: every
-// command the client saw acknowledged before the kill is in the log.
+// process serving a persisted session pool, drives scripted sessions at it,
+// SIGKILLs it at randomized points, restarts it, and checks the durability
+// contract (every command the client saw acknowledged is in the log) and
+// recovered ≡ uninterrupted: each recovered session answers byte-identically
+// to its logged commands driven again on a server with persistence off.
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strconv"
@@ -148,168 +148,202 @@ func tryDo(method, url, body string) (status int, respBody string, ok bool) {
 	return resp.StatusCode, sb.String(), true
 }
 
-// crashSessions are the sessions the crash harness drives: one plain and
-// one with fault injection, so recovery from a faulted snapshot is killed
-// and checked too.
-var crashSessions = []struct{ name, create string }{
-	{"a", `{"name":"a","seed":11}`},
-	{"f", `{"name":"f","seed":13,"faults":"seed=5,drop=0.2,stale=0.1,actstick=0.1"}`},
+// crashStep is one request of a crash session's script and the kind of the
+// one WAL record it appends.
+type crashStep struct {
+	kind               durable.Kind
+	method, path, body string
 }
 
+// crashScript is the script of the i-th crash session: create (every other
+// session with a fault spec), admit CNN1 and a Stitch antagonist, make the
+// batch cgroup and write its cpuset, then advance. Every step appends
+// exactly one WAL record, so a log of n records holds exactly the first n
+// steps, and the reference for it is those steps driven again.
+func crashScript(name string, i int) []crashStep {
+	create := fmt.Sprintf(`{"name":%q,"seed":%d}`, name, 11+i)
+	if i%2 == 1 {
+		create = fmt.Sprintf(`{"name":%q,"seed":%d,"faults":"seed=5,drop=0.2,stale=0.1,actstick=0.1"}`, name, 11+i)
+	}
+	base := "/sessions/" + name
+	steps := []crashStep{
+		{durable.KindCreate, "POST", "/sessions", create},
+		{durable.KindAdmit, "POST", base + "/tasks", `{"ml":"CNN1","cores":2}`},
+		{durable.KindAdmit, "POST", base + "/tasks", `{"kind":"Stitch"}`},
+		{durable.KindFS, "POST", base + "/fs/cgroup/batch", ""},
+		{durable.KindFS, "PUT", base + "/fs/cgroup/batch/cpuset.cpus", "0-3"},
+	}
+	for range 4 {
+		steps = append(steps, crashStep{durable.KindAdvance, "POST", base + "/advance", `{"ms":40,"wait":true}`})
+	}
+	return steps
+}
+
+// crashSession is one scripted session and what the harness knows of it.
+type crashSession struct {
+	name   string
+	script []crashStep
+	sent   int // steps whose request went out
+	acked  int // steps whose full response came back
+	// logged is the record count of the surviving log (-1 before the first
+	// kill that found the session); snap reports a snapshot on disk.
+	logged int
+	snap   bool
+	// want is the reference observation of the first logged steps, taken
+	// once: the session is never driven again, so it must not change.
+	want *[3]string
+}
+
+// drive runs the script against the child until it ends or the child
+// dies, and reports whether the child was still answering. Every step
+// must succeed while it is.
+func (cs *crashSession) drive(t *testing.T, url string) bool {
+	t.Helper()
+	for i, step := range cs.script {
+		cs.sent = i + 1
+		status, body, ok := tryDo(step.method, url+step.path, step.body)
+		if !ok {
+			return false
+		}
+		if status >= 400 {
+			t.Fatalf("%s: %s %s = %d %s", cs.name, step.method, step.path, status, body)
+		}
+		cs.acked = i + 1
+	}
+	return true
+}
+
+// checkLog reads the session's surviving log after a kill and checks the
+// durability contract: every acknowledged step is in it, nothing beyond
+// the steps sent is, record i has step i's kind, and a session from an
+// earlier round still has the log it had then.
+func (cs *crashSession) checkLog(t *testing.T, dir string, round int) {
+	t.Helper()
+	n := 0
+	rd, err := durable.ReadWAL(durable.WALPath(dir, cs.name))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// Never created, or quarantined by an earlier restart.
+	case err != nil:
+		// Only a kill inside the create can leave a log without its magic,
+		// and recovery quarantines it.
+		if cs.acked > 0 {
+			t.Fatalf("round %d: %s: surviving WAL is corrupt: %v", round, cs.name, err)
+		}
+	default:
+		n = len(rd.Records)
+	}
+	if n < cs.acked || n > cs.sent {
+		t.Fatalf("round %d: %s: durability violated: %d records for %d acked of %d sent steps",
+			round, cs.name, n, cs.acked, cs.sent)
+	}
+	if cs.logged >= 0 && n != cs.logged {
+		t.Fatalf("round %d: %s: log went from %d to %d records without a command", round, cs.name, cs.logged, n)
+	}
+	for i, rec := range rd.Records[:n] {
+		if rec.Kind != cs.script[i].kind {
+			t.Fatalf("round %d: %s: record %d is %q, step %d is %q", round, cs.name, i+1, rec.Kind, i+1, cs.script[i].kind)
+		}
+	}
+	cs.logged = n
+	_, err = os.Stat(durable.SnapPath(dir, cs.name))
+	cs.snap = err == nil
+}
+
+// verify compares the restarted child's session with the reference: absent
+// when nothing was logged, otherwise recovered in the mode its files allow
+// and byte-identical to the logged steps driven on the no-persist server
+// at ref. It returns the recovery mode ("" for an absent session).
+func (cs *crashSession) verify(t *testing.T, url, ref string, round int) string {
+	t.Helper()
+	status, info, ok := tryDo("GET", url+"/sessions/"+cs.name, "")
+	if !ok {
+		t.Fatalf("round %d: %s: recovered child not answering", round, cs.name)
+	}
+	if cs.logged == 0 {
+		if status != http.StatusNotFound {
+			t.Fatalf("round %d: %s: session with no logged create recovered: %d %s", round, cs.name, status, info)
+		}
+		return ""
+	}
+	mode := "replay"
+	if cs.snap {
+		mode = "snapshot"
+	}
+	if status != 200 || !strings.Contains(info, `"recovered_mode":"`+mode+`"`) {
+		t.Fatalf("round %d: %s: info = %d %s, want recovered_mode %q", round, cs.name, status, info, mode)
+	}
+	if cs.want == nil {
+		for _, step := range cs.script[:cs.logged] {
+			if resp, body := do(t, step.method, ref+step.path, step.body); resp.StatusCode >= 400 {
+				t.Fatalf("reference %s: %s %s = %d %s", cs.name, step.method, step.path, resp.StatusCode, body)
+			}
+		}
+		events, metrics, control := observe(t, ref, cs.name)
+		cs.want = &[3]string{events, metrics, control}
+	}
+	events, metrics, control := observe(t, url, cs.name)
+	for i, got := range []string{events, metrics, control} {
+		if got != cs.want[i] {
+			t.Fatalf("round %d: %s: recovered %s not byte-identical (%d logged steps)\n got %s\nwant %s",
+				round, cs.name, [3]string{"/events", "/metrics", "/tasks and cpuset.cpus"}[i], cs.logged, got, cs.want[i])
+		}
+	}
+	return mode
+}
+
+// testCrashInjection runs rounds of kill and restart. Each round starts
+// fresh scripted sessions one after another until a SIGKILL at a random
+// delay lands, so the kill meets creates, admissions, fs writes and
+// advances; after every restart each session of every round so far is
+// checked again.
 func testCrashInjection(t *testing.T, snapEvery int, rounds int, seed int64) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
+	_, ref := newServer(t)
 
-	// Structural setup against the first child, then one advance per
-	// session: these commands are acknowledged, so they must survive every
-	// crash below.
+	var sessions []*crashSession
+	modes := map[string]int{}
 	c := startChild(t, dir, snapEvery)
-	for _, cs := range crashSessions {
-		base := c.url + "/sessions/" + cs.name
-		for _, step := range []struct{ method, url, body string }{
-			{"POST", c.url + "/sessions", cs.create},
-			{"POST", base + "/tasks", `{"ml":"CNN1","cores":2}`},
-			{"POST", base + "/tasks", `{"kind":"Stitch"}`},
-			{"POST", base + "/fs/cgroup/batch", ""},
-			{"PUT", base + "/fs/cgroup/batch/cpuset.cpus", "0-3"},
-			{"POST", base + "/advance", `{"ms":80,"wait":true}`},
-		} {
-			status, body, ok := tryDo(step.method, step.url, step.body)
-			if !ok || status >= 400 {
-				t.Fatalf("%s %s = %d %s (ok=%v)", step.method, step.url, status, body, ok)
-			}
-		}
-	}
-	const setupRecords = 6 // create + 2 admits + mkdir + put + advance
-	// With snapshots on, the advance's snapshot is written after its ack;
-	// wait for it, so every recovery below starts from a snapshot.
-	wantMode := "replay"
-	if snapEvery > 0 {
-		wantMode = "snapshot"
-		for _, cs := range crashSessions {
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-				if _, info, ok := tryDo("GET", c.url+"/sessions/"+cs.name, ""); ok && strings.Contains(info, `"snapshot_seq"`) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: no snapshot after the setup advance", cs.name)
-				}
-			}
-		}
-	}
-
-	ackedAdvances := map[string]int{}
 	for round := 0; round < rounds; round++ {
-		// Drive advances, alternating sessions, until the randomized
-		// SIGKILL lands. The killer fires from another goroutine so death
-		// hits at an arbitrary point in the request/advance/log cycle.
-		delay := time.Duration(2+rng.Intn(60)) * time.Millisecond
+		// The killer fires from another goroutine so death hits at an
+		// arbitrary point in the request/apply/log cycle.
+		delay := time.Duration(5+rng.Intn(100)) * time.Millisecond
 		killed := make(chan struct{})
-		go func() {
+		go func(p *os.Process) {
 			time.Sleep(delay)
-			c.cmd.Process.Kill()
+			p.Kill()
 			close(killed)
-		}()
-		for i := 0; ; i++ {
-			name := crashSessions[i%len(crashSessions)].name
-			status, body, ok := tryDo("POST", c.url+"/sessions/"+name+"/advance", `{"ms":80,"wait":true}`)
-			if !ok {
-				break // child died mid-request
-			}
-			if status == 200 && strings.Contains(body, `"state":"done"`) {
-				ackedAdvances[name]++
-			}
+		}(c.cmd.Process)
+		var cs *crashSession
+		for alive := true; alive; {
+			name := fmt.Sprintf("r%d-%d", round, len(sessions))
+			cs = &crashSession{name: name, script: crashScript(name, len(sessions)), logged: -1}
+			sessions = append(sessions, cs)
+			alive = cs.drive(t, c.url)
 		}
 		<-killed
 		c.cmd.Wait()
+		t.Logf("round %d: kill after %s landed in %s at step %d (%s)",
+			round, delay, cs.name, cs.sent, cs.script[cs.sent-1].kind)
 
-		// Each surviving log must decode cleanly (a torn tail is legal) and
-		// must contain every acknowledged command. The reference is an
-		// in-process, non-persisted session rebuilt from it: the state an
-		// uninterrupted run would hold after exactly these commands.
-		want := map[string][2]string{}
-		for _, cs := range crashSessions {
-			data, err := os.ReadFile(durable.WALPath(dir, cs.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rd, err := durable.DecodeWAL(data)
-			if err != nil {
-				t.Fatalf("round %d: %s: surviving WAL is corrupt: %v", round, cs.name, err)
-			}
-			advances := 0
-			for _, rec := range rd.Records {
-				if rec.Kind == durable.KindAdvance {
-					advances++
-				}
-			}
-			if len(rd.Records) < setupRecords || advances < 1+ackedAdvances[cs.name] {
-				t.Fatalf("round %d: %s: durability violated: %d records (%d advances) for %d acked advances",
-					round, cs.name, len(rd.Records), advances, 1+ackedAdvances[cs.name])
-			}
-			events, metrics := referenceFromWAL(t, rd.Records)
-			want[cs.name] = [2]string{events, metrics}
+		for _, cs := range sessions {
+			cs.checkLog(t, dir, round)
 		}
-
-		// Restart on the same directory and compare the recovered sessions.
 		c = startChild(t, dir, snapEvery)
-		for _, cs := range crashSessions {
-			base := c.url + "/sessions/" + cs.name
-			if _, info, ok := tryDo("GET", base, ""); !ok || !strings.Contains(info, `"recovered_mode":"`+wantMode+`"`) {
-				t.Fatalf("round %d: %s: info = %s (ok=%v), want recovered_mode %q", round, cs.name, info, ok, wantMode)
-			}
-			status, gotEvents, ok := tryDo("GET", base+"/events", "")
-			if !ok || status != 200 {
-				t.Fatalf("round %d: %s: recovered /events = %d (ok=%v)", round, cs.name, status, ok)
-			}
-			status, gotMetrics, ok := tryDo("GET", base+"/metrics", "")
-			if !ok || status != 200 {
-				t.Fatalf("round %d: %s: recovered /metrics = %d (ok=%v)", round, cs.name, status, ok)
-			}
-			if gotEvents != want[cs.name][0] {
-				t.Fatalf("round %d: %s: recovered /events not byte-identical\n got %s\nwant %s",
-					round, cs.name, gotEvents, want[cs.name][0])
-			}
-			if gotMetrics != want[cs.name][1] {
-				t.Fatalf("round %d: %s: recovered /metrics not byte-identical", round, cs.name)
-			}
+		for _, cs := range sessions {
+			modes[cs.verify(t, c.url, ref.URL, round)]++
 		}
 	}
-}
-
-// referenceFromWAL replays decoded records into a fresh in-process server
-// with persistence off and renders the endpoints a recovered child must
-// reproduce byte-for-byte.
-func referenceFromWAL(t *testing.T, recs []durable.Record) (events, metrics string) {
-	t.Helper()
-	if len(recs) == 0 || recs[0].Kind != durable.KindCreate {
-		t.Fatal("WAL lost its create record")
+	if snapEvery > 0 && modes["snapshot"] == 0 {
+		t.Fatalf("no session recovered from a snapshot: %v", modes)
 	}
-	ref, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
+	if snapEvery < 0 && modes["snapshot"] > 0 {
+		t.Fatalf("a replay-only server recovered from a snapshot: %v", modes)
 	}
-	t.Cleanup(ref.Close)
-	var req createSessionRequest
-	if err := json.Unmarshal(recs[0].Config, &req); err != nil {
-		t.Fatal(err)
-	}
-	sess, _, err := ref.rebuildSession(req, req.Name, recs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.mu.Lock()
-	ref.sessions[req.Name] = sess
-	ref.mu.Unlock()
-	ref.sessionsLive.Add(1)
-	ts := httptest.NewServer(ref.Handler())
-	t.Cleanup(ts.Close)
-	_, events = do(t, "GET", ts.URL+"/sessions/"+req.Name+"/events", "")
-	_, metrics = do(t, "GET", ts.URL+"/sessions/"+req.Name+"/metrics", "")
-	return events, metrics
 }
 
 func TestCrashInjectionWithSnapshots(t *testing.T) {

@@ -117,7 +117,7 @@ type Config struct {
 	// periodically (checksummed, atomically renamed). New recovers every
 	// surviving session from this directory at construction; damaged files
 	// are quarantined into <PersistDir>/quarantine rather than refusing to
-	// boot. See docs/KELPD.md, "Durability & crash recovery".
+	// boot. See docs/KELPD.md, "Durability and crash recovery".
 	PersistDir string
 	// SnapshotEvery is the number of WAL records between snapshot attempts
 	// for persisted sessions. 0 selects 16; negative disables snapshots
@@ -125,16 +125,6 @@ type Config struct {
 	// slower). Every session snapshots, faulted ones included; full replay
 	// otherwise runs only when a snapshot is damaged.
 	SnapshotEvery int
-	// StreamHeartbeat is the idle-keepalive period of the SSE stream
-	// endpoints: a comment line is written whenever this long passes with
-	// no event, so proxies and clients can tell a quiet stream from a dead
-	// one. 0 selects 15s; negative disables heartbeats.
-	StreamHeartbeat time.Duration
-	// StreamBuffer is each SSE subscriber's bounded event buffer. A
-	// consumer that falls behind it has events dropped from its buffer
-	// (never from the recorder) and the stream transparently backfills
-	// from the ring. 0 selects 256.
-	StreamBuffer int
 	// Clock supplies wall time for TTLs, rate limiting, job timeouts and
 	// server-event timestamps; nil selects time.Now. Tests inject a fake.
 	Clock func() time.Time
@@ -172,12 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 16
-	}
-	if c.StreamHeartbeat == 0 {
-		c.StreamHeartbeat = 15 * time.Second
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 256
 	}
 	if c.DefaultPolicy == "" {
 		c.DefaultPolicy = "KP"
@@ -474,22 +458,30 @@ func (s *Server) EvictIdle() []string {
 	s.mu.RUnlock()
 	names := make([]string, 0, len(idle))
 	for _, sess := range idle {
-		// Files first, then the name (see retirePersist): once the name is
-		// free a same-name create may write a fresh WAL, and a removal after
-		// that would unlink the new incarnation's files.
-		sess.retirePersist()
-		s.mu.Lock()
-		if s.sessions[sess.name] != sess {
-			// A concurrent destroy won the map race and owns the teardown.
-			s.mu.Unlock()
-			continue
+		if s.destroy(sess, "ttl") {
+			names = append(names, sess.name)
 		}
-		delete(s.sessions, sess.name)
-		s.mu.Unlock()
-		sess.shutdown("ttl")
-		names = append(names, sess.name)
 	}
 	return names
+}
+
+// destroy takes one session out of the pool and shuts it down, deleting
+// its persist files. Files go first, while the pool map still owns the
+// name (see retirePersist): once the name is free a same-name create may
+// write a fresh WAL, and a removal after that would unlink the new
+// incarnation's files. It reports false when a concurrent destroy or TTL
+// eviction won the map race and owns the teardown.
+func (s *Server) destroy(sess *Session, reason string) bool {
+	sess.retirePersist()
+	s.mu.Lock()
+	if s.sessions[sess.name] != sess {
+		s.mu.Unlock()
+		return false
+	}
+	delete(s.sessions, sess.name)
+	s.mu.Unlock()
+	sess.shutdown(reason)
+	return true
 }
 
 // Close stops the TTL janitor and destroys every session without waiting
@@ -497,6 +489,15 @@ func (s *Server) EvictIdle() []string {
 // graceful path.
 func (s *Server) Close() {
 	s.stopJanitor()
+	s.shutdownAll()
+}
+
+// shutdownAll empties the pool, shuts every session down with reason
+// "drain" (their persist files stay, for the next boot), then releases
+// every open SSE handler: each flushes the events emitted so far, the
+// session.destroy tail included, and returns. Names reserved by in-flight
+// creates go with the map; those creates find their name gone and shed.
+func (s *Server) shutdownAll() {
 	s.mu.Lock()
 	all := make([]*Session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -507,16 +508,8 @@ func (s *Server) Close() {
 	s.sessions = make(map[string]*Session)
 	s.mu.Unlock()
 	for _, sess := range all {
-		sess.cancel.Store(true)
 		sess.shutdown("drain")
 	}
-	s.stopStreams()
-}
-
-// stopStreams releases every open SSE handler: each flushes events emitted
-// so far — including the session.destroy tail of a drain — and returns.
-// Idempotent; called at the end of both Drain and Close.
-func (s *Server) stopStreams() {
 	s.streamsOnce.Do(func() { close(s.streamsDone) })
 }
 

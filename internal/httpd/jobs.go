@@ -325,24 +325,10 @@ func (s *Server) Drain(ctx context.Context) {
 		}
 	}
 
-	// Phase 2: tear every session down (cancels whatever remains).
-	s.mu.Lock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		if sess != nil {
-			all = append(all, sess)
-		}
-	}
-	s.sessions = make(map[string]*Session)
-	s.mu.Unlock()
-	for _, sess := range all {
-		sess.shutdown("drain")
-	}
-
-	// Every session.destroy event is now in the server recorder; end the
-	// server-level SSE streams so watchers see the full shutdown narrative
-	// before EOF.
-	s.stopStreams()
+	// Phase 2: tear every session down (cancels whatever remains), then end
+	// the SSE streams, so watchers see the full shutdown narrative before
+	// EOF.
+	s.shutdownAll()
 }
 
 // cancelAll flags every session so running jobs stop at the next chunk.

@@ -74,14 +74,17 @@ func driveLoad(t testing.TB, ts, name string) {
 }
 
 // observe captures the externally visible state a recovery must reproduce
-// byte-for-byte.
-func observe(t testing.TB, ts, name string) (events, metrics, tasks string) {
+// byte-for-byte. control is the task listing followed by the batch
+// cgroup's cpuset.cpus, the control file the scripts write, so a replay
+// that drops fs records shows.
+func observe(t testing.TB, ts, name string) (events, metrics, control string) {
 	t.Helper()
 	base := ts + "/sessions/" + name
 	_, events = do(t, "GET", base+"/events", "")
 	_, metrics = do(t, "GET", base+"/metrics", "")
-	_, tasks = do(t, "GET", base+"/tasks", "")
-	return
+	_, tasks := do(t, "GET", base+"/tasks", "")
+	_, cpuset := do(t, "GET", base+"/fs/cgroup/batch/cpuset.cpus", "")
+	return events, metrics, tasks + cpuset
 }
 
 // hasRecoverEvent reports whether the server recorder holds a
@@ -99,7 +102,7 @@ func testRecoveryByteIdentical(t *testing.T, snapEvery int, wantMode string) {
 	dir := t.TempDir()
 	s1, ts1 := newPersistServer(t, dir, snapEvery)
 	driveLoad(t, ts1.URL, "a")
-	wantEvents, wantMetrics, wantTasks := observe(t, ts1.URL, "a")
+	wantEvents, wantMetrics, wantControl := observe(t, ts1.URL, "a")
 	crash(s1, ts1)
 
 	s2, ts2 := newPersistServer(t, dir, snapEvery)
@@ -113,15 +116,15 @@ func testRecoveryByteIdentical(t *testing.T, snapEvery int, wantMode string) {
 	if !strings.Contains(info, `"recovered_mode":"`+wantMode+`"`) {
 		t.Fatalf("info = %s, want recovered_mode %q", info, wantMode)
 	}
-	gotEvents, gotMetrics, gotTasks := observe(t, ts2.URL, "a")
+	gotEvents, gotMetrics, gotControl := observe(t, ts2.URL, "a")
 	if gotEvents != wantEvents {
 		t.Errorf("recovered /events differs:\n got %s\nwant %s", gotEvents, wantEvents)
 	}
 	if gotMetrics != wantMetrics {
 		t.Errorf("recovered /metrics differs:\n got %s\nwant %s", gotMetrics, wantMetrics)
 	}
-	if gotTasks != wantTasks {
-		t.Errorf("recovered /tasks differs:\n got %s\nwant %s", gotTasks, wantTasks)
+	if gotControl != wantControl {
+		t.Errorf("recovered /tasks and cpuset.cpus differ:\n got %s\nwant %s", gotControl, wantControl)
 	}
 
 	// The recovered session keeps working — and keeps logging: survive a

@@ -468,23 +468,10 @@ func (s *Server) handleDestroySession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("httpd: no session %q", name))
 		return
 	}
-	// Persist files go away while the name is still owned by the pool map.
-	// Releasing the name first would open a window where a same-name create
-	// writes a fresh WAL that this session's teardown then unlinks —
-	// silently dropping the new incarnation's acked commands at the next
-	// restart.
-	sess.retirePersist()
-	s.mu.Lock()
-	if s.sessions[name] != sess {
-		// Lost the race with a concurrent destroy or TTL eviction; the
-		// winner owns the teardown.
-		s.mu.Unlock()
+	if !s.destroy(sess, "api") {
 		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("httpd: no session %q", name))
 		return
 	}
-	delete(s.sessions, name)
-	s.mu.Unlock()
-	sess.shutdown("api")
 	s.writeJSON(w, r, http.StatusOK, map[string]string{"destroyed": name})
 }
 

@@ -7,13 +7,13 @@ package httpd
 // with Last-Event-ID (browsers' EventSource does this automatically) or
 // ?since=N, and a streamed sequence is byte-identical to a polled one.
 //
-// Each open stream holds one bounded events.Subscription used as a wakeup
-// and fast path; the frames themselves are reconciled against the
-// recorder ring by cursor, so a slow consumer whose subscription dropped
-// events transparently backfills — the subscription can lose deliveries,
-// the stream cannot (until the ring itself evicts, which the client sees
-// as a seq gap, exactly like a poller would). Emit never waits on a
-// subscriber: a stalled stream only ever stalls itself.
+// Every frame is read from the recorder ring past the stream's cursor;
+// the ring is the only copy of an event. Each open stream holds one
+// events.Subscription, a wakeup that Emit signals without blocking, and
+// reads the ring again whenever it fires. A slow consumer therefore loses
+// nothing until the ring itself evicts, which the client sees as a seq
+// gap, exactly like a poller would, and a stalled stream only ever stalls
+// itself.
 //
 // Streams end when the client disconnects, when the session is destroyed
 // (per-session streams), or when Drain/Close finishes tearing sessions
@@ -30,9 +30,14 @@ import (
 	"kelp/internal/events"
 )
 
-// streamChunk bounds one catch-up read of the ring, so a stream resuming
-// from an old cursor writes (and flushes) in bounded batches.
+// streamChunk bounds one read of the ring, so a stream resuming from an
+// old cursor never copies the whole backlog at once.
 const streamChunk = 512
+
+// streamHeartbeat is the idle-keepalive period of the stream endpoints: a
+// comment line goes out whenever this long passes with no event, so
+// proxies and clients can tell a quiet stream from a dead one.
+const streamHeartbeat = 15 * time.Second
 
 func (s *Server) handleServerEventStream(w http.ResponseWriter, r *http.Request) {
 	s.serveEventStream(w, r, s.rec, s.streamsDone)
@@ -74,7 +79,7 @@ func parseStreamCursor(r *http.Request) (uint64, []events.Type, error) {
 // serveEventStream streams a recorder over SSE until the client hangs up
 // or done closes. No session or pool lock is ever held here; the handler
 // spawns no goroutines, so teardown is just returning (the deferred
-// Unsubscribe detaches the subscription).
+// Unsubscribe detaches the wakeup).
 func (s *Server) serveEventStream(w http.ResponseWriter, r *http.Request, rec *events.Recorder, done <-chan struct{}) {
 	since, types, err := parseStreamCursor(r)
 	if err != nil {
@@ -82,7 +87,9 @@ func (s *Server) serveEventStream(w http.ResponseWriter, r *http.Request, rec *e
 		return
 	}
 
-	sub := rec.Watch(s.cfg.StreamBuffer, types...)
+	// Watch before the first read: an event emitted after it signals, one
+	// emitted before it is in the ring, so nothing falls between.
+	sub := rec.Watch()
 	defer rec.Unsubscribe(sub)
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -103,74 +110,44 @@ func (s *Server) serveEventStream(w http.ResponseWriter, r *http.Request, rec *e
 		return
 	}
 
-	writeEvent := func(e events.Event) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data); err != nil {
-			return err
-		}
-		cursor = e.Seq
-		return nil
-	}
-	// catchUp reconciles against the ring: everything past the cursor that
-	// the subscription missed (backlog predating Watch, or deliveries its
-	// buffer dropped) is read back in bounded chunks.
-	catchUp := func() error {
+	// sendNew writes every event past the cursor, in bounded chunks, and
+	// flushes the batch.
+	sendNew := func() error {
 		for {
 			evs := rec.SinceLimit(cursor, streamChunk, types...)
 			if len(evs) == 0 {
-				return nil
+				break
 			}
 			for _, e := range evs {
-				if err := writeEvent(e); err != nil {
+				data, err := json.Marshal(e)
+				if err != nil {
 					return err
 				}
+				if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data); err != nil {
+					return err
+				}
+				cursor = e.Seq
 			}
 		}
+		flush()
+		return nil
 	}
 
-	if err := catchUp(); err != nil {
-		s.noteWriteFailure(w, r, err)
-		return
-	}
-	flush()
-
-	var heartbeat <-chan time.Time
-	if s.cfg.StreamHeartbeat > 0 {
-		t := time.NewTicker(s.cfg.StreamHeartbeat)
-		defer t.Stop()
-		heartbeat = t.C
-	}
+	heartbeat := time.NewTicker(streamHeartbeat)
+	defer heartbeat.Stop()
 	ctx := r.Context()
 	for {
+		if err := sendNew(); err != nil {
+			s.noteWriteFailure(w, r, err)
+			return
+		}
 		select {
-		case e := <-sub.C():
-			if e.Seq <= cursor {
-				// Already written by a catch-up read; cheap dedupe.
-				continue
-			}
-			if e.Seq == cursor+1 {
-				// Contiguous fast path: no ring read needed.
-				if err := writeEvent(e); err != nil {
-					s.noteWriteFailure(w, r, err)
-					return
-				}
-			}
-			// Pick up anything else already emitted (more buffered
-			// deliveries, or a span the subscription dropped), then flush
-			// the whole batch at once.
-			if err := catchUp(); err != nil {
-				s.noteWriteFailure(w, r, err)
-				return
-			}
-			flush()
+		case <-sub.C():
 		case <-done:
-			// Session destroyed or server draining: flush the tail (for
-			// the server stream that includes the final session.destroy
+			// Session destroyed or server draining: send the tail (for the
+			// server stream that includes the final session.destroy
 			// events) and end the stream cleanly.
-			if err := catchUp(); err != nil {
+			if err := sendNew(); err != nil {
 				s.noteWriteFailure(w, r, err)
 				return
 			}
@@ -179,12 +156,11 @@ func (s *Server) serveEventStream(w http.ResponseWriter, r *http.Request, rec *e
 			return
 		case <-ctx.Done():
 			return
-		case <-heartbeat:
+		case <-heartbeat.C:
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
 				s.noteWriteFailure(w, r, err)
 				return
 			}
-			flush()
 		}
 	}
 }

@@ -356,7 +356,7 @@ func TestServerStreamEndsAfterDrain(t *testing.T) {
 // subscription drops, the advance path never waits on it, and a sibling
 // session is untouched.
 func TestStalledStreamDoesNotBlockAdvance(t *testing.T) {
-	_, ts := newServerCfg(t, Config{StreamBuffer: 2})
+	_, ts := newServerCfg(t, Config{})
 	mkSession(t, ts.URL, "a")
 	mkSession(t, ts.URL, "b")
 	for _, name := range []string{"a", "b"} {
